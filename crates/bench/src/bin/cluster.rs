@@ -203,12 +203,7 @@ fn main() {
                 .unwrap_or(1)
                 .clamp(1, 8)
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_CLUSTER.json".to_string());
+    let out_path = cereal_bench::out_path(&args, "BENCH_CLUSTER.json");
 
     // The base cell: a ≥512-executor multi-tenant cluster even in smoke
     // mode (the whole point of the lazy fabric).

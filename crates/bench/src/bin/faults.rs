@@ -107,12 +107,7 @@ fn main() {
                 .unwrap_or(1)
                 .clamp(1, 8)
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_FAULTS.json".to_string());
+    let out_path = cereal_bench::out_path(&args, "BENCH_FAULTS.json");
 
     let rates: &[f64] = if smoke { &[0.0, 0.05] } else { &[0.0, 0.01, 0.05, 0.15] };
     let backends = [Backend::Kryo, Backend::Archive, Backend::Cereal];

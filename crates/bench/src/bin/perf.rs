@@ -10,39 +10,33 @@
 //!   before timing;
 //! * **serializer round trips** — serialize + deserialize per software
 //!   baseline on a fixed microbenchmark graph;
-//! * **compiled plans** — interpretive field-walking vs compiled-plan
-//!   execution per software backend, with byte-identical streams
-//!   asserted before timing;
 //! * **accelerator simulation** — wall-clock of one full cycle-model run
 //!   (the simulated nanoseconds are recorded too, as a determinism
 //!   anchor: optimizations must not move them);
 //! * **archive crossover** — the zero-copy Archive backend's
 //!   deserialization (validate in place + fold off the wire, simulated
 //!   ns) against the Cereal DU and the fastest compiled software
-//!   backend on dense, pointer-heavy, and text workload shapes;
-//! * **experiment fan-out** — the eighteen `--bin all` units at one
-//!   worker vs all available workers.
+//!   backend on dense, pointer-heavy, and text workload shapes.
 //!
 //! Simulated times are deterministic; the wall-clock numbers in the JSON
 //! are machine-dependent and only comparable against runs on the same
-//! host. `--smoke` shrinks every iteration count for CI.
+//! host. Flags: `--smoke` (shrinks every iteration count for CI),
+//! `--out PATH` (default `BENCH_PERF.json`).
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cereal::CerealConfig;
-use cereal_bench::{jsbs_suite, micro_suite, repeat_root, run_cereal, spark_suite};
+use cereal_bench::{out_path, repeat_root, run_cereal};
 use sdformat::bitio::naive::{NaiveBitReader, NaiveBitWriter};
 use sdformat::pack::{EndMap, Packed};
-use sdheap::builder::Init;
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
 use serializers::{
     fold_words_heap, Archive, ArchiveView, JavaSd, JsonLike, Kryo, NullSink, ProtoLike, Serializer,
     Skyway,
 };
-use workloads::{MicroBench, Scale, SparkApp, SparkScale};
+use workloads::{MicroBench, Scale};
 
 /// Destination-heap base for reconstruction (clear of every source).
 const DST_BASE: u64 = 0x40_0000_0000;
@@ -296,165 +290,6 @@ fn serializer_roundtrips(iters: usize) -> Vec<SerPerf> {
         .collect()
 }
 
-struct PlanPerf {
-    name: String,
-    iters: usize,
-    interp_ser_ms: f64,
-    compiled_ser_ms: f64,
-    interp_de_ms: f64,
-    compiled_de_ms: f64,
-    stream_bytes: usize,
-}
-
-impl PlanPerf {
-    fn ser_speedup(&self) -> f64 {
-        self.interp_ser_ms / self.compiled_ser_ms
-    }
-    fn de_speedup(&self) -> f64 {
-        self.interp_de_ms / self.compiled_de_ms
-    }
-}
-
-/// A field-program stress graph: many mixed-width primitive fields (long
-/// copy runs split once by a reference), heavy sharing through one leaf,
-/// everything rooted in an `Object[]` — the shape where per-object
-/// `fields()` walking costs the most.
-fn plan_bench_graph() -> (Heap, KlassRegistry, Addr) {
-    let mut b = GraphBuilder::new(1 << 18);
-    let r = b.klass(
-        "R",
-        vec![
-            FieldKind::Value(ValueType::Long),
-            FieldKind::Value(ValueType::Int),
-            FieldKind::Value(ValueType::Char),
-            FieldKind::Value(ValueType::Byte),
-            FieldKind::Value(ValueType::Boolean),
-            FieldKind::Value(ValueType::Double),
-            FieldKind::Ref,
-            FieldKind::Value(ValueType::Long),
-            FieldKind::Value(ValueType::Int),
-            FieldKind::Value(ValueType::Double),
-            FieldKind::Value(ValueType::Long),
-            FieldKind::Value(ValueType::Int),
-            FieldKind::Value(ValueType::Long),
-        ],
-    );
-    let leaf_k = b.klass("Leaf", vec![FieldKind::Value(ValueType::Long)]);
-    let arr = b.array_klass("Object[]", FieldKind::Ref);
-    let leaf = b.object(leaf_k, &[Init::Val(7)]).unwrap();
-    let mut rng = Rng::new(0xC0DE_F00D);
-    let objects: Vec<Addr> = (0..512)
-        .map(|_| {
-            b.object(
-                r,
-                &[
-                    Init::Val(rng.next_u64()),
-                    Init::Val(rng.next_u64() & 0xffff_ffff),
-                    Init::Val(rng.next_u64() & 0xffff),
-                    Init::Val(rng.next_u64() & 0xff),
-                    Init::Val(rng.next_u64() & 1),
-                    Init::Val(f64::to_bits(rng.next_u64() as f64)),
-                    Init::Ref(leaf),
-                    Init::Val(rng.next_u64()),
-                    Init::Val(rng.next_u64() & 0xffff_ffff),
-                    Init::Val(f64::to_bits(0.5)),
-                    Init::Val(rng.next_u64()),
-                    Init::Val(rng.next_u64() & 0xffff_ffff),
-                    Init::Val(rng.next_u64()),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    let root = b.ref_array(arr, &objects).unwrap();
-    let (heap, reg) = b.finish();
-    (heap, reg, root)
-}
-
-/// Interpretive vs compiled-plan execution per software backend, on the
-/// plan stress graph. Streams are asserted byte-identical before any
-/// timing; both modes then run `iters` serializations and
-/// deserializations, best of `reps`.
-fn compiled_plan_bench(iters: usize, reps: usize) -> Vec<PlanPerf> {
-    let (mut heap, reg, root) = plan_bench_graph();
-    let cap = heap.capacity_bytes();
-    let modes: Vec<(Box<dyn Serializer>, Box<dyn Serializer>)> = vec![
-        (
-            Box::new(JavaSd::interpretive()),
-            Box::new(JavaSd::with_compiled_plans(true)),
-        ),
-        (
-            Box::new(Kryo::interpretive()),
-            Box::new(Kryo::with_compiled_plans(true)),
-        ),
-        (
-            Box::new(ProtoLike::interpretive()),
-            Box::new(ProtoLike::with_compiled_plans(true)),
-        ),
-        (
-            Box::new(JsonLike::interpretive()),
-            Box::new(JsonLike::with_compiled_plans(true)),
-        ),
-    ];
-    modes
-        .iter()
-        .map(|(interp, comp)| {
-            let mut sink = NullSink;
-            let mut iout = Vec::new();
-            let mut cout = Vec::new();
-            interp
-                .serialize_into(&mut heap, &reg, root, &mut sink, &mut iout)
-                .expect("serialize");
-            comp.serialize_into(&mut heap, &reg, root, &mut sink, &mut cout)
-                .expect("serialize");
-            assert_eq!(
-                iout,
-                cout,
-                "{}: compiled stream must be byte-identical",
-                interp.name()
-            );
-
-            let mut time_ser = |ser: &dyn Serializer| {
-                let mut out = Vec::new();
-                best_of(reps, || {
-                    for _ in 0..iters {
-                        ser.serialize_into(&mut heap, &reg, root, &mut sink, &mut out)
-                            .expect("serialize");
-                    }
-                    black_box(&out);
-                })
-                .0
-            };
-            let interp_ser_ms = time_ser(interp.as_ref());
-            let compiled_ser_ms = time_ser(comp.as_ref());
-
-            let mut time_de = |ser: &dyn Serializer| {
-                best_of(reps, || {
-                    for _ in 0..iters {
-                        let mut dst = Heap::with_base(Addr(DST_BASE), cap);
-                        ser.deserialize(&iout, &reg, &mut dst, &mut sink)
-                            .expect("deserialize");
-                        black_box(&dst);
-                    }
-                })
-                .0
-            };
-            let interp_de_ms = time_de(interp.as_ref());
-            let compiled_de_ms = time_de(comp.as_ref());
-
-            PlanPerf {
-                name: interp.name().to_string(),
-                iters,
-                interp_ser_ms,
-                compiled_ser_ms,
-                interp_de_ms,
-                compiled_de_ms,
-                stream_bytes: iout.len(),
-            }
-        })
-        .collect()
-}
-
 struct CrossoverPerf {
     workload: &'static str,
     records: u32,
@@ -602,48 +437,16 @@ fn accel_sim() -> AccelPerf {
     }
 }
 
-/// Number of `--bin all` experiment units (six micro + six JSBS measured
-/// runs + six Spark apps).
-const FANOUT_UNITS: usize = 6 + jsbs_suite::MEASURED_UNITS + 6;
-
-/// Runs the eighteen `--bin all` experiment units at Tiny scale on
-/// `jobs` worker threads; returns the wall-clock milliseconds.
-fn run_units(jobs: usize) -> f64 {
-    let benches = MicroBench::all();
-    let apps = SparkApp::all();
-    let next = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let unit = next.fetch_add(1, Ordering::Relaxed);
-                match unit {
-                    0..=5 => {
-                        black_box(micro_suite::run_one(benches[unit], Scale::Tiny));
-                    }
-                    6..=11 => {
-                        black_box(jsbs_suite::run_measured(unit - 6));
-                    }
-                    12..=17 => {
-                        black_box(spark_suite::run_one(apps[unit - 12], SparkScale::Tiny));
-                    }
-                    _ => break,
-                }
-            });
-        }
-    });
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = out_path(&args, "BENCH_PERF.json");
     // Fixed workload sizes; --smoke shrinks them for CI.
-    let (kernel_n, kernel_reps, ser_iters, fanout_reps) =
-        if smoke { (1 << 12, 3, 8, 1) } else { (1 << 16, 5, 64, 2) };
+    let (kernel_n, kernel_reps, ser_iters) =
+        if smoke { (1 << 12, 3, 8) } else { (1 << 16, 5, 64) };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let par_jobs = cores.clamp(1, FANOUT_UNITS);
 
     eprintln!("pack/unpack kernel ({kernel_n} values, best of {kernel_reps})...");
     let kernel = kernel_bench(kernel_n, kernel_reps);
@@ -681,23 +484,6 @@ fn main() {
         );
     }
 
-    let (plan_iters, plan_reps) = if smoke { (4, 3) } else { (32, 5) };
-    eprintln!("compiled plans ({plan_iters} iterations, best of {plan_reps}, interpretive vs compiled)...");
-    let plans = compiled_plan_bench(plan_iters, plan_reps);
-    for p in &plans {
-        eprintln!(
-            "  {:<10} ser {:.3} -> {:.3} ms ({:.2}x), de {:.3} -> {:.3} ms ({:.2}x), {} B/stream identical",
-            p.name,
-            p.interp_ser_ms,
-            p.compiled_ser_ms,
-            p.ser_speedup(),
-            p.interp_de_ms,
-            p.compiled_de_ms,
-            p.de_speedup(),
-            p.stream_bytes
-        );
-    }
-
     eprintln!("accelerator simulation run...");
     let accel = accel_sim();
     eprintln!(
@@ -725,21 +511,6 @@ fn main() {
         );
     }
 
-    eprintln!(
-        "experiment fan-out ({FANOUT_UNITS} units, 1 vs {par_jobs} worker(s), \
-         best of {fanout_reps})..."
-    );
-    let (seq_ms, ()) = best_of(fanout_reps, || {
-        run_units(1);
-    });
-    let (par_ms, ()) = best_of(fanout_reps, || {
-        run_units(par_jobs);
-    });
-    eprintln!(
-        "  sequential {seq_ms:.1} ms, {par_jobs} worker(s) {par_ms:.1} ms = {:.2}x",
-        seq_ms / par_ms
-    );
-
     let mut sers_json = String::new();
     for (i, s) in sers.iter().enumerate() {
         if i > 0 {
@@ -748,27 +519,6 @@ fn main() {
         sers_json.push_str(&format!(
             "    {{\"name\": \"{}\", \"iters\": {}, \"ser_ms\": {:.3}, \"de_ms\": {:.3}, \"stream_bytes\": {}}}",
             s.name, s.iters, s.ser_ms, s.de_ms, s.stream_bytes
-        ));
-    }
-    let mut plans_json = String::new();
-    for (i, p) in plans.iter().enumerate() {
-        if i > 0 {
-            plans_json.push_str(",\n");
-        }
-        plans_json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \
-             \"interp_ser_ms\": {:.3}, \"compiled_ser_ms\": {:.3}, \"ser_speedup\": {:.2}, \
-             \"interp_de_ms\": {:.3}, \"compiled_de_ms\": {:.3}, \"de_speedup\": {:.2}, \
-             \"stream_bytes\": {}, \"streams_identical\": true}}",
-            p.name,
-            p.iters,
-            p.interp_ser_ms,
-            p.compiled_ser_ms,
-            p.ser_speedup(),
-            p.interp_de_ms,
-            p.compiled_de_ms,
-            p.de_speedup(),
-            p.stream_bytes
         ));
     }
     let mut crossover_json = String::new();
@@ -813,16 +563,11 @@ fn main() {
          \x20   \"boundaries_identical\": true\n\
          \x20 }},\n\
          \x20 \"serializers\": [\n{sj}\n\x20 ],\n\
-         \x20 \"compiled_plans\": [\n{plj}\n\x20 ],\n\
          \x20 \"accel_sim\": {{\n\
          \x20   \"bench\": \"{ab}\", \"wall_ms\": {aw:.3},\n\
          \x20   \"sim_ser_ns\": {asn:.3}, \"sim_de_ns\": {adn:.3}, \"stream_bytes\": {asb}\n\
          \x20 }},\n\
-         \x20 \"archive_crossover\": [\n{cj}\n\x20 ],\n\
-         \x20 \"fanout\": {{\n\
-         \x20   \"units\": {fnu}, \"seq_jobs\": 1, \"par_jobs\": {pj},\n\
-         \x20   \"seq_ms\": {sm:.1}, \"par_ms\": {pm:.1}, \"speedup\": {fs:.2}\n\
-         \x20 }}\n\
+         \x20 \"archive_crossover\": [\n{cj}\n\x20 ]\n\
          }}\n",
         kv = kernel.values,
         kr = kernel.reps,
@@ -840,20 +585,14 @@ fn main() {
         ef = endmap.fast_ms,
         es = endmap.speedup(),
         sj = sers_json,
-        plj = plans_json,
         cj = crossover_json,
         ab = accel.bench,
         aw = accel.wall_ms,
         asn = accel.sim_ser_ns,
         adn = accel.sim_de_ns,
         asb = accel.stream_bytes,
-        fnu = FANOUT_UNITS,
-        pj = par_jobs,
-        sm = seq_ms,
-        pm = par_ms,
-        fs = seq_ms / par_ms,
     );
-    std::fs::write("BENCH_PERF.json", &json).expect("write BENCH_PERF.json");
-    println!("wrote BENCH_PERF.json");
+    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    println!("wrote {out_path}");
     print!("{json}");
 }

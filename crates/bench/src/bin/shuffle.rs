@@ -59,12 +59,7 @@ fn main() {
                 .unwrap_or(1)
                 .clamp(1, 8)
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_SHUFFLE.json".to_string());
+    let out_path = cereal_bench::out_path(&args, "BENCH_SHUFFLE.json");
 
     let mut cfg = if smoke { ShuffleConfig::smoke() } else { ShuffleConfig::full() };
     cfg.jobs = jobs;

@@ -60,12 +60,7 @@ fn main() {
                 .unwrap_or(1)
                 .clamp(1, 8)
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_STORE.json".to_string());
+    let out_path = cereal_bench::out_path(&args, "BENCH_STORE.json");
 
     let (partitions, records, passes) = if smoke { (6, 128, 3) } else { (12, 1024, 4) };
     let base = RddConfig {

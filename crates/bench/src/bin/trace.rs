@@ -33,12 +33,7 @@ fn main() {
                 .unwrap_or(1)
                 .clamp(1, 8)
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_TRACE.json".to_string());
+    let out_path = cereal_bench::out_path(&args, "BENCH_TRACE.json");
     let trace_path = args
         .iter()
         .position(|a| a == "--trace-out")

@@ -26,3 +26,12 @@ pub mod table;
 pub mod trace_suite;
 
 pub use runners::{repeat_root, run_cereal, run_software, SdMeasure};
+
+/// The report path from `--out PATH` in `args`, else `default`.
+pub fn out_path(args: &[String], default: &str) -> String {
+    args.iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| default.to_string())
+}

@@ -281,8 +281,12 @@ impl<'a> ArchiveView<'a> {
         // image end or fails typed. Unlike Skyway's adjustment walk this
         // only touches the klass tag (and array length) of each record —
         // the payload words stay untouched.
-        let mut starts: Vec<u32> = Vec::with_capacity(declared_count as usize);
-        let mut ids: Vec<KlassId> = Vec::with_capacity(declared_count as usize);
+        // The header's count is untrusted: reserve no more records than
+        // the image can hold (every record is at least a header).
+        let max_records = total / (HEADER_WORDS as u64 * 8);
+        let reserve = u64::from(declared_count).min(max_records) as usize;
+        let mut starts: Vec<u32> = Vec::with_capacity(reserve);
+        let mut ids: Vec<KlassId> = Vec::with_capacity(reserve);
         let mut cursor = 0u64;
         while cursor < total {
             let offset = cursor as u32;

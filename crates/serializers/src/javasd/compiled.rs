@@ -6,8 +6,8 @@
 //! narration (`ReflectCall`/`StrCompare`/`Load`/`Store` per field) is
 //! pushed into an [`OpBuf`] instead of costing four virtual sink calls,
 //! and all name lengths/widths come pre-resolved from the plan. The byte
-//! stream and the narrated op sequence are identical to the interpretive
-//! path — golden-tested in `tests/golden_plans.rs`.
+//! stream and the narrated op sequence are pinned by the frozen fixtures
+//! in `tests/golden_serde.rs`.
 
 use super::{prim_width, STREAM_MAGIC, STREAM_VERSION};
 use super::{TC_ARRAY, TC_CLASSDESC, TC_CLASSREF, TC_NULL, TC_OBJECT, TC_REFERENCE};
@@ -74,8 +74,7 @@ impl<'a> CSer<'a> {
         self.put(&v.to_be_bytes());
     }
 
-    /// Class descriptor — cold path (once per klass per stream), so it
-    /// mirrors the interpretive code with buffered narration.
+    /// Class descriptor — cold path (once per klass per stream).
     fn write_class_desc(&mut self, id: KlassId) {
         self.ops.push(Op::HashLookup);
         if let Some(h) = self.class_handles[id.get() as usize] {
@@ -336,7 +335,7 @@ impl<'a> CDe<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// Cold path — mirrors the interpretive descriptor reader.
+    /// Class descriptor reader — cold path.
     fn read_class_desc(&mut self) -> Result<KlassId, SerError> {
         match self.get_u8()? {
             TC_CLASSREF => {
@@ -404,7 +403,7 @@ impl<'a> CDe<'a> {
     /// frames for references. The primitive fast path decodes a whole run
     /// against a bounds check done once; when the stream is too short it
     /// falls back to per-field reads so the narrated ops (and the error)
-    /// match the interpretive path exactly.
+    /// are exactly those of a field-at-a-time reader.
     fn run_fields(
         &mut self,
         plan: &Plan,
@@ -448,8 +447,8 @@ impl<'a> CDe<'a> {
                             words[j] = u64::from_be_bytes(be);
                         }
                     } else {
-                        // Slow path: per-field reads, erroring where the
-                        // interpretive reader would.
+                        // Slow path: per-field reads, erroring at the
+                        // first field the stream cannot hold.
                         for f in prims {
                             let w = self.read_primitive_width(f.java_width as usize)?;
                             self.ops.push(Op::ReflectCall);
@@ -623,8 +622,7 @@ pub(super) fn deserialize(
     })()
     .and_then(|()| ctx.run(sink));
     // Ops buffered past the last flush point must reach the sink on both
-    // the Ok and the Err path, or error traces would diverge from the
-    // interpretive ones.
+    // the Ok and the Err path, or error traces would lose their tail.
     ctx.ops.flush(sink);
     result
 }

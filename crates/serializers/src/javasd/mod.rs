@@ -19,9 +19,8 @@
 //! would emit.
 
 use crate::api::{SerError, Serializer};
-use crate::trace::{TraceSink, Tracer, IN_STREAM_BASE, OUT_STREAM_BASE};
-use sdheap::{Addr, FieldKind, Heap, KlassId, KlassRegistry, ValueType, HEADER_WORDS};
-use std::collections::HashMap;
+use crate::trace::TraceSink;
+use sdheap::{Addr, Heap, KlassRegistry, ValueType};
 
 mod compiled;
 
@@ -48,485 +47,13 @@ fn prim_width(vt: ValueType) -> u32 {
 }
 
 /// The Java built-in serializer.
-#[derive(Clone, Copy, Debug)]
-pub struct JavaSd {
-    /// Execute per-klass compiled field programs (`crate::plan`) instead
-    /// of walking `fields()` per object. Streams and traces are identical
-    /// either way; only host wall-clock changes.
-    compiled_plans: bool,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct JavaSd;
 
 impl JavaSd {
-    /// A new instance with the process-wide default plan mode
-    /// (`CEREAL_COMPILED_PLANS`).
+    /// A new instance.
     pub fn new() -> Self {
-        JavaSd {
-            compiled_plans: crate::plan::compiled_plans_default(),
-        }
-    }
-
-    /// An instance that always walks `fields()` interpretively.
-    pub fn interpretive() -> Self {
-        JavaSd {
-            compiled_plans: false,
-        }
-    }
-
-    /// An instance with an explicit plan mode.
-    pub fn with_compiled_plans(compiled_plans: bool) -> Self {
-        JavaSd { compiled_plans }
-    }
-}
-
-impl Default for JavaSd {
-    fn default() -> Self {
-        JavaSd::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-struct SerCtx<'a> {
-    heap: &'a Heap,
-    reg: &'a KlassRegistry,
-    out: Vec<u8>,
-    /// Object address → stream handle.
-    handles: HashMap<Addr, u32>,
-    /// Class → stream handle (classes share the handle space, as in Java).
-    class_handles: HashMap<KlassId, u32>,
-    next_handle: u32,
-    tracer: Tracer<'a>,
-}
-
-enum SerFrame {
-    /// Serialize the object at this address (dispatch on null/back-ref/new).
-    Write(Addr),
-    /// Continue an instance's fields from `idx`; the klass id resolved at
-    /// dispatch rides along so resumes skip the klass/registry lookups.
-    Fields { addr: Addr, idx: usize, id: KlassId },
-    /// Continue a reference array's elements from `idx`.
-    Elems { addr: Addr, idx: usize },
-}
-
-impl<'a> SerCtx<'a> {
-    fn out_pos(&self) -> u64 {
-        OUT_STREAM_BASE + self.out.len() as u64
-    }
-
-    fn put(&mut self, bytes: &[u8]) {
-        self.tracer.store_bytes(self.out_pos(), bytes.len() as u32);
-        self.out.extend_from_slice(bytes);
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.put(&[v]);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.put(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put(&v.to_be_bytes());
-    }
-
-    /// Writes a class descriptor (or a back reference to one already
-    /// written), charging the string work it implies.
-    fn write_class_desc(&mut self, id: KlassId) {
-        self.tracer.hash_lookup();
-        if let Some(&h) = self.class_handles.get(&id) {
-            self.put_u8(TC_CLASSREF);
-            self.put_u32(h);
-            return;
-        }
-        // `reg` outlives `self`, so the descriptor borrow survives the
-        // mutable `put` calls below — no field-name cloning needed.
-        let reg: &'a KlassRegistry = self.reg;
-        let k = reg.get(id);
-        self.put_u8(TC_CLASSDESC);
-        let name = k.name().as_bytes();
-        self.tracer.alu(name.len() as u32); // string copy into the stream
-        self.put_u16(name.len() as u16);
-        self.put(name);
-        // serialVersionUID: derived from the name; a stable hash stands in.
-        let suid = name.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b.into()));
-        self.put_u64(suid);
-        self.put_u8(0x02); // SC_SERIALIZABLE flags
-        if k.is_array() {
-            self.put_u16(0);
-        } else {
-            self.put_u16(k.num_fields() as u16);
-            for f in k.fields() {
-                let sig = match f.kind {
-                    FieldKind::Value(vt) => vt.signature(),
-                    FieldKind::Ref => 'L',
-                };
-                self.put_u8(sig as u8);
-                let fb = f.name.as_bytes();
-                self.tracer.alu(fb.len() as u32);
-                self.put_u16(fb.len() as u16);
-                self.put(fb);
-            }
-        }
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.class_handles.insert(id, h);
-    }
-
-    fn write_primitive(&mut self, vt: ValueType, word: u64) {
-        let w = prim_width(vt);
-        let be = word.to_be_bytes();
-        self.put(&be[(8 - w as usize)..]);
-    }
-
-    fn run(&mut self, root: Addr) {
-        let mut stack = vec![SerFrame::Write(root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                SerFrame::Write(addr) => {
-                    self.tracer.call(); // writeObject invocation
-                    self.tracer.branch();
-                    if addr.is_null() {
-                        self.put_u8(TC_NULL);
-                        continue;
-                    }
-                    // Visited check against the identity hash map.
-                    self.tracer
-                        .load_word_dep(addr.get()); // mark word (identity hash)
-                    self.tracer.hash_lookup();
-                    if let Some(&h) = self.handles.get(&addr) {
-                        self.put_u8(TC_REFERENCE);
-                        self.put_u32(h);
-                        continue;
-                    }
-                    // New object: fetch its klass pointer and descriptor.
-                    self.tracer.load_word_dep(addr.add_words(1).get());
-                    let id = self.heap.klass_of(self.reg, addr);
-                    let meta = self.reg.meta_addr(id).get();
-                    self.tracer.load_word_dep(meta);
-                    let k = self.reg.get(id);
-                    if k.is_array() {
-                        self.put_u8(TC_ARRAY);
-                        self.write_class_desc(id);
-                        self.tracer
-                            .load_word_dep(addr.add_words(HEADER_WORDS as u64).get());
-                        let len = self.heap.array_len(addr);
-                        self.put_u32(len as u32);
-                        let h = self.next_handle;
-                        self.next_handle += 1;
-                        self.handles.insert(addr, h);
-                        match k.array_elem().expect("array klass") {
-                            FieldKind::Value(vt) => {
-                                for i in 0..len {
-                                    self.tracer.load_word(
-                                        addr.add_words((HEADER_WORDS + 1 + i) as u64).get(),
-                                    );
-                                    let w = self.heap.array_elem(addr, i);
-                                    self.write_primitive(vt, w);
-                                }
-                            }
-                            FieldKind::Ref => {
-                                stack.push(SerFrame::Elems { addr, idx: 0 });
-                            }
-                        }
-                    } else {
-                        self.put_u8(TC_OBJECT);
-                        self.write_class_desc(id);
-                        let h = self.next_handle;
-                        self.next_handle += 1;
-                        self.handles.insert(addr, h);
-                        stack.push(SerFrame::Fields { addr, idx: 0, id });
-                    }
-                }
-                SerFrame::Fields { addr, idx, id } => {
-                    let reg: &'a KlassRegistry = self.reg;
-                    let fields = reg.get(id).fields();
-                    let mut i = idx;
-                    while i < fields.len() {
-                        // Reflective extraction of the field value.
-                        self.tracer.reflect_call();
-                        self.tracer
-                            .str_compare(fields[i].name.len() as u32);
-                        self.tracer
-                            .load_word_dep(addr.add_words((HEADER_WORDS + i) as u64).get());
-                        let word = self.heap.field(addr, i);
-                        match fields[i].kind {
-                            FieldKind::Value(vt) => {
-                                self.write_primitive(vt, word);
-                                i += 1;
-                            }
-                            FieldKind::Ref => {
-                                stack.push(SerFrame::Fields { addr, idx: i + 1, id });
-                                stack.push(SerFrame::Write(Addr(word)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                SerFrame::Elems { addr, idx } => {
-                    let len = self.heap.array_len(addr);
-                    if idx < len {
-                        self.tracer
-                            .load_word(addr.add_words((HEADER_WORDS + 1 + idx) as u64).get());
-                        let word = self.heap.array_elem(addr, idx);
-                        stack.push(SerFrame::Elems { addr, idx: idx + 1 });
-                        stack.push(SerFrame::Write(Addr(word)));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deserialization
-// ---------------------------------------------------------------------------
-
-struct DeCtx<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    reg: &'a KlassRegistry,
-    heap: &'a mut Heap,
-    /// Stream handle → reconstructed object.
-    handles: Vec<Addr>,
-    /// Class-handle slots interleaved in the same handle space.
-    class_handles: Vec<Option<KlassId>>,
-    tracer: Tracer<'a>,
-}
-
-/// Where to store a just-read reference.
-#[derive(Clone, Copy)]
-enum Dest {
-    Root,
-    Field(Addr, usize),
-    Elem(Addr, usize),
-}
-
-enum DeFrame {
-    Read(Dest),
-    /// The klass id resolved at allocation rides along so resumes skip
-    /// the klass/registry lookups.
-    Fields { addr: Addr, idx: usize, id: KlassId },
-    Elems { addr: Addr, idx: usize },
-}
-
-impl<'a> DeCtx<'a> {
-    fn in_pos(&self) -> u64 {
-        IN_STREAM_BASE + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SerError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SerError::Malformed("truncated stream"));
-        }
-        self.tracer.load_bytes(self.in_pos(), n as u32);
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn get_u8(&mut self) -> Result<u8, SerError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u16(&mut self) -> Result<u16, SerError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn get_u32(&mut self) -> Result<u32, SerError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn get_u64(&mut self) -> Result<u64, SerError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn read_class_desc(&mut self) -> Result<KlassId, SerError> {
-        match self.get_u8()? {
-            TC_CLASSREF => {
-                let h = self.get_u32()? as usize;
-                self.tracer.hash_lookup();
-                self.class_handles
-                    .get(h)
-                    .copied()
-                    .flatten()
-                    .ok_or(SerError::Malformed("bad class handle"))
-            }
-            TC_CLASSDESC => {
-                let len = self.get_u16()? as usize;
-                let name_bytes = self.take(len)?.to_vec();
-                let name = String::from_utf8(name_bytes)
-                    .map_err(|_| SerError::Malformed("class name not UTF-8"))?;
-                let _suid = self.get_u64()?;
-                let _flags = self.get_u8()?;
-                // Type resolution by string: the expensive step.
-                self.tracer.hash_lookup();
-                self.tracer.str_compare(len as u32);
-                let id = self
-                    .reg
-                    .lookup(&name)
-                    .ok_or_else(|| SerError::UnknownClass(name.clone()))?;
-                let nfields = self.get_u16()? as usize;
-                for _ in 0..nfields {
-                    let _sig = self.get_u8()?;
-                    let flen = self.get_u16()? as usize;
-                    let _fname = self.take(flen)?;
-                    self.tracer.str_compare(flen as u32);
-                }
-                self.handles.push(Addr::NULL);
-                self.class_handles.push(Some(id));
-                Ok(id)
-            }
-            _ => Err(SerError::Malformed("expected class descriptor")),
-        }
-    }
-
-    fn read_primitive(&mut self, vt: ValueType) -> Result<u64, SerError> {
-        let w = prim_width(vt) as usize;
-        let s = self.take(w)?;
-        let mut be = [0u8; 8];
-        be[8 - w..].copy_from_slice(s);
-        Ok(u64::from_be_bytes(be))
-    }
-
-    fn store_dest(&mut self, dest: Dest, value: Addr) -> Result<(), SerError> {
-        match dest {
-            Dest::Root => {}
-            Dest::Field(addr, i) => {
-                // Reflective set (java.lang.reflect Field.set).
-                self.tracer.reflect_call();
-                self.tracer.store_word(addr.add_words((HEADER_WORDS + i) as u64).get());
-                self.heap.set_ref(addr, i, value);
-            }
-            Dest::Elem(addr, i) => {
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + 1 + i) as u64).get());
-                self.heap.set_array_elem(addr, i, value.get());
-            }
-        }
-        Ok(())
-    }
-
-    fn run(&mut self) -> Result<Addr, SerError> {
-        let mut root = Addr::NULL;
-        let mut got_root = false;
-        let mut stack = vec![DeFrame::Read(Dest::Root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                DeFrame::Read(dest) => {
-                    self.tracer.call();
-                    self.tracer.branch();
-                    let addr = match self.get_u8()? {
-                        TC_NULL => Addr::NULL,
-                        TC_REFERENCE => {
-                            let h = self.get_u32()? as usize;
-                            self.tracer.hash_lookup();
-                            *self
-                                .handles
-                                .get(h)
-                                .ok_or(SerError::Malformed("bad object handle"))?
-                        }
-                        TC_OBJECT => {
-                            let id = self.read_class_desc()?;
-                            let k = self.reg.get(id);
-                            self.tracer.alloc(k.instance_words() as u32 * 8);
-                            let addr = self.heap.alloc(self.reg, id)?;
-                            self.tracer.store_bytes(addr.get(), 24); // header init
-                            self.handles.push(addr);
-                            self.class_handles.push(None);
-                            stack.push(DeFrame::Fields { addr, idx: 0, id });
-                            // Order matters: the fields frame must run before
-                            // anything the parent still has pending, and the
-                            // stack gives us exactly that.
-                            self.store_dest(dest, addr)?;
-                            if !got_root {
-                                root = addr;
-                                got_root = true;
-                            }
-                            continue;
-                        }
-                        TC_ARRAY => {
-                            let id = self.read_class_desc()?;
-                            let len = self.get_u32()? as usize;
-                            if (len as u64) >= self.heap.capacity_bytes() / 8 {
-                                return Err(SerError::Malformed("array length exceeds heap"));
-                            }
-                            let k = self.reg.get(id);
-                            self.tracer.alloc(k.array_words(len) as u32 * 8);
-                            let addr = self.heap.alloc_array(self.reg, id, len)?;
-                            self.tracer.store_bytes(addr.get(), 32); // header + length init
-                            self.handles.push(addr);
-                            self.class_handles.push(None);
-                            match k.array_elem().expect("array klass") {
-                                FieldKind::Value(vt) => {
-                                    for i in 0..len {
-                                        let w = self.read_primitive(vt)?;
-                                        self.tracer.store_word(
-                                            addr.add_words((HEADER_WORDS + 1 + i) as u64).get(),
-                                        );
-                                        self.heap.set_array_elem(addr, i, w);
-                                    }
-                                }
-                                FieldKind::Ref => {
-                                    stack.push(DeFrame::Elems { addr, idx: 0 });
-                                }
-                            }
-                            self.store_dest(dest, addr)?;
-                            if !got_root {
-                                root = addr;
-                                got_root = true;
-                            }
-                            continue;
-                        }
-                        _ => return Err(SerError::Malformed("unknown type tag")),
-                    };
-                    self.store_dest(dest, addr)?;
-                    if !got_root {
-                        root = addr;
-                        got_root = true;
-                    }
-                }
-                DeFrame::Fields { addr, idx, id } => {
-                    let reg: &'a KlassRegistry = self.reg;
-                    let fields = reg.get(id).fields();
-                    let mut i = idx;
-                    while i < fields.len() {
-                        match fields[i].kind {
-                            FieldKind::Value(vt) => {
-                                let fname_len = fields[i].name.len() as u32;
-                                let w = self.read_primitive(vt)?;
-                                // Reflective field set with string lookup.
-                                self.tracer.reflect_call();
-                                self.tracer.str_compare(fname_len);
-                                self.tracer
-                                    .store_word(addr.add_words((HEADER_WORDS + i) as u64).get());
-                                self.heap.set_field(addr, i, w);
-                                i += 1;
-                            }
-                            FieldKind::Ref => {
-                                stack.push(DeFrame::Fields { addr, idx: i + 1, id });
-                                stack.push(DeFrame::Read(Dest::Field(addr, i)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                DeFrame::Elems { addr, idx } => {
-                    let len = self.heap.array_len(addr);
-                    if idx < len {
-                        stack.push(DeFrame::Elems { addr, idx: idx + 1 });
-                        stack.push(DeFrame::Read(Dest::Elem(addr, idx)));
-                    }
-                }
-            }
-        }
-        Ok(root)
+        JavaSd
     }
 }
 
@@ -555,24 +82,7 @@ impl Serializer for JavaSd {
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
     ) -> Result<usize, SerError> {
-        if self.compiled_plans {
-            return compiled::serialize_into(heap, reg, root, sink, out);
-        }
-        out.clear();
-        let mut ctx = SerCtx {
-            heap,
-            reg,
-            out: std::mem::take(out),
-            handles: HashMap::new(),
-            class_handles: HashMap::new(),
-            next_handle: 0,
-            tracer: Tracer::new(sink),
-        };
-        ctx.put_u16(STREAM_MAGIC);
-        ctx.put_u16(STREAM_VERSION);
-        ctx.run(root);
-        *out = ctx.out;
-        Ok(out.len())
+        compiled::serialize_into(heap, reg, root, sink, out)
     }
 
     fn deserialize(
@@ -582,25 +92,7 @@ impl Serializer for JavaSd {
         dst: &mut Heap,
         sink: &mut dyn TraceSink,
     ) -> Result<Addr, SerError> {
-        if self.compiled_plans {
-            return compiled::deserialize(bytes, reg, dst, sink);
-        }
-        let mut ctx = DeCtx {
-            bytes,
-            pos: 0,
-            reg,
-            heap: dst,
-            handles: Vec::new(),
-            class_handles: Vec::new(),
-            tracer: Tracer::new(sink),
-        };
-        if ctx.get_u16()? != STREAM_MAGIC {
-            return Err(SerError::Malformed("bad stream magic"));
-        }
-        if ctx.get_u16()? != STREAM_VERSION {
-            return Err(SerError::Malformed("bad stream version"));
-        }
-        ctx.run()
+        compiled::deserialize(bytes, reg, dst, sink)
     }
 }
 
@@ -609,7 +101,7 @@ mod tests {
     use super::*;
     use crate::trace::{CountingSink, NullSink};
     use sdheap::builder::Init;
-    use sdheap::{isomorphic_with, GraphBuilder, IsoOptions};
+    use sdheap::{isomorphic_with, FieldKind, GraphBuilder, IsoOptions};
 
     fn roundtrip(heap: &mut Heap, reg: &KlassRegistry, root: Addr) -> (Heap, Addr) {
         let ser = JavaSd::new();

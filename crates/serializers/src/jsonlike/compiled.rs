@@ -7,9 +7,9 @@
 //! prefixes (`{"@c":"Name","@id":` / `,"fN":`), a reusable number-format
 //! buffer instead of per-value `String`s, slice-based tokens instead of
 //! `String` copies while parsing, and an [`OpBuf`] for all narration.
-//! Emit granularity is preserved exactly — one `Store`+`Alu` pair per
-//! interpretive `emit`, three ops per parsed byte — so streams and op
-//! sequences are identical to the interpretive path (golden-tested).
+//! Narration is one `Store`+`Alu` pair per emitted chunk and three ops
+//! per parsed byte. Streams and op sequences are pinned by the frozen
+//! fixtures in `tests/golden_serde.rs`.
 
 use super::{parse_value, MAX_DEPTH};
 use crate::api::SerError;
@@ -43,8 +43,8 @@ enum Frame {
 }
 
 impl<'a> CSer<'a> {
-    /// One interpretive `emit`: a single `Store`+`Alu` pair of the full
-    /// chunk length.
+    /// One emitted chunk: a single `Store`+`Alu` pair of the full chunk
+    /// length.
     #[inline]
     fn emit(&mut self, s: &[u8]) {
         self.ops
@@ -95,7 +95,7 @@ impl<'a> CSer<'a> {
                     }
                     self.ops.push(Op::HashLookup);
                     if let Some(&id) = self.ids.get(&addr) {
-                        // `{"@r":N}` is one interpretive emit.
+                        // `{"@r":N}` is one emitted chunk.
                         let mut db = [0u8; 20];
                         let d = decimal(id as u64, &mut db);
                         let total = 6 + d.len() + 1;
@@ -112,7 +112,7 @@ impl<'a> CSer<'a> {
                     self.ops.load_word_dep(addr.add_words(1).get());
                     let kid = self.heap.klass_of(self.reg, addr);
                     let plan = plans.plan(kid);
-                    // `{"@c":"Name","@id":N` is one interpretive emit.
+                    // `{"@c":"Name","@id":N` is one emitted chunk.
                     let mut db = [0u8; 20];
                     let d = decimal(id as u64, &mut db);
                     let total = plan.json_header.len() + d.len();
@@ -276,8 +276,7 @@ impl<'a> CDe<'a> {
         self.text.get(self.pos).copied()
     }
 
-    /// One parsed byte: `Load(1)`, `Alu(1)`, `Branch` — as in the
-    /// interpretive `bump`.
+    /// One parsed byte: `Load(1)`, `Alu(1)`, `Branch`.
     #[inline]
     fn bump(&mut self) -> Result<u8, SerError> {
         let c = self
@@ -299,9 +298,8 @@ impl<'a> CDe<'a> {
         Ok(())
     }
 
-    /// Token up to a stop byte, as a borrowed slice (the interpretive
-    /// path copies into a `String`; the narration — `Alu(n)` after UTF-8
-    /// validation — is the same).
+    /// Token up to a stop byte, as a borrowed slice, narrated as one
+    /// `Alu(n)` after UTF-8 validation.
     fn take_until(&mut self, stops: &[u8]) -> Result<&'a str, SerError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
@@ -436,8 +434,7 @@ impl<'a> CDe<'a> {
                     self.ops.push(Op::StrCompare(fname.len() as u32));
                     // Streams we produced name fields in declaration
                     // order — check the expected slot first, fall back to
-                    // a search (no narration either way, matching the
-                    // interpretive `position` scan).
+                    // a search (no narration either way).
                     let plan = plans.plan(kid);
                     let f = if *plan.field_names[expected] == *fname.as_bytes() {
                         expected

@@ -18,56 +18,25 @@
 mod compiled;
 
 use crate::api::{SerError, Serializer};
-use crate::plan::compiled_plans_default;
-use crate::trace::{TraceSink, Tracer, IN_STREAM_BASE, OUT_STREAM_BASE};
-use sdheap::{Addr, FieldKind, Heap, KlassRegistry, ValueType, HEADER_WORDS};
-use std::collections::HashMap;
+use crate::trace::TraceSink;
+use sdheap::{Addr, Heap, KlassRegistry, ValueType};
 
 /// The JSON-like text serializer.
-#[derive(Clone, Copy, Debug)]
-pub struct JsonLike {
-    compiled_plans: bool,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct JsonLike;
 
 impl JsonLike {
-    /// A new instance with the process-default execution mode (see
-    /// [`compiled_plans_default`]).
+    /// A new instance.
     pub fn new() -> Self {
-        JsonLike {
-            compiled_plans: compiled_plans_default(),
-        }
-    }
-
-    /// Field-walking reference implementation.
-    pub fn interpretive() -> Self {
-        JsonLike {
-            compiled_plans: false,
-        }
-    }
-
-    /// Selects the execution mode explicitly.
-    pub fn with_compiled_plans(compiled: bool) -> Self {
-        JsonLike {
-            compiled_plans: compiled,
-        }
+        JsonLike
     }
 }
 
-impl Default for JsonLike {
-    fn default() -> Self {
-        JsonLike::new()
-    }
-}
+/// Parser recursion limit — real text parsers overflow or cap nesting;
+/// we cap and return an error (JSBS graphs are shallow).
+const MAX_DEPTH: usize = 200;
 
-/// Prints a primitive per its Java type.
-fn fmt_value(vt: ValueType, word: u64) -> String {
-    match vt {
-        ValueType::Double => format!("{:?}", f64::from_bits(word)),
-        ValueType::Boolean => (word != 0).to_string(),
-        _ => word.to_string(),
-    }
-}
-
+/// Parses a primitive literal per its Java type.
 fn parse_value(vt: ValueType, text: &str) -> Result<u64, SerError> {
     match vt {
         ValueType::Double => text
@@ -82,304 +51,6 @@ fn parse_value(vt: ValueType, text: &str) -> Result<u64, SerError> {
         _ => text
             .parse::<u64>()
             .map_err(|_| SerError::Malformed("bad integer literal")),
-    }
-}
-
-struct SerCtx<'a> {
-    heap: &'a Heap,
-    reg: &'a KlassRegistry,
-    out: String,
-    ids: HashMap<Addr, usize>,
-    tracer: Tracer<'a>,
-}
-
-impl SerCtx<'_> {
-    fn emit(&mut self, s: &str) {
-        self.tracer
-            .store_bytes(OUT_STREAM_BASE + self.out.len() as u64, s.len() as u32);
-        self.tracer.alu(s.len() as u32); // text formatting, byte by byte
-        self.out.push_str(s);
-    }
-
-    fn write_obj(&mut self, root: Addr) {
-        // Iterative with an explicit frame stack (deep lists must work).
-        // Like the javasd/kryo/protolike work lists, resumable frames
-        // carry the type information resolved at dispatch — the klass id
-        // for field frames, the element kind for array frames — so a
-        // resume never repeats the `heap.klass_of` + registry lookups.
-        enum Frame {
-            Open(Addr),
-            Fields { addr: Addr, idx: usize, id: sdheap::KlassId },
-            Elems { addr: Addr, idx: usize, elem: FieldKind },
-            Text(&'static str),
-        }
-        let mut stack = vec![Frame::Open(root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Text(s) => self.emit(s),
-                Frame::Open(addr) => {
-                    self.tracer.call();
-                    self.tracer.branch();
-                    if addr.is_null() {
-                        self.emit("null");
-                        continue;
-                    }
-                    self.tracer.hash_lookup();
-                    if let Some(&id) = self.ids.get(&addr) {
-                        self.emit(&format!("{{\"@r\":{id}}}"));
-                        continue;
-                    }
-                    let id = self.ids.len();
-                    self.ids.insert(addr, id);
-                    self.tracer.load_word_dep(addr.add_words(1).get());
-                    let kid = self.heap.klass_of(self.reg, addr);
-                    let k = self.reg.get(kid);
-                    self.emit(&format!("{{\"@c\":\"{}\",\"@id\":{id}", k.name()));
-                    if k.is_array() {
-                        let elem = self.reg.get(kid).array_elem().expect("array");
-                        self.emit(",\"e\":[");
-                        stack.push(Frame::Text("]}"));
-                        stack.push(Frame::Elems { addr, idx: 0, elem });
-                    } else {
-                        stack.push(Frame::Text("}"));
-                        stack.push(Frame::Fields { addr, idx: 0, id: kid });
-                    }
-                }
-                Frame::Fields { addr, idx, id } => {
-                    let fields = self.reg.get(id).fields();
-                    if idx >= fields.len() {
-                        continue;
-                    }
-                    let f = &fields[idx];
-                    self.tracer.call(); // accessor
-                    self.tracer
-                        .load_word_dep(addr.add_words((HEADER_WORDS + idx) as u64).get());
-                    let word = self.heap.field(addr, idx);
-                    self.emit(&format!(",\"{}\":", f.name));
-                    let kind = f.kind;
-                    stack.push(Frame::Fields { addr, idx: idx + 1, id });
-                    match kind {
-                        FieldKind::Value(vt) => {
-                            let text = fmt_value(vt, word);
-                            self.emit(&text);
-                        }
-                        FieldKind::Ref => stack.push(Frame::Open(Addr(word))),
-                    }
-                }
-                Frame::Elems { addr, idx, elem } => {
-                    let len = self.heap.array_len(addr);
-                    if idx >= len {
-                        continue;
-                    }
-                    if idx > 0 {
-                        self.emit(",");
-                    }
-                    self.tracer
-                        .load_word(addr.add_words((HEADER_WORDS + 1 + idx) as u64).get());
-                    let word = self.heap.array_elem(addr, idx);
-                    stack.push(Frame::Elems { addr, idx: idx + 1, elem });
-                    match elem {
-                        FieldKind::Value(vt) => {
-                            let text = fmt_value(vt, word);
-                            self.emit(&text);
-                        }
-                        FieldKind::Ref => stack.push(Frame::Open(Addr(word))),
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-/// Parser recursion limit — real text parsers overflow or cap nesting;
-/// we cap and return an error (JSBS graphs are shallow).
-const MAX_DEPTH: usize = 200;
-
-struct DeCtx<'a> {
-    text: &'a [u8],
-    pos: usize,
-    depth: usize,
-    reg: &'a KlassRegistry,
-    heap: &'a mut Heap,
-    by_id: HashMap<usize, Addr>,
-    tracer: Tracer<'a>,
-}
-
-impl<'a> DeCtx<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.text.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, SerError> {
-        let c = self.peek().ok_or(SerError::Malformed("unexpected end of text"))?;
-        self.tracer.load_bytes(IN_STREAM_BASE + self.pos as u64, 1);
-        self.tracer.alu(1);
-        self.tracer.branch();
-        self.pos += 1;
-        Ok(c)
-    }
-
-    fn expect(&mut self, s: &str) -> Result<(), SerError> {
-        for &b in s.as_bytes() {
-            if self.bump()? != b {
-                return Err(SerError::Malformed("unexpected token"));
-            }
-        }
-        Ok(())
-    }
-
-    fn take_until(&mut self, stops: &[u8]) -> Result<String, SerError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if stops.contains(&c) {
-                let s = std::str::from_utf8(&self.text[start..self.pos])
-                    .map_err(|_| SerError::Malformed("not UTF-8"))?;
-                self.tracer.alu((self.pos - start) as u32);
-                return Ok(s.to_string());
-            }
-            self.pos += 1;
-        }
-        Err(SerError::Malformed("unterminated token"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, SerError> {
-        self.expect("\"")?;
-        let s = self.take_until(b"\"")?;
-        self.expect("\"")?;
-        self.tracer.str_compare(s.len() as u32);
-        Ok(s)
-    }
-
-    /// Parses one value: an object, a back reference, or `null`.
-    fn parse_ref(&mut self) -> Result<Addr, SerError> {
-        self.tracer.call();
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(SerError::Malformed("nesting too deep"));
-        }
-        let out = match self.peek() {
-            Some(b'n') => {
-                self.expect("null")?;
-                Ok(Addr::NULL)
-            }
-            Some(b'{') => self.parse_object(),
-            _ => Err(SerError::Malformed("expected object or null")),
-        };
-        self.depth -= 1;
-        out
-    }
-
-    fn parse_object(&mut self) -> Result<Addr, SerError> {
-        self.expect("{")?;
-        let key = self.parse_string()?;
-        if key == "@r" {
-            self.expect(":")?;
-            let id: usize = self
-                .take_until(b"}")?
-                .parse()
-                .map_err(|_| SerError::Malformed("bad @r id"))?;
-            self.expect("}")?;
-            self.tracer.hash_lookup();
-            return self.by_id.get(&id).copied().ok_or(SerError::Malformed("dangling @r"));
-        }
-        if key != "@c" {
-            return Err(SerError::Malformed("expected @c"));
-        }
-        self.expect(":")?;
-        let name = self.parse_string()?;
-        // Type resolution by string — the expensive text-class step.
-        self.tracer.hash_lookup();
-        self.tracer.str_compare(name.len() as u32);
-        let kid = self
-            .reg
-            .lookup(&name)
-            .ok_or(SerError::UnknownClass(name.clone()))?;
-        self.expect(",\"@id\":")?;
-        let id: usize = self
-            .take_until(b",}")?
-            .parse()
-            .map_err(|_| SerError::Malformed("bad @id"))?;
-
-        let k = self.reg.get(kid);
-        if k.is_array() {
-            self.expect(",\"e\":[")?;
-            // Two-phase: collect element texts / sub-objects.
-            let elem = k.array_elem().expect("array");
-            let mut values: Vec<u64> = Vec::new();
-            // Reserve the object AFTER parsing the element list head: we
-            // need the length first for allocation, so buffer elements.
-            // (References may recurse and allocate first — that is fine.)
-            let mut first = true;
-            loop {
-                if self.peek() == Some(b']') {
-                    self.bump()?;
-                    break;
-                }
-                if !first {
-                    self.expect(",")?;
-                }
-                first = false;
-                match elem {
-                    FieldKind::Value(vt) => {
-                        let text = self.take_until(b",]")?;
-                        values.push(parse_value(vt, &text)?);
-                    }
-                    FieldKind::Ref => {
-                        let a = self.parse_ref()?;
-                        values.push(a.get());
-                    }
-                }
-            }
-            self.expect("}")?;
-            self.tracer.alloc((k.array_words(values.len()) * 8) as u32);
-            let addr = self.heap.alloc_array(self.reg, kid, values.len())?;
-            for (i, v) in values.iter().enumerate() {
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + 1 + i) as u64).get());
-                self.heap.set_array_elem(addr, i, *v);
-            }
-            self.by_id.insert(id, addr);
-            // NOTE: cyclic references *through arrays back to this array*
-            // cannot resolve in this text format (as in real JSON libs,
-            // which reject such cycles); graphs in JSBS are trees + DAGs.
-            Ok(addr)
-        } else {
-            self.tracer.alloc((k.instance_words() * 8) as u32);
-            let addr = self.heap.alloc(self.reg, kid)?;
-            self.by_id.insert(id, addr);
-            let nfields = k.num_fields();
-            for _ in 0..nfields {
-                self.expect(",")?;
-                let fname = self.parse_string()?;
-                // Field resolution by name.
-                self.tracer.str_compare(fname.len() as u32);
-                let f = self
-                    .reg
-                    .get(kid)
-                    .fields()
-                    .iter()
-                    .position(|f| f.name == fname)
-                    .ok_or(SerError::Malformed("unknown field"))?;
-                self.expect(":")?;
-                let kind = self.reg.get(kid).fields()[f].kind;
-                let word = match kind {
-                    FieldKind::Value(vt) => {
-                        let text = self.take_until(b",}")?;
-                        parse_value(vt, &text)?
-                    }
-                    FieldKind::Ref => self.parse_ref()?.get(),
-                };
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + f) as u64).get());
-                self.heap.set_field(addr, f, word);
-            }
-            self.expect("}")?;
-            Ok(addr)
-        }
     }
 }
 
@@ -408,19 +79,7 @@ impl Serializer for JsonLike {
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
     ) -> Result<usize, SerError> {
-        if self.compiled_plans {
-            return compiled::serialize_into(heap, reg, root, sink, out);
-        }
-        let mut ctx = SerCtx {
-            heap,
-            reg,
-            out: String::new(),
-            ids: HashMap::new(),
-            tracer: Tracer::new(sink),
-        };
-        ctx.write_obj(root);
-        *out = ctx.out.into_bytes();
-        Ok(out.len())
+        compiled::serialize_into(heap, reg, root, sink, out)
     }
 
     fn deserialize(
@@ -430,20 +89,7 @@ impl Serializer for JsonLike {
         dst: &mut Heap,
         sink: &mut dyn TraceSink,
     ) -> Result<Addr, SerError> {
-        if self.compiled_plans {
-            return compiled::deserialize(bytes, reg, dst, sink);
-        }
-        let mut ctx = DeCtx {
-            text: bytes,
-            pos: 0,
-            depth: 0,
-            reg,
-            heap: dst,
-            by_id: HashMap::new(),
-            tracer: Tracer::new(sink),
-        };
-        let root = ctx.parse_ref()?;
-        Ok(root)
+        compiled::deserialize(bytes, reg, dst, sink)
     }
 }
 
@@ -452,7 +98,7 @@ mod tests {
     use super::*;
     use crate::trace::{CountingSink, NullSink};
     use sdheap::builder::Init;
-    use sdheap::{isomorphic_with, GraphBuilder, IsoOptions};
+    use sdheap::{isomorphic_with, FieldKind, GraphBuilder, IsoOptions};
 
     fn dag() -> (Heap, KlassRegistry, Addr) {
         let mut b = GraphBuilder::new(1 << 18);

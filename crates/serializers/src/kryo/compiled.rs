@@ -4,7 +4,7 @@
 //! walk: primitive runs decode/encode against heap word slices, the class
 //! id goes out as pre-encoded varint bytes ([`Plan::id_varint`]), and all
 //! narration is batched through an [`OpBuf`]. Streams and op sequences
-//! are identical to the interpretive path (golden-tested).
+//! are pinned by the frozen fixtures in `tests/golden_serde.rs`.
 
 use super::{TAG_NEW, TAG_NULL, TAG_REF};
 use crate::api::SerError;
@@ -244,8 +244,8 @@ pub(super) fn serialize_into(
 // Deserialization
 // ---------------------------------------------------------------------------
 
-/// Decodes one primitive, narrating exactly like the interpretive
-/// `get_primitive` (bounds check before the `Load`, varint `Load`+`Alu`).
+/// Decodes one primitive (bounds check before the `Load`, varint
+/// `Load`+`Alu`).
 #[inline]
 fn de_prim(
     bytes: &[u8],

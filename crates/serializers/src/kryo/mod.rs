@@ -17,10 +17,8 @@
 //! Java S/D comes from (paper Fig. 10).
 
 use crate::api::{SerError, Serializer};
-use crate::trace::{TraceSink, Tracer, IN_STREAM_BASE, OUT_STREAM_BASE};
-use sdformat::varint::{read_varint, write_varint};
-use sdheap::{Addr, FieldKind, Heap, KlassId, KlassRegistry, ValueType, HEADER_WORDS};
-use std::collections::HashMap;
+use crate::trace::TraceSink;
+use sdheap::{Addr, Heap, KlassRegistry};
 
 mod compiled;
 
@@ -34,352 +32,13 @@ const TAG_REF: u8 = 2;
 /// [`KlassRegistry`] — the registry *is* the manual type registration the
 /// real Kryo demands ("the same type registry must be used for
 /// deserialization").
-#[derive(Clone, Copy, Debug)]
-pub struct Kryo {
-    /// Execute per-klass compiled field programs (`crate::plan`) instead
-    /// of walking `fields()` per object. Streams and traces are identical
-    /// either way; only host wall-clock changes.
-    compiled_plans: bool,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Kryo;
 
 impl Kryo {
-    /// A new instance with the process-wide default plan mode
-    /// (`CEREAL_COMPILED_PLANS`).
+    /// A new instance.
     pub fn new() -> Self {
-        Kryo {
-            compiled_plans: crate::plan::compiled_plans_default(),
-        }
-    }
-
-    /// An instance that always walks `fields()` interpretively.
-    pub fn interpretive() -> Self {
-        Kryo {
-            compiled_plans: false,
-        }
-    }
-
-    /// An instance with an explicit plan mode.
-    pub fn with_compiled_plans(compiled_plans: bool) -> Self {
-        Kryo { compiled_plans }
-    }
-}
-
-impl Default for Kryo {
-    fn default() -> Self {
-        Kryo::new()
-    }
-}
-
-struct SerCtx<'a> {
-    heap: &'a Heap,
-    reg: &'a KlassRegistry,
-    out: Vec<u8>,
-    handles: HashMap<Addr, u64>,
-    next_handle: u64,
-    tracer: Tracer<'a>,
-}
-
-enum SerFrame {
-    Write(Addr),
-    /// The klass id resolved at dispatch rides along so resumes skip the
-    /// klass/registry lookups.
-    Fields { addr: Addr, idx: usize, id: KlassId },
-    Elems { addr: Addr, idx: usize },
-}
-
-impl<'a> SerCtx<'a> {
-    fn out_pos(&self) -> u64 {
-        OUT_STREAM_BASE + self.out.len() as u64
-    }
-
-    fn put(&mut self, bytes: &[u8]) {
-        self.tracer.store_bytes(self.out_pos(), bytes.len() as u32);
-        self.out.extend_from_slice(bytes);
-    }
-
-    fn put_varint(&mut self, v: u64) {
-        let pos = self.out_pos();
-        let n = write_varint(&mut self.out, v);
-        self.tracer.store_bytes(pos, n as u32);
-        self.tracer.alu(n as u32); // shift/mask loop
-    }
-
-    fn put_primitive(&mut self, vt: ValueType, word: u64) {
-        match vt {
-            ValueType::Long | ValueType::Double => self.put(&word.to_le_bytes()),
-            ValueType::Int => self.put_varint(word & 0xffff_ffff),
-            ValueType::Char => self.put(&(word as u16).to_le_bytes()),
-            ValueType::Byte | ValueType::Boolean => self.put(&[word as u8]),
-        }
-    }
-
-    fn run(&mut self, root: Addr) {
-        let mut stack = vec![SerFrame::Write(root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                SerFrame::Write(addr) => {
-                    self.tracer.call();
-                    self.tracer.branch();
-                    if addr.is_null() {
-                        self.put(&[TAG_NULL]);
-                        continue;
-                    }
-                    self.tracer.hash_lookup(); // reference resolver
-                    if let Some(&h) = self.handles.get(&addr) {
-                        self.put(&[TAG_REF]);
-                        self.put_varint(h);
-                        continue;
-                    }
-                    self.put(&[TAG_NEW]);
-                    self.handles.insert(addr, self.next_handle);
-                    self.next_handle += 1;
-                    // Class ID: one map probe on the serializer side.
-                    self.tracer.load_word_dep(addr.add_words(1).get());
-                    self.tracer.hash_lookup();
-                    let id = self.heap.klass_of(self.reg, addr);
-                    self.put_varint(u64::from(id.get()));
-                    let k = self.reg.get(id);
-                    if k.is_array() {
-                        self.tracer
-                            .load_word_dep(addr.add_words(HEADER_WORDS as u64).get());
-                        let len = self.heap.array_len(addr);
-                        self.put_varint(len as u64);
-                        match k.array_elem().expect("array klass") {
-                            FieldKind::Value(vt) => {
-                                for i in 0..len {
-                                    self.tracer.load_word(
-                                        addr.add_words((HEADER_WORDS + 1 + i) as u64).get(),
-                                    );
-                                    let w = self.heap.array_elem(addr, i);
-                                    self.put_primitive(vt, w);
-                                }
-                            }
-                            FieldKind::Ref => stack.push(SerFrame::Elems { addr, idx: 0 }),
-                        }
-                    } else {
-                        stack.push(SerFrame::Fields { addr, idx: 0, id });
-                    }
-                }
-                SerFrame::Fields { addr, idx, id } => {
-                    let reg: &'a KlassRegistry = self.reg;
-                    let fields = reg.get(id).fields();
-                    let mut i = idx;
-                    while i < fields.len() {
-                        // Generated accessor: a plain call, not reflection.
-                        self.tracer.call();
-                        self.tracer
-                            .load_word_dep(addr.add_words((HEADER_WORDS + i) as u64).get());
-                        let word = self.heap.field(addr, i);
-                        match fields[i].kind {
-                            FieldKind::Value(vt) => {
-                                self.put_primitive(vt, word);
-                                i += 1;
-                            }
-                            FieldKind::Ref => {
-                                stack.push(SerFrame::Fields { addr, idx: i + 1, id });
-                                stack.push(SerFrame::Write(Addr(word)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                SerFrame::Elems { addr, idx } => {
-                    let len = self.heap.array_len(addr);
-                    if idx < len {
-                        self.tracer
-                            .load_word(addr.add_words((HEADER_WORDS + 1 + idx) as u64).get());
-                        let word = self.heap.array_elem(addr, idx);
-                        stack.push(SerFrame::Elems { addr, idx: idx + 1 });
-                        stack.push(SerFrame::Write(Addr(word)));
-                    }
-                }
-            }
-        }
-    }
-}
-
-struct DeCtx<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    reg: &'a KlassRegistry,
-    heap: &'a mut Heap,
-    handles: Vec<Addr>,
-    tracer: Tracer<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum Dest {
-    Root,
-    Field(Addr, usize),
-    Elem(Addr, usize),
-}
-
-enum DeFrame {
-    Read(Dest),
-    /// The klass id resolved at allocation rides along so resumes skip
-    /// the klass/registry lookups.
-    Fields { addr: Addr, idx: usize, id: KlassId },
-    Elems { addr: Addr, idx: usize },
-}
-
-impl<'a> DeCtx<'a> {
-    fn in_pos(&self) -> u64 {
-        IN_STREAM_BASE + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SerError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SerError::Malformed("truncated stream"));
-        }
-        self.tracer.load_bytes(self.in_pos(), n as u32);
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn get_varint(&mut self) -> Result<u64, SerError> {
-        let (v, next) =
-            read_varint(self.bytes, self.pos).ok_or(SerError::Malformed("bad varint"))?;
-        self.tracer
-            .load_bytes(self.in_pos(), (next - self.pos) as u32);
-        self.tracer.alu((next - self.pos) as u32);
-        self.pos = next;
-        Ok(v)
-    }
-
-    fn get_primitive(&mut self, vt: ValueType) -> Result<u64, SerError> {
-        Ok(match vt {
-            ValueType::Long | ValueType::Double => {
-                u64::from_le_bytes(self.take(8)?.try_into().expect("8"))
-            }
-            ValueType::Int => self.get_varint()?,
-            ValueType::Char => u64::from(u16::from_le_bytes(
-                self.take(2)?.try_into().expect("2"),
-            )),
-            ValueType::Byte | ValueType::Boolean => u64::from(self.take(1)?[0]),
-        })
-    }
-
-    fn store_dest(&mut self, dest: Dest, value: Addr) {
-        match dest {
-            Dest::Root => {}
-            Dest::Field(addr, i) => {
-                self.tracer.call(); // generated setter
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + i) as u64).get());
-                self.heap.set_ref(addr, i, value);
-            }
-            Dest::Elem(addr, i) => {
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + 1 + i) as u64).get());
-                self.heap.set_array_elem(addr, i, value.get());
-            }
-        }
-    }
-
-    fn run(&mut self) -> Result<Addr, SerError> {
-        let mut root = Addr::NULL;
-        let mut got_root = false;
-        let mut stack = vec![DeFrame::Read(Dest::Root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                DeFrame::Read(dest) => {
-                    self.tracer.call();
-                    self.tracer.branch();
-                    let addr = match self.take(1)?[0] {
-                        TAG_NULL => Addr::NULL,
-                        TAG_REF => {
-                            let h = self.get_varint()? as usize;
-                            self.tracer.hash_lookup();
-                            *self
-                                .handles
-                                .get(h)
-                                .ok_or(SerError::Malformed("bad handle"))?
-                        }
-                        TAG_NEW => {
-                            let raw_id = self.get_varint()? as u32;
-                            // Class resolution: direct table index.
-                            self.tracer.alu(1);
-                            if raw_id as usize >= self.reg.len() {
-                                return Err(SerError::UnknownClassId(raw_id));
-                            }
-                            let id = sdheap::KlassId(raw_id);
-                            let k = self.reg.get(id);
-                            let addr = if k.is_array() {
-                                let len = self.get_varint()?;
-                                if len >= self.heap.capacity_bytes() / 8 {
-                                    return Err(SerError::Malformed("array length exceeds heap"));
-                                }
-                                let len = len as usize;
-                                self.tracer.alloc(k.array_words(len) as u32 * 8);
-                                let addr = self.heap.alloc_array(self.reg, id, len)?;
-                                self.tracer.store_bytes(addr.get(), 32); // header + length init
-                                match k.array_elem().expect("array klass") {
-                                    FieldKind::Value(vt) => {
-                                        for i in 0..len {
-                                            let w = self.get_primitive(vt)?;
-                                            self.tracer.store_word(
-                                                addr.add_words((HEADER_WORDS + 1 + i) as u64)
-                                                    .get(),
-                                            );
-                                            self.heap.set_array_elem(addr, i, w);
-                                        }
-                                    }
-                                    FieldKind::Ref => {
-                                        stack.push(DeFrame::Elems { addr, idx: 0 })
-                                    }
-                                }
-                                addr
-                            } else {
-                                self.tracer.alloc(k.instance_words() as u32 * 8);
-                                let addr = self.heap.alloc(self.reg, id)?;
-                                self.tracer.store_bytes(addr.get(), 24); // header init
-                                stack.push(DeFrame::Fields { addr, idx: 0, id });
-                                addr
-                            };
-                            self.handles.push(addr);
-                            addr
-                        }
-                        _ => return Err(SerError::Malformed("unknown tag")),
-                    };
-                    self.store_dest(dest, addr);
-                    if !got_root {
-                        root = addr;
-                        got_root = true;
-                    }
-                }
-                DeFrame::Fields { addr, idx, id } => {
-                    let reg: &'a KlassRegistry = self.reg;
-                    let fields = reg.get(id).fields();
-                    let mut i = idx;
-                    while i < fields.len() {
-                        match fields[i].kind {
-                            FieldKind::Value(vt) => {
-                                let w = self.get_primitive(vt)?;
-                                self.tracer.call(); // generated setter
-                                self.tracer
-                                    .store_word(addr.add_words((HEADER_WORDS + i) as u64).get());
-                                self.heap.set_field(addr, i, w);
-                                i += 1;
-                            }
-                            FieldKind::Ref => {
-                                stack.push(DeFrame::Fields { addr, idx: i + 1, id });
-                                stack.push(DeFrame::Read(Dest::Field(addr, i)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                DeFrame::Elems { addr, idx } => {
-                    let len = self.heap.array_len(addr);
-                    if idx < len {
-                        stack.push(DeFrame::Elems { addr, idx: idx + 1 });
-                        stack.push(DeFrame::Read(Dest::Elem(addr, idx)));
-                    }
-                }
-            }
-        }
-        Ok(root)
+        Kryo
     }
 }
 
@@ -408,21 +67,7 @@ impl Serializer for Kryo {
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
     ) -> Result<usize, SerError> {
-        if self.compiled_plans {
-            return compiled::serialize_into(heap, reg, root, sink, out);
-        }
-        out.clear();
-        let mut ctx = SerCtx {
-            heap,
-            reg,
-            out: std::mem::take(out),
-            handles: HashMap::new(),
-            next_handle: 0,
-            tracer: Tracer::new(sink),
-        };
-        ctx.run(root);
-        *out = ctx.out;
-        Ok(out.len())
+        compiled::serialize_into(heap, reg, root, sink, out)
     }
 
     fn deserialize(
@@ -432,18 +77,7 @@ impl Serializer for Kryo {
         dst: &mut Heap,
         sink: &mut dyn TraceSink,
     ) -> Result<Addr, SerError> {
-        if self.compiled_plans {
-            return compiled::deserialize(bytes, reg, dst, sink);
-        }
-        let mut ctx = DeCtx {
-            bytes,
-            pos: 0,
-            reg,
-            heap: dst,
-            handles: Vec::new(),
-            tracer: Tracer::new(sink),
-        };
-        ctx.run()
+        compiled::deserialize(bytes, reg, dst, sink)
     }
 }
 
@@ -453,7 +87,7 @@ mod tests {
     use crate::javasd::JavaSd;
     use crate::trace::{CountingSink, NullSink};
     use sdheap::builder::Init;
-    use sdheap::{isomorphic_with, GraphBuilder, IsoOptions};
+    use sdheap::{isomorphic_with, FieldKind, GraphBuilder, IsoOptions, ValueType};
 
     fn roundtrip(heap: &mut Heap, reg: &KlassRegistry, root: Addr) -> (Heap, Addr) {
         let ser = Kryo::new();

@@ -16,16 +16,14 @@
 //! tight run interpreters (their `compiled` submodules) instead of walking
 //! `fields()` per object.
 //!
-//! Compiled execution is a host-side optimization only: the byte streams
-//! and the narrated [`crate::Op`] sequences are identical to the
-//! interpretive paths (golden-tested per backend), so every simulated
-//! metric — and therefore every downstream report — is unchanged.
+//! These executors are the only serializer path of those backends. Their
+//! byte streams and narrated [`crate::Op`] sequences — and therefore
+//! every simulated metric downstream — are pinned by the frozen fixtures
+//! in `tests/golden_serde.rs`.
 
-use crate::trace::Op;
 use sdheap::{FieldKind, KlassId, KlassRegistry, ValueType};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// One primitive field inside a copy run, with everything the executors
 /// need pre-resolved.
@@ -339,18 +337,6 @@ pub fn plans_for(reg: &KlassRegistry) -> Rc<PlanCache> {
     })
 }
 
-/// Whether compiled plans are on by default, from `CEREAL_COMPILED_PLANS`
-/// (unset / anything but `0`, `off`, `false` → on). Read once per process.
-pub fn compiled_plans_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("CEREAL_COMPILED_PLANS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
 /// Writes the decimal digits of `v` into `buf` and returns the slice —
 /// the allocation-free integer formatting the JSON executor uses.
 #[inline]
@@ -366,13 +352,6 @@ pub fn decimal(v: u64, buf: &mut [u8; 20]) -> &[u8] {
         }
     }
     &buf[i..]
-}
-
-/// The op an interpretive `put`/`take` would narrate for a stream access —
-/// kept here so executors share one spelling.
-#[inline]
-pub fn stream_store(pos: u64, bytes: u32) -> Op {
-    Op::Store { addr: pos, bytes }
 }
 
 #[cfg(test)]

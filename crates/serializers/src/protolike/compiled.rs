@@ -3,8 +3,8 @@
 //! Same shape as the Kryo executor, with ProtoLike's narration: no
 //! accessor calls (generated code is inlined), `Alu(2)` of shifting per
 //! primitive, zigzag varints for `Long`/`Int`, and the pre-encoded class
-//! id from [`Plan::id_varint`]. Streams and op sequences are identical to
-//! the interpretive path (golden-tested).
+//! id from [`Plan::id_varint`]. Streams and op sequences are pinned by
+//! the frozen fixtures in `tests/golden_serde.rs`.
 
 use super::{unzigzag, zigzag, TAG_NEW, TAG_NULL, TAG_REF};
 use crate::api::SerError;

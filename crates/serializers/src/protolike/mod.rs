@@ -17,10 +17,8 @@
 //! which is where JSBS puts protostuff/thrift.
 
 use crate::api::{SerError, Serializer};
-use crate::trace::{TraceSink, Tracer, IN_STREAM_BASE, OUT_STREAM_BASE};
-use sdformat::varint::{read_varint, write_varint};
-use sdheap::{Addr, FieldKind, Heap, KlassId, KlassRegistry, ValueType, HEADER_WORDS};
-use std::collections::HashMap;
+use crate::trace::TraceSink;
+use sdheap::{Addr, Heap, KlassRegistry};
 
 mod compiled;
 
@@ -40,334 +38,13 @@ fn unzigzag(v: u64) -> u64 {
 }
 
 /// The codegen serializer.
-#[derive(Clone, Copy, Debug)]
-pub struct ProtoLike {
-    /// Execute per-klass compiled field programs (`crate::plan`) instead
-    /// of walking `fields()` per object. Streams and traces are identical
-    /// either way; only host wall-clock changes.
-    compiled_plans: bool,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ProtoLike;
 
 impl ProtoLike {
-    /// A new instance with the process-wide default plan mode
-    /// (`CEREAL_COMPILED_PLANS`).
+    /// A new instance.
     pub fn new() -> Self {
-        ProtoLike {
-            compiled_plans: crate::plan::compiled_plans_default(),
-        }
-    }
-
-    /// An instance that always walks `fields()` interpretively.
-    pub fn interpretive() -> Self {
-        ProtoLike {
-            compiled_plans: false,
-        }
-    }
-
-    /// An instance with an explicit plan mode.
-    pub fn with_compiled_plans(compiled_plans: bool) -> Self {
-        ProtoLike { compiled_plans }
-    }
-}
-
-impl Default for ProtoLike {
-    fn default() -> Self {
-        ProtoLike::new()
-    }
-}
-
-struct SerCtx<'a> {
-    heap: &'a Heap,
-    reg: &'a KlassRegistry,
-    out: Vec<u8>,
-    handles: HashMap<Addr, u64>,
-    tracer: Tracer<'a>,
-}
-
-enum Frame {
-    Write(Addr),
-    /// The klass id resolved at dispatch rides along so resumes skip the
-    /// klass/registry lookups.
-    Fields { addr: Addr, idx: usize, id: KlassId },
-    Elems { addr: Addr, idx: usize },
-}
-
-impl<'a> SerCtx<'a> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.tracer
-            .store_bytes(OUT_STREAM_BASE + self.out.len() as u64, bytes.len() as u32);
-        self.out.extend_from_slice(bytes);
-    }
-
-    fn put_varint(&mut self, v: u64) {
-        let pos = OUT_STREAM_BASE + self.out.len() as u64;
-        let n = write_varint(&mut self.out, v);
-        self.tracer.store_bytes(pos, n as u32);
-        self.tracer.alu(n as u32);
-    }
-
-    fn put_primitive(&mut self, vt: ValueType, word: u64) {
-        // Generated code: the encode is inlined, ~2 ALU ops of shifting.
-        self.tracer.alu(2);
-        match vt {
-            ValueType::Double => self.put(&word.to_le_bytes()),
-            ValueType::Long | ValueType::Int => self.put_varint(zigzag(word)),
-            ValueType::Char => self.put(&(word as u16).to_le_bytes()),
-            ValueType::Byte | ValueType::Boolean => self.put(&[word as u8]),
-        }
-    }
-
-    fn run(&mut self, root: Addr) {
-        let mut stack = vec![Frame::Write(root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Write(addr) => {
-                    self.tracer.branch();
-                    if addr.is_null() {
-                        self.put(&[TAG_NULL]);
-                        continue;
-                    }
-                    self.tracer.hash_lookup();
-                    if let Some(&h) = self.handles.get(&addr) {
-                        self.put(&[TAG_REF]);
-                        self.put_varint(h);
-                        continue;
-                    }
-                    self.put(&[TAG_NEW]);
-                    self.handles.insert(addr, self.handles.len() as u64);
-                    self.tracer.load_word_dep(addr.add_words(1).get());
-                    let id = self.heap.klass_of(self.reg, addr);
-                    self.put_varint(u64::from(id.get()));
-                    let k = self.reg.get(id);
-                    if k.is_array() {
-                        let len = self.heap.array_len(addr);
-                        self.put_varint(len as u64);
-                        match k.array_elem().expect("array") {
-                            FieldKind::Value(vt) => {
-                                for i in 0..len {
-                                    self.tracer.load_word(
-                                        addr.add_words((HEADER_WORDS + 1 + i) as u64).get(),
-                                    );
-                                    let w = self.heap.array_elem(addr, i);
-                                    self.put_primitive(vt, w);
-                                }
-                            }
-                            FieldKind::Ref => stack.push(Frame::Elems { addr, idx: 0 }),
-                        }
-                    } else {
-                        stack.push(Frame::Fields { addr, idx: 0, id });
-                    }
-                }
-                Frame::Fields { addr, idx, id } => {
-                    let reg: &'a KlassRegistry = self.reg;
-                    let fields = reg.get(id).fields();
-                    let mut i = idx;
-                    while i < fields.len() {
-                        // Generated code: no accessor call, just the load.
-                        self.tracer
-                            .load_word_dep(addr.add_words((HEADER_WORDS + i) as u64).get());
-                        let word = self.heap.field(addr, i);
-                        match fields[i].kind {
-                            FieldKind::Value(vt) => {
-                                self.put_primitive(vt, word);
-                                i += 1;
-                            }
-                            FieldKind::Ref => {
-                                stack.push(Frame::Fields { addr, idx: i + 1, id });
-                                stack.push(Frame::Write(Addr(word)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                Frame::Elems { addr, idx } => {
-                    let len = self.heap.array_len(addr);
-                    if idx < len {
-                        self.tracer
-                            .load_word(addr.add_words((HEADER_WORDS + 1 + idx) as u64).get());
-                        let word = self.heap.array_elem(addr, idx);
-                        stack.push(Frame::Elems { addr, idx: idx + 1 });
-                        stack.push(Frame::Write(Addr(word)));
-                    }
-                }
-            }
-        }
-    }
-}
-
-struct DeCtx<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    reg: &'a KlassRegistry,
-    heap: &'a mut Heap,
-    handles: Vec<Addr>,
-    tracer: Tracer<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum Dest {
-    Root,
-    Field(Addr, usize),
-    Elem(Addr, usize),
-}
-
-enum DeFrame {
-    Read(Dest),
-    /// The klass id resolved at allocation rides along so resumes skip
-    /// the klass/registry lookups.
-    Fields { addr: Addr, idx: usize, id: KlassId },
-    Elems { addr: Addr, idx: usize },
-}
-
-impl<'a> DeCtx<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SerError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SerError::Malformed("truncated stream"));
-        }
-        self.tracer
-            .load_bytes(IN_STREAM_BASE + self.pos as u64, n as u32);
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn get_varint(&mut self) -> Result<u64, SerError> {
-        let (v, next) =
-            read_varint(self.bytes, self.pos).ok_or(SerError::Malformed("bad varint"))?;
-        self.tracer
-            .load_bytes(IN_STREAM_BASE + self.pos as u64, (next - self.pos) as u32);
-        self.tracer.alu((next - self.pos) as u32);
-        self.pos = next;
-        Ok(v)
-    }
-
-    fn get_primitive(&mut self, vt: ValueType) -> Result<u64, SerError> {
-        self.tracer.alu(2); // inlined decode
-        Ok(match vt {
-            ValueType::Double => u64::from_le_bytes(self.take(8)?.try_into().expect("8")),
-            ValueType::Long | ValueType::Int => unzigzag(self.get_varint()?),
-            ValueType::Char => u64::from(u16::from_le_bytes(
-                self.take(2)?.try_into().expect("2"),
-            )),
-            ValueType::Byte | ValueType::Boolean => u64::from(self.take(1)?[0]),
-        })
-    }
-
-    fn store_dest(&mut self, dest: Dest, value: Addr) {
-        match dest {
-            Dest::Root => {}
-            Dest::Field(addr, i) => {
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + i) as u64).get());
-                self.heap.set_ref(addr, i, value);
-            }
-            Dest::Elem(addr, i) => {
-                self.tracer
-                    .store_word(addr.add_words((HEADER_WORDS + 1 + i) as u64).get());
-                self.heap.set_array_elem(addr, i, value.get());
-            }
-        }
-    }
-
-    fn run(&mut self) -> Result<Addr, SerError> {
-        let mut root = Addr::NULL;
-        let mut got_root = false;
-        let mut stack = vec![DeFrame::Read(Dest::Root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                DeFrame::Read(dest) => {
-                    self.tracer.branch();
-                    let addr = match self.take(1)?[0] {
-                        TAG_NULL => Addr::NULL,
-                        TAG_REF => {
-                            let h = self.get_varint()? as usize;
-                            *self
-                                .handles
-                                .get(h)
-                                .ok_or(SerError::Malformed("bad handle"))?
-                        }
-                        TAG_NEW => {
-                            let raw_id = self.get_varint()? as u32;
-                            if raw_id as usize >= self.reg.len() {
-                                return Err(SerError::UnknownClassId(raw_id));
-                            }
-                            let id = sdheap::KlassId(raw_id);
-                            let k = self.reg.get(id);
-                            let addr = if k.is_array() {
-                                let len = self.get_varint()?;
-                                if len >= self.heap.capacity_bytes() / 8 {
-                                    return Err(SerError::Malformed("array length exceeds heap"));
-                                }
-                                let len = len as usize;
-                                self.tracer.alloc(k.array_words(len) as u32 * 8);
-                                let addr = self.heap.alloc_array(self.reg, id, len)?;
-                                self.tracer.store_bytes(addr.get(), 32);
-                                match k.array_elem().expect("array") {
-                                    FieldKind::Value(vt) => {
-                                        for i in 0..len {
-                                            let w = self.get_primitive(vt)?;
-                                            self.tracer.store_word(
-                                                addr.add_words((HEADER_WORDS + 1 + i) as u64)
-                                                    .get(),
-                                            );
-                                            self.heap.set_array_elem(addr, i, w);
-                                        }
-                                    }
-                                    FieldKind::Ref => {
-                                        stack.push(DeFrame::Elems { addr, idx: 0 })
-                                    }
-                                }
-                                addr
-                            } else {
-                                self.tracer.alloc(k.instance_words() as u32 * 8);
-                                let addr = self.heap.alloc(self.reg, id)?;
-                                self.tracer.store_bytes(addr.get(), 24);
-                                stack.push(DeFrame::Fields { addr, idx: 0, id });
-                                addr
-                            };
-                            self.handles.push(addr);
-                            addr
-                        }
-                        _ => return Err(SerError::Malformed("unknown tag")),
-                    };
-                    self.store_dest(dest, addr);
-                    if !got_root {
-                        root = addr;
-                        got_root = true;
-                    }
-                }
-                DeFrame::Fields { addr, idx, id } => {
-                    let reg: &'a KlassRegistry = self.reg;
-                    let fields = reg.get(id).fields();
-                    let mut i = idx;
-                    while i < fields.len() {
-                        match fields[i].kind {
-                            FieldKind::Value(vt) => {
-                                let w = self.get_primitive(vt)?;
-                                // Generated setter: inlined store.
-                                self.tracer
-                                    .store_word(addr.add_words((HEADER_WORDS + i) as u64).get());
-                                self.heap.set_field(addr, i, w);
-                                i += 1;
-                            }
-                            FieldKind::Ref => {
-                                stack.push(DeFrame::Fields { addr, idx: i + 1, id });
-                                stack.push(DeFrame::Read(Dest::Field(addr, i)));
-                                break;
-                            }
-                        }
-                    }
-                }
-                DeFrame::Elems { addr, idx } => {
-                    let len = self.heap.array_len(addr);
-                    if idx < len {
-                        stack.push(DeFrame::Elems { addr, idx: idx + 1 });
-                        stack.push(DeFrame::Read(Dest::Elem(addr, idx)));
-                    }
-                }
-            }
-        }
-        Ok(root)
+        ProtoLike
     }
 }
 
@@ -396,20 +73,7 @@ impl Serializer for ProtoLike {
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
     ) -> Result<usize, SerError> {
-        if self.compiled_plans {
-            return compiled::serialize_into(heap, reg, root, sink, out);
-        }
-        out.clear();
-        let mut ctx = SerCtx {
-            heap,
-            reg,
-            out: std::mem::take(out),
-            handles: HashMap::new(),
-            tracer: Tracer::new(sink),
-        };
-        ctx.run(root);
-        *out = ctx.out;
-        Ok(out.len())
+        compiled::serialize_into(heap, reg, root, sink, out)
     }
 
     fn deserialize(
@@ -419,18 +83,7 @@ impl Serializer for ProtoLike {
         dst: &mut Heap,
         sink: &mut dyn TraceSink,
     ) -> Result<Addr, SerError> {
-        if self.compiled_plans {
-            return compiled::deserialize(bytes, reg, dst, sink);
-        }
-        let mut ctx = DeCtx {
-            bytes,
-            pos: 0,
-            reg,
-            heap: dst,
-            handles: Vec::new(),
-            tracer: Tracer::new(sink),
-        };
-        ctx.run()
+        compiled::deserialize(bytes, reg, dst, sink)
     }
 }
 
@@ -439,7 +92,7 @@ mod tests {
     use super::*;
     use crate::trace::{CountingSink, NullSink};
     use sdheap::builder::Init;
-    use sdheap::{isomorphic_with, GraphBuilder, IsoOptions};
+    use sdheap::{isomorphic_with, FieldKind, GraphBuilder, IsoOptions, ValueType};
 
     #[test]
     fn zigzag_roundtrips() {

@@ -255,14 +255,14 @@ impl Drop for BufferedSink<'_> {
 /// slices via [`TraceSink::ops`], which the contract guarantees is
 /// timing-identical to per-op delivery. Executors flush at dispatch
 /// boundaries (and always before returning an error) so the sink observes
-/// exactly the interpretive op sequence.
+/// exactly the sequence a per-op narrator would have delivered.
 ///
 /// Because narration is centralized here, an executor built with
 /// [`OpBuf::for_sink`] against a sink whose
 /// [`TraceSink::discards_ops`] is `true` skips buffering entirely —
-/// one predictable branch per op instead of a `Vec` append — which the
-/// interpretive serializers, with narration scattered across dozens of
-/// call sites, cannot do.
+/// one predictable branch per op instead of a `Vec` append — which a
+/// per-op [`Tracer`] (Skyway, the Cereal functional model), with
+/// narration scattered across its call sites, cannot do.
 pub struct OpBuf {
     buf: Vec<Op>,
     enabled: bool,

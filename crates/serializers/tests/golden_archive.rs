@@ -1,5 +1,6 @@
 //! Golden tests pinning the archive wire format for the canonical
-//! graphs (mirroring `golden_plans.rs`), so the format cannot drift
+//! graphs (mirroring the workspace's `tests/golden_serde.rs`), so the
+//! format cannot drift
 //! silently: any layout, header, encoding or ordering change must show
 //! up here as an explicit diff against pinned words.
 //!
@@ -19,7 +20,7 @@ use serializers::{Archive, ArchiveView, NullSink, Serializer};
 type Graph = (Heap, KlassRegistry, Addr);
 
 /// Mixed-width fields with interleaved refs, diamond sharing of a value
-/// array (same graph as `golden_plans::diamond`).
+/// array (same graph as `golden_serde`'s `diamond`).
 fn diamond() -> Graph {
     let mut b = GraphBuilder::new(1 << 18);
     let m = b.klass(

@@ -18,7 +18,7 @@
 use sdheap::builder::Init;
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
-use serializers::{Archive, ArchiveView, NullSink, Serializer};
+use serializers::{Archive, ArchiveError, ArchiveView, NullSink, Serializer};
 
 /// A compact recipe for a random object graph (same shape as
 /// `prop_roundtrip`): per node a class pick, a value, and up to three
@@ -229,4 +229,27 @@ fn garbage_never_validates() {
             .expect_err("garbage must not validate");
         assert!(!err.to_string().is_empty(), "case {case}");
     }
+}
+
+/// A header-only archive that declares `u32::MAX` records over an empty
+/// image is a typed count mismatch: the declared count never sizes an
+/// allocation before the walk has checked it.
+#[test]
+fn hostile_record_count_is_a_typed_error() {
+    let (_heap, reg, _root) = build(&random_recipe(&mut Rng::new(1)));
+    let mut evil = Vec::with_capacity(16);
+    evil.extend_from_slice(b"ARCV");
+    evil.extend_from_slice(&1u32.to_le_bytes());
+    evil.extend_from_slice(&0u32.to_le_bytes());
+    evil.extend_from_slice(&u32::MAX.to_le_bytes());
+    let err = ArchiveView::validate(&evil, &reg, &mut NullSink)
+        .map(|v| v.object_count())
+        .expect_err("hostile count must not validate");
+    assert_eq!(
+        err,
+        ArchiveError::CountMismatch {
+            declared: u32::MAX,
+            walked: 0
+        }
+    );
 }

@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:-}
 
+# Every report below goes under target/; the run must leave the tree as
+# it found it.
+status_before=$(git status --porcelain)
+
 echo "== tier-1: build =="
 cargo build --release $CARGO_FLAGS
 
@@ -17,7 +21,8 @@ echo "== full workspace tests =="
 cargo test -q --workspace $CARGO_FLAGS
 
 echo "== perf smoke =="
-cargo run --release -p cereal-bench --bin perf $CARGO_FLAGS -- --smoke
+cargo run --release -p cereal-bench --bin perf $CARGO_FLAGS -- \
+  --smoke --out target/perf_smoke.json
 
 echo "== zero-copy archive round trip =="
 # The archive backend's format pins (golden bytes), adversarial-input
@@ -25,17 +30,6 @@ echo "== zero-copy archive round trip =="
 cargo test -q -p serializers $CARGO_FLAGS --test golden_archive
 cargo test -q -p serializers $CARGO_FLAGS --test prop_archive
 cargo test -q $CARGO_FLAGS --test cross_serializer
-
-echo "== compiled-plan determinism (shuffle smoke, interpretive vs compiled) =="
-# Compiled plans may only change wall-clock: the serialized streams and
-# the narrated op sequences are contractually identical, so every
-# sim-derived report byte must match between the two modes.
-CEREAL_COMPILED_PLANS=0 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
-  --smoke --jobs 1 --out target/shuffle_interp.json
-CEREAL_COMPILED_PLANS=1 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
-  --smoke --jobs 1 --out target/shuffle_compiled.json
-cmp target/shuffle_interp.json target/shuffle_compiled.json \
-  || { echo "shuffle report differs between interpretive and compiled plans"; exit 1; }
 
 echo "== shuffle smoke + thread-count determinism =="
 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
@@ -104,5 +98,13 @@ cargo run --release -p cereal-bench --bin cluster $CARGO_FLAGS -- \
   --smoke --jobs 4 --out target/cluster_jobs4.json
 cmp target/cluster_jobs1.json target/cluster_jobs4.json \
   || { echo "cluster report differs between 1 and 4 jobs"; exit 1; }
+
+echo "== clean tree =="
+status_after=$(git status --porcelain)
+if [ "$status_after" != "$status_before" ]; then
+  echo "verify.sh changed the working tree:"
+  diff <(echo "$status_before") <(echo "$status_after") || true
+  exit 1
+fi
 
 echo "verify: OK"
