@@ -75,12 +75,16 @@ pub use sched::{run_cluster, run_cluster_sunk, ClusterOutcome, TenantStats};
 use sim::LinkConfig;
 use store::Backend;
 
-/// Errors the cluster scheduler can surface. Profile building runs real
-/// executors, so their typed errors propagate; the scheduler itself
-/// adds fold-integrity violations (which would mean scheduling changed
-/// an answer — a bug, never expected).
+/// Errors the cluster scheduler can surface. A nonsensical config is
+/// rejected before any work runs. Profile building runs real executors,
+/// so their typed errors propagate; the scheduler itself adds
+/// fold-integrity violations (which would mean scheduling changed an
+/// answer — a bug, never expected).
 #[derive(Debug)]
 pub enum ClusterError {
+    /// [`ClusterConfig::validate`] rejected the config; the message
+    /// names the offending field and the range it must lie in.
+    InvalidConfig(&'static str),
     /// A profile-building shuffle executor failed.
     Shuffle(shuffle::ShuffleError),
     /// A tenant's profiled shuffle fold did not match the dataset's
@@ -102,6 +106,7 @@ pub enum ClusterError {
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ClusterError::InvalidConfig(why) => write!(f, "invalid cluster config: {why}"),
             ClusterError::Shuffle(e) => write!(f, "profile shuffle executor failed: {e}"),
             ClusterError::ProfileFoldMismatch { tenant } => {
                 write!(f, "tenant {tenant}: profiled fold != expected aggregate")
@@ -284,6 +289,45 @@ impl ClusterConfig {
             jobs: 1,
             timeline_bucket_ns: 50_000.0,
         }
+    }
+
+    /// Rejects configs the scheduler cannot run meaningfully: no
+    /// executors or tenants, a target load that is not a positive finite
+    /// number, a probability outside `[0, 1]` (or NaN), a straggler
+    /// factor below 1, or a speculation quantile outside `(0, 1]`.
+    ///
+    /// # Errors
+    /// [`ClusterError::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        let invalid = |why| Err(ClusterError::InvalidConfig(why));
+        if self.executors == 0 {
+            return invalid("executors must be > 0");
+        }
+        if self.tenants == 0 {
+            return invalid("tenants must be > 0");
+        }
+        if !(self.target_load.is_finite() && self.target_load > 0.0) {
+            return invalid("target_load must be finite and > 0");
+        }
+        let f = &self.fault;
+        for (rate, why) in [
+            (self.straggler_rate, "straggler_rate must be in [0, 1]"),
+            (f.exec_crash_rate, "fault.exec_crash_rate must be in [0, 1]"),
+            (f.node_fail_rate, "fault.node_fail_rate must be in [0, 1]"),
+            (f.task_fail_rate, "fault.task_fail_rate must be in [0, 1]"),
+            (f.du_fail_rate, "fault.du_fail_rate must be in [0, 1]"),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return invalid(why);
+            }
+        }
+        if self.straggler_factor.is_nan() || self.straggler_factor < 1.0 {
+            return invalid("straggler_factor must be >= 1");
+        }
+        if !(self.spec_quantile > 0.0 && self.spec_quantile <= 1.0) {
+            return invalid("spec_quantile must be in (0, 1]");
+        }
+        Ok(())
     }
 
     /// Nodes in the cluster.

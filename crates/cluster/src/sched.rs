@@ -418,6 +418,10 @@ struct JobState {
     status: JobStatus,
     /// Re-enqueues consumed from the job's retry budget.
     retries_used: u32,
+    /// Every attempt this job created, ascending (ids are handed out in
+    /// order), so a terminal job cancels its leftovers without scanning
+    /// the whole attempt table.
+    attempts: Vec<usize>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -612,6 +616,7 @@ impl<S: Sink> Sched<'_, S> {
             finish_ns: 0.0,
             du: None,
         });
+        self.jobs[j].attempts.push(a);
         let task = &mut self.jobs[j].stages[s].tasks[t];
         task.original = Some(a);
         task.spec = None;
@@ -1221,10 +1226,14 @@ impl<S: Sink> Sched<'_, S> {
         self.out.makespan_ns = self.out.makespan_ns.max(now);
         self.sink.count("cluster.jobs_failed", 1);
         self.driver_fail_instant("job.failed", now, j);
-        for a in 0..self.attempts.len() {
-            if self.attempts[a].job == j {
-                self.cancel(a, now);
-            }
+        self.cancel_job(now, j);
+    }
+
+    /// Cancels every attempt job `j` created, in creation order — the
+    /// order free-set inserts, DU refunds and waste sums are booked in.
+    fn cancel_job(&mut self, now: f64, j: usize) {
+        for a in std::mem::take(&mut self.jobs[j].attempts) {
+            self.cancel(a, now);
         }
     }
 
@@ -1302,6 +1311,7 @@ impl<S: Sink> Sched<'_, S> {
             finish_ns: 0.0,
             du: None,
         });
+        self.jobs[j].attempts.push(a);
         self.jobs[j].stages[s].tasks[t].spec = Some(a);
         self.pending.push_back(a);
         self.pending_live += 1;
@@ -1503,11 +1513,7 @@ impl<S: Sink> Sched<'_, S> {
         // Spurious in-flight recomputes of this job's stage-0 outputs
         // are obsolete now.
         if self.faults.is_some() {
-            for a in 0..self.attempts.len() {
-                if self.attempts[a].job == j {
-                    self.cancel(a, now);
-                }
-            }
+            self.cancel_job(now, j);
         }
         Ok(())
     }
@@ -1516,7 +1522,9 @@ impl<S: Sink> Sched<'_, S> {
 /// Runs the cluster to completion (untraced).
 ///
 /// # Errors
-/// Propagates profile-building failures and fold-integrity violations.
+/// Rejects an invalid config ([`ClusterConfig::validate`]) before any
+/// work runs; propagates profile-building failures and fold-integrity
+/// violations.
 pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterOutcome, ClusterError> {
     run_cluster_sunk(cfg, &mut NoopSink)
 }
@@ -1545,8 +1553,7 @@ pub fn run_cluster_sunk<S: Sink>(
     cfg: &ClusterConfig,
     sink: &mut S,
 ) -> Result<ClusterOutcome, ClusterError> {
-    assert!(cfg.executors > 0, "cluster needs executors");
-    assert!(cfg.tenants > 0, "cluster needs tenants");
+    cfg.validate()?;
     let profiles = build_profiles(cfg)?;
 
     // Calibrate the arrival rate to the target executor load: with
@@ -1555,7 +1562,7 @@ pub fn run_cluster_sunk<S: Sink>(
     // cluster sizes.
     let mean_job_service: f64 =
         profiles.iter().map(|p| p.total_service_ns).sum::<f64>() / profiles.len() as f64;
-    let mean_inter = mean_job_service / (cfg.target_load.max(1e-6) * cfg.executors as f64);
+    let mean_inter = mean_job_service / (cfg.target_load * cfg.executors as f64);
     let arrivals = crate::job::arrivals(cfg, mean_inter);
 
     if S::ENABLED {
@@ -1661,6 +1668,7 @@ pub fn run_cluster_sunk<S: Sink>(
             stages: Vec::new(),
             status: JobStatus::Live,
             retries_used: 0,
+            attempts: Vec::new(),
         });
         sched.q.push(a.t_ns, Event::Arrival(jid));
     }

@@ -2,11 +2,11 @@
 //!
 //! The block store (`crates/store`) needs a fourth device class next to
 //! DRAM, caches, and the network: a block device with a per-operation
-//! positioning cost and finite transfer bandwidth. The model follows the
-//! same order-insensitive time-bucket ledger as [`crate::dram`] and
-//! [`crate::net`], so requests issued by sequentially simulated
-//! executors overlap in simulated time exactly as they would on real
-//! hardware:
+//! positioning cost and finite transfer bandwidth. The model books its
+//! bandwidth on the same order-insensitive [`crate::ledger::Ledger`] as
+//! [`crate::dram`] and [`crate::net`], so requests issued by sequentially
+//! simulated executors overlap in simulated time exactly as they would
+//! on real hardware:
 //!
 //! * **seek**: an access whose offset is not where the previous access
 //!   left the head pays the configured positioning latency (mechanical
@@ -16,6 +16,8 @@
 //! * **transfer**: `bytes / bytes_per_ns`, booked against the device's
 //!   bandwidth ledger so concurrent spills and fetches queue instead of
 //!   magically overlapping.
+
+use crate::ledger::Ledger;
 
 /// Disk configuration.
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +91,7 @@ pub struct DiskWindow {
 #[derive(Clone, Debug)]
 pub struct Disk {
     cfg: DiskConfig,
-    ledger: std::collections::HashMap<u64, f64>,
+    ledger: Ledger,
     /// Byte offset just past the previous access (sequential detection).
     head: u64,
     read_bytes: u64,
@@ -106,7 +108,7 @@ impl Disk {
     pub fn new(cfg: DiskConfig) -> Self {
         Disk {
             cfg,
-            ledger: std::collections::HashMap::new(),
+            ledger: Ledger::new(true),
             head: 0,
             read_bytes: 0,
             write_bytes: 0,
@@ -144,22 +146,9 @@ impl Disk {
         };
         self.head = offset + bytes;
         let start = now_ns.max(0.0) + latency;
-        let cap = BUCKET_NS * self.cfg.bytes_per_ns;
-        let mut bucket = (start / BUCKET_NS) as u64;
-        let mut left = bytes as f64;
-        let finish;
-        loop {
-            let used = self.ledger.entry(bucket).or_insert(0.0);
-            let free = cap - *used;
-            if free >= left {
-                *used += left;
-                finish = bucket as f64 * BUCKET_NS + *used / self.cfg.bytes_per_ns;
-                break;
-            }
-            left -= free;
-            *used = cap;
-            bucket += 1;
-        }
+        let finish = self
+            .ledger
+            .book(start, bytes, BUCKET_NS, self.cfg.bytes_per_ns);
         let service = bytes as f64 / self.cfg.bytes_per_ns;
         let done = finish.max(start + service);
         if let Some(tape) = &mut self.tape {

@@ -5,12 +5,15 @@
 //!
 //! The model is a per-channel bandwidth queue: an access occupies its
 //! channel for `bytes / channel_bandwidth` and completes one zero-load
-//! latency after its service slot starts. Channels are interleaved on
+//! latency after its service slot starts. Each channel's capacity is
+//! booked on a [`crate::ledger::Ledger`]. Channels are interleaved on
 //! 64 B line granularity. This is the same class of DRAM abstraction used
 //! by the architectural simulators the paper builds on (ZSim, Sniper) and
 //! is what both the CPU model and the Cereal accelerator model share — so
 //! bandwidth-utilization comparisons (Figs. 11 and 15) come from one
 //! meter.
+
+use crate::ledger::Ledger;
 
 /// DRAM configuration.
 #[derive(Clone, Copy, Debug)]
@@ -33,11 +36,11 @@ pub struct DramConfig {
     /// the finer model.
     pub row_hit_ns: f64,
     /// Fast-forward the capacity-ledger walk over buckets already known
-    /// to be full instead of visiting them one by one. Purely a
-    /// wall-clock optimization: completion times and booked capacity are
-    /// identical either way (the skipped buckets would each contribute
-    /// zero free capacity). Default on; turn off to run the
-    /// tick-every-bucket reference walk.
+    /// to be full instead of visiting them one by one (the
+    /// [`Ledger`] frontier skip). Purely a wall-clock optimization:
+    /// completion times and booked capacity are identical either way
+    /// (the skipped buckets would each contribute zero free capacity).
+    /// Default on; turn off to run the tick-every-bucket reference walk.
     pub fast_forward: bool,
 }
 
@@ -91,20 +94,17 @@ const BUCKET_NS: f64 = 100.0;
 /// assert_eq!(dram.total_bytes(), 64);
 /// ```
 ///
-/// Each channel is a fluid queue tracked in [`BUCKET_NS`] time buckets:
-/// an access books `bytes` of channel capacity starting at its issue
-/// bucket, spilling into later buckets when one is full. Booking is
-/// order-*insensitive*, so independent requesters (the 8 SUs, 8 DUs, or
-/// a CPU core) can be simulated one after another and still overlap in
-/// simulated time exactly as concurrent hardware would — a plain
-/// "channel-free-at" frontier would falsely serialize them.
+/// Each channel is a fluid queue tracked in [`BUCKET_NS`] time buckets
+/// by its own [`Ledger`]: an access books `bytes` of channel capacity
+/// starting at its issue bucket, spilling into later buckets when one is
+/// full. Booking is order-*insensitive*, so independent requesters (the
+/// 8 SUs, 8 DUs, or a CPU core) can be simulated one after another and
+/// still overlap in simulated time exactly as concurrent hardware would.
 #[derive(Clone, Debug)]
 pub struct Dram {
     cfg: DramConfig,
-    /// Per-channel: booked bytes per time bucket.
-    ledger: Vec<std::collections::HashMap<u64, f64>>,
-    /// Per-channel skip pointer: every bucket below this index is full.
-    frontier: Vec<u64>,
+    /// One capacity ledger per channel.
+    ledger: Vec<Ledger>,
     /// Open row per (channel, bank).
     open_rows: Vec<Option<u64>>,
     row_hits: u64,
@@ -118,8 +118,9 @@ impl Dram {
     /// A DRAM with the given configuration.
     pub fn new(cfg: DramConfig) -> Self {
         Dram {
-            ledger: (0..cfg.channels).map(|_| std::collections::HashMap::new()).collect(),
-            frontier: vec![0; cfg.channels],
+            ledger: (0..cfg.channels)
+                .map(|_| Ledger::new(cfg.fast_forward))
+                .collect(),
             open_rows: vec![None; cfg.channels * cfg.banks_per_channel],
             row_hits: 0,
             row_misses: 0,
@@ -164,36 +165,7 @@ impl Dram {
             self.open_rows[slot] = Some(row);
             self.cfg.zero_load_ns
         };
-        let cap = BUCKET_NS * self.cfg.channel_bytes_per_ns;
-        let ledger = &mut self.ledger[ch];
-        let mut bucket = (now_ns.max(0.0) / BUCKET_NS) as u64;
-        // Fast-forward: every bucket below the frontier is full and would
-        // only contribute `free == 0.0` steps to the walk below, so jump
-        // straight over them. The tick-reference mode walks them all.
-        if self.cfg.fast_forward && bucket < self.frontier[ch] {
-            bucket = self.frontier[ch];
-        }
-        let first = bucket;
-        let mut left = bytes as f64;
-        let finish;
-        loop {
-            let used = ledger.entry(bucket).or_insert(0.0);
-            let free = cap - *used;
-            if free >= left {
-                *used += left;
-                // Completion point within this bucket, by cumulative fill.
-                finish = bucket as f64 * BUCKET_NS + *used / self.cfg.channel_bytes_per_ns;
-                break;
-            }
-            left -= free;
-            *used = cap;
-            bucket += 1;
-        }
-        // The walk saturated [first, bucket); if it started at or below
-        // the frontier, everything below `bucket` is now full.
-        if first <= self.frontier[ch] && bucket > self.frontier[ch] {
-            self.frontier[ch] = bucket;
-        }
+        let finish = self.ledger[ch].book(now_ns, bytes, BUCKET_NS, self.cfg.channel_bytes_per_ns);
         let service = bytes as f64 / self.cfg.channel_bytes_per_ns;
         self.total_bytes += bytes;
         finish.max(now_ns + service) + latency

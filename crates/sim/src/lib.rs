@@ -16,6 +16,9 @@
 //!   experiments.
 //! * [`disk`] — a block device (seek + bandwidth ledger) for the block
 //!   store's spill files.
+//! * [`ledger`] — the time-bucket capacity ledger every
+//!   bandwidth-limited device above books on (one per DRAM channel,
+//!   network link and disk).
 //! * [`fault`] — the seeded fault injector (wire corruption, link loss,
 //!   disk read errors, mapper death, accelerator faults) behind the
 //!   recovery experiments.
@@ -29,6 +32,7 @@ pub mod cpu;
 pub mod disk;
 pub mod dram;
 pub mod fault;
+pub mod ledger;
 pub mod mai;
 pub mod net;
 pub mod tlb;

@@ -3,9 +3,11 @@
 //! S/D exists to feed the network (paper §I: shuffles, RPC). This model
 //! provides the missing third stage for end-to-end shuffle experiments:
 //! a full-duplex point-to-point link with finite bandwidth and a
-//! per-message latency, using the same order-insensitive time-bucket
-//! ledger as [`crate::dram`] so senders simulated sequentially overlap
-//! correctly.
+//! per-message latency, booked on the same order-insensitive
+//! [`crate::ledger::Ledger`] as [`crate::dram`] so senders simulated
+//! sequentially overlap correctly.
+
+use crate::ledger::{IntMap, Ledger};
 
 /// Link configuration.
 #[derive(Clone, Copy, Debug)]
@@ -50,7 +52,7 @@ const BUCKET_NS: f64 = 1000.0;
 #[derive(Clone, Debug)]
 pub struct Link {
     cfg: LinkConfig,
-    ledger: std::collections::HashMap<u64, f64>,
+    ledger: Ledger,
     total_bytes: u64,
     messages: u64,
 }
@@ -60,7 +62,7 @@ impl Link {
     pub fn new(cfg: LinkConfig) -> Self {
         Link {
             cfg,
-            ledger: std::collections::HashMap::new(),
+            ledger: Ledger::new(true),
             total_bytes: 0,
             messages: 0,
         }
@@ -82,22 +84,9 @@ impl Link {
             self.messages += 1;
             return now_ns.max(0.0) + self.cfg.latency_ns;
         }
-        let cap = BUCKET_NS * self.cfg.bytes_per_ns;
-        let mut bucket = (now_ns.max(0.0) / BUCKET_NS) as u64;
-        let mut left = bytes as f64;
-        let finish;
-        loop {
-            let used = self.ledger.entry(bucket).or_insert(0.0);
-            let free = cap - *used;
-            if free >= left {
-                *used += left;
-                finish = bucket as f64 * BUCKET_NS + *used / self.cfg.bytes_per_ns;
-                break;
-            }
-            left -= free;
-            *used = cap;
-            bucket += 1;
-        }
+        let finish = self
+            .ledger
+            .book(now_ns, bytes, BUCKET_NS, self.cfg.bytes_per_ns);
         self.total_bytes += bytes;
         self.messages += 1;
         let service = bytes as f64 / self.cfg.bytes_per_ns;
@@ -175,7 +164,7 @@ pub struct Fabric {
     /// Pair links keyed by `src * receivers + dst`, created on first
     /// send. Aggregate counters come from the egress NICs, so this map
     /// is never iterated — ordering is irrelevant.
-    pairs: std::collections::HashMap<usize, Link>,
+    pairs: IntMap<usize, Link>,
     /// What an untouched pair looks like: an idle link.
     idle_pair: Link,
     egress: Vec<Link>,
@@ -199,7 +188,7 @@ impl Fabric {
             cfg,
             senders,
             receivers,
-            pairs: std::collections::HashMap::new(),
+            pairs: IntMap::default(),
             idle_pair: Link::new(cfg),
             egress: vec![Link::new(nic); senders],
             ingress: vec![Link::new(nic); receivers],

@@ -99,6 +99,9 @@ cargo run --release -p cereal-bench --bin cluster $CARGO_FLAGS -- \
 cmp target/cluster_jobs1.json target/cluster_jobs4.json \
   || { echo "cluster report differs between 1 and 4 jobs"; exit 1; }
 
+echo "== artifact contract: full-size reports regenerate byte-identical =="
+CARGO_FLAGS="$CARGO_FLAGS" bash scripts/check_artifacts.sh
+
 echo "== clean tree =="
 status_after=$(git status --porcelain)
 if [ "$status_after" != "$status_before" ]; then
