@@ -17,6 +17,10 @@
 //! * for the stream cut at 1, len/3, len/2 and len−1 bytes: the outcome,
 //!   plus the count and digest of the ops narrated before it.
 //!
+//! For the binary backends over five small graphs, [`SWEEP`] also pins
+//! one digest over *every* cut `0..len`, so each decoder error exit is
+//! frozen.
+//!
 //! The full streams of `diamond`, `cycle` and `null_root` are pinned byte
 //! for byte in [`STREAMS`]. The table was recorded from the field-walking
 //! reference serializers these executors replaced. On a mismatch the test
@@ -461,9 +465,69 @@ fn serialize_into_reuses_the_buffer() {
     }
 }
 
+/// Decodes every proper prefix `0..len` of the binary streams of a few
+/// small graphs and digests, per cut, the outcome, the op count and the
+/// op digest. This pins every error exit of the binary decoders: cuts
+/// inside a class descriptor, a primitive array, an id varint, a handle.
+#[test]
+fn every_cut_of_the_binary_streams_matches_the_frozen_sweep() {
+    let graphs: [(&str, Graph); 5] = [
+        ("diamond", diamond()),
+        ("cycle", cycle()),
+        ("arrays", arrays()),
+        ("null_root", null_root()),
+        ("media_content", media_content()),
+    ];
+    let mut diffs = String::new();
+    for (graph, (mut heap, reg, root)) in graphs {
+        let capacity = heap.capacity_bytes();
+        for (backend, ser) in &backends()[..3] {
+            let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+            let mut h = Fnv::new();
+            for cut in 0..bytes.len() {
+                let (outcome, (count, digest)) =
+                    decode(ser.as_ref(), &bytes[..cut], &reg, capacity);
+                h.eat(outcome.as_bytes());
+                h.eat(&[0xff]);
+                h.eat(&count.to_le_bytes());
+                h.eat(&digest.to_le_bytes());
+            }
+            let actual = (*backend, graph, h.0);
+            if !SWEEP.contains(&actual) {
+                diffs.push_str(&format!("    ({backend:?}, {graph:?}, {:#018x}),\n", h.0));
+            }
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "sweeps differ from the fixtures; actual:\n{diffs}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Fixtures
 // ---------------------------------------------------------------------------
+
+/// `(backend, graph, digest)` of every cut's outcome and ops, for
+/// [`every_cut_of_the_binary_streams_matches_the_frozen_sweep`].
+#[rustfmt::skip]
+const SWEEP: [(&str, &str, u64); 15] = [
+    ("JavaSd", "diamond", 0xadeb3ab180715284),
+    ("Kryo", "diamond", 0xc9f414f1a0888141),
+    ("ProtoLike", "diamond", 0x6bc6011fc60c53e5),
+    ("JavaSd", "cycle", 0x9cf86796b7951ea2),
+    ("Kryo", "cycle", 0x2559dfe480c8b4d5),
+    ("ProtoLike", "cycle", 0x78483bb356cac165),
+    ("JavaSd", "arrays", 0x259772c78af1cdf2),
+    ("Kryo", "arrays", 0x624d498e14c210ad),
+    ("ProtoLike", "arrays", 0xe8d614bf52de06c2),
+    ("JavaSd", "null_root", 0x87c4078b64863f31),
+    ("Kryo", "null_root", 0x5cdffa4be8e51b2b),
+    ("ProtoLike", "null_root", 0x062ce95fc6c32f59),
+    ("JavaSd", "media_content", 0x6b5906657c3f997c),
+    ("Kryo", "media_content", 0x0b8b92dbf312b9d7),
+    ("ProtoLike", "media_content", 0x79198471fb3a81a3),
+];
 
 /// Graphs whose whole stream is pinned in [`STREAMS`].
 const STREAM_GRAPHS: [&str; 3] = ["diamond", "cycle", "null_root"];
