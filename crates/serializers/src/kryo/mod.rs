@@ -17,10 +17,9 @@
 //! Java S/D comes from (paper Fig. 10).
 
 use crate::api::{SerError, Serializer};
-use crate::trace::TraceSink;
-use sdheap::{Addr, Heap, KlassRegistry};
-
-mod compiled;
+use crate::runner::{self, body_word, De, Dialect, Head, Reader, Ser, Writer};
+use crate::trace::{Op, OpBuf, TraceSink};
+use sdheap::{Addr, Heap, KlassId, KlassRegistry, ValueType};
 
 const TAG_NULL: u8 = 0;
 const TAG_NEW: u8 = 1;
@@ -67,7 +66,7 @@ impl Serializer for Kryo {
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
     ) -> Result<usize, SerError> {
-        compiled::serialize_into(heap, reg, root, sink, out)
+        runner::serialize_into::<Self>(heap, reg, root, sink, out)
     }
 
     fn deserialize(
@@ -77,7 +76,97 @@ impl Serializer for Kryo {
         dst: &mut Heap,
         sink: &mut dyn TraceSink,
     ) -> Result<Addr, SerError> {
-        compiled::deserialize(bytes, reg, dst, sink)
+        runner::deserialize::<Self>(bytes, reg, dst, sink)
+    }
+}
+
+/// The Kryo dialect: a tag byte plus the class-id varint, little-endian
+/// fixed widths with varint `int`s, and generated accessors (one call per
+/// field access and reference store).
+impl Dialect for Kryo {
+    type SerState = ();
+    type DeState = ();
+
+    #[inline]
+    fn write_head(s: &mut Ser<'_, Self>, addr: Addr) -> Option<KlassId> {
+        s.w.ops.push(Op::Call);
+        s.w.ops.push(Op::Branch);
+        if addr.is_null() {
+            s.w.put(&[TAG_NULL]);
+            return None;
+        }
+        s.w.ops.push(Op::HashLookup);
+        if let Some(&h) = s.handles.get(&addr) {
+            s.w.put(&[TAG_REF]);
+            s.w.put_varint(h);
+            return None;
+        }
+        s.w.put(&[TAG_NEW]);
+        s.w.ops.load_word_dep(addr.add_words(1).get());
+        s.w.ops.push(Op::HashLookup);
+        let id = s.heap.klass_of(s.reg, addr);
+        let plan = s.plans.plan(id);
+        s.w.put_varint_bytes(&plan.id_varint);
+        if plan.is_array() {
+            s.w.ops.load_word_dep(body_word(addr, 0));
+            s.w.put_varint(s.heap.array_len(addr) as u64);
+        }
+        Some(id)
+    }
+
+    #[inline]
+    fn read_head(d: &mut De<'_, Self>) -> Result<Head, SerError> {
+        d.r.ops.push(Op::Call);
+        d.r.ops.push(Op::Branch);
+        Ok(match d.r.array::<1>()?[0] {
+            TAG_NULL => Head::Ref(Addr::NULL),
+            TAG_REF => {
+                let h = d.r.get_varint()?;
+                d.r.ops.push(Op::HashLookup);
+                Head::Ref(d.object(h, "bad handle")?)
+            }
+            TAG_NEW => {
+                let raw = d.r.get_class_id()?;
+                d.r.ops.push(Op::Alu(1));
+                let id = d.klass(raw)?;
+                if d.plans.plan(id).is_array() {
+                    Head::Array(id, d.r.get_varint()?)
+                } else {
+                    Head::Object(id)
+                }
+            }
+            _ => return Err(SerError::Malformed("unknown tag")),
+        })
+    }
+
+    #[inline]
+    fn put_prim(w: &mut Writer, vt: ValueType, word: u64) {
+        match vt {
+            ValueType::Long | ValueType::Double => w.put(&word.to_le_bytes()),
+            ValueType::Int => w.put_varint(word & 0xffff_ffff),
+            ValueType::Char => w.put(&(word as u16).to_le_bytes()),
+            ValueType::Byte | ValueType::Boolean => w.put(&[word as u8]),
+        }
+    }
+
+    #[inline]
+    fn get_prim(r: &mut Reader<'_>, vt: ValueType) -> Result<u64, SerError> {
+        Ok(match vt {
+            ValueType::Long | ValueType::Double => u64::from_le_bytes(r.array()?),
+            ValueType::Int => r.get_varint()?,
+            ValueType::Char => u16::from_le_bytes(r.array()?).into(),
+            ValueType::Byte | ValueType::Boolean => r.array::<1>()?[0].into(),
+        })
+    }
+
+    #[inline]
+    fn field_access(ops: &mut OpBuf, _name_len: u32) {
+        ops.push(Op::Call);
+    }
+
+    #[inline]
+    fn ref_store(ops: &mut OpBuf) {
+        ops.push(Op::Call);
     }
 }
 
@@ -230,10 +319,19 @@ mod tests {
     fn truncated_stream_rejected() {
         let (mut heap, reg, a) = diamond();
         let bytes = Kryo::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
-        let mut dst = Heap::new(1 << 16);
-        let err = Kryo::new()
-            .deserialize(&bytes[..bytes.len() - 3], &reg, &mut dst, &mut NullSink)
-            .unwrap_err();
-        assert!(matches!(err, SerError::Malformed(_)));
+        // Class id 2^32 + 0 must not alias klass 0 (`N`: a long, two refs).
+        let wide_id = [
+            &[TAG_NEW, 0x80, 0x80, 0x80, 0x80, 0x10][..],
+            &[0; 8],
+            &[TAG_NULL, TAG_NULL],
+        ]
+        .concat();
+        for input in [&bytes[..bytes.len() - 3], &wide_id] {
+            let mut dst = Heap::new(1 << 16);
+            let err = Kryo::new()
+                .deserialize(input, &reg, &mut dst, &mut NullSink)
+                .unwrap_err();
+            assert!(matches!(err, SerError::Malformed(_)), "{err:?}");
+        }
     }
 }

@@ -13,9 +13,10 @@
 //! | [`ProtoLike`] | schema tags (codegen) | inlined generated code | zigzag varints |
 //! | [`Archive`] | integer klass tags | none — validate in place | relative-offset records, zero-copy reads |
 //!
-//! All three implement the common [`Serializer`] trait, really produce and
-//! parse bytes (every graph round-trips through
-//! [`sdheap::isomorphic_with`]), and narrate the work a CPU would perform
+//! Every backend here (and Cereal's functional model in the `cereal`
+//! crate) implements the common [`Serializer`] trait, really produces and
+//! parses bytes (every graph round-trips through
+//! [`sdheap::isomorphic_with`]), and narrates the work a CPU would perform
 //! into a [`TraceSink`] that the `sim` crate turns into cycles, cache
 //! misses and DRAM bandwidth.
 //!
@@ -48,6 +49,7 @@ pub mod jsonlike;
 pub mod kryo;
 pub mod plan;
 pub mod protolike;
+mod runner;
 pub mod skyway;
 pub mod trace;
 

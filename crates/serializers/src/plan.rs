@@ -11,15 +11,16 @@
 //! field *program* ([`Plan`]): maximal primitive copy runs ([`Step::Run`],
 //! built on [`sdheap::Klass::prim_runs`]), an ordered reference-slot list
 //! ([`Step::Ref`]), and pre-resolved metadata — instance size, wire-id
-//! varint bytes, JSON header/field-prefix strings, per-field stream widths.
-//! The javasd/kryo/protolike/jsonlike backends execute these programs with
-//! tight run interpreters (their `compiled` submodules) instead of walking
-//! `fields()` per object.
+//! varint bytes, field-name lengths, JSON header/field-prefix strings.
+//! The plan is the frontend; the wire format is the backend. Java S/D,
+//! Kryo and ProtoLike run these programs through the one traversal in
+//! `runner.rs`, each supplying only its wire dialect
+//! (`runner::Dialect`); JsonLike's text executor and the archive's layout
+//! pass read the same plans.
 //!
-//! These executors are the only serializer path of those backends. Their
-//! byte streams and narrated [`crate::Op`] sequences — and therefore
-//! every simulated metric downstream — are pinned by the frozen fixtures
-//! in `tests/golden_serde.rs`.
+//! The byte streams and narrated [`crate::Op`] sequences of these
+//! backends — and therefore every simulated metric downstream — are
+//! pinned by the frozen fixtures in `tests/golden_serde.rs`.
 
 use sdheap::{FieldKind, KlassId, KlassRegistry, ValueType};
 use std::cell::RefCell;
@@ -35,8 +36,6 @@ pub struct PrimField {
     pub vt: ValueType,
     /// Field-name length in bytes (reflection/string narration).
     pub name_len: u32,
-    /// Big-endian byte width in the Java S/D stream.
-    pub java_width: u32,
 }
 
 /// One step of a klass's field program.
@@ -49,14 +48,6 @@ pub enum Step {
         prim_start: u32,
         /// Number of fields in the run.
         prim_len: u32,
-        /// Total Java S/D stream bytes of the run (widths are static).
-        java_bytes: u32,
-        /// Total Kryo stream bytes if every field in the run is
-        /// fixed-width under Kryo (no `Int` varints); 0 otherwise.
-        kryo_fixed_bytes: u32,
-        /// Total ProtoLike stream bytes if every field is fixed-width
-        /// under ProtoLike (no `Long`/`Int` varints); 0 otherwise.
-        proto_fixed_bytes: u32,
     },
     /// A reference slot at declared field `idx`.
     Ref {
@@ -72,8 +63,6 @@ pub enum Step {
 pub struct Plan {
     /// The klass this plan was compiled from.
     pub id: KlassId,
-    /// Class-name length in bytes.
-    pub name_len: u32,
     /// `Some(elem)` for array klasses.
     pub array_elem: Option<FieldKind>,
     /// Declared field count (0 for arrays).
@@ -98,37 +87,6 @@ pub struct Plan {
     pub json_prefixes: Vec<Box<[u8]>>,
 }
 
-/// Byte width of a primitive in the Java S/D stream (mirrors
-/// `javasd::prim_width`).
-fn java_width(vt: ValueType) -> u32 {
-    match vt {
-        ValueType::Long | ValueType::Double => 8,
-        ValueType::Int => 4,
-        ValueType::Char => 2,
-        ValueType::Byte | ValueType::Boolean => 1,
-    }
-}
-
-/// Fixed Kryo stream width, or `None` for varint-encoded fields.
-fn kryo_fixed_width(vt: ValueType) -> Option<u32> {
-    match vt {
-        ValueType::Long | ValueType::Double => Some(8),
-        ValueType::Int => None,
-        ValueType::Char => Some(2),
-        ValueType::Byte | ValueType::Boolean => Some(1),
-    }
-}
-
-/// Fixed ProtoLike stream width, or `None` for varint-encoded fields.
-fn proto_fixed_width(vt: ValueType) -> Option<u32> {
-    match vt {
-        ValueType::Double => Some(8),
-        ValueType::Long | ValueType::Int => None,
-        ValueType::Char => Some(2),
-        ValueType::Byte | ValueType::Boolean => Some(1),
-    }
-}
-
 impl Plan {
     fn compile(id: KlassId, k: &sdheap::Klass) -> Plan {
         let fields = k.fields();
@@ -143,36 +101,19 @@ impl Plan {
                 if start == i {
                     next_run.next();
                     let prim_start = prims.len() as u32;
-                    let mut java_bytes = 0u32;
-                    let mut kryo_fixed = Some(0u32);
-                    let mut proto_fixed = Some(0u32);
                     for (j, f) in fields[start..start + len].iter().enumerate() {
                         let FieldKind::Value(vt) = f.kind else {
                             unreachable!("prim_runs returned a ref slot");
-                        };
-                        let w = java_width(vt);
-                        java_bytes += w;
-                        kryo_fixed = match (kryo_fixed, kryo_fixed_width(vt)) {
-                            (Some(a), Some(b)) => Some(a + b),
-                            _ => None,
-                        };
-                        proto_fixed = match (proto_fixed, proto_fixed_width(vt)) {
-                            (Some(a), Some(b)) => Some(a + b),
-                            _ => None,
                         };
                         prims.push(PrimField {
                             idx: (start + j) as u32,
                             vt,
                             name_len: f.name.len() as u32,
-                            java_width: w,
                         });
                     }
                     steps.push(Step::Run {
                         prim_start,
                         prim_len: len as u32,
-                        java_bytes,
-                        kryo_fixed_bytes: kryo_fixed.unwrap_or(0),
-                        proto_fixed_bytes: proto_fixed.unwrap_or(0),
                     });
                     i = start + len;
                     continue;
@@ -210,7 +151,6 @@ impl Plan {
 
         Plan {
             id,
-            name_len: k.name().len() as u32,
             array_elem: k.array_elem(),
             num_fields: fields.len() as u32,
             instance_bytes: if k.is_array() {
@@ -375,35 +315,21 @@ mod tests {
             FieldKind::Value(ValueType::Double),
         ]);
         assert_eq!(p.steps.len(), 3, "run, ref, run: {:?}", p.steps);
-        let Step::Run {
-            prim_start,
-            prim_len,
-            java_bytes,
-            kryo_fixed_bytes,
-            proto_fixed_bytes,
-        } = p.steps[0]
-        else {
-            panic!("first step must be a run");
-        };
-        assert_eq!((prim_start, prim_len), (0, 3));
-        assert_eq!(java_bytes, 8 + 4 + 1);
-        assert_eq!(kryo_fixed_bytes, 0, "Int is a Kryo varint");
-        assert_eq!(proto_fixed_bytes, 0, "Long/Int are ProtoLike varints");
+        assert_eq!(
+            p.steps[0],
+            Step::Run {
+                prim_start: 0,
+                prim_len: 3
+            }
+        );
         assert_eq!(p.steps[1], Step::Ref { idx: 3, name_len: 2 });
-        let Step::Run {
-            prim_start,
-            prim_len,
-            java_bytes,
-            kryo_fixed_bytes,
-            proto_fixed_bytes,
-        } = p.steps[2]
-        else {
-            panic!("third step must be a run");
-        };
-        assert_eq!((prim_start, prim_len), (3, 1));
-        assert_eq!(java_bytes, 8);
-        assert_eq!(kryo_fixed_bytes, 8, "Double is fixed under Kryo");
-        assert_eq!(proto_fixed_bytes, 8, "Double is fixed under ProtoLike");
+        assert_eq!(
+            p.steps[2],
+            Step::Run {
+                prim_start: 3,
+                prim_len: 1
+            }
+        );
         // Prim metadata rides along in declaration order.
         assert_eq!(
             p.prims.iter().map(|f| f.idx).collect::<Vec<_>>(),
@@ -443,7 +369,6 @@ mod tests {
         let arr = reg.register(Klass::array("double[]", FieldKind::Value(ValueType::Double)));
         let cache = PlanCache::compile(&reg);
         let p = cache.plan(id);
-        assert_eq!(p.name_len, 4);
         assert_eq!(p.num_fields, 2);
         assert_eq!(p.instance_bytes, (3 + 2) * 8);
         assert_eq!(p.id_varint, vec![id.get() as u8]);

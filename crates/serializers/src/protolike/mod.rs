@@ -17,10 +17,9 @@
 //! which is where JSBS puts protostuff/thrift.
 
 use crate::api::{SerError, Serializer};
-use crate::trace::TraceSink;
-use sdheap::{Addr, Heap, KlassRegistry};
-
-mod compiled;
+use crate::runner::{self, De, Dialect, Head, Reader, Ser, Writer};
+use crate::trace::{Op, OpBuf, TraceSink};
+use sdheap::{Addr, Heap, KlassId, KlassRegistry, ValueType};
 
 const TAG_NULL: u8 = 0;
 const TAG_NEW: u8 = 1;
@@ -73,7 +72,7 @@ impl Serializer for ProtoLike {
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
     ) -> Result<usize, SerError> {
-        compiled::serialize_into(heap, reg, root, sink, out)
+        runner::serialize_into::<Self>(heap, reg, root, sink, out)
     }
 
     fn deserialize(
@@ -83,8 +82,91 @@ impl Serializer for ProtoLike {
         dst: &mut Heap,
         sink: &mut dyn TraceSink,
     ) -> Result<Addr, SerError> {
-        compiled::deserialize(bytes, reg, dst, sink)
+        runner::deserialize::<Self>(bytes, reg, dst, sink)
     }
+}
+
+/// The ProtoLike dialect: a tag byte plus the class-id varint, zigzag
+/// varint integers with `Alu(2)` of inlined shifting per primitive, and
+/// generated code inlined (no narration for field access or reference
+/// stores).
+impl Dialect for ProtoLike {
+    type SerState = ();
+    type DeState = ();
+
+    #[inline]
+    fn write_head(s: &mut Ser<'_, Self>, addr: Addr) -> Option<KlassId> {
+        s.w.ops.push(Op::Branch);
+        if addr.is_null() {
+            s.w.put(&[TAG_NULL]);
+            return None;
+        }
+        s.w.ops.push(Op::HashLookup);
+        if let Some(&h) = s.handles.get(&addr) {
+            s.w.put(&[TAG_REF]);
+            s.w.put_varint(h);
+            return None;
+        }
+        s.w.put(&[TAG_NEW]);
+        s.w.ops.load_word_dep(addr.add_words(1).get());
+        let id = s.heap.klass_of(s.reg, addr);
+        let plan = s.plans.plan(id);
+        s.w.put_varint_bytes(&plan.id_varint);
+        if plan.is_array() {
+            s.w.put_varint(s.heap.array_len(addr) as u64);
+        }
+        Some(id)
+    }
+
+    #[inline]
+    fn read_head(d: &mut De<'_, Self>) -> Result<Head, SerError> {
+        d.r.ops.push(Op::Branch);
+        Ok(match d.r.array::<1>()?[0] {
+            TAG_NULL => Head::Ref(Addr::NULL),
+            TAG_REF => {
+                let h = d.r.get_varint()?;
+                Head::Ref(d.object(h, "bad handle")?)
+            }
+            TAG_NEW => {
+                let raw = d.r.get_class_id()?;
+                let id = d.klass(raw)?;
+                if d.plans.plan(id).is_array() {
+                    Head::Array(id, d.r.get_varint()?)
+                } else {
+                    Head::Object(id)
+                }
+            }
+            _ => return Err(SerError::Malformed("unknown tag")),
+        })
+    }
+
+    #[inline]
+    fn put_prim(w: &mut Writer, vt: ValueType, word: u64) {
+        w.ops.push(Op::Alu(2));
+        match vt {
+            ValueType::Double => w.put(&word.to_le_bytes()),
+            ValueType::Long | ValueType::Int => w.put_varint(zigzag(word)),
+            ValueType::Char => w.put(&(word as u16).to_le_bytes()),
+            ValueType::Byte | ValueType::Boolean => w.put(&[word as u8]),
+        }
+    }
+
+    #[inline]
+    fn get_prim(r: &mut Reader<'_>, vt: ValueType) -> Result<u64, SerError> {
+        r.ops.push(Op::Alu(2));
+        Ok(match vt {
+            ValueType::Double => u64::from_le_bytes(r.array()?),
+            ValueType::Long | ValueType::Int => unzigzag(r.get_varint()?),
+            ValueType::Char => u16::from_le_bytes(r.array()?).into(),
+            ValueType::Byte | ValueType::Boolean => r.array::<1>()?[0].into(),
+        })
+    }
+
+    #[inline]
+    fn field_access(_ops: &mut OpBuf, _name_len: u32) {}
+
+    #[inline]
+    fn ref_store(_ops: &mut OpBuf) {}
 }
 
 #[cfg(test)]
@@ -163,13 +245,14 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_input() {
-        let reg = KlassRegistry::new();
-        let mut dst = Heap::new(1 << 12);
-        assert!(ProtoLike::new()
-            .deserialize(&[9, 9, 9], &reg, &mut dst, &mut NullSink)
-            .is_err());
-        assert!(ProtoLike::new()
-            .deserialize(&[], &reg, &mut dst, &mut NullSink)
-            .is_err());
+        let (_, reg, _) = graph();
+        // Class id 2^32 + 0 must not alias klass 0 (`N`: a long, two refs).
+        let wide_id = [TAG_NEW, 0x80, 0x80, 0x80, 0x80, 0x10, 0, TAG_NULL, TAG_NULL];
+        for input in [&[9, 9, 9][..], &[], &wide_id] {
+            let mut dst = Heap::new(1 << 12);
+            assert!(ProtoLike::new()
+                .deserialize(input, &reg, &mut dst, &mut NullSink)
+                .is_err());
+        }
     }
 }

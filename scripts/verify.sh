@@ -110,4 +110,7 @@ if [ "$status_after" != "$status_before" ]; then
   exit 1
 fi
 
+echo "== lines of code (printed, not gated) =="
+bash scripts/loc.sh
+
 echo "verify: OK"
