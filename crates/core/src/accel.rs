@@ -310,9 +310,9 @@ impl Accelerator {
                     reg,
                     &self.tables,
                     self.cfg.strip_mark_words,
+                    root,
                     &mut cpu,
-                )
-                .run(root)?;
+                )?;
                 let ns = cpu.report().ns;
                 self.ser_requests += 1;
                 Ok(SerResult {

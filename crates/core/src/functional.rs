@@ -27,10 +27,13 @@ use sdformat::layout::LayoutCounts;
 use sdformat::pack::Packer;
 use sdformat::stream::{decode_ref, encode_ref, CerealStream};
 use sdheap::{
-    Addr, ExtWord, Heap, KlassRegistry, MarkWord, EXT_OFFSET, KLASS_OFFSET, MARK_OFFSET,
+    Addr, ExtWord, Heap, KlassRegistry, MarkWord, EXT_OFFSET, HEADER_WORDS, KLASS_OFFSET,
+    MARK_OFFSET,
 };
-use serializers::SerError;
-use std::collections::VecDeque;
+use serializers::{
+    NullSink, Op, OpBuf, RecordStarts, SerError, TraceSink, OUT_STREAM_BASE,
+};
+use std::collections::{HashMap, VecDeque};
 
 use crate::tables::ClassTables;
 
@@ -150,142 +153,23 @@ impl EncodeCall<'_> {
     /// # Errors
     /// See [`encode`].
     pub fn run(self, root: Addr) -> Result<SerOutcome, SerError> {
-        let EncodeCall {
-            heap,
-            reg,
-            tables,
-            counter,
-            unit,
-            strip_mark_words,
-        } = self;
-
-        let mut events = Vec::new();
-        let mut order: Vec<Addr> = Vec::new();
-        let mut ref_items: Vec<Option<u32>> = Vec::new();
-        let mut next_rel: u64 = 0;
-
-        // Header-manager visit: returns the relative address of `addr`,
-        // assigning one on first visit.
-        let visit = |heap: &mut Heap,
-                         addr: Addr,
-                         next_rel: &mut u64,
-                         order: &mut Vec<Addr>,
-                         events: &mut Vec<SerEvent>|
-         -> Result<u32, SerError> {
-            let ext = heap.ext_word(addr);
-            if ext.visited_in(counter) {
-                if ext.reserving_unit() != Some(unit) {
-                    return Err(SerError::Unsupported(
-                        "shared object reserved by another serialization unit",
-                    ));
-                }
-                events.push(SerEvent::Revisit { addr: addr.get() });
-                return Ok(ext.relative_addr());
-            }
-            let rel = u32::try_from(*next_rel)
-                .map_err(|_| SerError::Unsupported("object graph exceeds 4 GB image"))?;
-            let view = heap.object(reg, addr);
-            let size = view.size_bytes();
-            let refs = view.ref_offsets().len() as u32;
-            let klass = view.klass_id();
-            let meta_addr = reg.meta_addr(klass);
-            let meta_bytes = reg.get(klass).descriptor_words() as u32 * 8;
-            // Verify registration (the CAM lookup the object handler does).
-            tables.id_of(meta_addr)?;
-            // The extension word is runtime-private and never travels
-            // (paper Fig. 4 serializes a 16 B header: mark word + class
-            // ID); stripping additionally drops the mark word.
-            let value_bytes = size as u32
-                - refs * 8
-                - 8
-                - if strip_mark_words { 8 } else { 0 };
-            heap.set_ext_word(
-                addr,
-                ExtWord::new()
-                    .with_counter(counter)
-                    .with_relative_addr(rel)
-                    .with_reserving_unit(unit),
-            );
-            *next_rel += size;
-            order.push(addr);
-            events.push(SerEvent::New(ObjVisit {
-                addr: addr.get(),
-                meta_addr: meta_addr.get(),
-                meta_bytes,
-                size_bytes: size as u32,
-                value_bytes,
-                refs,
-            }));
-            Ok(rel)
+        let strip = self.strip_mark_words;
+        let mut marks = HeaderMarks {
+            heap: self.heap,
+            counter: self.counter,
+            unit: self.unit,
+            strip_mark_words: strip,
+            events: Vec::new(),
         };
-
-        if !root.is_null() {
-            let mut queue: VecDeque<Addr> = VecDeque::new();
-            visit(heap, root, &mut next_rel, &mut order, &mut events)?;
-            queue.push_back(root);
-            while let Some(obj) = queue.pop_front() {
-                let targets: Vec<Addr> = heap.object(reg, obj).references();
-                for t in targets {
-                    if t.is_null() {
-                        ref_items.push(None);
-                        continue;
-                    }
-                    let before = order.len();
-                    let rel = visit(heap, t, &mut next_rel, &mut order, &mut events)?;
-                    ref_items.push(Some(rel));
-                    if order.len() > before {
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-
-        // Object handler + reference array writer + metadata manager
-        // outputs.
-        let mut value_array = Vec::new();
-        let mut ref_packer = Packer::new();
-        let mut bitmap_packer = Packer::new();
-        for &addr in &order {
-            let view = heap.object(reg, addr);
-            let bits = view.layout_bits();
-            for (w, &is_ref) in bits.iter().enumerate() {
-                if is_ref {
-                    continue;
-                }
-                let word = match w {
-                    MARK_OFFSET => {
-                        if strip_mark_words {
-                            continue;
-                        }
-                        view.word(MARK_OFFSET)
-                    }
-                    KLASS_OFFSET => {
-                        u64::from(tables.id_of(Addr(view.word(KLASS_OFFSET)))?)
-                    }
-                    EXT_OFFSET => continue, // runtime-private, regenerated
-                    _ => view.word(w),
-                };
-                value_array.extend_from_slice(&word.to_le_bytes());
-            }
-            bitmap_packer.push_bits(&bits);
-        }
-        for &item in &ref_items {
-            ref_packer.push_value(encode_ref(item));
-        }
-
-        let stream = CerealStream {
-            total_object_bytes: next_rel as u32,
-            object_count: order.len() as u32,
-            value_array,
-            refs: ref_packer.finish(),
-            bitmaps: bitmap_packer.finish(),
-        };
+        let mut silent = OpBuf::for_sink(&NullSink);
+        let (stream, image_bytes) =
+            traverse(&mut marks, self.reg, self.tables, strip, root, &mut silent, &mut NullSink)?;
         let workload = SerWorkload {
-            events,
+            events: marks.events,
             value_bytes: stream.value_array.len() as u64,
             ref_bytes: stream.refs.total_bytes() as u64,
             bitmap_bytes: stream.bitmaps.total_bytes() as u64,
-            image_bytes: next_rel,
+            image_bytes,
         };
         Ok(SerOutcome { stream, workload })
     }
@@ -297,142 +181,229 @@ impl EncodeCall<'_> {
 /// software using a **thread-local hash table** for visited tracking —
 /// no header extensions are read or written.
 ///
-/// Produces a bit-identical stream to the hardware path and narrates the
-/// CPU work into `sink` so the caller can time it on the host model.
-pub fn encode_software<'a>(
-    heap: &'a Heap,
-    reg: &'a KlassRegistry,
-    tables: &'a ClassTables,
+/// Runs the same traversal as [`encode`], so the stream is bit-identical,
+/// and narrates the CPU work into `sink` so the caller can time it on the
+/// host model.
+///
+/// # Errors
+/// [`SerError`] for unregistered classes or over-large graphs.
+pub fn encode_software(
+    heap: &Heap,
+    reg: &KlassRegistry,
+    tables: &ClassTables,
     strip_mark_words: bool,
-    sink: &'a mut dyn serializers::TraceSink,
-) -> SoftwareEncodeCall<'a> {
-    SoftwareEncodeCall {
+    root: Addr,
+    sink: &mut dyn TraceSink,
+) -> Result<CerealStream, SerError> {
+    let mut table = VisitedTable {
         heap,
-        reg,
-        tables,
-        strip_mark_words,
-        sink,
+        rel_of: HashMap::new(),
+    };
+    let mut ops = OpBuf::for_sink(sink);
+    let r = traverse(&mut table, reg, tables, strip_mark_words, root, &mut ops, sink);
+    ops.flush(sink);
+    r.map(|(stream, _)| stream)
+}
+
+/// How the header manager tracks visited objects.
+trait Visits {
+    /// The heap being serialized.
+    fn heap(&self) -> &Heap;
+
+    /// The relative address recorded for `addr`, if it was visited.
+    fn visited(&mut self, addr: Addr, ops: &mut OpBuf) -> Result<Option<u32>, SerError>;
+
+    /// Records the first visit of `addr`, assigned relative address `rel`.
+    fn first_visit(&mut self, reg: &KlassRegistry, addr: Addr, rel: u32, ops: &mut OpBuf);
+}
+
+/// The SU's visited state: the serialization counter, relative address
+/// and reserving unit in each object's header extension (§V-E), plus
+/// the traversal steps the SU timing model replays.
+struct HeaderMarks<'a> {
+    heap: &'a mut Heap,
+    counter: u16,
+    unit: u8,
+    strip_mark_words: bool,
+    events: Vec<SerEvent>,
+}
+
+impl Visits for HeaderMarks<'_> {
+    fn heap(&self) -> &Heap {
+        self.heap
+    }
+
+    fn visited(&mut self, addr: Addr, _: &mut OpBuf) -> Result<Option<u32>, SerError> {
+        let ext = self.heap.ext_word(addr);
+        if !ext.visited_in(self.counter) {
+            return Ok(None);
+        }
+        if ext.reserving_unit() != Some(self.unit) {
+            return Err(SerError::Unsupported(
+                "shared object reserved by another serialization unit",
+            ));
+        }
+        self.events.push(SerEvent::Revisit { addr: addr.get() });
+        Ok(Some(ext.relative_addr()))
+    }
+
+    fn first_visit(&mut self, reg: &KlassRegistry, addr: Addr, rel: u32, _: &mut OpBuf) {
+        let view = self.heap.object(reg, addr);
+        let size = view.size_bytes() as u32;
+        let refs = view.ref_offsets().len() as u32;
+        let klass = view.klass_id();
+        // The extension word is runtime-private and never travels
+        // (paper Fig. 4 serializes a 16 B header: mark word + class
+        // ID); stripping additionally drops the mark word.
+        let value_bytes = size - refs * 8 - 8 - if self.strip_mark_words { 8 } else { 0 };
+        self.heap.set_ext_word(
+            addr,
+            ExtWord::new()
+                .with_counter(self.counter)
+                .with_relative_addr(rel)
+                .with_reserving_unit(self.unit),
+        );
+        self.events.push(SerEvent::New(ObjVisit {
+            addr: addr.get(),
+            meta_addr: reg.meta_addr(klass).get(),
+            meta_bytes: reg.get(klass).descriptor_words() as u32 * 8,
+            size_bytes: size,
+            value_bytes,
+            refs,
+        }));
     }
 }
 
-/// Carrier for [`encode_software`].
-pub struct SoftwareEncodeCall<'a> {
+/// The software fallback's thread-local visited table; each probe and
+/// each first-visit header fetch is narrated.
+struct VisitedTable<'a> {
     heap: &'a Heap,
-    reg: &'a KlassRegistry,
-    tables: &'a ClassTables,
-    strip_mark_words: bool,
-    sink: &'a mut dyn serializers::TraceSink,
+    rel_of: HashMap<Addr, u32>,
 }
 
-impl SoftwareEncodeCall<'_> {
-    /// Runs the fallback serialization from `root`.
-    ///
-    /// # Errors
-    /// [`SerError`] for unregistered classes or over-large graphs.
-    pub fn run(self, root: Addr) -> Result<CerealStream, SerError> {
-        let SoftwareEncodeCall {
-            heap,
-            reg,
-            tables,
-            strip_mark_words,
-            sink,
-        } = self;
-        let mut tracer = serializers::Tracer::new(sink);
-        let mut rel_of: std::collections::HashMap<Addr, u32> = std::collections::HashMap::new();
-        let mut order: Vec<Addr> = Vec::new();
-        let mut ref_items: Vec<Option<u32>> = Vec::new();
-        let mut next_rel: u64 = 0;
+impl Visits for VisitedTable<'_> {
+    fn heap(&self) -> &Heap {
+        self.heap
+    }
 
-        if !root.is_null() {
-            let mut queue = VecDeque::new();
-            let visit = |heap: &Heap,
-                         addr: Addr,
-                         next_rel: &mut u64,
-                         order: &mut Vec<Addr>,
-                         rel_of: &mut std::collections::HashMap<Addr, u32>,
-                         tracer: &mut serializers::Tracer|
-             -> Result<(u32, bool), SerError> {
-                tracer.hash_lookup(); // thread-local visited table probe
-                if let Some(&rel) = rel_of.get(&addr) {
-                    return Ok((rel, false));
-                }
-                tracer.load_word_dep(addr.get());
-                tracer.load_word_dep(addr.add_words(1).get());
-                let rel = u32::try_from(*next_rel)
-                    .map_err(|_| SerError::Unsupported("object graph exceeds 4 GB image"))?;
-                let view = heap.object(reg, addr);
-                tables.id_of(reg.meta_addr(view.klass_id()))?;
-                *next_rel += view.size_bytes();
-                rel_of.insert(addr, rel);
-                order.push(addr);
-                Ok((rel, true))
-            };
-            visit(heap, root, &mut next_rel, &mut order, &mut rel_of, &mut tracer)?;
-            queue.push_back(root);
-            while let Some(obj) = queue.pop_front() {
-                for t in heap.object(reg, obj).references() {
-                    if t.is_null() {
-                        ref_items.push(None);
-                        continue;
-                    }
-                    let (rel, fresh) =
-                        visit(heap, t, &mut next_rel, &mut order, &mut rel_of, &mut tracer)?;
-                    ref_items.push(Some(rel));
-                    if fresh {
-                        queue.push_back(t);
-                    }
-                }
-            }
+    fn visited(&mut self, addr: Addr, ops: &mut OpBuf) -> Result<Option<u32>, SerError> {
+        ops.push(Op::HashLookup);
+        Ok(self.rel_of.get(&addr).copied())
+    }
+
+    fn first_visit(&mut self, _: &KlassRegistry, addr: Addr, rel: u32, ops: &mut OpBuf) {
+        ops.load_word_dep(addr.get());
+        ops.load_word_dep(addr.add_words(KLASS_OFFSET as u64).get());
+        self.rel_of.insert(addr, rel);
+    }
+}
+
+/// The serialization data path, shared by the SU model and the software
+/// fallback. Returns the stream and the image size in bytes.
+///
+/// 1. The header-manager traversal: breadth-first, FIFO as references
+///    stream in, assigning each first-visited object its relative
+///    address (the running sum of object sizes).
+/// 2. The object handler's split of every object word into the value
+///    array and the reference array, and the metadata manager's layout
+///    bitmaps. The work is narrated into `ops` (a silent buffer for the
+///    SU, whose cost the timing model derives from the events instead).
+fn traverse<V: Visits>(
+    v: &mut V,
+    reg: &KlassRegistry,
+    tables: &ClassTables,
+    strip_mark_words: bool,
+    root: Addr,
+    ops: &mut OpBuf,
+    sink: &mut dyn TraceSink,
+) -> Result<(CerealStream, u64), SerError> {
+    let mut order: Vec<Addr> = Vec::new();
+    let mut ref_items: Vec<Option<u32>> = Vec::new();
+    let mut next_rel: u64 = 0;
+
+    // Header-manager visit: the relative address of `addr` and whether
+    // this was its first visit.
+    let mut visit = |v: &mut V, addr: Addr, ops: &mut OpBuf| -> Result<(u32, bool), SerError> {
+        if let Some(rel) = v.visited(addr, ops)? {
+            return Ok((rel, false));
         }
-
-        let mut value_array = Vec::new();
-        let mut ref_packer = Packer::new();
-        let mut bitmap_packer = Packer::new();
-        for &addr in &order {
-            let view = heap.object(reg, addr);
-            let bits = view.layout_bits();
-            for (w, &is_ref) in bits.iter().enumerate() {
-                tracer.load_word(addr.add_words(w as u64).get());
-                if is_ref {
+        let rel = u32::try_from(next_rel)
+            .map_err(|_| SerError::Unsupported("object graph exceeds 4 GB image"))?;
+        let view = v.heap().object(reg, addr);
+        // Verify registration (the CAM lookup the object handler does).
+        tables.id_of(reg.meta_addr(view.klass_id()))?;
+        next_rel += view.size_bytes();
+        v.first_visit(reg, addr, rel, ops);
+        order.push(addr);
+        Ok((rel, true))
+    };
+    if !root.is_null() {
+        let mut queue: VecDeque<Addr> = VecDeque::new();
+        visit(v, root, ops)?;
+        queue.push_back(root);
+        while let Some(obj) = queue.pop_front() {
+            for t in v.heap().object(reg, obj).references() {
+                if t.is_null() {
+                    ref_items.push(None);
                     continue;
                 }
-                let word = match w {
-                    MARK_OFFSET => {
-                        if strip_mark_words {
-                            continue;
-                        }
-                        view.word(MARK_OFFSET)
-                    }
-                    KLASS_OFFSET => u64::from(tables.id_of(Addr(view.word(KLASS_OFFSET)))?),
-                    EXT_OFFSET => continue,
-                    _ => view.word(w),
-                };
-                tracer.store_bytes(
-                    serializers::OUT_STREAM_BASE + value_array.len() as u64,
-                    8,
-                );
-                value_array.extend_from_slice(&word.to_le_bytes());
+                let (rel, fresh) = visit(v, t, ops)?;
+                ref_items.push(Some(rel));
+                if fresh {
+                    queue.push_back(t);
+                }
             }
-            tracer.alu(bits.len() as u32); // bitmap packing
-            bitmap_packer.push_bits(&bits);
         }
-        for &item in &ref_items {
-            tracer.alu(4); // significant-bit extraction + end-bit insert
-            ref_packer.push_value(encode_ref(item));
-        }
-
-        Ok(CerealStream {
-            total_object_bytes: next_rel as u32,
-            object_count: order.len() as u32,
-            value_array,
-            refs: ref_packer.finish(),
-            bitmaps: bitmap_packer.finish(),
-        })
     }
+
+    let heap = v.heap();
+    let mut value_array = Vec::new();
+    let mut ref_packer = Packer::new();
+    let mut bitmap_packer = Packer::new();
+    for &addr in &order {
+        let view = heap.object(reg, addr);
+        let bits = view.layout_bits();
+        for (w, &is_ref) in bits.iter().enumerate() {
+            ops.load(addr.add_words(w as u64).get(), 8);
+            if is_ref {
+                continue;
+            }
+            let word = match w {
+                MARK_OFFSET if strip_mark_words => continue,
+                KLASS_OFFSET => u64::from(tables.id_of(Addr(view.word(KLASS_OFFSET)))?),
+                EXT_OFFSET => continue, // runtime-private, regenerated
+                _ => view.word(w),
+            };
+            ops.store(OUT_STREAM_BASE + value_array.len() as u64, 8);
+            value_array.extend_from_slice(&word.to_le_bytes());
+        }
+        ops.push(Op::Alu(bits.len() as u32)); // bitmap packing
+        bitmap_packer.push_bits(&bits);
+        ops.maybe_flush(sink);
+    }
+    for &item in &ref_items {
+        ops.push(Op::Alu(4)); // significant-bit extraction + end-bit insert
+        ref_packer.push_value(encode_ref(item));
+    }
+
+    let stream = CerealStream {
+        total_object_bytes: next_rel as u32,
+        object_count: order.len() as u32,
+        value_array,
+        refs: ref_packer.finish(),
+        bitmaps: bitmap_packer.finish(),
+    };
+    Ok((stream, next_rel))
 }
 
 /// Reconstructs a stream into `dst`, returning the root address and the
 /// DU workload descriptor.
+///
+/// The bitmaps tile the image, one record each. Every reference must
+/// land on a record start, and every record must match the layout of the
+/// class its id names (size, array length and reference slots), so an
+/// `Ok` heap always walks. These checks are functional only: the DU
+/// workload, and so DU timing, does not see them.
 ///
 /// # Errors
 /// [`SerError::Malformed`] on inconsistent streams,
@@ -457,6 +428,23 @@ pub fn decode(
     if bitmaps.len() != stream.object_count as usize {
         return Err(SerError::Malformed("bitmap count mismatch"));
     }
+    let mut starts = RecordStarts::new(image_bytes);
+    let mut offset_words: u64 = 0;
+    for bits in &bitmaps {
+        let words = bits.len() as u64;
+        if words == 0 {
+            return Err(SerError::Malformed("empty record bitmap"));
+        }
+        if (offset_words + words) * 8 > image_bytes {
+            return Err(SerError::Malformed("bitmaps overflow declared image"));
+        }
+        starts.insert(offset_words * 8);
+        offset_words += words;
+    }
+    if offset_words * 8 != image_bytes {
+        return Err(SerError::Malformed("bitmaps do not cover declared image"));
+    }
+
     let values = stream.value_words();
     let mut value_iter = values.iter().copied();
     let mut ref_unpacker = sdformat::pack::Unpacker::new(&stream.refs);
@@ -465,12 +453,10 @@ pub fn decode(
     let mut image_bits: Vec<bool> = Vec::with_capacity((image_bytes / 8) as usize);
     let mut offset_words: u64 = 0;
     for bits in &bitmaps {
-        let words = bits.len() as u64;
-        if (offset_words + words) * 8 > image_bytes {
-            return Err(SerError::Malformed("bitmaps overflow declared image"));
-        }
+        let record = base.add_words(offset_words);
+        let mut class_id = None;
         for (w, &is_ref) in bits.iter().enumerate() {
-            let addr = base.add_words(offset_words + w as u64);
+            let addr = record.add_words(w as u64);
             let word = if is_ref {
                 let item = ref_unpacker
                     .next_value()
@@ -482,8 +468,8 @@ pub fn decode(
                 match decode_ref(item) {
                     None => 0,
                     Some(rel) => {
-                        if u64::from(rel) >= image_bytes {
-                            return Err(SerError::Malformed("relative address out of image"));
+                        if !starts.contains(u64::from(rel)) {
+                            return Err(SerError::Malformed("reference to no record start"));
                         }
                         base.add_bytes(u64::from(rel)).get()
                     }
@@ -506,6 +492,7 @@ pub fn decode(
                             .ok_or(SerError::Malformed("value array underrun"))?;
                         let id = u32::try_from(id)
                             .map_err(|_| SerError::Malformed("class id too large"))?;
+                        class_id = Some(id);
                         tables.addr_of(id)?.get()
                     }
                     _ => value_iter
@@ -515,11 +502,14 @@ pub fn decode(
             };
             dst.store(addr, word);
         }
+        let id = class_id.ok_or(SerError::Malformed("record without a class id"))?;
+        let array_len = (bits.len() > HEADER_WORDS)
+            .then(|| dst.load(record.add_words(HEADER_WORDS as u64)));
+        if !tables.fits(id, bits, array_len) {
+            return Err(SerError::Malformed("record does not match its class layout"));
+        }
         image_bits.extend_from_slice(bits);
-        offset_words += words;
-    }
-    if offset_words * 8 != image_bytes {
-        return Err(SerError::Malformed("bitmaps do not cover declared image"));
+        offset_words += bits.len() as u64;
     }
     if value_iter.next().is_some() {
         return Err(SerError::Malformed("value array overrun"));
@@ -726,6 +716,42 @@ mod tests {
             decode(&s3, &tables, &mut dst3, false),
             Err(SerError::Malformed(_))
         ));
+
+        // Well-formed streams whose records or references disagree with
+        // the image: each would otherwise decode into a heap that does
+        // not walk.
+        let mut b = GraphBuilder::new(1 << 18);
+        let k = b.klass(
+            "N",
+            vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+        );
+        let arr = b.array_klass("double[]", FieldKind::Value(ValueType::Double));
+        let data = b.value_array(arr, &[1, 2, 3, 4, 5, 6, 7]).unwrap();
+        let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
+        let x = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Ref(data)]).unwrap();
+        let a = b.object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)]).unwrap();
+        let (mut heap, reg) = b.finish();
+        let tables = tables_for(&reg);
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(a).unwrap();
+        let rejects = |s: &CerealStream| {
+            let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
+            matches!(decode(s, &tables, &mut dst, false), Err(SerError::Malformed(_)))
+        };
+
+        // The first reference points into the root's header, not at a
+        // record start.
+        let mut s = out.stream.clone();
+        let mut items = s.refs.to_values();
+        items[0] = sdformat::stream::encode_ref(Some(8));
+        s.refs = sdformat::pack::Packed::from_values(items);
+        assert!(rejects(&s), "reference to a non-start");
+
+        // The double[]'s length word (value 11, after three 3-word
+        // objects, its mark word and its class id) disagrees with its
+        // 11-word bitmap.
+        let mut s = out.stream.clone();
+        s.value_array[11 * 8..12 * 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(rejects(&s), "array length against bitmap");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! applications" (§V-E) — and registration fails beyond that, which is
 //! the hardware limitation the paper discusses.
 
-use sdheap::{Addr, KlassId, KlassRegistry};
+use sdheap::{Addr, KlassId, KlassRegistry, HEADER_WORDS};
 use serializers::SerError;
 use std::collections::HashMap;
 
@@ -21,9 +21,19 @@ use std::collections::HashMap;
 pub struct ClassTables {
     /// klass address → class ID (serialization direction, the CAM).
     by_addr: HashMap<u64, u32>,
-    /// class ID → klass address (deserialization direction, the SRAM).
-    by_id: HashMap<u32, u64>,
+    /// class ID → klass address (deserialization direction, the SRAM),
+    /// with the class's record layout for checking untrusted streams.
+    by_id: HashMap<u32, (u64, Shape)>,
     capacity: usize,
+}
+
+/// The layout bitmap a record of one class must carry.
+#[derive(Clone, Debug)]
+enum Shape {
+    /// An instance: one bit per word, set for reference slots.
+    Instance(Vec<bool>),
+    /// An array: whether its elements are references.
+    Array(bool),
 }
 
 impl ClassTables {
@@ -51,8 +61,19 @@ impl ClassTables {
                 "Klass Pointer Table full: too many serializable class types",
             ));
         }
+        let k = reg.get(id);
+        let shape = match k.array_elem() {
+            Some(elem) => Shape::Array(elem.is_ref()),
+            None => {
+                let mut bits = vec![false; k.instance_words()];
+                for w in k.ref_offsets() {
+                    bits[w] = true;
+                }
+                Shape::Instance(bits)
+            }
+        };
         self.by_addr.insert(addr, id.get());
-        self.by_id.insert(id.get(), addr);
+        self.by_id.insert(id.get(), (addr, shape));
         Ok(())
     }
 
@@ -87,8 +108,28 @@ impl ClassTables {
     pub fn addr_of(&self, class_id: u32) -> Result<Addr, SerError> {
         self.by_id
             .get(&class_id)
-            .map(|&a| Addr(a))
+            .map(|&(a, _)| Addr(a))
             .ok_or(SerError::UnknownClassId(class_id))
+    }
+
+    /// `true` if a record with layout bitmap `bits` can be an object of
+    /// class `class_id`. `array_len` is the record's word past the
+    /// header, if it has one: an array's declared length.
+    pub(crate) fn fits(&self, class_id: u32, bits: &[bool], array_len: Option<u64>) -> bool {
+        match self.by_id.get(&class_id) {
+            Some((_, Shape::Instance(layout))) => bits == &layout[..],
+            Some(&(_, Shape::Array(refs))) => {
+                match (array_len, bits.split_at_checked(HEADER_WORDS + 1)) {
+                    (Some(len), Some((head, elems))) => {
+                        len == elems.len() as u64
+                            && !head.contains(&true)
+                            && elems.iter().all(|&b| b == refs)
+                    }
+                    _ => false,
+                }
+            }
+            None => false,
+        }
     }
 
     /// Registered entry count.

@@ -8,10 +8,15 @@
 //! |---|---|---|---|
 //! | [`JavaSd`] | class/field **name strings** | `java.lang.reflect` model | per-field, big-endian |
 //! | [`Kryo`] | registered integer **class IDs** | generated accessors | varints + fixed widths |
-//! | [`Skyway`] | automatic integer type IDs | none — raw copy | whole objects, relative refs |
+//! | [`Skyway`] | automatic integer type IDs | none — raw copy | relocatable image, 8 B header |
 //! | [`JsonLike`] | class/field names **as text** | text formatting/parsing | human-readable JSON |
 //! | [`ProtoLike`] | schema tags (codegen) | inlined generated code | zigzag varints |
-//! | [`Archive`] | integer klass tags | none — validate in place | relative-offset records, zero-copy reads |
+//! | [`Archive`] | integer klass tags | none — validate in place | relocatable image, 16 B header, zero-copy reads |
+//!
+//! Java S/D, Kryo and ProtoLike are dialects of one plan runner; Skyway
+//! and Archive are dialects of one relocatable-image codec (the same
+//! record image behind different headers and narration). Every backend
+//! narrates through [`OpBuf`].
 //!
 //! Every backend here (and Cereal's functional model in the `cereal`
 //! crate) implements the common [`Serializer`] trait, really produces and
@@ -44,6 +49,7 @@
 
 pub mod api;
 pub mod archive;
+mod image;
 pub mod javasd;
 pub mod jsonlike;
 pub mod kryo;
@@ -54,6 +60,7 @@ pub mod skyway;
 pub mod trace;
 
 pub use api::{SerError, Serializer};
+pub use image::RecordStarts;
 pub use archive::{fold_words_heap, Archive, ArchiveError, ArchiveView};
 pub use plan::{Plan, PlanCache};
 pub use javasd::JavaSd;
@@ -61,7 +68,4 @@ pub use jsonlike::JsonLike;
 pub use kryo::Kryo;
 pub use protolike::ProtoLike;
 pub use skyway::Skyway;
-pub use trace::{
-    BufferedSink, CountingSink, NullSink, Op, OpBuf, TraceSink, Tracer, IN_STREAM_BASE,
-    OUT_STREAM_BASE,
-};
+pub use trace::{CountingSink, NullSink, Op, OpBuf, TraceSink, IN_STREAM_BASE, OUT_STREAM_BASE};

@@ -15,8 +15,10 @@
 //! The plan is the frontend; the wire format is the backend. Java S/D,
 //! Kryo and ProtoLike run these programs through the one traversal in
 //! `runner.rs`, each supplying only its wire dialect
-//! (`runner::Dialect`); JsonLike's text executor and the archive's layout
-//! pass read the same plans.
+//! (`runner::Dialect`). Skyway and Archive are dialects of the image codec
+//! in `image.rs` (`image::Dialect`), whose layout pass sizes records and
+//! finds reference slots from the same plans; JsonLike's text executor
+//! reads them too.
 //!
 //! The byte streams and narrated [`crate::Op`] sequences of these
 //! backends — and therefore every simulated metric downstream — are

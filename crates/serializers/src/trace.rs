@@ -78,11 +78,9 @@ pub trait TraceSink {
     }
 
     /// `true` if this sink provably ignores every operation
-    /// ([`NullSink`]). Batched narrators ([`OpBuf`]) consult this once
-    /// and skip op construction and delivery entirely — the observable
-    /// outcome (nothing) is identical, but the buffering work is saved.
-    /// Per-op narrators ([`Tracer`]) do not consult it: their call sites
-    /// are scattered, so a per-op branch would cost what it saves.
+    /// ([`NullSink`]). [`OpBuf`] consults this once and skips op
+    /// construction and delivery entirely — the observable outcome
+    /// (nothing) is identical, but the buffering work is saved.
     /// Default `false`.
     fn discards_ops(&self) -> bool {
         false
@@ -190,79 +188,19 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Batches ops into fixed-size slices before forwarding to an inner
-/// sink via [`TraceSink::ops`].
+/// The one narrator: every serializer buffers its ops here.
 ///
-/// Serializers narrate one op at a time; wrapping their sink in a
-/// `BufferedSink` turns that into slice-granular delivery, which is the
-/// cheap path for `sim::Cpu`. The op *sequence* the inner sink observes
-/// is unchanged, so timing is bit-identical to the unbuffered path.
-/// Call [`BufferedSink::flush`] (or drop the wrapper) before reading
-/// results out of the inner sink.
-pub struct BufferedSink<'a> {
-    inner: &'a mut dyn TraceSink,
-    buf: Vec<Op>,
-}
-
-/// Buffered ops per flush: large enough to amortize dispatch, small
-/// enough to stay cache-resident (16 B/op × 4096 = 64 KB).
-const BUFFER_OPS: usize = 4096;
-
-impl<'a> BufferedSink<'a> {
-    /// Wraps `inner` with the default buffer capacity.
-    pub fn new(inner: &'a mut dyn TraceSink) -> Self {
-        BufferedSink {
-            inner,
-            buf: Vec::with_capacity(BUFFER_OPS),
-        }
-    }
-
-    /// Forwards every buffered op to the inner sink.
-    pub fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            self.inner.ops(&self.buf);
-            self.buf.clear();
-        }
-    }
-}
-
-impl TraceSink for BufferedSink<'_> {
-    fn op(&mut self, op: Op) {
-        self.buf.push(op);
-        if self.buf.len() == self.buf.capacity() {
-            self.flush();
-        }
-    }
-
-    fn ops(&mut self, ops: &[Op]) {
-        self.flush();
-        self.inner.ops(ops);
-    }
-}
-
-impl Drop for BufferedSink<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// An op accumulator for the compiled-plan executors.
+/// An `OpBuf` is a plain struct the serializer owns, so every `push` is a
+/// statically dispatched `Vec` append the compiler can inline. The
+/// buffered sequence is handed to the sink in slices via
+/// [`TraceSink::ops`], which the contract guarantees is timing-identical
+/// to per-op delivery. Serializers flush at object boundaries (and
+/// always before returning, error or not), so the sink observes exactly
+/// the sequence a per-op narrator would have delivered.
 ///
-/// Unlike [`BufferedSink`] — which still costs one virtual `op` call per
-/// operation at the emission site — an `OpBuf` is a plain struct the
-/// executor owns, so every `push` is a statically dispatched `Vec` append
-/// the compiler can inline. The buffered sequence is handed to the sink in
-/// slices via [`TraceSink::ops`], which the contract guarantees is
-/// timing-identical to per-op delivery. Executors flush at dispatch
-/// boundaries (and always before returning an error) so the sink observes
-/// exactly the sequence a per-op narrator would have delivered.
-///
-/// Because narration is centralized here, an executor built with
-/// [`OpBuf::for_sink`] against a sink whose
-/// [`TraceSink::discards_ops`] is `true` skips buffering entirely —
-/// one predictable branch per op instead of a `Vec` append — which a
-/// per-op [`Tracer`] (Skyway, the Cereal functional model), with
-/// narration scattered across its call sites, cannot do.
+/// A buffer built with [`OpBuf::for_sink`] against a sink whose
+/// [`TraceSink::discards_ops`] is `true` records nothing: each op costs
+/// one predictable branch instead of a `Vec` append.
 pub struct OpBuf {
     buf: Vec<Op>,
     enabled: bool,
@@ -360,95 +298,6 @@ impl OpBuf {
     }
 }
 
-/// Convenience wrapper giving serializers terse emission methods.
-pub struct Tracer<'a> {
-    sink: &'a mut dyn TraceSink,
-}
-
-impl<'a> Tracer<'a> {
-    /// Wraps a sink.
-    pub fn new(sink: &'a mut dyn TraceSink) -> Self {
-        Tracer { sink }
-    }
-
-    /// Emits a raw op.
-    pub fn op(&mut self, op: Op) {
-        self.sink.op(op);
-    }
-
-    /// Independent word load.
-    pub fn load_word(&mut self, addr: u64) {
-        self.sink.op(Op::Load {
-            addr,
-            bytes: 8,
-            dependent: false,
-        });
-    }
-
-    /// Dependent (pointer-chased) word load.
-    pub fn load_word_dep(&mut self, addr: u64) {
-        self.sink.op(Op::Load {
-            addr,
-            bytes: 8,
-            dependent: true,
-        });
-    }
-
-    /// Word store.
-    pub fn store_word(&mut self, addr: u64) {
-        self.sink.op(Op::Store { addr, bytes: 8 });
-    }
-
-    /// Byte-granular load.
-    pub fn load_bytes(&mut self, addr: u64, bytes: u32) {
-        self.sink.op(Op::Load {
-            addr,
-            bytes,
-            dependent: false,
-        });
-    }
-
-    /// Byte-granular store.
-    pub fn store_bytes(&mut self, addr: u64, bytes: u32) {
-        self.sink.op(Op::Store { addr, bytes });
-    }
-
-    /// `n` ALU ops.
-    pub fn alu(&mut self, n: u32) {
-        self.sink.op(Op::Alu(n));
-    }
-
-    /// One branch.
-    pub fn branch(&mut self) {
-        self.sink.op(Op::Branch);
-    }
-
-    /// One call.
-    pub fn call(&mut self) {
-        self.sink.op(Op::Call);
-    }
-
-    /// One reflective call.
-    pub fn reflect_call(&mut self) {
-        self.sink.op(Op::ReflectCall);
-    }
-
-    /// String compare of `n` bytes.
-    pub fn str_compare(&mut self, n: u32) {
-        self.sink.op(Op::StrCompare(n));
-    }
-
-    /// One hash probe.
-    pub fn hash_lookup(&mut self) {
-        self.sink.op(Op::HashLookup);
-    }
-
-    /// Allocation of `n` bytes.
-    pub fn alloc(&mut self, n: u32) {
-        self.sink.op(Op::Alloc(n));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,18 +305,30 @@ mod tests {
     #[test]
     fn counting_sink_tallies() {
         let mut c = CountingSink::new();
-        {
-            let mut t = Tracer::new(&mut c);
-            t.load_word(0x100);
-            t.load_word_dep(0x200);
-            t.store_bytes(0x300, 16);
-            t.alu(3);
-            t.branch();
-            t.call();
-            t.reflect_call();
-            t.str_compare(12);
-            t.hash_lookup();
-            t.alloc(48);
+        for op in [
+            Op::Load {
+                addr: 0x100,
+                bytes: 8,
+                dependent: false,
+            },
+            Op::Load {
+                addr: 0x200,
+                bytes: 8,
+                dependent: true,
+            },
+            Op::Store {
+                addr: 0x300,
+                bytes: 16,
+            },
+            Op::Alu(3),
+            Op::Branch,
+            Op::Call,
+            Op::ReflectCall,
+            Op::StrCompare(12),
+            Op::HashLookup,
+            Op::Alloc(48),
+        ] {
+            c.op(op);
         }
         assert_eq!(c.loads, 2);
         assert_eq!(c.dependent_loads, 1);
@@ -483,32 +344,6 @@ mod tests {
         assert_eq!(c.allocs, 1);
         assert_eq!(c.alloc_bytes, 48);
         assert!(c.total_ops() > 0);
-    }
-
-    #[test]
-    fn buffered_sink_preserves_the_op_sequence() {
-        let mut direct = CountingSink::new();
-        let mut buffered = CountingSink::new();
-        let emit = |sink: &mut dyn TraceSink| {
-            for i in 0..10_000u64 {
-                sink.op(Op::Load {
-                    addr: i * 8,
-                    bytes: 8,
-                    dependent: i % 3 == 0,
-                });
-                sink.op(Op::Alu((i % 7) as u32));
-                if i % 11 == 0 {
-                    // Mixed granularity: slice delivery into a buffer.
-                    sink.ops(&[Op::Branch, Op::HashLookup]);
-                }
-            }
-        };
-        emit(&mut direct);
-        {
-            let mut b = BufferedSink::new(&mut buffered);
-            emit(&mut b);
-        } // drop flushes
-        assert_eq!(direct, buffered);
     }
 
     #[test]

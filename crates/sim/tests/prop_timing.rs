@@ -5,7 +5,7 @@
 //! in-repo PRNG so the suite runs offline.
 
 use sdheap::rng::Rng;
-use serializers::{BufferedSink, Op, TraceSink};
+use serializers::{Op, OpBuf, TraceSink};
 use sim::{Cpu, Dram, DramConfig, Hierarchy, Mai, MaiConfig, ReorderBuffer, Tlb};
 
 /// DRAM completions respect causality and service time; the byte meter
@@ -110,7 +110,7 @@ fn reorder_buffer_is_monotone() {
 }
 
 /// Golden equivalence of the three trace delivery modes: per-op calls,
-/// one `ops` slice, and `BufferedSink`-batched delivery must produce
+/// one `ops` slice, and `OpBuf`-batched delivery must produce
 /// bit-identical CPU reports — batching is a dispatch optimization, not
 /// a model change.
 #[test]
@@ -146,12 +146,12 @@ fn cpu_batched_trace_is_bit_identical_to_per_op() {
         let mut sliced = Cpu::host();
         sliced.ops(&trace);
         let mut buffered = Cpu::host();
-        {
-            let mut sink = BufferedSink::new(&mut buffered);
-            for &op in &trace {
-                sink.op(op);
-            }
+        let mut buf = OpBuf::for_sink(&buffered);
+        for &op in &trace {
+            buf.push(op);
+            buf.maybe_flush(&mut buffered);
         }
+        buf.flush(&mut buffered);
 
         let a = per_op.report();
         for (label, r) in [("slice", sliced.report()), ("buffered", buffered.report())] {
