@@ -107,6 +107,50 @@ fn pack_size_bounds() {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
+}
+
+/// Frozen packed stream for 4096 fixed-seed values of every width from
+/// 1 to 64 bits: payload length and FNV-1a-64, end-map length and
+/// FNV-1a-64. Recorded while the bit-by-bit reference packer still
+/// checked the same stream, so it stands in for that packer. A
+/// word-at-a-time `next_set` scan must find every item boundary.
+#[test]
+fn pack_matches_frozen_stream() {
+    let mut rng = Rng::new(0x5EED_CAFE);
+    let values: Vec<u64> = (0..4096)
+        .map(|_| {
+            let width = rng.gen_range_u64(1, 65) as u32;
+            rng.next_u64() >> (64 - width)
+        })
+        .collect();
+    let packed = Packed::from_values(values.iter().copied());
+    let map = &packed.end_map;
+    assert_eq!(
+        (
+            packed.bytes.len(),
+            fnv1a(&packed.bytes),
+            map.len(),
+            fnv1a(map.as_bytes())
+        ),
+        (18176, 0x0a4f_e5af_10c0_690a, 18176, 0x5066_3302_f1fd_07b4),
+        "packed stream drifted"
+    );
+    let (mut pos, mut items) = (0, 0);
+    while let Some(end) = map.next_set(pos, map.len()) {
+        items += 1;
+        pos = end + 1;
+    }
+    assert_eq!((items, pos), (values.len(), map.len()));
+    assert_eq!(packed.to_values(), values);
+}
+
 /// Varints roundtrip.
 #[test]
 fn varint_roundtrip() {
