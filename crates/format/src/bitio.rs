@@ -8,10 +8,9 @@
 //! `u64` (left-aligned, stream order = descending significance) and
 //! spill to the byte vector eight bytes at a time, so a `push_bits` of
 //! any width costs a couple of shift/mask/OR operations instead of one
-//! call per bit. The emitted byte stream is bit-identical to the
-//! original bit-by-bit implementation, which is retained in [`naive`]
-//! as the golden reference the equivalence tests and the `perf`
-//! harness compare against.
+//! call per bit. Streams and reads are bit-identical to a bit-by-bit
+//! writer and reader, which `tests/bitio_golden.rs` keeps as its
+//! reference.
 
 /// Append-only bit stream writer.
 #[derive(Clone, Debug, Default)]
@@ -167,117 +166,6 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// The original bit-by-bit implementation, kept as the golden reference
-/// for stream-equivalence tests and as the "before" side of the `perf`
-/// harness's pack/unpack kernel comparison. Not used on any hot path.
-pub mod naive {
-    /// Bit-by-bit writer (reference implementation).
-    #[derive(Clone, Debug, Default)]
-    pub struct NaiveBitWriter {
-        bytes: Vec<u8>,
-        /// Bits already used in the last byte (0 = last byte is full/absent).
-        partial: u8,
-    }
-
-    impl NaiveBitWriter {
-        /// An empty writer.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Appends one bit.
-        pub fn push(&mut self, bit: bool) {
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            if bit {
-                let last = self.bytes.last_mut().expect("just pushed");
-                *last |= 1 << (7 - self.partial);
-            }
-            self.partial = (self.partial + 1) % 8;
-        }
-
-        /// Appends the `n` least-significant bits of `value`, most
-        /// significant of those first.
-        ///
-        /// # Panics
-        /// Panics if `n > 64`.
-        pub fn push_bits(&mut self, value: u64, n: u32) {
-            assert!(n <= 64, "cannot push {n} bits");
-            for i in (0..n).rev() {
-                self.push((value >> i) & 1 == 1);
-            }
-        }
-
-        /// Appends a slice of bits.
-        pub fn push_slice(&mut self, bits: &[bool]) {
-            for &b in bits {
-                self.push(b);
-            }
-        }
-
-        /// Zero-pads to the next byte boundary; returns the pad count.
-        pub fn pad_to_byte(&mut self) -> u32 {
-            let pad = (8 - u32::from(self.partial)) % 8;
-            for _ in 0..pad {
-                self.push(false);
-            }
-            pad
-        }
-
-        /// Total bits written so far.
-        pub fn bit_len(&self) -> usize {
-            if self.partial == 0 {
-                self.bytes.len() * 8
-            } else {
-                (self.bytes.len() - 1) * 8 + self.partial as usize
-            }
-        }
-
-        /// Finishes the stream (zero-padded) and returns the bytes.
-        pub fn into_bytes(mut self) -> Vec<u8> {
-            self.pad_to_byte();
-            self.bytes
-        }
-    }
-
-    /// Bit-by-bit reader (reference implementation).
-    #[derive(Clone, Debug)]
-    pub struct NaiveBitReader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> NaiveBitReader<'a> {
-        /// A reader over `bytes`.
-        pub fn new(bytes: &'a [u8]) -> Self {
-            NaiveBitReader { bytes, pos: 0 }
-        }
-
-        /// Reads one bit; `None` at end of stream.
-        pub fn next_bit(&mut self) -> Option<bool> {
-            let byte = self.bytes.get(self.pos / 8)?;
-            let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
-            self.pos += 1;
-            Some(bit)
-        }
-
-        /// Reads `n` bits (first read = most significant); `None` if fewer
-        /// than `n` remain.
-        pub fn read_bits(&mut self, n: u32) -> Option<u64> {
-            assert!(n <= 64, "cannot read {n} bits");
-            if self.bytes.len() * 8 - self.pos < n as usize {
-                return None;
-            }
-            let mut v = 0u64;
-            for _ in 0..n {
-                v = (v << 1) | u64::from(self.next_bit().expect("checked remaining"));
-            }
-            Some(v)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,21 +257,5 @@ mod tests {
         w.push_bits(u64::MAX, 64);
         assert_eq!(w.byte_len(), 10);
         assert_eq!(w.bit_len(), 73);
-    }
-
-    #[test]
-    fn interleaved_pads_and_pushes_match_naive() {
-        let mut fast = BitWriter::new();
-        let mut slow = naive::NaiveBitWriter::new();
-        for i in 0..100u64 {
-            let n = (i % 65) as u32;
-            fast.push_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), n);
-            slow.push_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), n);
-            if i % 7 == 0 {
-                assert_eq!(fast.pad_to_byte(), slow.pad_to_byte());
-            }
-            assert_eq!(fast.bit_len(), slow.bit_len());
-        }
-        assert_eq!(fast.into_bytes(), slow.into_bytes());
     }
 }

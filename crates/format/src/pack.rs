@@ -96,7 +96,7 @@ impl EndMap {
     /// time with `leading_zeros`, so items spanning many bytes — the
     /// dense-graph regime, where one layout bitmap covers hundreds of
     /// payload bytes — cost one word op per 64 bytes instead of a
-    /// byte-at-a-time loop (`--bin perf` records the before/after).
+    /// byte-at-a-time loop.
     pub fn next_set(&self, from: usize, limit: usize) -> Option<usize> {
         let limit = limit.min(self.len);
         if from >= limit {

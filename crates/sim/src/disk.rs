@@ -108,7 +108,7 @@ impl Disk {
     pub fn new(cfg: DiskConfig) -> Self {
         Disk {
             cfg,
-            ledger: Ledger::new(true),
+            ledger: Ledger::new(),
             head: 0,
             read_bytes: 0,
             write_bytes: 0,

@@ -35,13 +35,6 @@ pub struct DramConfig {
     /// calibration is unchanged; use [`DramConfig::with_row_buffer`] for
     /// the finer model.
     pub row_hit_ns: f64,
-    /// Fast-forward the capacity-ledger walk over buckets already known
-    /// to be full instead of visiting them one by one (the
-    /// [`Ledger`] frontier skip). Purely a wall-clock optimization:
-    /// completion times and booked capacity are identical either way
-    /// (the skipped buckets would each contribute zero free capacity).
-    /// Default on; turn off to run the tick-every-bucket reference walk.
-    pub fast_forward: bool,
 }
 
 impl Default for DramConfig {
@@ -54,7 +47,6 @@ impl Default for DramConfig {
             banks_per_channel: 4,
             row_bytes: 8192,
             row_hit_ns: 40.0,
-            fast_forward: true,
         }
     }
 }
@@ -118,9 +110,7 @@ impl Dram {
     /// A DRAM with the given configuration.
     pub fn new(cfg: DramConfig) -> Self {
         Dram {
-            ledger: (0..cfg.channels)
-                .map(|_| Ledger::new(cfg.fast_forward))
-                .collect(),
+            ledger: vec![Ledger::new(); cfg.channels],
             open_rows: vec![None; cfg.channels * cfg.banks_per_channel],
             row_hits: 0,
             row_misses: 0,
@@ -336,35 +326,6 @@ mod tests {
         assert_eq!(d.writes(), 1);
         d.reset_counters();
         assert_eq!(d.total_bytes(), 0);
-    }
-
-    #[test]
-    fn fast_forward_matches_tick_reference_exactly() {
-        let mut ff = Dram::default();
-        let mut tk = Dram::new(DramConfig {
-            fast_forward: false,
-            ..DramConfig::default()
-        });
-        // Deterministic mixed pattern: saturates channels, revisits the
-        // saturated past, and strides across rows. Completion times must
-        // be bit-identical — the skipped buckets only ever contribute
-        // zero free capacity.
-        let mut now = 0.0;
-        for i in 0..3000u64 {
-            let addr = (i * 97) % 4096 * 64;
-            let bytes = 32 + (i % 7) * 48;
-            let a = ff.read(addr, bytes, now);
-            let b = tk.read(addr, bytes, now);
-            assert_eq!(a.to_bits(), b.to_bits(), "access {i}");
-            if i % 5 == 0 {
-                now += 13.0;
-            }
-            if i % 601 == 0 {
-                now = 0.0; // issue into the already-full past
-            }
-        }
-        assert_eq!(ff.total_bytes(), tk.total_bytes());
-        assert_eq!(ff.row_hits(), tk.row_hits());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! **Frontier skip.** The ledger also keeps a frontier: every bucket
 //! below it is known to be full. A walk that starts below the frontier
 //! would only visit full buckets there, each contributing `free == 0.0`
-//! and leaving the bytes still to place unchanged, so with skip on the
-//! walk jumps straight to the frontier. Finish times and booked bytes
-//! are bit-identical either way; skipping only saves host time.
+//! and leaving the bytes still to place unchanged, so the walk jumps
+//! straight to the frontier. Finish times and booked bytes are
+//! bit-identical to a walk that ticks through every bucket, which
+//! `tests/ledger_equiv.rs` keeps as its reference.
 //!
 //! Bucket maps are keyed through `IntMap`, a multiplicative integer
 //! hash: they are never iterated, so the hash cannot change an output,
@@ -68,30 +69,23 @@ impl Hasher for IntHasher {
 /// ```
 /// use sim::ledger::Ledger;
 /// // 1 µs buckets at 1 B/ns: 1000 B of capacity each.
-/// let mut l = Ledger::new(true);
+/// let mut l = Ledger::new();
 /// assert_eq!(l.book(0.0, 400, 1000.0, 1.0), 400.0);
 /// // Spills past the first bucket: 600 B left there, 400 B in the next.
 /// assert_eq!(l.book(0.0, 1000, 1000.0, 1.0), 1400.0);
 /// assert_eq!(l.booked(0), 1000.0);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Ledger {
     booked: IntMap<u64, f64>,
     /// Every bucket below this index is full.
     frontier: u64,
-    /// Jump a walk that starts below the frontier straight to it.
-    skip: bool,
 }
 
 impl Ledger {
-    /// An empty ledger. `skip` turns the frontier skip on; off, every
-    /// walk ticks through every bucket it crosses (the reference).
-    pub fn new(skip: bool) -> Self {
-        Ledger {
-            booked: IntMap::default(),
-            frontier: 0,
-            skip,
-        }
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Books `bytes` (> 0) of capacity from `start_ns` on, in
@@ -103,10 +97,7 @@ impl Ledger {
     pub fn book(&mut self, start_ns: f64, bytes: u64, bucket_ns: f64, bytes_per_ns: f64) -> f64 {
         debug_assert!(bytes > 0);
         let cap = bucket_ns * bytes_per_ns;
-        let mut bucket = (start_ns.max(0.0) / bucket_ns) as u64;
-        if self.skip && bucket < self.frontier {
-            bucket = self.frontier;
-        }
+        let mut bucket = ((start_ns.max(0.0) / bucket_ns) as u64).max(self.frontier);
         let first = bucket;
         let mut left = bytes as f64;
         let finish;

@@ -62,7 +62,7 @@ impl Link {
     pub fn new(cfg: LinkConfig) -> Self {
         Link {
             cfg,
-            ledger: Ledger::new(true),
+            ledger: Ledger::new(),
             total_bytes: 0,
             messages: 0,
         }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The artifact contract: every deterministic BENCH_*.json report in the
-# repository root regenerates byte-identical from the source. Runs each
-# report binary at full size, writing under target/artifacts/, and
-# compares the result with the committed copy. BENCH_PERF.json is wall
-# clock and is not checked. Pass CARGO_FLAGS=--offline to stay offline.
+# The artifact contract: all six BENCH_*.json reports in the repository
+# root regenerate byte-identical from the source. Runs each report
+# binary at full size, writing under target/artifacts/, and compares the
+# result with the committed copy. Pass CARGO_FLAGS=--offline to stay
+# offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,10 +12,10 @@ out=target/artifacts
 mkdir -p "$out"
 
 cargo build --release -p cereal-bench $CARGO_FLAGS \
-  --bin cluster --bin faults --bin shuffle --bin store --bin trace
+  --bin cluster --bin faults --bin perf --bin shuffle --bin store --bin trace
 
 differ=()
-for name in cluster faults shuffle store trace; do
+for name in cluster faults perf shuffle store trace; do
   report="BENCH_${name^^}.json"
   echo "== $name -> $out/$report =="
   extra=()
@@ -34,4 +34,4 @@ if [ ${#differ[@]} -gt 0 ]; then
   echo "regenerated reports differ from the committed copies: ${differ[*]}"
   exit 1
 fi
-echo "artifacts: all five reports byte-identical"
+echo "artifacts: all six reports byte-identical"

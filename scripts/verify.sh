@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the perf smoke run. Fully offline: the
-# workspace has no external dependencies, so this works with no
-# crates.io access (pass CARGO_FLAGS=--offline to enforce it).
+# Tier-1 verification plus the report smokes and the artifact contract.
+# Fully offline: the workspace has no external dependencies, so this
+# works with no crates.io access (pass CARGO_FLAGS=--offline to enforce
+# it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,10 +20,6 @@ cargo test -q $CARGO_FLAGS
 
 echo "== full workspace tests =="
 cargo test -q --workspace $CARGO_FLAGS
-
-echo "== perf smoke =="
-cargo run --release -p cereal-bench --bin perf $CARGO_FLAGS -- \
-  --smoke --out target/perf_smoke.json
 
 echo "== zero-copy archive round trip =="
 # The archive backend's format pins (golden bytes), adversarial-input
