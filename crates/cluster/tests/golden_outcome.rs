@@ -8,9 +8,14 @@
 //! the makespan's bits, the terminal job counts, the attempts launched,
 //! the fold checksum, and an FNV-1a-64 over the whole
 //! [`ClusterOutcome`] `{:?}` rendering — so any drift in any reported
-//! number fails here. On a mismatch the test prints the actual rows.
+//! number fails here. Each config also runs traced into a [`Recorder`]:
+//! the traced outcome must equal the untraced one, and the row pins
+//! FNV-1a-64 of the Chrome trace and of the metrics registry's `{:?}`,
+//! so a moved span, flow, instant, sample or counter fails too. On a
+//! mismatch the test prints the actual rows.
 
-use cluster::{run_cluster, ClusterConfig, ClusterOutcome};
+use cluster::{run_cluster, run_cluster_sunk, ClusterConfig, ClusterOutcome};
+use telemetry::{chrome_trace, Recorder};
 
 fn healthy() -> ClusterConfig {
     ClusterConfig::smoke()
@@ -58,6 +63,8 @@ struct Row {
     tasks_launched: u64,
     fold_checksum: u64,
     debug_fnv: u64,
+    trace_fnv: u64,
+    metrics_fnv: u64,
 }
 
 const ROWS: [Row; 4] = [
@@ -70,6 +77,8 @@ const ROWS: [Row; 4] = [
         tasks_launched: 228,
         fold_checksum: 0xa63b7208039d28aa,
         debug_fnv: 0x6be13aa09def9ee6,
+        trace_fnv: 0xe026077f01830701,
+        metrics_fnv: 0x63ae36daaaf4ce03,
     },
     Row {
         name: "speculation",
@@ -80,6 +89,8 @@ const ROWS: [Row; 4] = [
         tasks_launched: 260,
         fold_checksum: 0xa63b7208039d28aa,
         debug_fnv: 0x3d4023605324459b,
+        trace_fnv: 0x8a8df06b5cf89dff,
+        metrics_fnv: 0xc39c6ed59bdf236b,
     },
     Row {
         name: "fault_storm",
@@ -90,6 +101,8 @@ const ROWS: [Row; 4] = [
         tasks_launched: 324,
         fold_checksum: 0xa63b7208039d28aa,
         debug_fnv: 0xd0a4c2e8b3d24bfe,
+        trace_fnv: 0xe1ba7bc7f611607c,
+        metrics_fnv: 0xb1ed47c244b1de74,
     },
     Row {
         name: "exhaustion_and_shedding",
@@ -100,6 +113,8 @@ const ROWS: [Row; 4] = [
         tasks_launched: 172,
         fold_checksum: 0x59256d49bbf39a44,
         debug_fnv: 0x80efda1ef0413d2d,
+        trace_fnv: 0x1a3334b505e8b614,
+        metrics_fnv: 0xf4e2b12b9d859ef2,
     },
 ];
 
@@ -112,7 +127,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn row(name: &'static str, out: &ClusterOutcome) -> Row {
+fn row(name: &'static str, out: &ClusterOutcome, rec: &Recorder) -> Row {
     Row {
         name,
         makespan_bits: out.makespan_ns.to_bits(),
@@ -122,6 +137,8 @@ fn row(name: &'static str, out: &ClusterOutcome) -> Row {
         tasks_launched: out.tasks_launched,
         fold_checksum: out.fold_checksum,
         debug_fnv: fnv1a(format!("{out:?}").as_bytes()),
+        trace_fnv: fnv1a(chrome_trace(rec).as_bytes()),
+        metrics_fnv: fnv1a(format!("{:?}", rec.metrics).as_bytes()),
     }
 }
 
@@ -160,7 +177,13 @@ fn cluster_outcomes_match_frozen_rows() {
     let actual: Vec<Row> = configs
         .iter()
         .zip(&outs)
-        .map(|((name, _), out)| row(name, out))
+        .map(|((name, cfg), out)| {
+            let mut rec = Recorder::new();
+            let traced =
+                run_cluster_sunk(cfg, &mut rec).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(&traced, out, "{name}: traced outcome != untraced");
+            row(name, out, &rec)
+        })
         .collect();
     if actual.as_slice() != ROWS.as_slice() {
         let mut text = String::new();
@@ -169,7 +192,8 @@ fn cluster_outcomes_match_frozen_rows() {
                 "    Row {{\n        name: {:?},\n        makespan_bits: {:#018x},\n        \
                  completed: {},\n        shed: {},\n        failed: {},\n        \
                  tasks_launched: {},\n        fold_checksum: {:#018x},\n        \
-                 debug_fnv: {:#018x},\n    }},\n",
+                 debug_fnv: {:#018x},\n        trace_fnv: {:#018x},\n        \
+                 metrics_fnv: {:#018x},\n    }},\n",
                 r.name,
                 r.makespan_bits,
                 r.completed,
@@ -177,7 +201,9 @@ fn cluster_outcomes_match_frozen_rows() {
                 r.failed,
                 r.tasks_launched,
                 r.fold_checksum,
-                r.debug_fnv
+                r.debug_fnv,
+                r.trace_fnv,
+                r.metrics_fnv
             ));
         }
         panic!("cluster outcomes drifted; actual rows:\n{text}");
