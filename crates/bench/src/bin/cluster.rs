@@ -33,6 +33,7 @@
 //! `--out PATH` (default `BENCH_CLUSTER.json`).
 
 use cereal_bench::table::{ns, Table};
+use cluster::sched::TENANT_JOB_COUNTERS;
 use cluster::{run_cluster, run_cluster_sunk, CellResult, ClusterConfig, ClusterOutcome};
 use telemetry::critpath::{self, Analysis, Timeline};
 use telemetry::{JsonWriter, Recon, Recorder};
@@ -129,10 +130,10 @@ fn reconcile(cfg: &ClusterConfig, untraced: &ClusterOutcome) -> (Recon, Recorder
             r.cond(traced.recompute_busy_ns == 0.0, "recompute_service_ns histogram missing");
         }
     }
-    let per_tenant: u64 = (0..cfg.tenants.min(8))
-        .map(|t| m.counter(["cluster.tenant0.jobs", "cluster.tenant1.jobs",
-            "cluster.tenant2.jobs", "cluster.tenant3.jobs", "cluster.tenant4.jobs",
-            "cluster.tenant5.jobs", "cluster.tenant6.jobs", "cluster.tenant7.jobs"][t]))
+    let per_tenant: u64 = TENANT_JOB_COUNTERS
+        .iter()
+        .take(cfg.tenants)
+        .map(|&name| m.counter(name))
         .sum();
     r.exact("per-tenant job counters", per_tenant, traced.jobs_completed);
     match m.histogram("cluster.job_latency_ns") {
@@ -192,17 +193,7 @@ fn blame_cell(label: &str, rec: &Recorder, outcome: &ClusterOutcome) -> Analysis
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8)
-        });
+    let jobs = cereal_bench::jobs_arg(&args);
     let out_path = cereal_bench::out_path(&args, "BENCH_CLUSTER.json");
 
     // The base cell: a ≥512-executor multi-tenant cluster even in smoke
@@ -503,60 +494,24 @@ fn main() {
     w.field_u64("base_executors", base.executors as u64);
     w.field_u64("base_tenants", base.tenants as u64);
     w.field_u64("base_arrivals", base.job_arrivals as u64);
-    w.key("scale_sweep");
-    w.begin_arr();
-    for c in &scale_cells {
-        c.render(&mut w);
+    for (key, cells) in [
+        ("scale_sweep", &scale_cells),
+        ("skew_sweep", &skew_cells),
+        ("du_sweep", &du_cells),
+        ("straggler_sweep", &straggler_cells),
+        ("crash_sweep", &crash_cells),
+        ("heartbeat_sweep", &heartbeat_cells),
+        ("blacklist_sweep", &blacklist_cells),
+        ("du_failure_sweep", &du_fail_cells),
+        ("admission_sweep", &shed_cells),
+    ] {
+        w.key(key);
+        w.begin_arr();
+        for c in cells {
+            c.render(&mut w);
+        }
+        w.end_arr();
     }
-    w.end_arr();
-    w.key("skew_sweep");
-    w.begin_arr();
-    for c in &skew_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("du_sweep");
-    w.begin_arr();
-    for c in &du_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("straggler_sweep");
-    w.begin_arr();
-    for c in &straggler_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("crash_sweep");
-    w.begin_arr();
-    for c in &crash_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("heartbeat_sweep");
-    w.begin_arr();
-    for c in &heartbeat_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("blacklist_sweep");
-    w.begin_arr();
-    for c in &blacklist_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("du_failure_sweep");
-    w.begin_arr();
-    for c in &du_fail_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
-    w.key("admission_sweep");
-    w.begin_arr();
-    for c in &shed_cells {
-        c.render(&mut w);
-    }
-    w.end_arr();
     w.key("reconciliation");
     w.begin_obj();
     w.field_u64("checks", recon.total());

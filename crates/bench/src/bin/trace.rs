@@ -22,17 +22,7 @@ use telemetry::{chrome_trace, JsonWriter};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8)
-        });
+    let jobs = cereal_bench::jobs_arg(&args);
     let out_path = cereal_bench::out_path(&args, "BENCH_TRACE.json");
     let trace_path = args
         .iter()

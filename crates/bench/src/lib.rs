@@ -35,3 +35,18 @@ pub fn out_path(args: &[String], default: &str) -> String {
         .cloned()
         .unwrap_or_else(|| default.to_string())
 }
+
+/// Worker threads from `--jobs N` in `args`, else the available
+/// parallelism clamped to `1..=8`.
+pub fn jobs_arg(args: &[String]) -> usize {
+    args.iter()
+        .position(|a| a == "--jobs")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .clamp(1, 8)
+        })
+}

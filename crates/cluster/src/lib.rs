@@ -14,11 +14,11 @@
 //!   executed *for real* exactly once ([`profile`]): shuffle map tasks
 //!   run [`shuffle::run_mapper`], reduce tasks run
 //!   [`shuffle::run_reducer`], cached-RDD tasks run
-//!   [`store::build_part`] — producing per-task service times, message
-//!   bytes, and per-task folds. The scheduler then replays those
-//!   profiles under contention; folds are re-merged from winning task
-//!   attempts at job completion and checked against the profile digest,
-//!   so scheduling can never silently change an answer;
+//!   [`store::build_part`] — producing per-task service times and
+//!   message bytes as one table of stages of tasks, plus the fold digest
+//!   of the job's answer. The scheduler then replays those fixed
+//!   profiles under contention, so a completed job's answer is its
+//!   profile digest and scheduling can never change an answer;
 //! * **a shared fabric** — every inter-executor transfer (reduce input
 //!   fetches, cached-block reads) is charged on one
 //!   [`sim::net::Fabric`] full mesh whose lazy pair links make
@@ -45,9 +45,9 @@
 //!   rejoin), DU device failures that degrade a node's Cereal decodes
 //!   to a profiled software fallback, bounded job-level retries with
 //!   exponential backoff, and admission control that sheds arrivals
-//!   past a queue-depth watermark. Every recovery path re-merges the
-//!   exact profile fold digest — jobs either complete bit-identically
-//!   or are reported shed / exhausted-retries, never silently wrong;
+//!   past a queue-depth watermark. Every recovery path replays the same
+//!   fixed profile — jobs either complete with the profile digest or
+//!   are reported shed / exhausted-retries, never silently wrong;
 //! * **telemetry twins** — [`run_cluster_sunk`] books every counter,
 //!   gauge and span at the event site (fault lifecycle on the `T_FAIL`
 //!   lanes); the `cluster` bench binary reconciles the exported
@@ -68,7 +68,7 @@ pub mod sched;
 
 pub use event::EventQueue;
 pub use job::{arrivals, template, Arrival, JobKind, TenantTemplate};
-pub use profile::{build_profiles, JobProfile, JobShape};
+pub use profile::{build_profiles, JobProfile, StageKind, StageProfile, TaskProfile};
 pub use report::CellResult;
 pub use sched::{run_cluster, run_cluster_sunk, ClusterOutcome, TenantStats};
 
@@ -77,9 +77,7 @@ use store::Backend;
 
 /// Errors the cluster scheduler can surface. A nonsensical config is
 /// rejected before any work runs. Profile building runs real executors,
-/// so their typed errors propagate; the scheduler itself adds
-/// fold-integrity violations (which would mean scheduling changed an
-/// answer — a bug, never expected).
+/// so their typed errors propagate.
 #[derive(Debug)]
 pub enum ClusterError {
     /// [`ClusterConfig::validate`] rejected the config; the message
@@ -93,14 +91,6 @@ pub enum ClusterError {
         /// The offending tenant.
         tenant: usize,
     },
-    /// A completed job's re-merged fold digest did not match its
-    /// tenant profile.
-    JobFoldMismatch {
-        /// The offending job (arrival index).
-        job: usize,
-        /// The job's tenant.
-        tenant: usize,
-    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -110,9 +100,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Shuffle(e) => write!(f, "profile shuffle executor failed: {e}"),
             ClusterError::ProfileFoldMismatch { tenant } => {
                 write!(f, "tenant {tenant}: profiled fold != expected aggregate")
-            }
-            ClusterError::JobFoldMismatch { job, tenant } => {
-                write!(f, "job {job} (tenant {tenant}): re-merged fold != profile digest")
             }
         }
     }
@@ -292,24 +279,55 @@ impl ClusterConfig {
     }
 
     /// Rejects configs the scheduler cannot run meaningfully: no
-    /// executors or tenants, a target load that is not a positive finite
-    /// number, a probability outside `[0, 1]` (or NaN), a straggler
-    /// factor below 1, or a speculation quantile outside `(0, 1]`.
+    /// executors, tenants, executors per node, DU contexts per node,
+    /// template mappers, template keys or heartbeat misses; a target
+    /// load, speculation multiplier, link bandwidth or heartbeat period
+    /// that is not a positive finite number; a tenant skew, link
+    /// latency, restart, blacklist cooldown or retry backoff that is
+    /// negative or not finite (a delay would put an event off the clock
+    /// or before `now`); a probability outside `[0, 1]` (or NaN); a
+    /// straggler factor below 1 or infinite; or a speculation quantile
+    /// outside `(0, 1]`.
     ///
     /// # Errors
     /// [`ClusterError::InvalidConfig`] naming the first offending field.
     pub fn validate(&self) -> Result<(), ClusterError> {
         let invalid = |why| Err(ClusterError::InvalidConfig(why));
-        if self.executors == 0 {
-            return invalid("executors must be > 0");
-        }
-        if self.tenants == 0 {
-            return invalid("tenants must be > 0");
-        }
-        if !(self.target_load.is_finite() && self.target_load > 0.0) {
-            return invalid("target_load must be finite and > 0");
-        }
         let f = &self.fault;
+        for (zero, why) in [
+            (self.executors == 0, "executors must be > 0"),
+            (self.tenants == 0, "tenants must be > 0"),
+            (self.executors_per_node == 0, "executors_per_node must be > 0"),
+            (self.du_contexts_per_node == 0, "du_contexts_per_node must be > 0"),
+            (self.template_mappers == 0, "template_mappers must be > 0"),
+            (self.template_keys == 0, "template_keys must be > 0"),
+            (f.heartbeat_misses == 0, "fault.heartbeat_misses must be > 0"),
+        ] {
+            if zero {
+                return invalid(why);
+            }
+        }
+        for (x, why) in [
+            (self.target_load, "target_load must be finite and > 0"),
+            (self.spec_multiplier, "spec_multiplier must be finite and > 0"),
+            (self.link.bytes_per_ns, "link.bytes_per_ns must be finite and > 0"),
+            (f.heartbeat_period_ns, "fault.heartbeat_period_ns must be finite and > 0"),
+        ] {
+            if !(x.is_finite() && x > 0.0) {
+                return invalid(why);
+            }
+        }
+        for (x, why) in [
+            (self.tenant_theta, "tenant_theta must be finite and >= 0"),
+            (self.link.latency_ns, "link.latency_ns must be finite and >= 0"),
+            (f.restart_ns, "fault.restart_ns must be finite and >= 0"),
+            (f.blacklist_cooldown_ns, "fault.blacklist_cooldown_ns must be finite and >= 0"),
+            (f.retry_backoff_ns, "fault.retry_backoff_ns must be finite and >= 0"),
+        ] {
+            if !(x.is_finite() && x >= 0.0) {
+                return invalid(why);
+            }
+        }
         for (rate, why) in [
             (self.straggler_rate, "straggler_rate must be in [0, 1]"),
             (f.exec_crash_rate, "fault.exec_crash_rate must be in [0, 1]"),
@@ -321,8 +339,8 @@ impl ClusterConfig {
                 return invalid(why);
             }
         }
-        if self.straggler_factor.is_nan() || self.straggler_factor < 1.0 {
-            return invalid("straggler_factor must be >= 1");
+        if !(self.straggler_factor.is_finite() && self.straggler_factor >= 1.0) {
+            return invalid("straggler_factor must be finite and >= 1");
         }
         if !(self.spec_quantile > 0.0 && self.spec_quantile <= 1.0) {
             return invalid("spec_quantile must be in (0, 1]");
@@ -332,6 +350,6 @@ impl ClusterConfig {
 
     /// Nodes in the cluster.
     pub fn nodes(&self) -> usize {
-        self.executors.div_ceil(self.executors_per_node.max(1))
+        self.executors.div_ceil(self.executors_per_node)
     }
 }

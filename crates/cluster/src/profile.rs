@@ -1,15 +1,16 @@
 //! Job profiles: each tenant's template executed for real, once.
 //!
-//! The scheduler needs per-task service times, inter-task transfer
-//! sizes, and per-task answers. Rather than inventing synthetic
-//! numbers, every tenant's template runs through the *actual*
-//! executors — [`shuffle::run_mapper`]/[`shuffle::run_reducer`] for
-//! shuffle jobs, [`store::build_part`] for cached-RDD jobs — exactly
-//! once, and the measurements become the profile that every job
-//! instance of that tenant replays under contention. Task outputs
-//! (per-reduce-task and per-partition folds) ride along, so a job's
-//! answer can be re-assembled from whichever attempts win and checked
-//! against the profile digest.
+//! The scheduler needs per-task service times and inter-task transfer
+//! sizes. Rather than inventing synthetic numbers, every tenant's
+//! template runs through the *actual* executors —
+//! [`shuffle::run_mapper`]/[`shuffle::run_reducer`] for shuffle jobs,
+//! [`store::build_part`] for cached-RDD jobs — exactly once, and the
+//! measurements become the profile that every job instance of that
+//! tenant replays under contention. Whatever the template, a profile is
+//! one table: stages of tasks ([`StageProfile`], [`TaskProfile`]). The
+//! executors' per-task folds are merged here into the profile digest;
+//! since every attempt replays this fixed profile, a completed job's
+//! answer *is* that digest.
 //!
 //! Builds fan out over [`store::par_map`] (per-task results are pure
 //! functions of the template), so `--jobs` changes wall-clock only.
@@ -32,79 +33,77 @@ fn profiles_fallback(cfg: &ClusterConfig, t: &TenantTemplate) -> bool {
 /// A per-key `(count, sum)` aggregate.
 pub type Fold = BTreeMap<u64, (u64, f64)>;
 
-/// One profiled map task.
-#[derive(Clone, Debug)]
-pub struct MapTask {
-    /// Simulated service time (build + shuffle + serialize, the
-    /// mapper's full clock).
-    pub service_ns: f64,
-    /// Fraction of the service spent serializing (engine busy time /
-    /// full clock, capped at 1: the accelerator's units serialize in
-    /// parallel, so their summed busy time can exceed the mapper's
-    /// wall window) — the blame attribution splits the compute window
-    /// with it.
-    pub ser_frac: f64,
+/// What a stage's tasks do.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum StageKind {
+    /// Shuffle map tasks: build, partition and serialize a batch.
+    Map,
+    /// Shuffle reduce tasks: fetch every mapper's batches and decode.
+    Reduce,
+    /// Cached-RDD materialization: build and serialize each partition.
+    Materialize,
+    /// One scan pass: read each cached partition.
+    Scan,
 }
 
-/// One profiled reduce task.
+impl StageKind {
+    /// The span name a winning attempt of this stage is traced under.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            StageKind::Map => "task.map",
+            StageKind::Reduce => "task.reduce",
+            StageKind::Materialize => "task.materialize",
+            StageKind::Scan => "task.scan",
+        }
+    }
+
+    /// Whether the stage's tasks decode serialized data (and so need a
+    /// DU context under the Cereal backend).
+    pub fn decodes(self) -> bool {
+        matches!(self, StageKind::Reduce | StageKind::Scan)
+    }
+}
+
+/// One profiled task.
 #[derive(Clone, Debug)]
-pub struct ReduceTask {
-    /// Inputs in deterministic `(mapper, seq)` order: which map task
-    /// produced the batch, and its wire size.
-    pub inputs: Vec<(usize, u64)>,
-    /// Simulated decode service time (summed over inputs).
+pub struct TaskProfile {
+    /// Simulated service time: a mapper's full clock (build + shuffle +
+    /// serialize), a reducer's summed decode, a partition's lineage cost
+    /// (graph build + GC pressure + serialization), or one scan pass's
+    /// read (deserialize, or validate-only for the zero-copy backend).
     pub service_ns: f64,
-    /// Decode service under the configured software fallback backend —
-    /// what a DU-failed node pays for this task (PR 4 degrade
-    /// semantics: the fallback engine produces and decodes the batch,
-    /// the fold is bit-identical). Equals `service_ns` when fallback
-    /// profiling is off.
+    /// Service on a DU-failed node. A decode task pays its decode under
+    /// the configured software fallback backend (a degraded node falls
+    /// back end to end: the fallback engine produces and decodes the
+    /// data, and the fold is bit-identical). Equals `service_ns` for
+    /// non-decode tasks and when fallback profiling is off.
     pub fallback_ns: f64,
-    /// The task's fold over its key range.
-    pub fold: Fold,
+    /// Blame-category fractions `(ser, de, gc)` of the service window.
+    /// Decode tasks are pure deserialization. Map/materialize tasks
+    /// split between serialization (engine busy time / full clock,
+    /// capped at 1: the accelerator's units serialize in parallel),
+    /// GC pressure, and (the remainder) compute.
+    pub components: (f64, f64, f64),
+    /// The stage-0 outputs this task fetches, as `(stage-0 task, wire
+    /// bytes)` in deterministic `(mapper, seq)` order; empty in stage 0.
+    pub inputs: Vec<(usize, u64)>,
 }
 
-/// One profiled cached partition.
-#[derive(Clone, Debug)]
-pub struct ScanPart {
-    /// Serialized block size (what a remote scan fetches).
-    pub bytes: u64,
-    /// Materialization service (graph build + GC pressure +
-    /// serialization — the lineage cost).
-    pub materialize_ns: f64,
-    /// Per-pass read service (deserialize, or validate-only for the
-    /// zero-copy backend).
-    pub read_ns: f64,
-    /// Per-pass read service under the configured software fallback
-    /// backend — what a DU-failed node pays. Equals `read_ns` when
-    /// fallback profiling is off.
-    pub fallback_read_ns: f64,
-    /// Fraction of the materialize service spent serializing.
-    pub ser_frac: f64,
-    /// Fraction of the materialize service spent in GC pressure (the
-    /// rest of the lineage cost; `ser_frac + gc_frac <= 1`).
-    pub gc_frac: f64,
-    /// The partition's fold.
-    pub fold: Fold,
+impl TaskProfile {
+    /// A task whose fallback service equals its service.
+    fn new(service_ns: f64, components: (f64, f64, f64), inputs: Vec<(usize, u64)>) -> Self {
+        TaskProfile { service_ns, fallback_ns: service_ns, components, inputs }
+    }
 }
 
-/// A tenant job's task graph.
+/// One stage of a job: every task runs after the previous stage's
+/// barrier.
 #[derive(Clone, Debug)]
-pub enum JobShape {
-    /// Map wave then reduce wave.
-    Shuffle {
-        /// Profiled map tasks.
-        maps: Vec<MapTask>,
-        /// Profiled reduce tasks.
-        reduces: Vec<ReduceTask>,
-    },
-    /// Materialize wave then `passes` scan waves.
-    Scan {
-        /// Profiled partitions.
-        parts: Vec<ScanPart>,
-        /// Scan stages after materialization.
-        passes: usize,
-    },
+pub struct StageProfile {
+    /// What the stage's tasks do.
+    pub kind: StageKind,
+    /// The stage's tasks, in task-index order.
+    pub tasks: Vec<TaskProfile>,
 }
 
 /// One tenant's complete job profile.
@@ -112,10 +111,11 @@ pub enum JobShape {
 pub struct JobProfile {
     /// The template this profile measures.
     pub template: TenantTemplate,
-    /// The task graph with per-task measurements.
-    pub shape: JobShape,
-    /// FNV-1a digest of the job's merged fold — what every completed
-    /// job instance must reproduce from its winning attempts.
+    /// The task graph: a map stage then a reduce stage, or a
+    /// materialize stage then one scan stage per pass.
+    pub stages: Vec<StageProfile>,
+    /// FNV-1a digest of the job's merged fold — the answer of every
+    /// completed job instance.
     pub fold_checksum: u64,
     /// Tasks per job instance.
     pub tasks: u64,
@@ -124,89 +124,55 @@ pub struct JobProfile {
 }
 
 impl JobProfile {
+    fn new(t: &TenantTemplate, stages: Vec<StageProfile>, fold: &Fold, total: f64) -> Self {
+        JobProfile {
+            template: *t,
+            tasks: stages.iter().map(|st| st.tasks.len() as u64).sum(),
+            stages,
+            fold_checksum: fold_checksum(fold),
+            total_service_ns: total,
+        }
+    }
+
     /// Stages per job instance.
     pub fn stages(&self) -> usize {
-        match &self.shape {
-            JobShape::Shuffle { .. } => 2,
-            JobShape::Scan { passes, .. } => 1 + passes,
-        }
+        self.stages.len()
     }
 
     /// Tasks in stage `s`.
     pub fn stage_tasks(&self, s: usize) -> usize {
-        match &self.shape {
-            JobShape::Shuffle { maps, reduces } => {
-                if s == 0 {
-                    maps.len()
-                } else {
-                    reduces.len()
-                }
-            }
-            JobShape::Scan { parts, .. } => parts.len(),
-        }
+        self.stages[s].tasks.len()
     }
 
     /// Nominal service of task `t` in stage `s`.
     pub fn service_ns(&self, s: usize, t: usize) -> f64 {
-        match &self.shape {
-            JobShape::Shuffle { maps, reduces } => {
-                if s == 0 {
-                    maps[t].service_ns
-                } else {
-                    reduces[t].service_ns
-                }
-            }
-            JobShape::Scan { parts, .. } => {
-                if s == 0 {
-                    parts[t].materialize_ns
-                } else {
-                    parts[t].read_ns
-                }
-            }
-        }
+        self.stages[s].tasks[t].service_ns
     }
 
-    /// Nominal service of task `t` in stage `s` on a DU-failed node:
-    /// decode stages pay the profiled software-fallback service,
-    /// non-decode stages are unaffected.
+    /// Nominal service of task `t` in stage `s` on a DU-failed node.
     pub fn fallback_service_ns(&self, s: usize, t: usize) -> f64 {
-        if !self.stage_decodes(s) {
-            return self.service_ns(s, t);
-        }
-        match &self.shape {
-            JobShape::Shuffle { reduces, .. } => reduces[t].fallback_ns,
-            JobShape::Scan { parts, .. } => parts[t].fallback_read_ns,
-        }
-    }
-
-    /// Whether stage `s` tasks decode serialized data (and so need a DU
-    /// context under the Cereal backend).
-    pub fn stage_decodes(&self, s: usize) -> bool {
-        s > 0
+        self.stages[s].tasks[t].fallback_ns
     }
 
     /// Blame-category fractions `(ser, de, gc)` of task `t`'s service
-    /// window in stage `s`, measured during profiling. Decode stages
-    /// are pure deserialization; map/materialize stages split between
-    /// serialization, GC pressure, and (the remainder) compute.
+    /// window in stage `s`, measured during profiling.
     pub fn components(&self, s: usize, t: usize) -> (f64, f64, f64) {
-        match &self.shape {
-            JobShape::Shuffle { maps, .. } => {
-                if s == 0 {
-                    (maps[t].ser_frac, 0.0, 0.0)
-                } else {
-                    (0.0, 1.0, 0.0)
-                }
-            }
-            JobShape::Scan { parts, .. } => {
-                if s == 0 {
-                    (parts[t].ser_frac, 0.0, parts[t].gc_frac)
-                } else {
-                    (0.0, 1.0, 0.0)
-                }
-            }
+        self.stages[s].tasks[t].components
+    }
+}
+
+/// Merges per-task folds in the given order. Where tasks share keys the
+/// order is part of the digest's definition.
+fn merge_folds<'f>(folds: impl IntoIterator<Item = &'f Fold>) -> Fold {
+    let mut merged = Fold::new();
+    for fold in folds {
+        for (&k, &(c, s)) in fold {
+            let e = merged.entry(k).or_insert((0, 0.0));
+            e.0 += c;
+            e.1 += s;
         }
     }
+    merged
 }
 
 /// The shuffle configuration a tenant template profiles under:
@@ -233,85 +199,76 @@ fn shuffle_cfg(t: &TenantTemplate) -> ShuffleConfig {
     }
 }
 
-fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile, ClusterError> {
-    let sc = shuffle_cfg(t);
-    let outs = par_map(cfg.jobs, sc.mappers, |m| run_mapper(&sc, t.backend, m));
+/// One run of the shuffle template: its tasks and the reducers' folds.
+struct ShufflePass {
+    maps: Vec<TaskProfile>,
+    reduces: Vec<TaskProfile>,
+    folds: Vec<Fold>,
+}
+
+/// Runs the shuffle template under `backend`: every mapper, then every
+/// reducer over its batches in `(mapper, seq)` order.
+fn shuffle_pass(
+    cfg: &ClusterConfig,
+    sc: &ShuffleConfig,
+    backend: Backend,
+) -> Result<ShufflePass, ClusterError> {
     let mut maps = Vec::with_capacity(sc.mappers);
     let mut all_msgs: Vec<Message> = Vec::new();
-    for out in outs {
+    for out in par_map(cfg.jobs, sc.mappers, |m| run_mapper(sc, backend, m)) {
         let out = out?;
         let ser_frac =
             if out.clock_ns > 0.0 { (out.ser_busy_ns / out.clock_ns).min(1.0) } else { 0.0 };
-        maps.push(MapTask { service_ns: out.clock_ns, ser_frac });
+        maps.push(TaskProfile::new(out.clock_ns, (ser_frac, 0.0, 0.0), Vec::new()));
         all_msgs.extend(out.messages);
     }
     let reg = sc.agg().registry();
     let cap = sc.agg().heap_capacity();
-    let reduces_res = par_map(cfg.jobs, sc.reducers, |r| {
+    let mut reduces = Vec::with_capacity(sc.reducers);
+    let mut folds = Vec::with_capacity(sc.reducers);
+    for out in par_map(cfg.jobs, sc.reducers, |r| {
         let mut msgs: Vec<&Message> = all_msgs.iter().filter(|m| m.dst == r).collect();
         msgs.sort_by_key(|m| (m.src, m.seq));
-        let out = shuffle::run_reducer(t.backend, &reg, cap, &msgs, &[], false)?;
-        Ok::<ReduceTask, ClusterError>(ReduceTask {
-            inputs: msgs.iter().map(|m| (m.src, m.bytes.len() as u64)).collect(),
-            service_ns: out.de_busy_ns,
-            fallback_ns: out.de_busy_ns,
-            fold: out.fold,
-        })
-    });
-    let mut reduces = Vec::with_capacity(sc.reducers);
-    for r in reduces_res {
-        reduces.push(r?);
+        let inputs = msgs.iter().map(|m| (m.src, m.bytes.len() as u64)).collect();
+        shuffle::run_reducer(backend, &reg, cap, &msgs, &[], false).map(|out| (inputs, out))
+    }) {
+        let (inputs, out) = out?;
+        reduces.push(TaskProfile::new(out.de_busy_ns, (0.0, 1.0, 0.0), inputs));
+        folds.push(out.fold);
     }
+    Ok(ShufflePass { maps, reduces, folds })
+}
+
+fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile, ClusterError> {
+    let sc = shuffle_cfg(t);
+    let ShufflePass { maps, mut reduces, folds } = shuffle_pass(cfg, &sc, t.backend)?;
     if profiles_fallback(cfg, t) {
         // A DU-failed node degrades end-to-end to the software fallback
         // format (PR 4 semantics): profile the fallback decode by
         // re-running the template under that backend and demand the
         // per-task folds stay bit-identical — degradation moves time,
         // never answers.
-        let fb = cfg.fault.fallback;
-        let fb_outs = par_map(cfg.jobs, sc.mappers, |m| run_mapper(&sc, fb, m));
-        let mut fb_msgs: Vec<Message> = Vec::new();
-        for out in fb_outs {
-            fb_msgs.extend(out?.messages);
+        let fb = shuffle_pass(cfg, &sc, cfg.fault.fallback)?;
+        if fb.folds != folds {
+            return Err(ClusterError::ProfileFoldMismatch { tenant: t.tenant });
         }
-        let fb_res = par_map(cfg.jobs, sc.reducers, |r| {
-            let mut msgs: Vec<&Message> = fb_msgs.iter().filter(|m| m.dst == r).collect();
-            msgs.sort_by_key(|m| (m.src, m.seq));
-            let out = shuffle::run_reducer(fb, &reg, cap, &msgs, &[], false)?;
-            Ok::<(f64, Fold), ClusterError>((out.de_busy_ns, out.fold))
-        });
-        for (r, fbr) in reduces.iter_mut().zip(fb_res) {
-            let (fallback_ns, fold) = fbr?;
-            if fold != r.fold {
-                return Err(ClusterError::ProfileFoldMismatch { tenant: t.tenant });
-            }
-            r.fallback_ns = fallback_ns;
+        for (r, fb) in reduces.iter_mut().zip(fb.reduces) {
+            r.fallback_ns = fb.service_ns;
         }
     }
     // Reducers own disjoint key ranges (key % reducers), so merging in
     // reducer order reproduces the expected aggregate bit for bit.
-    let mut merged: Fold = Fold::new();
-    for r in &reduces {
-        for (&k, &(c, s)) in &r.fold {
-            let e = merged.entry(k).or_insert((0, 0.0));
-            e.0 += c;
-            e.1 += s;
-        }
-    }
+    let merged = merge_folds(&folds);
     if merged != sc.agg().expected_fold() {
         return Err(ClusterError::ProfileFoldMismatch { tenant: t.tenant });
     }
-    let digest = fold_checksum(&merged);
     let total: f64 = maps.iter().map(|m| m.service_ns).sum::<f64>()
         + reduces.iter().map(|r| r.service_ns).sum::<f64>();
-    let tasks = (maps.len() + reduces.len()) as u64;
-    Ok(JobProfile {
-        template: *t,
-        shape: JobShape::Shuffle { maps, reduces },
-        fold_checksum: digest,
-        tasks,
-        total_service_ns: total,
-    })
+    let stages = vec![
+        StageProfile { kind: StageKind::Map, tasks: maps },
+        StageProfile { kind: StageKind::Reduce, tasks: reduces },
+    ];
+    Ok(JobProfile::new(t, stages, &merged, total))
 }
 
 fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobProfile {
@@ -328,14 +285,14 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         fault: None,
     };
     let fb = profiles_fallback(cfg, t).then_some(cfg.fault.fallback);
-    let parts: Vec<ScanPart> = par_map(cfg.jobs, t.agg.mappers, |m| {
+    let parts: Vec<(TaskProfile, TaskProfile, Fold)> = par_map(cfg.jobs, t.agg.mappers, |m| {
         // `build_part` runs the real materialize + re-read cycle and
         // asserts the reconstructed fold matches the source data.
         let p = build_part(&rc, m);
         // A DU-failed node re-materializes and reads its blocks in the
         // software fallback format (PR 4 semantics): profile that read
         // cost too, and demand the fold stays bit-identical.
-        let fallback_read_ns = match fb {
+        let fallback_ns = match fb {
             Some(b) => {
                 let fp = build_part(&RddConfig { backend: b, ..rc }, m);
                 assert_eq!(
@@ -351,40 +308,28 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         // the materialize window.
         let ser_frac =
             if p.recompute_ns > 0.0 { (p.ser_ns / p.recompute_ns).min(1.0) } else { 0.0 };
-        ScanPart {
-            bytes: p.bytes.len() as u64,
-            materialize_ns: p.recompute_ns,
-            read_ns: p.de_ns,
-            fallback_read_ns,
-            ser_frac,
-            gc_frac: if p.recompute_ns > 0.0 { 1.0 - ser_frac } else { 0.0 },
-            fold: p.fold,
-        }
+        let gc_frac = if p.recompute_ns > 0.0 { 1.0 - ser_frac } else { 0.0 };
+        let read = TaskProfile {
+            service_ns: p.de_ns,
+            fallback_ns,
+            components: (0.0, 1.0, 0.0),
+            inputs: vec![(m, p.bytes.len() as u64)],
+        };
+        (TaskProfile::new(p.recompute_ns, (ser_frac, 0.0, gc_frac), Vec::new()), read, p.fold)
     });
     // Partitions share keys, so the merge order (partition order) is
-    // part of the digest's definition — the scheduler re-merges winning
-    // attempts in the same order.
-    let mut merged: Fold = Fold::new();
-    for p in &parts {
-        for (&k, &(c, s)) in &p.fold {
-            let e = merged.entry(k).or_insert((0, 0.0));
-            e.0 += c;
-            e.1 += s;
-        }
-    }
-    let digest = fold_checksum(&merged);
+    // part of the digest's definition.
+    let merged = merge_folds(parts.iter().map(|(_, _, fold)| fold));
     let total: f64 = parts
         .iter()
-        .map(|p| p.materialize_ns + passes as f64 * p.read_ns)
+        .map(|(mat, read, _)| mat.service_ns + passes as f64 * read.service_ns)
         .sum();
-    let tasks = (parts.len() * (1 + passes)) as u64;
-    JobProfile {
-        template: *t,
-        shape: JobShape::Scan { parts, passes },
-        fold_checksum: digest,
-        tasks,
-        total_service_ns: total,
-    }
+    let (materialize, reads): (Vec<_>, Vec<_>) =
+        parts.into_iter().map(|(mat, read, _)| (mat, read)).unzip();
+    let mut stages = vec![StageProfile { kind: StageKind::Materialize, tasks: materialize }];
+    let scan = StageProfile { kind: StageKind::Scan, tasks: reads };
+    stages.extend(std::iter::repeat_n(scan, passes));
+    JobProfile::new(t, stages, &merged, total)
 }
 
 /// Builds every tenant's profile. Within a tenant, task builds fan out
@@ -430,15 +375,16 @@ mod tests {
         let mut cfg = ClusterConfig::smoke();
         cfg.tenants = 1;
         let p = &build_profiles(&cfg).expect("profiles build")[0];
-        let JobShape::Shuffle { maps, reduces } = &p.shape else {
+        let [maps, reduces] = &p.stages[..] else {
             panic!("tenant 0 is a shuffle template");
         };
-        assert_eq!(maps.len(), cfg.template_mappers);
-        assert_eq!(reduces.len(), cfg.template_mappers);
-        assert!(maps.iter().all(|m| m.service_ns > 0.0));
-        for r in reduces {
+        assert_eq!((maps.kind, reduces.kind), (StageKind::Map, StageKind::Reduce));
+        assert_eq!(maps.tasks.len(), cfg.template_mappers);
+        assert_eq!(reduces.tasks.len(), cfg.template_mappers);
+        assert!(maps.tasks.iter().all(|m| m.service_ns > 0.0));
+        for r in &reduces.tasks {
             assert!(!r.inputs.is_empty(), "every reducer receives batches");
-            assert!(r.inputs.iter().all(|&(src, b)| src < maps.len() && b > 0));
+            assert!(r.inputs.iter().all(|&(src, b)| src < maps.tasks.len() && b > 0));
         }
     }
 }

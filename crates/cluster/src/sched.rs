@@ -18,9 +18,8 @@
 //! and its own profiled nominal gets one speculative copy at nominal
 //! service; the first attempt to finish wins, the other is
 //! killed on the spot (executor freed, DU context refunded if nobody
-//! queued behind it). Winner and loser replay the same profile, so the
-//! job's re-merged fold is bit-identical to the profile digest —
-//! checked at every job completion.
+//! queued behind it). Winner and loser replay the same fixed profile,
+//! so a completed job's answer is its profile digest.
 //!
 //! # The fault domain
 //!
@@ -53,13 +52,12 @@
 //!   silent), and arrivals past the `shed_queue_depth` watermark are
 //!   shed instead of collapsing the queue.
 //!
-//! Every recovery path replays the same profile, so any job that
-//! completes re-merges a fold bit-identical to the profile digest; jobs
-//! that cannot are reported shed or failed — never a silent wrong
-//! answer.
+//! Every recovery path replays the same fixed profile, so any job that
+//! completes answers with its profile digest; jobs that cannot are
+//! reported shed or failed — never a silent wrong answer.
 
 use crate::event::EventQueue;
-use crate::profile::{build_profiles, Fold, JobProfile, JobShape};
+use crate::profile::{build_profiles, Fold, JobProfile, StageKind};
 use crate::{ClusterConfig, ClusterError};
 use shuffle::fold_checksum;
 use sim::net::Fabric;
@@ -81,7 +79,7 @@ const NODE_FAULT_SCOPE: u64 = 0x0DEF_A170_0000;
 /// Per-tenant counter names (static, as the metrics registry requires).
 /// Tenants beyond this table still run; only their per-tenant counters
 /// are folded into the last slot.
-const TENANT_JOB_COUNTERS: [&str; 8] = [
+pub const TENANT_JOB_COUNTERS: [&str; 8] = [
     "cluster.tenant0.jobs",
     "cluster.tenant1.jobs",
     "cluster.tenant2.jobs",
@@ -104,7 +102,7 @@ pub struct TenantStats {
 /// Everything one cluster run produced. Every field is a deterministic
 /// function of the configuration — byte-identical for any worker-thread
 /// count.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterOutcome {
     /// Jobs that arrived (= `cfg.job_arrivals`).
     pub arrivals: u64,
@@ -251,25 +249,6 @@ enum Event {
     Retry { job: usize, stage: usize, task: usize },
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum StageKind {
-    Map,
-    Reduce,
-    Materialize,
-    Scan,
-}
-
-impl StageKind {
-    fn span_name(self) -> &'static str {
-        match self {
-            StageKind::Map => "task.map",
-            StageKind::Reduce => "task.reduce",
-            StageKind::Materialize => "task.materialize",
-            StageKind::Scan => "task.scan",
-        }
-    }
-}
-
 /// An executor's health, driving what the dispatcher may use and what
 /// the failure detector believes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -302,7 +281,7 @@ struct ExecHealth {
 /// Why an attempt exists — its stable causal origin. The critical-path
 /// analysis reads this off the winning span to decide whether the
 /// stage's pre-queue wait was ordinary queueing, speculation delay, or
-/// recovery waste.
+/// recovery waste. The last three are also why a task is re-enqueued.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Origin {
     /// First attempt of a freshly enqueued stage.
@@ -333,17 +312,6 @@ impl Origin {
     fn is_recompute(self) -> bool {
         matches!(self, Origin::Retry | Origin::Crash | Origin::Recompute)
     }
-}
-
-/// Why a task is being re-enqueued.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Requeue {
-    /// Its executor was declared dead mid-run.
-    Crash,
-    /// It failed cleanly (retried after backoff).
-    Fail,
-    /// Its completed stage-0 output was lost with its executor.
-    Recompute,
 }
 
 /// Why a crashed executor is being declared dead.
@@ -401,7 +369,6 @@ struct TaskState {
 
 #[derive(Clone, Debug)]
 struct StageState {
-    kind: StageKind,
     tasks: Vec<TaskState>,
     done: usize,
     /// Winning services of completed tasks, for the laggard median.
@@ -476,14 +443,12 @@ struct Sched<'a, S: Sink> {
     /// Per-node DU context free times.
     du_free: Vec<Vec<f64>>,
     q: EventQueue<Event>,
-    named: Vec<bool>,
+    /// Executors that ran at least one attempt (and, traced, got named).
     exec_used: Vec<bool>,
     execs: Vec<ExecHealth>,
     faults: Option<Faults>,
     running: u64,
     out: ClusterOutcome,
-    /// Per-job fold digests, in arrival order.
-    job_digests: Vec<u64>,
     /// Monotonic flow-event id (the event loop is sequential on the
     /// simulated clock, so the numbering is deterministic).
     flow_seq: u64,
@@ -495,8 +460,8 @@ fn task_scope(job: usize, stage: usize, task: usize) -> u64 {
     ((job as u64) << 24) ^ ((stage as u64) << 16) ^ task as u64
 }
 
-impl<S: Sink> Sched<'_, S> {
-    fn profile(&self, j: usize) -> &JobProfile {
+impl<'a, S: Sink> Sched<'a, S> {
+    fn profile(&self, j: usize) -> &'a JobProfile {
         &self.profiles[self.jobs[j].tenant]
     }
 
@@ -509,12 +474,16 @@ impl<S: Sink> Sched<'_, S> {
     }
 
     fn node_of(&self, e: usize) -> usize {
-        e / self.cfg.executors_per_node.max(1)
+        e / self.cfg.executors_per_node
     }
 
-    fn name_exec(&mut self, e: usize) {
-        if S::ENABLED && !self.named[e] {
-            self.named[e] = true;
+    /// Marks executor `e` used, naming its trace lanes on first use.
+    fn use_exec(&mut self, e: usize) {
+        if self.exec_used[e] {
+            return;
+        }
+        self.exec_used[e] = true;
+        if S::ENABLED {
             let pid = CLUSTER_PID_BASE + e as u32;
             self.sink.name_process(pid, &format!("exec {e}"));
             self.sink.name_thread(pid, T_MAIN, "task");
@@ -584,10 +553,11 @@ impl<S: Sink> Sched<'_, S> {
         }
     }
 
-    /// Queues one (fresh or re-enqueued) original attempt for a task,
-    /// resetting its speculation slot so the new attempt can earn its
-    /// own copy. `flow_from` is the causal edge into the attempt (the
-    /// failure that spawned it), drawn at dispatch.
+    /// Queues one attempt for a task. A speculative copy takes the
+    /// task's speculation slot; any other attempt becomes its original
+    /// and resets that slot, so the new attempt can earn its own copy.
+    /// `flow_from` is the causal edge into the attempt (the failure or
+    /// laggard that spawned it), drawn at dispatch.
     fn push_attempt(
         &mut self,
         now: f64,
@@ -618,9 +588,13 @@ impl<S: Sink> Sched<'_, S> {
         });
         self.jobs[j].attempts.push(a);
         let task = &mut self.jobs[j].stages[s].tasks[t];
-        task.original = Some(a);
-        task.spec = None;
-        task.spec_check = false;
+        if origin == Origin::Spec {
+            task.spec = Some(a);
+        } else {
+            task.original = Some(a);
+            task.spec = None;
+            task.spec_check = false;
+        }
         self.pending.push_back(a);
         self.pending_live += 1;
     }
@@ -640,17 +614,10 @@ impl<S: Sink> Sched<'_, S> {
                 attrs: vec![("job", (j as u64).into()), ("stage", (s as u64).into())],
             });
         }
-        let profile = &self.profiles[self.jobs[j].tenant];
-        let n = profile.stage_tasks(s);
-        let kind = match (&profile.shape, s) {
-            (JobShape::Shuffle { .. }, 0) => StageKind::Map,
-            (JobShape::Shuffle { .. }, _) => StageKind::Reduce,
-            (JobShape::Scan { .. }, 0) => StageKind::Materialize,
-            (JobShape::Scan { .. }, _) => StageKind::Scan,
-        };
-        let nominals: Vec<f64> = (0..n).map(|t| profile.service_ns(s, t)).collect();
-        let mut tasks = Vec::with_capacity(n);
-        for (t, &nominal) in nominals.iter().enumerate() {
+        let profiled = &self.profile(j).stages[s].tasks;
+        let mut tasks = Vec::with_capacity(profiled.len());
+        for (t, tp) in profiled.iter().enumerate() {
+            let nominal = tp.service_ns;
             let mut service = nominal;
             if self.cfg.straggler_rate > 0.0 {
                 let mut rng = sdheap::rng::Rng::new(
@@ -675,13 +642,8 @@ impl<S: Sink> Sched<'_, S> {
                 retry_src: None,
             });
         }
-        self.jobs[j].stages.push(StageState {
-            kind,
-            tasks,
-            done: 0,
-            completed_services: Vec::new(),
-        });
-        for t in 0..n {
+        self.jobs[j].stages.push(StageState { tasks, done: 0, completed_services: Vec::new() });
+        for t in 0..profiled.len() {
             self.push_attempt(now, j, s, t, Origin::Fresh, None);
         }
     }
@@ -694,23 +656,10 @@ impl<S: Sink> Sched<'_, S> {
     /// which re-enqueues the lost outputs, and the attempt stays queued.
     fn inputs_ready(&mut self, now: f64, a: usize) -> bool {
         let info = self.attempts[a];
-        let (j, s, t) = (info.job, info.stage, info.task);
-        if s == 0 {
-            return true;
-        }
-        let profile = &self.profiles[self.jobs[j].tenant];
-        let mut srcs: Vec<usize> = Vec::new();
-        match &profile.shape {
-            JobShape::Shuffle { reduces, .. } if s == 1 => {
-                srcs.extend(reduces[t].inputs.iter().map(|&(src, _)| src));
-            }
-            JobShape::Scan { .. } if s > 0 => srcs.push(t),
-            _ => return true,
-        }
         let mut ready = true;
         let mut crashed: Vec<usize> = Vec::new();
-        for src in srcs {
-            let st = &self.jobs[j].stages[0].tasks[src];
+        for &(src, _) in &self.profile(info.job).stages[info.stage].tasks[info.task].inputs {
+            let st = &self.jobs[info.job].stages[0].tasks[src];
             if !st.completed {
                 ready = false;
                 continue;
@@ -750,12 +699,12 @@ impl<S: Sink> Sched<'_, S> {
             self.pending_live -= 1;
             let e = *self.free.iter().next().expect("checked non-empty");
             self.free.remove(&e);
-            self.name_exec(e);
-            self.exec_used[e] = true;
+            self.use_exec(e);
             let info = self.attempts[a];
             let (j, s, t) = (info.job, info.stage, info.task);
-            let profile = &self.profiles[self.jobs[j].tenant];
-            let backend = profile.template.backend;
+            let profile = self.profile(j);
+            let kind = profile.stages[s].kind;
+            let tp = &profile.stages[s].tasks[t];
             let task = &self.jobs[j].stages[s].tasks[t];
             let (t_service, t_nominal) = (task.service_ns, task.nominal_ns);
             let mut service = if info.is_spec() { t_nominal } else { t_service };
@@ -771,35 +720,22 @@ impl<S: Sink> Sched<'_, S> {
             // Input fetches over the shared fabric, all issued at
             // dispatch time; the ledgers serialize contending flows.
             // Each fetch draws a flow arrow from the source output's
-            // executor to this attempt's arrival.
+            // executor to this attempt's arrival. A scan reads a block
+            // its own executor cached without the fabric; a reducer
+            // still fetches a co-located mapper's batch through it.
             let mut ready = now;
-            match &profile.shape {
-                JobShape::Shuffle { reduces, .. } if s == 1 => {
-                    for &(src, bytes) in &reduces[t].inputs {
-                        let from = self.jobs[j].stages[0].tasks[src].winner_exec;
-                        let arr = self.fabric.send(from, e, bytes, now);
-                        ready = ready.max(arr);
-                        self.sink.count("cluster.fabric_messages", 1);
-                        self.sink.count("cluster.fabric_bytes", bytes);
-                        if S::ENABLED {
-                            self.flow("flow.fetch", self.exec_entity(from), now, self.exec_entity(e), arr);
-                        }
-                    }
+            for &(src, bytes) in &tp.inputs {
+                let from = self.jobs[j].stages[0].tasks[src].winner_exec;
+                if kind == StageKind::Scan && from == e {
+                    continue;
                 }
-                JobShape::Scan { parts, .. } if s > 0 => {
-                    let from = self.jobs[j].stages[0].tasks[t].winner_exec;
-                    if from != e {
-                        let bytes = parts[t].bytes;
-                        let arr = self.fabric.send(from, e, bytes, now);
-                        ready = ready.max(arr);
-                        self.sink.count("cluster.fabric_messages", 1);
-                        self.sink.count("cluster.fabric_bytes", bytes);
-                        if S::ENABLED {
-                            self.flow("flow.fetch", self.exec_entity(from), now, self.exec_entity(e), arr);
-                        }
-                    }
+                let arr = self.fabric.send(from, e, bytes, now);
+                ready = ready.max(arr);
+                self.sink.count("cluster.fabric_messages", 1);
+                self.sink.count("cluster.fabric_bytes", bytes);
+                if S::ENABLED {
+                    self.flow("flow.fetch", self.exec_entity(from), now, self.exec_entity(e), arr);
                 }
-                _ => {}
             }
 
             // Decode stages on the Cereal backend queue for one of the
@@ -808,7 +744,7 @@ impl<S: Sink> Sched<'_, S> {
             // profiled software fallback on the host core (no queue).
             let mut du = None;
             let mut start = ready;
-            if backend == Backend::Cereal && profile.stage_decodes(s) {
+            if profile.template.backend == Backend::Cereal && kind.decodes() {
                 let node = self.node_of(e);
                 let mut degraded = false;
                 let mut du_failed_now = false;
@@ -827,7 +763,7 @@ impl<S: Sink> Sched<'_, S> {
                 if degraded {
                     // Replay the fallback profile; originals keep their
                     // straggler inflation.
-                    let fb = profile.fallback_service_ns(s, t);
+                    let fb = tp.fallback_ns;
                     service = if info.is_spec() {
                         fb
                     } else {
@@ -996,8 +932,8 @@ impl<S: Sink> Sched<'_, S> {
         } else {
             self.free.remove(&e);
         }
-        let p = self.cfg.fault.heartbeat_period_ns.max(1.0);
-        let misses = self.cfg.fault.heartbeat_misses.max(1) as f64;
+        let p = self.cfg.fault.heartbeat_period_ns;
+        let misses = f64::from(self.cfg.fault.heartbeat_misses);
         let detect = (now / p).floor() * p + misses * p;
         self.q.push(detect, Event::Dead { exec: e, gen });
     }
@@ -1044,7 +980,7 @@ impl<S: Sink> Sched<'_, S> {
             self.sink.count("cluster.crash_task_kills", 1);
             self.cancel(a, now);
             let src = self.fail_entity(e);
-            self.requeue_task(now, info.job, info.stage, info.task, Requeue::Crash, Some(src));
+            self.requeue_task(now, info.job, info.stage, info.task, Origin::Crash, Some(src));
         }
         self.execs[e].state = ExecState::Dead;
         self.execs[e].gen += 1;
@@ -1062,7 +998,7 @@ impl<S: Sink> Sched<'_, S> {
                     self.jobs[j].stages[0].tasks[t].completed = false;
                     self.jobs[j].stages[0].done -= 1;
                     let src = self.fail_entity(e);
-                    self.requeue_task(now, j, 0, t, Requeue::Recompute, Some(src));
+                    self.requeue_task(now, j, 0, t, Origin::Recompute, Some(src));
                 }
             }
         }
@@ -1114,7 +1050,7 @@ impl<S: Sink> Sched<'_, S> {
             self.q.push(now + cooldown, Event::Up { exec: e, gen });
         }
         let src = self.fail_entity(e);
-        self.requeue_task(now, j, s, t, Requeue::Fail, Some(src));
+        self.requeue_task(now, j, s, t, Origin::Retry, Some(src));
     }
 
     /// An executor re-registers: a replacement after a declared death,
@@ -1143,18 +1079,19 @@ impl<S: Sink> Sched<'_, S> {
         self.free.insert(e);
     }
 
-    /// Re-enqueues a task after a failure/crash/lost output — unless a
-    /// sibling attempt is still racing, a retry is already scheduled,
-    /// or the job's retry budget is exhausted (which aborts the job).
-    /// `src` is the failing entity, threaded into the replacement
-    /// attempt's recovery flow edge.
+    /// Re-enqueues a task after a clean failure (`Retry`, after
+    /// backoff), a crash or a lost output — unless a sibling attempt is
+    /// still racing, a retry is already scheduled, or the job's retry
+    /// budget is exhausted (which aborts the job). `src` is the failing
+    /// entity, threaded into the replacement attempt's recovery flow
+    /// edge.
     fn requeue_task(
         &mut self,
         now: f64,
         j: usize,
         s: usize,
         t: usize,
-        kind: Requeue,
+        origin: Origin,
         src: Option<EntityId>,
     ) {
         if self.jobs[j].status != JobStatus::Live {
@@ -1181,8 +1118,8 @@ impl<S: Sink> Sched<'_, S> {
         }
         self.jobs[j].retries_used += 1;
         let edge = src.map(|en| (en, now, "flow.recovery"));
-        match kind {
-            Requeue::Fail => {
+        match origin {
+            Origin::Retry => {
                 self.out.task_retries += 1;
                 self.sink.count("cluster.task_retries", 1);
                 let task = &mut self.jobs[j].stages[s].tasks[t];
@@ -1192,16 +1129,17 @@ impl<S: Sink> Sched<'_, S> {
                 let delay = self.cfg.fault.retry_backoff_ns * (1u64 << k) as f64;
                 self.q.push(now + delay, Event::Retry { job: j, stage: s, task: t });
             }
-            Requeue::Crash => {
+            Origin::Crash => {
                 self.out.crash_requeues += 1;
                 self.sink.count("cluster.crash_requeues", 1);
-                self.push_attempt(now, j, s, t, Origin::Crash, edge);
+                self.push_attempt(now, j, s, t, origin, edge);
             }
-            Requeue::Recompute => {
+            Origin::Recompute => {
                 self.out.recomputes += 1;
                 self.sink.count("cluster.recomputes", 1);
-                self.push_attempt(now, j, s, t, Origin::Recompute, edge);
+                self.push_attempt(now, j, s, t, origin, edge);
             }
+            Origin::Fresh | Origin::Spec => unreachable!("only failures re-enqueue"),
         }
     }
 
@@ -1292,29 +1230,7 @@ impl<S: Sink> Sched<'_, S> {
             let oi = self.attempts[o];
             oi.dispatched.then(|| (self.exec_entity(oi.exec), now, "flow.spec"))
         });
-        let a = self.attempts.len();
-        self.attempts.push(AttemptInfo {
-            job: j,
-            stage: s,
-            task: t,
-            origin: Origin::Spec,
-            flow_from,
-            dispatched: false,
-            cancelled: false,
-            doomed: false,
-            finished: false,
-            exec: 0,
-            pend_ns: now,
-            start_ns: 0.0,
-            fetch_done_ns: 0.0,
-            work_start_ns: 0.0,
-            finish_ns: 0.0,
-            du: None,
-        });
-        self.jobs[j].attempts.push(a);
-        self.jobs[j].stages[s].tasks[t].spec = Some(a);
-        self.pending.push_back(a);
-        self.pending_live += 1;
+        self.push_attempt(now, j, s, t, Origin::Spec, flow_from);
     }
 
     /// A deferred laggard re-check: the original is a laggard *now* if
@@ -1340,12 +1256,12 @@ impl<S: Sink> Sched<'_, S> {
         self.launch_spec(now, j, s, t);
     }
 
-    fn on_finish(&mut self, now: f64, a: usize) -> Result<(), ClusterError> {
+    fn on_finish(&mut self, now: f64, a: usize) {
         let info = self.attempts[a];
         if info.cancelled || info.doomed {
             // Killed earlier, or its executor crashed mid-service (the
             // kill lands at detection).
-            return Ok(());
+            return;
         }
         self.attempts[a].finished = true;
         self.running -= 1;
@@ -1391,7 +1307,6 @@ impl<S: Sink> Sched<'_, S> {
         stage.done += 1;
         stage.completed_services.push(service);
         let stage_done = stage.done == stage.tasks.len();
-        let kind = stage.kind;
         self.out.tasks_completed += 1;
         self.out.busy_ns += service;
         if info.origin.is_recompute() {
@@ -1407,7 +1322,7 @@ impl<S: Sink> Sched<'_, S> {
             let (ser_frac, de_frac, gc_frac) = self.profile(j).components(s, t);
             self.sink.span(Span {
                 entity: self.exec_entity(info.exec),
-                name: kind.span_name(),
+                name: self.profile(j).stages[s].kind.span_name(),
                 t0_ns: info.start_ns,
                 t1_ns: now,
                 attrs: vec![
@@ -1441,53 +1356,25 @@ impl<S: Sink> Sched<'_, S> {
         // A recompleted stage-0 recompute must not re-advance a job
         // already past that barrier.
         if self.jobs[j].stage != s {
-            return Ok(());
+            return;
         }
         if stage_done {
-            let profile = self.profile(j);
-            if s + 1 < profile.stages() {
+            if s + 1 < self.profile(j).stages() {
                 self.jobs[j].stage = s + 1;
                 self.enqueue_stage(now, j, s + 1);
             } else {
-                self.complete_job(now, j)?;
+                self.complete_job(now, j);
             }
         } else {
             self.maybe_speculate(now, j, s);
         }
-        Ok(())
     }
 
-    /// Re-merges the job's fold from its winning attempts' task outputs
-    /// and checks it against the profile digest, then books completion.
-    fn complete_job(&mut self, now: f64, j: usize) -> Result<(), ClusterError> {
+    /// Books a job's completion. Every attempt replayed the fixed
+    /// profile, so the job's answer is the profile digest (folded into
+    /// [`ClusterOutcome::fold_checksum`] at the end of the run).
+    fn complete_job(&mut self, now: f64, j: usize) {
         let tenant = self.jobs[j].tenant;
-        let profile = &self.profiles[tenant];
-        let mut merged: Fold = Fold::new();
-        match &profile.shape {
-            JobShape::Shuffle { reduces, .. } => {
-                for r in reduces {
-                    for (&k, &(c, sum)) in &r.fold {
-                        let e = merged.entry(k).or_insert((0, 0.0));
-                        e.0 += c;
-                        e.1 += sum;
-                    }
-                }
-            }
-            JobShape::Scan { parts, .. } => {
-                for p in parts {
-                    for (&k, &(c, sum)) in &p.fold {
-                        let e = merged.entry(k).or_insert((0, 0.0));
-                        e.0 += c;
-                        e.1 += sum;
-                    }
-                }
-            }
-        }
-        let digest = fold_checksum(&merged);
-        if digest != profile.fold_checksum {
-            return Err(ClusterError::JobFoldMismatch { job: j, tenant });
-        }
-        self.job_digests[j] = digest;
         self.jobs[j].status = JobStatus::Completed;
         let latency = now - self.jobs[j].arrival_ns;
         self.out.jobs_completed += 1;
@@ -1515,7 +1402,6 @@ impl<S: Sink> Sched<'_, S> {
         if self.faults.is_some() {
             self.cancel_job(now, j);
         }
-        Ok(())
     }
 }
 
@@ -1523,8 +1409,7 @@ impl<S: Sink> Sched<'_, S> {
 ///
 /// # Errors
 /// Rejects an invalid config ([`ClusterConfig::validate`]) before any
-/// work runs; propagates profile-building failures and fold-integrity
-/// violations.
+/// work runs; propagates profile-building failures.
 pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterOutcome, ClusterError> {
     run_cluster_sunk(cfg, &mut NoopSink)
 }
@@ -1605,9 +1490,8 @@ pub fn run_cluster_sunk<S: Sink>(
         pending_live: 0,
         free: (0..cfg.executors).collect(),
         fabric: Fabric::full_mesh(cfg.executors, cfg.executors, cfg.link),
-        du_free: vec![vec![0.0; cfg.du_contexts_per_node.max(1)]; cfg.nodes()],
+        du_free: vec![vec![0.0; cfg.du_contexts_per_node]; cfg.nodes()],
         q: EventQueue::new(),
-        named: vec![false; cfg.executors],
         exec_used: vec![false; cfg.executors],
         execs: vec![
             ExecHealth { state: ExecState::Alive, gen: 0, fails: 0, running: None };
@@ -1616,46 +1500,9 @@ pub fn run_cluster_sunk<S: Sink>(
         faults,
         running: 0,
         out: ClusterOutcome {
-            arrivals: 0,
-            jobs_completed: 0,
-            tasks_launched: 0,
-            tasks_completed: 0,
-            stragglers: 0,
-            spec_launches: 0,
-            spec_wins: 0,
-            du_waits: 0,
-            du_wait_ns: 0.0,
-            fabric_messages: 0,
-            fabric_bytes: 0,
-            makespan_ns: 0.0,
-            job_latency_sum_ns: 0.0,
-            job_latency_max_ns: 0.0,
-            max_queue_depth: 0,
-            max_running: 0,
-            executors_used: 0,
-            busy_ns: 0.0,
-            exec_crashes: 0,
-            node_crashes: 0,
-            heartbeat_deaths: 0,
-            fetch_fail_deaths: 0,
-            crash_task_kills: 0,
-            task_failures: 0,
-            task_retries: 0,
-            crash_requeues: 0,
-            recomputes: 0,
-            blacklists: 0,
-            blacklist_rejoins: 0,
-            restarts: 0,
-            du_device_failures: 0,
-            degraded_tasks: 0,
-            jobs_shed: 0,
-            jobs_failed: 0,
-            wasted_ns: 0.0,
-            recompute_busy_ns: 0.0,
             per_tenant: vec![TenantStats::default(); cfg.tenants],
-            fold_checksum: 0,
+            ..ClusterOutcome::default()
         },
-        job_digests: vec![0; arrivals.len()],
         flow_seq: 0,
         sink,
     };
@@ -1711,7 +1558,7 @@ pub fn run_cluster_sunk<S: Sink>(
                     sched.enqueue_stage(now, jid, 0);
                 }
             }
-            Event::Finish(a) => sched.on_finish(now, a)?,
+            Event::Finish(a) => sched.on_finish(now, a),
             Event::SpecCheck(orig) => sched.on_spec_check(now, orig),
             Event::Crash { exec, gen } => {
                 if sched.execs[exec].gen == gen {
@@ -1732,7 +1579,7 @@ pub fn run_cluster_sunk<S: Sink>(
                         attrs: vec![("node", (node as u64).into())],
                     });
                 }
-                let epn = cfg.executors_per_node.max(1);
+                let epn = cfg.executors_per_node;
                 let hi = ((node + 1) * epn).min(cfg.executors);
                 for e in node * epn..hi {
                     sched.crash_exec(now, e);
@@ -1765,10 +1612,13 @@ pub fn run_cluster_sunk<S: Sink>(
     sched.out.fabric_messages = sched.fabric.messages();
     sched.out.fabric_bytes = sched.fabric.total_bytes();
     // Digest of digests, in arrival order — stable across scheduling
-    // differences (speculation, contention, recovery) by construction;
-    // shed/failed jobs contribute zero digests.
+    // differences (speculation, contention, recovery) by construction:
+    // a completed job answers with its profile digest, a shed/failed
+    // job with zero.
     let mut fold: Fold = Fold::new();
-    for (i, &d) in sched.job_digests.iter().enumerate() {
+    for (i, job) in sched.jobs.iter().enumerate() {
+        let done = job.status == JobStatus::Completed;
+        let d = if done { profiles[job.tenant].fold_checksum } else { 0 };
         fold.insert(i as u64, (1, f64::from_bits(d)));
     }
     sched.out.fold_checksum = fold_checksum(&fold);
@@ -1779,55 +1629,11 @@ pub fn run_cluster_sunk<S: Sink>(
 mod tests {
     use super::*;
 
-    /// An outcome from a run that did nothing: no executors used, no
-    /// completions, zero makespan. Every derived rate must be 0.0, not
-    /// NaN/inf.
-    fn empty_outcome() -> ClusterOutcome {
-        ClusterOutcome {
-            arrivals: 0,
-            jobs_completed: 0,
-            tasks_launched: 0,
-            tasks_completed: 0,
-            stragglers: 0,
-            spec_launches: 0,
-            spec_wins: 0,
-            du_waits: 0,
-            du_wait_ns: 0.0,
-            fabric_messages: 0,
-            fabric_bytes: 0,
-            makespan_ns: 0.0,
-            job_latency_sum_ns: 0.0,
-            job_latency_max_ns: 0.0,
-            max_queue_depth: 0,
-            max_running: 0,
-            executors_used: 0,
-            busy_ns: 0.0,
-            exec_crashes: 0,
-            node_crashes: 0,
-            heartbeat_deaths: 0,
-            fetch_fail_deaths: 0,
-            crash_task_kills: 0,
-            task_failures: 0,
-            task_retries: 0,
-            crash_requeues: 0,
-            recomputes: 0,
-            blacklists: 0,
-            blacklist_rejoins: 0,
-            restarts: 0,
-            du_device_failures: 0,
-            degraded_tasks: 0,
-            jobs_shed: 0,
-            jobs_failed: 0,
-            wasted_ns: 0.0,
-            recompute_busy_ns: 0.0,
-            per_tenant: Vec::new(),
-            fold_checksum: 0,
-        }
-    }
-
     #[test]
     fn derived_rates_guard_zero_denominators() {
-        let out = empty_outcome();
+        // A run that did nothing: no executors used, no completions,
+        // zero makespan. Every derived rate must be 0.0, not NaN/inf.
+        let out = ClusterOutcome::default();
         assert_eq!(out.mean_latency_ns(), 0.0, "0 completions");
         assert_eq!(out.utilization(0), 0.0, "0 executors");
         assert_eq!(out.utilization(64), 0.0, "0 makespan");
@@ -1836,15 +1642,17 @@ mod tests {
         assert_eq!(out.shed_rate(), 0.0, "0 arrivals");
         assert_eq!(out.throughput_per_sec(), 0.0);
 
-        let mut some = empty_outcome();
-        some.jobs_completed = 4;
-        some.job_latency_sum_ns = 8.0;
-        some.busy_ns = 3.0;
-        some.wasted_ns = 1.0;
-        some.recompute_busy_ns = 1.5;
-        some.makespan_ns = 2e9;
-        some.arrivals = 8;
-        some.jobs_shed = 2;
+        let some = ClusterOutcome {
+            jobs_completed: 4,
+            job_latency_sum_ns: 8.0,
+            busy_ns: 3.0,
+            wasted_ns: 1.0,
+            recompute_busy_ns: 1.5,
+            makespan_ns: 2e9,
+            arrivals: 8,
+            jobs_shed: 2,
+            ..ClusterOutcome::default()
+        };
         assert_eq!(some.mean_latency_ns(), 2.0);
         assert_eq!(some.utilization(0), 0.0, "still guards 0 executors");
         assert!((some.utilization(1) - 3.0 / 2e9).abs() < 1e-18);

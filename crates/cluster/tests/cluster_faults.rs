@@ -3,14 +3,14 @@
 //! Every scenario here injects some mix of executor crashes, node
 //! failures, clean task failures, DU device failures, retries and
 //! admission control — and checks that (a) every arrival reaches
-//! exactly one terminal state, (b) completed jobs re-merged their exact
-//! profile fold digest (the scheduler errors out otherwise, so `Ok` is
-//! the assertion), (c) the fault ledger is internally consistent, and
-//! (d) a zero-rate fault config is a byte-identical no-op.
+//! exactly one terminal state, (b) degraded decodes reproduce the
+//! healthy run's fold digest, (c) the fault ledger is internally
+//! consistent, and (d) a zero-rate fault config is a byte-identical
+//! no-op.
 
 use cluster::sched::run_cluster_sunk;
 use cluster::{
-    build_profiles, run_cluster, ClusterConfig, ClusterFaultConfig, ClusterOutcome, JobShape,
+    build_profiles, run_cluster, ClusterConfig, ClusterFaultConfig, ClusterOutcome, StageKind,
 };
 use store::Backend;
 use telemetry::ids::T_FAIL;
@@ -72,7 +72,7 @@ fn zero_rate_fault_config_is_byte_identical_noop() {
 #[test]
 fn executor_crashes_recover_with_exact_folds() {
     let cfg = faulted_smoke();
-    let out = run_cluster(&cfg).expect("folds must re-merge exactly despite crashes");
+    let out = run_cluster(&cfg).expect("crashes must be recovered, not errors");
     assert_terminal_accounting(&out);
     assert!(out.exec_crashes > 0, "crash rate 0.05 must fire in the smoke run");
     assert!(out.jobs_completed > 0, "most jobs must still complete");
@@ -138,23 +138,14 @@ fn du_device_failure_degrades_to_software_fallback() {
     let profiles = build_profiles(&cfg).expect("profiles with fallback");
     for p in &profiles {
         let cereal = p.template.backend == Backend::Cereal;
-        match &p.shape {
-            JobShape::Scan { parts, .. } => {
-                for part in parts {
-                    if cereal {
-                        assert!(part.fallback_read_ns > part.read_ns);
-                    } else {
-                        assert_eq!(part.fallback_read_ns, part.read_ns);
-                    }
-                }
-            }
-            JobShape::Shuffle { reduces, .. } => {
-                for r in reduces {
-                    if cereal {
-                        assert_ne!(r.fallback_ns, r.service_ns);
-                    } else {
-                        assert_eq!(r.fallback_ns, r.service_ns);
-                    }
+        for stage in p.stages.iter().filter(|st| st.kind.decodes()) {
+            for task in &stage.tasks {
+                if !cereal {
+                    assert_eq!(task.fallback_ns, task.service_ns);
+                } else if stage.kind == StageKind::Scan {
+                    assert!(task.fallback_ns > task.service_ns);
+                } else {
+                    assert_ne!(task.fallback_ns, task.service_ns);
                 }
             }
         }

@@ -15,25 +15,73 @@ fn assert_rejected(cfg: &ClusterConfig, field: &str) {
 }
 
 #[test]
-fn zero_executors_are_rejected() {
-    let mut cfg = ClusterConfig::smoke();
-    cfg.executors = 0;
-    assert_rejected(&cfg, "executors");
-}
-
-#[test]
-fn zero_tenants_are_rejected() {
-    let mut cfg = ClusterConfig::smoke();
-    cfg.tenants = 0;
-    assert_rejected(&cfg, "tenants");
-}
-
-#[test]
-fn non_positive_or_non_finite_target_load_is_rejected() {
-    for load in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+fn zero_counts_are_rejected() {
+    type Zero = fn(&mut ClusterConfig);
+    let fields: [(&str, Zero); 7] = [
+        ("executors", |c| c.executors = 0),
+        ("tenants", |c| c.tenants = 0),
+        ("executors_per_node", |c| c.executors_per_node = 0),
+        ("du_contexts_per_node", |c| c.du_contexts_per_node = 0),
+        // No tasks: a job could never complete.
+        ("template_mappers", |c| c.template_mappers = 0),
+        ("template_keys", |c| c.template_keys = 0),
+        ("heartbeat_misses", |c| c.fault.heartbeat_misses = 0),
+    ];
+    for (field, zero) in fields {
         let mut cfg = ClusterConfig::smoke();
-        cfg.target_load = load;
-        assert_rejected(&cfg, "target_load");
+        zero(&mut cfg);
+        assert_rejected(&cfg, field);
+    }
+}
+
+#[test]
+fn non_positive_or_non_finite_scales_are_rejected() {
+    type Set = fn(&mut ClusterConfig, f64);
+    let fields: [(&str, Set, &[f64]); 5] = [
+        ("target_load", |c, x| c.target_load = x, &[0.0, -0.5, f64::NAN, f64::INFINITY]),
+        // A non-finite threshold schedules the laggard re-check off the
+        // event clock.
+        ("spec_multiplier", |c, x| c.spec_multiplier = x, &[f64::NAN, f64::INFINITY]),
+        // A zero-bandwidth fetch never ends: the fabric ledger tries to
+        // book an unbounded busy window.
+        ("link.bytes_per_ns", |c, x| c.link.bytes_per_ns = x, &[0.0]),
+        // Zero skew (uniform tenants) is valid.
+        ("tenant_theta", |c, x| c.tenant_theta = x, &[-0.5, f64::NAN, f64::INFINITY]),
+        (
+            "heartbeat_period_ns",
+            |c, x| c.fault.heartbeat_period_ns = x,
+            &[0.0, -1.0, f64::NAN, f64::INFINITY],
+        ),
+    ];
+    for (field, set, bad) in fields {
+        for &x in bad {
+            let mut cfg = ClusterConfig::smoke();
+            set(&mut cfg, x);
+            assert_rejected(&cfg, field);
+        }
+    }
+}
+
+#[test]
+fn negative_or_non_finite_delays_are_rejected() {
+    type Set = fn(&mut ClusterConfig, f64);
+    let fields: [(&str, Set); 4] = [
+        ("latency_ns", |c, x| c.link.latency_ns = x),
+        ("restart_ns", |c, x| c.fault.restart_ns = x),
+        ("blacklist_cooldown_ns", |c, x| c.fault.blacklist_cooldown_ns = x),
+        ("retry_backoff_ns", |c, x| c.fault.retry_backoff_ns = x),
+    ];
+    for (field, set) in fields {
+        // A negative delay schedules an event before `now`; a
+        // non-finite one schedules it off the event clock.
+        for x in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = ClusterConfig::smoke();
+            set(&mut cfg, x);
+            assert_rejected(&cfg, field);
+        }
+        let mut cfg = ClusterConfig::smoke();
+        set(&mut cfg, 0.0);
+        cfg.validate().unwrap_or_else(|e| panic!("{field} = 0: {e}"));
     }
 }
 
@@ -65,7 +113,8 @@ fn rates_outside_unit_interval_are_rejected() {
 
 #[test]
 fn straggler_factor_below_one_is_rejected() {
-    for factor in [0.99, 0.0, f64::NAN] {
+    // An infinite factor would finish a straggler off the event clock.
+    for factor in [0.99, 0.0, f64::NAN, f64::INFINITY] {
         let mut cfg = ClusterConfig::smoke();
         cfg.straggler_factor = factor;
         assert_rejected(&cfg, "straggler_factor");
