@@ -4,106 +4,74 @@
 //! The eighteen experiment units (six microbenchmarks, six JSBS measured
 //! serializer runs, six Spark applications) are independent: each builds
 //! its own heap and seeds its own PRNG, so they fan out across worker
-//! threads (`--jobs N`, default: available parallelism) without changing
-//! any measurement. Rendering happens only after every unit completes,
-//! in the fixed figure order, so the report is byte-identical for any
-//! job count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! threads ([`store::par_map`]; `--jobs N`, default: available
+//! parallelism up to 8) without changing any measurement. Rendering
+//! happens only after every unit completes, in the fixed figure order,
+//! so the report is byte-identical for any job count.
 
 use cereal_bench::micro_suite::MicroResult;
 use cereal_bench::runners::SdMeasure;
 use cereal_bench::spark_suite::SparkResult;
-use cereal_bench::{jsbs_suite, micro_suite, render, spark_suite};
+use cereal_bench::{jobs_arg, jsbs_suite, micro_suite, render, spark_suite};
+use store::par_map;
 use workloads::{MicroBench, SparkApp};
 
-/// Number of independent experiment units: 6 micro + 6 JSBS measured
-/// runs + 6 Spark apps.
-const UNITS: usize = 6 + jsbs_suite::MEASURED_UNITS + 6;
+/// One independent experiment unit: a microbenchmark, a JSBS measured
+/// serializer run, or a Spark application.
+#[derive(Clone, Copy)]
+enum Unit {
+    Micro(MicroBench),
+    Jsbs(usize),
+    Spark(SparkApp),
+}
 
-fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(UNITS);
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--jobs" && i + 1 < args.len() {
-            jobs = args[i + 1].parse().unwrap_or(jobs);
-            i += 2;
-        } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            jobs = v.parse().unwrap_or(jobs);
-            i += 1;
-        } else {
-            eprintln!("ignoring unknown argument {:?}", args[i]);
-            i += 1;
-        }
-    }
-    jobs.clamp(1, UNITS)
+/// What a [`Unit`] measured.
+enum Measured {
+    Micro(MicroResult),
+    Jsbs(SdMeasure),
+    Spark(SparkResult),
 }
 
 fn main() {
     let micro_scale = micro_suite::scale_from_env();
     let spark_scale = spark_suite::scale_from_env();
-    let jobs = jobs_from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let jobs = jobs_arg(&args);
+    let units: Vec<Unit> = MicroBench::all()
+        .into_iter()
+        .map(Unit::Micro)
+        .chain((0..jsbs_suite::MEASURED_UNITS).map(Unit::Jsbs))
+        .chain(SparkApp::all().into_iter().map(Unit::Spark))
+        .collect();
     eprintln!(
-        "running {UNITS} experiment units on {jobs} worker thread(s) \
-         (micro {micro_scale:?}, spark {spark_scale:?})..."
+        "running {} experiment units on {jobs} worker thread(s) \
+         (micro {micro_scale:?}, spark {spark_scale:?})...",
+        units.len()
     );
 
-    let benches = MicroBench::all();
-    let apps = SparkApp::all();
-    let micro_slots: Vec<Mutex<Option<MicroResult>>> =
-        (0..benches.len()).map(|_| Mutex::new(None)).collect();
-    let jsbs_slots: Vec<Mutex<Option<SdMeasure>>> =
-        (0..jsbs_suite::MEASURED_UNITS).map(|_| Mutex::new(None)).collect();
-    let spark_slots: Vec<Mutex<Option<SparkResult>>> =
-        (0..apps.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let unit = next.fetch_add(1, Ordering::Relaxed);
-                match unit {
-                    0..=5 => {
-                        let bench = benches[unit];
-                        eprintln!("  micro: {}...", bench.name());
-                        *micro_slots[unit].lock().unwrap() =
-                            Some(micro_suite::run_one(bench, micro_scale));
-                    }
-                    6..=11 => {
-                        let m = unit - 6;
-                        eprintln!("  JSBS measured run {m}...");
-                        *jsbs_slots[m].lock().unwrap() = Some(jsbs_suite::run_measured(m));
-                    }
-                    12..=17 => {
-                        let app = apps[unit - 12];
-                        eprintln!("  Spark: {}...", app.name());
-                        *spark_slots[unit - 12].lock().unwrap() =
-                            Some(spark_suite::run_one(app, spark_scale));
-                    }
-                    _ => break,
-                }
-            });
+    let measured = par_map(jobs, units.len(), |i| match units[i] {
+        Unit::Micro(bench) => {
+            eprintln!("  micro: {}...", bench.name());
+            Measured::Micro(micro_suite::run_one(bench, micro_scale))
+        }
+        Unit::Jsbs(m) => {
+            eprintln!("  JSBS measured run {m}...");
+            Measured::Jsbs(jsbs_suite::run_measured(m))
+        }
+        Unit::Spark(app) => {
+            eprintln!("  Spark: {}...", app.name());
+            Measured::Spark(spark_suite::run_one(app, spark_scale))
         }
     });
-
-    let micro: Vec<MicroResult> = micro_slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("micro unit ran"))
-        .collect();
-    let jsbs_measures: Vec<SdMeasure> = jsbs_slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("JSBS unit ran"))
-        .collect();
+    let (mut micro, mut jsbs_measures, mut spark) = (Vec::new(), Vec::new(), Vec::new());
+    for m in measured {
+        match m {
+            Measured::Micro(r) => micro.push(r),
+            Measured::Jsbs(r) => jsbs_measures.push(r),
+            Measured::Spark(r) => spark.push(r),
+        }
+    }
     let jsbs = jsbs_suite::assemble(&jsbs_measures);
-    let spark: Vec<SparkResult> = spark_slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("Spark unit ran"))
-        .collect();
 
     println!("{}", render::table1());
     println!("{}", render::fig2(&spark));

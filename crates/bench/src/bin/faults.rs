@@ -19,10 +19,10 @@
 //! `--out PATH` (default `BENCH_FAULTS.json`).
 
 use cereal_bench::table::{ns, Table};
-use shuffle::{run_backend, Backend, FaultSpec, ShuffleConfig};
+use shuffle::{run_backend_sunk, Backend, FaultSpec, ShuffleConfig};
 use sim::FaultConfig;
-use store::{run_rdd, AccessPattern, MissPolicy, RddConfig};
-use telemetry::{ratio, JsonWriter};
+use store::{run_rdd_sunk, AccessPattern, MissPolicy, RddConfig};
+use telemetry::{ratio, JsonWriter, NoopSink};
 use workloads::{AggConfig, KeySkew};
 
 const FAULT_SEED: u64 = 0xFA17_5EED;
@@ -117,7 +117,7 @@ fn main() {
     let mut shuffle_rows: Vec<ShuffleRow> = Vec::new();
     let mut baselines: Vec<(&'static str, f64, u64, u64)> = Vec::new();
     for backend in backends {
-        let base_run = run_backend(&shuffle_cfg, backend).unwrap_or_else(|e| {
+        let base_run = run_backend_sunk(&shuffle_cfg, backend, &mut NoopSink).unwrap_or_else(|e| {
             eprintln!("fault-free {} run failed: {e}", backend.name());
             std::process::exit(1);
         });
@@ -126,7 +126,7 @@ fn main() {
         for &rate in rates {
             let mut cfg = shuffle_cfg;
             cfg.faults = Some(FaultSpec::uniform(rate, FAULT_SEED));
-            let run = run_backend(&cfg, backend).unwrap_or_else(|e| {
+            let run = run_backend_sunk(&cfg, backend, &mut NoopSink).unwrap_or_else(|e| {
                 eprintln!("{} at rate {rate} failed: {e}", backend.name());
                 std::process::exit(1);
             });
@@ -195,7 +195,7 @@ fn main() {
         checksum: true,
         fault: None,
     };
-    let base = run_rdd(&store_cfg).unwrap_or_else(|e| {
+    let base = run_rdd_sunk(&store_cfg, &mut NoopSink).unwrap_or_else(|e| {
         eprintln!("fault-free store run failed: {e}");
         std::process::exit(1);
     });
@@ -205,7 +205,7 @@ fn main() {
     for &rate in rates {
         let mut cfg = store_cfg.clone();
         cfg.fault = Some(FaultConfig::uniform(rate, FAULT_SEED));
-        let out = run_rdd(&cfg).unwrap_or_else(|e| {
+        let out = run_rdd_sunk(&cfg, &mut NoopSink).unwrap_or_else(|e| {
             eprintln!("store at rate {rate} failed: {e}");
             std::process::exit(1);
         });

@@ -8,11 +8,12 @@
 //! bottleneck from S/D to the network itself.
 
 use cereal::Accelerator;
+use cereal_bench::spark_suite::scale_from_env;
 use cereal_bench::table::{ns, Table};
 use sdheap::{Addr, Heap};
 use serializers::{JavaSd, Kryo, NullSink, Serializer};
 use sim::{Cpu, Link, LinkConfig};
-use workloads::{SparkApp, SparkScale};
+use workloads::SparkApp;
 
 /// Per-batch stage timings for one serializer.
 struct StageTimes {
@@ -112,10 +113,7 @@ fn pipeline(stages: &StageTimes, link_cfg: LinkConfig) -> (f64, &'static str) {
 }
 
 fn main() {
-    let scale = match std::env::var("CEREAL_SCALE").as_deref() {
-        Ok("tiny") => SparkScale::Tiny,
-        _ => SparkScale::Scaled,
-    };
+    let scale = scale_from_env();
     let app = SparkApp::Terasort;
     let mut ds = app.build(scale);
     let batches = ds.batches.clone();

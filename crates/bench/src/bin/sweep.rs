@@ -3,15 +3,13 @@
 //! and the packing on/off size comparison.
 
 use cereal::{Accelerator, CerealConfig};
+use cereal_bench::micro_suite::scale_from_env;
 use cereal_bench::table::{bytes as fmt_bytes, ns, pct, Table};
 use sdheap::{Addr, Heap};
 use workloads::{MicroBench, Scale};
 
 fn main() {
-    let scale = match std::env::var("CEREAL_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        _ => Scale::Scaled,
-    };
+    let scale = scale_from_env();
     unit_sweep(scale);
     reconstructor_sweep(scale);
     packing_sweep(scale);

@@ -8,16 +8,14 @@
 //! TLB and measuring both units.
 
 use cereal::{Accelerator, CerealConfig};
+use cereal_bench::micro_suite::scale_from_env;
 use cereal_bench::table::{ns, pct, Table};
 use sdheap::{Addr, Heap};
 use sim::TlbConfig;
-use workloads::{MicroBench, Scale};
+use workloads::MicroBench;
 
 fn main() {
-    let scale = match std::env::var("CEREAL_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        _ => Scale::Scaled,
-    };
+    let scale = scale_from_env();
     // Graph-sparse: random reference targets → random SU header fetches.
     let (mut heap, reg, root) = MicroBench::GraphSparse.build(scale);
 

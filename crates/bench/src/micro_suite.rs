@@ -50,8 +50,8 @@ pub fn run(scale: Scale) -> Vec<MicroResult> {
         .collect()
 }
 
-/// The experiment scale from `CEREAL_SCALE` (`tiny` | `scaled`), default
-/// scaled.
+/// The experiment scale from `CEREAL_SCALE` (`tiny` | `paper` | anything
+/// else → scaled).
 pub fn scale_from_env() -> Scale {
     match std::env::var("CEREAL_SCALE").as_deref() {
         Ok("tiny") => Scale::Tiny,

@@ -11,7 +11,7 @@
 //! traced run's report equals the untraced run's.
 
 use cereal_bench::trace_suite;
-use telemetry::chrome_trace;
+use telemetry::{chrome_trace, NoopSink};
 
 #[test]
 fn trace_is_byte_identical_across_job_counts() {
@@ -46,8 +46,12 @@ fn every_counter_reconciles_with_the_reports() {
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
     let traced = trace_suite::run(2);
-    let plain = shuffle::run_backend(&trace_suite::shuffle_cfg(2), shuffle::Backend::Cereal)
-        .expect("untraced shuffle");
+    let plain = shuffle::run_backend_sunk(
+        &trace_suite::shuffle_cfg(2),
+        shuffle::Backend::Cereal,
+        &mut NoopSink,
+    )
+    .expect("untraced shuffle");
     let t = &traced.shuffle.report;
     let p = &plain.report;
     assert_eq!(t.messages, p.messages);
@@ -58,7 +62,7 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(t.net, p.net);
     assert_eq!(t.fold_checksum, p.fold_checksum);
 
-    let rdd = store::run_rdd(&trace_suite::rdd_cfg(2)).expect("untraced rdd");
+    let rdd = store::run_rdd_sunk(&trace_suite::rdd_cfg(2), &mut NoopSink).expect("untraced rdd");
     assert_eq!(traced.rdd.store, rdd.store);
     assert_eq!(traced.rdd.total_ns.to_bits(), rdd.total_ns.to_bits());
 }

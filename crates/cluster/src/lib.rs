@@ -13,7 +13,7 @@
 //! * **real work, profiled once** — each tenant's job template is
 //!   executed *for real* exactly once ([`profile`]): shuffle map tasks
 //!   run [`shuffle::run_mapper`], reduce tasks run
-//!   [`shuffle::run_reducer`], cached-RDD tasks run
+//!   [`shuffle::run_reducer_sunk`], cached-RDD tasks run
 //!   [`store::build_part`] — producing per-task service times and
 //!   message bytes as one table of stages of tasks, plus the fold digest
 //!   of the job's answer. The scheduler then replays those fixed

@@ -3,7 +3,7 @@
 //! The scheduler needs per-task service times and inter-task transfer
 //! sizes. Rather than inventing synthetic numbers, every tenant's
 //! template runs through the *actual* executors —
-//! [`shuffle::run_mapper`]/[`shuffle::run_reducer`] for shuffle jobs,
+//! [`shuffle::run_mapper`]/[`shuffle::run_reducer_sunk`] for shuffle jobs,
 //! [`store::build_part`] for cached-RDD jobs — exactly once, and the
 //! measurements become the profile that every job instance of that
 //! tenant replays under contention. Whatever the template, a profile is
@@ -17,9 +17,10 @@
 
 use crate::job::{template, JobKind, TenantTemplate};
 use crate::{ClusterConfig, ClusterError};
-use shuffle::{fold_checksum, run_mapper, Message, ShuffleConfig};
-use std::collections::BTreeMap;
+use shuffle::{fold_checksum, run_mapper, run_reducer_sunk, Message, ShuffleConfig};
 use store::{build_part, par_map, Backend, MissPolicy, RddConfig};
+use telemetry::NoopSink;
+use workloads::{merge_folds, Fold};
 
 /// Whether this tenant needs a software-fallback decode profile: only
 /// when DU device failures can fire and the tenant actually decodes on
@@ -29,9 +30,6 @@ fn profiles_fallback(cfg: &ClusterConfig, t: &TenantTemplate) -> bool {
         && t.backend == Backend::Cereal
         && cfg.fault.fallback != t.backend
 }
-
-/// A per-key `(count, sum)` aggregate.
-pub type Fold = BTreeMap<u64, (u64, f64)>;
 
 /// What a stage's tasks do.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -161,20 +159,6 @@ impl JobProfile {
     }
 }
 
-/// Merges per-task folds in the given order. Where tasks share keys the
-/// order is part of the digest's definition.
-fn merge_folds<'f>(folds: impl IntoIterator<Item = &'f Fold>) -> Fold {
-    let mut merged = Fold::new();
-    for fold in folds {
-        for (&k, &(c, s)) in fold {
-            let e = merged.entry(k).or_insert((0, 0.0));
-            e.0 += c;
-            e.1 += s;
-        }
-    }
-    merged
-}
-
 /// The shuffle configuration a tenant template profiles under:
 /// fault-free, spill-free, square (reducers = mappers), single-threaded
 /// per task.
@@ -230,7 +214,8 @@ fn shuffle_pass(
         let mut msgs: Vec<&Message> = all_msgs.iter().filter(|m| m.dst == r).collect();
         msgs.sort_by_key(|m| (m.src, m.seq));
         let inputs = msgs.iter().map(|m| (m.src, m.bytes.len() as u64)).collect();
-        shuffle::run_reducer(backend, &reg, cap, &msgs, &[], false).map(|out| (inputs, out))
+        run_reducer_sunk(backend, &reg, cap, &msgs, &[], false, r, &mut NoopSink)
+            .map(|out| (inputs, out))
     }) {
         let (inputs, out) = out?;
         reduces.push(TaskProfile::new(out.de_busy_ns, (0.0, 1.0, 0.0), inputs));

@@ -57,7 +57,7 @@
 //! reported shed or failed — never a silent wrong answer.
 
 use crate::event::EventQueue;
-use crate::profile::{build_profiles, Fold, JobProfile, StageKind};
+use crate::profile::{build_profiles, JobProfile, StageKind};
 use crate::{ClusterConfig, ClusterError};
 use shuffle::fold_checksum;
 use sim::net::Fabric;
@@ -1410,6 +1410,7 @@ impl<'a, S: Sink> Sched<'a, S> {
 /// # Errors
 /// Rejects an invalid config ([`ClusterConfig::validate`]) before any
 /// work runs; propagates profile-building failures.
+// Untraced wrapper kept because the frozen `perfbench/` calls it.
 pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterOutcome, ClusterError> {
     run_cluster_sunk(cfg, &mut NoopSink)
 }
@@ -1615,7 +1616,7 @@ pub fn run_cluster_sunk<S: Sink>(
     // differences (speculation, contention, recovery) by construction:
     // a completed job answers with its profile digest, a shed/failed
     // job with zero.
-    let mut fold: Fold = Fold::new();
+    let mut fold = workloads::Fold::new();
     for (i, job) in sched.jobs.iter().enumerate() {
         let done = job.status == JobStatus::Completed;
         let d = if done { profiles[job.tenant].fold_checksum } else { 0 };

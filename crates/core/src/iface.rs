@@ -160,17 +160,18 @@ impl Serializer for CerealSerializer {
         "Cereal"
     }
 
-    fn serialize(
+    fn serialize_into(
         &self,
         heap: &mut Heap,
         reg: &KlassRegistry,
         root: Addr,
         _sink: &mut dyn TraceSink,
-    ) -> Result<Vec<u8>, SerError> {
+        out: &mut Vec<u8>,
+    ) -> Result<usize, SerError> {
         // Hardware executes the op: no CPU trace is emitted.
         let mut accel = self.accel.borrow_mut();
         accel.register_all(reg)?;
-        Ok(accel.serialize(heap, reg, root)?.bytes)
+        Ok(accel.serialize_into(heap, reg, root, out)?.len)
     }
 
     fn deserialize(

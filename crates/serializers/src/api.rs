@@ -58,7 +58,11 @@ pub trait Serializer {
     /// Short display name (as in the paper's figures: "Java", "Kryo", …).
     fn name(&self) -> &str;
 
-    /// Serializes the graph rooted at `root` into bytes.
+    /// Serializes the graph rooted at `root` into a caller-owned buffer,
+    /// replacing its contents, and returns the encoded length.
+    /// Implementations that build their output incrementally write into
+    /// `out` directly, so loops that serialize thousands of times reuse
+    /// one allocation across calls.
     ///
     /// Takes `&mut Heap` because some implementations (Cereal) record
     /// visited-state in object headers; software baselines leave the heap
@@ -66,24 +70,6 @@ pub trait Serializer {
     ///
     /// # Errors
     /// Implementation-specific [`SerError`]s, e.g. unregistered classes.
-    fn serialize(
-        &self,
-        heap: &mut Heap,
-        reg: &KlassRegistry,
-        root: Addr,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Vec<u8>, SerError>;
-
-    /// Serializes the graph rooted at `root` into a caller-owned scratch
-    /// buffer, clearing it first, and returns the encoded length.
-    ///
-    /// Benchmark loops that serialize thousands of times reuse one
-    /// allocation across calls. The default delegates to
-    /// [`Serializer::serialize`]; implementations that build their output
-    /// incrementally override this to write into `out` directly.
-    ///
-    /// # Errors
-    /// Same as [`Serializer::serialize`].
     fn serialize_into(
         &self,
         heap: &mut Heap,
@@ -91,9 +77,22 @@ pub trait Serializer {
         root: Addr,
         sink: &mut dyn TraceSink,
         out: &mut Vec<u8>,
-    ) -> Result<usize, SerError> {
-        *out = self.serialize(heap, reg, root, sink)?;
-        Ok(out.len())
+    ) -> Result<usize, SerError>;
+
+    /// Serializes the graph rooted at `root` into a fresh buffer.
+    ///
+    /// # Errors
+    /// Same as [`Serializer::serialize_into`].
+    fn serialize(
+        &self,
+        heap: &mut Heap,
+        reg: &KlassRegistry,
+        root: Addr,
+        sink: &mut dyn TraceSink,
+    ) -> Result<Vec<u8>, SerError> {
+        let mut out = Vec::new();
+        self.serialize_into(heap, reg, root, sink, &mut out)?;
+        Ok(out)
     }
 
     /// Reconstructs a graph from `bytes` into `dst`, returning the root

@@ -512,14 +512,18 @@ impl Serializer for Archive {
         "Archive"
     }
 
-    fn serialize(
+    fn serialize_into(
         &self,
         heap: &mut Heap,
         reg: &KlassRegistry,
         root: Addr,
         sink: &mut dyn TraceSink,
-    ) -> Result<Vec<u8>, SerError> {
-        image::serialize::<Self>(heap, reg, root, sink)
+        out: &mut Vec<u8>,
+    ) -> Result<usize, SerError> {
+        // The layout pass sizes the image exactly, so a fresh buffer holds
+        // less memory than growing a reused one.
+        *out = image::serialize::<Self>(heap, reg, root, sink)?;
+        Ok(out.len())
     }
 
     /// Reconstructing deserialization for consumers that need a live

@@ -52,18 +52,6 @@ impl Serializer for ProtoLike {
         "ProtoLike"
     }
 
-    fn serialize(
-        &self,
-        heap: &mut Heap,
-        reg: &KlassRegistry,
-        root: Addr,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Vec<u8>, SerError> {
-        let mut out = Vec::new();
-        self.serialize_into(heap, reg, root, sink, &mut out)?;
-        Ok(out)
-    }
-
     fn serialize_into(
         &self,
         heap: &mut Heap,

@@ -136,6 +136,7 @@ pub struct MapOutcome {
 ///
 /// # Errors
 /// Propagates [`ShuffleError::Store`] from unrecoverable spill faults.
+// Untraced wrapper kept because the frozen `perfbench/` calls it.
 pub fn run_mapper(
     cfg: &ShuffleConfig,
     backend: Backend,
@@ -248,12 +249,12 @@ pub fn run_mapper_sunk<S: Sink>(
             // Hardware request faulted: this partition degrades to the
             // software fallback, paying its busy time on the host core.
             let fb = fallback.get_or_insert_with(|| Engine::new(fallback_backend, &reg));
-            let (bytes, t) = fb.serialize_framed_sunk(heap, &reg, batch, cfg.checksum, sink);
+            let (bytes, t) = fb.serialize(heap, &reg, batch, cfg.checksum, sink);
             faults.accel_faults += 1;
             faults.fallback_ns += t.busy_ns;
             (bytes, t, fallback_backend)
         } else {
-            let (bytes, t) = engine.serialize_framed_sunk(heap, &reg, batch, cfg.checksum, sink);
+            let (bytes, t) = engine.serialize(heap, &reg, batch, cfg.checksum, sink);
             (bytes, t, backend)
         };
         let ser_done = match t.done_ns {
@@ -407,16 +408,7 @@ pub fn run_mapper_sunk<S: Sink>(
             faults.spill_retries += s.read_retries;
             faults.recovery_ns += s.retry_ns;
             if S::ENABLED {
-                let lane = EntityId { pid, tid: T_DISK };
-                for w in store.take_disk_tape() {
-                    sink.span(Span {
-                        entity: lane,
-                        name: if w.write { "disk.write" } else { "disk.read" },
-                        t0_ns: w.start_ns,
-                        t1_ns: w.end_ns,
-                        attrs: vec![("bytes", w.bytes.into())],
-                    });
-                }
+                store.emit_disk_tape(sink, EntityId { pid, tid: T_DISK });
                 sink.count("shuffle.spills", s.spills);
                 sink.count("shuffle.spilled_bytes", s.spilled_bytes);
                 sink.count("shuffle.spill_fetches", s.disk_fetches);

@@ -59,11 +59,11 @@ pub mod timeline;
 
 pub use exec::{run_mapper, run_mapper_sunk, GcTotals, MapOutcome, Message, SpillTotals};
 pub use faults::{Attempt, FaultSpec, FaultTotals, MsgPlan, ShuffleError};
-pub use reduce::{run_reducer, run_reducer_sunk, ReduceOutcome};
+pub use reduce::{run_reducer_sunk, ReduceOutcome};
 pub use report::{fold_checksum, BackendReport, ShuffleReport};
-pub use service::{run_backend, run_backend_sunk, run_suite, BackendRun};
+pub use service::{run_backend_sunk, run_suite, BackendRun};
 pub use store::Backend;
-pub use timeline::{compose, compose_sunk, NetStats};
+pub use timeline::{compose_sunk, NetStats};
 
 use sim::LinkConfig;
 use workloads::{AggConfig, KeySkew};

@@ -3,10 +3,10 @@
 use crate::exec::Message;
 use crate::faults::{Attempt, MsgPlan, ShuffleError};
 use sdheap::{Addr, KlassRegistry};
-use std::collections::BTreeMap;
 use store::{validate_archive_sunk, Backend, Engine, EngineError};
 use telemetry::ids::{REDUCER_PID_BASE, T_MAIN, T_NIC};
 use telemetry::{NoopSink, Sink};
+use workloads::{fold_record, Fold};
 
 /// Everything one reduce executor produced.
 #[derive(Debug)]
@@ -15,7 +15,7 @@ pub struct ReduceOutcome {
     /// messages were given (sorted by `(src, seq)`).
     pub de_ns: Vec<f64>,
     /// The reducer's aggregate: key → `(count, sum)`.
-    pub fold: BTreeMap<u64, (u64, f64)>,
+    pub fold: Fold,
     /// Summed engine busy time.
     pub de_busy_ns: f64,
     /// Records decoded.
@@ -43,31 +43,17 @@ pub struct ReduceOutcome {
 /// matching their [`Message::backend`] (accelerator-faulted batches
 /// arrive in the fallback software format).
 ///
+/// `r` is the reducer index (for the process id). The reducer books
+/// decode-site counters (`shuffle.records`, `shuffle.checksum_errors`)
+/// and the `shuffle.de_busy_ns` histogram; its timeline *spans* are
+/// emitted by the composition stage, which is where arrival and
+/// completion times exist. The returned outcome is identical for any
+/// sink; callers that do not trace pass [`NoopSink`].
+///
 /// # Errors
 /// [`ShuffleError::Engine`] when an intact stream fails to decode;
 /// [`ShuffleError::BadBatch`] on a record-count mismatch;
 /// [`ShuffleError::UndetectedCorruption`] if a planned flip decodes.
-pub fn run_reducer(
-    backend: Backend,
-    reg: &KlassRegistry,
-    capacity: u64,
-    msgs: &[&Message],
-    plans: &[&MsgPlan],
-    checksum: bool,
-) -> Result<ReduceOutcome, ShuffleError> {
-    run_reducer_sunk(backend, reg, capacity, msgs, plans, checksum, 0, &mut NoopSink)
-}
-
-/// [`run_reducer`] with a telemetry sink. `r` is the reducer index (for
-/// the process id). The reducer books decode-site counters
-/// (`shuffle.records`, `shuffle.checksum_errors`) and the
-/// `shuffle.de_busy_ns` histogram; its timeline *spans* are emitted by
-/// the composition stage, which is where arrival and completion times
-/// exist. The returned outcome is identical to the untraced path for
-/// any sink.
-///
-/// # Errors
-/// Same as [`run_reducer`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_reducer_sunk<S: Sink>(
     backend: Backend,
@@ -89,7 +75,7 @@ pub fn run_reducer_sunk<S: Sink>(
     let mut engines: Vec<(Backend, Engine)> = vec![(backend, Engine::new(backend, reg))];
     let mut out = ReduceOutcome {
         de_ns: Vec::with_capacity(msgs.len()),
-        fold: BTreeMap::new(),
+        fold: Fold::new(),
         de_busy_ns: 0.0,
         records: 0,
         checksum_errors: 0,
@@ -110,7 +96,7 @@ pub fn run_reducer_sunk<S: Sink>(
                 if let Attempt::Corrupt { pos, mask } = a {
                     let mut bad = msg.bytes.clone();
                     bad[*pos] ^= *mask;
-                    match engine.try_deserialize(&bad, reg, capacity, true) {
+                    match engine.deserialize(&bad, reg, capacity, true, &mut NoopSink) {
                         Err(EngineError::Checksum(_)) => {
                             out.checksum_errors += 1;
                             if S::ENABLED {
@@ -145,14 +131,11 @@ pub fn run_reducer_sunk<S: Sink>(
                 let rec = view.array_elem_ref(root, j).ok_or_else(bad_batch)?;
                 let key = view.field(rec, 0);
                 let value = f64::from_bits(view.field(rec, 1));
-                let e = out.fold.entry(key).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += value;
+                fold_record(&mut out.fold, key, value);
             }
             (n, ns)
         } else {
-            let (heap, root, ns) =
-                engine.try_deserialize_sunk(&msg.bytes, reg, capacity, checksum, sink)?;
+            let (heap, root, ns) = engine.deserialize(&msg.bytes, reg, capacity, checksum, sink)?;
             let n = heap.array_len(root);
             if n as u64 != msg.records {
                 return Err(bad_batch());
@@ -161,9 +144,7 @@ pub fn run_reducer_sunk<S: Sink>(
                 let rec = Addr(heap.array_elem(root, j));
                 let key = heap.field(rec, 0);
                 let value = f64::from_bits(heap.field(rec, 1));
-                let e = out.fold.entry(key).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += value;
+                fold_record(&mut out.fold, key, value);
             }
             (n, ns)
         };

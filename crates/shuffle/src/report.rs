@@ -188,7 +188,7 @@ impl ShuffleReport {
 /// equality checks that survive JSON round trips. Public because the
 /// cluster scheduler digests job folds with the same function, so its
 /// checksums are comparable to shuffle-report checksums.
-pub fn fold_checksum(fold: &std::collections::BTreeMap<u64, (u64, f64)>) -> u64 {
+pub fn fold_checksum(fold: &workloads::Fold) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         for b in v.to_be_bytes() {

@@ -7,10 +7,10 @@ use crate::reduce::{run_reducer_sunk, ReduceOutcome};
 use crate::report::{fold_checksum, BackendReport, ShuffleReport};
 use crate::timeline::compose_sunk;
 use crate::ShuffleConfig;
-use std::collections::BTreeMap;
 use store::{par_map, Backend};
 use telemetry::ids::{MAPPER_PID_BASE, T_MAIN};
 use telemetry::{EntityId, Instant, NoopSink, Sink};
+use workloads::Fold;
 
 /// One backend's full run: the report plus the merged aggregate (kept
 /// out of the report; tests check it against the dataset's expected
@@ -20,34 +20,28 @@ pub struct BackendRun {
     /// The measurements.
     pub report: BackendReport,
     /// The merged key → `(count, sum)` aggregate over all reducers.
-    pub fold: BTreeMap<u64, (u64, f64)>,
+    pub fold: Fold,
 }
 
 /// Runs one backend through the whole shuffle: map fan-out (with
 /// Spark-style re-execution of mappers whose executor dies mid-stage),
 /// reduce fan-out, timeline composition.
 ///
+/// Each executor traces into its own `S::default()` child sink on its
+/// worker thread; the children are absorbed into `sink` in executor
+/// order, so the merged telemetry is byte-identical for any `jobs`
+/// count — exactly the report's determinism argument, applied to the
+/// trace. A mapper death shifts its child's whole timeline by the lost
+/// work plus the detection timeout (the rerun's timeline) and leaves a
+/// `mapper.death` instant at the moment the first execution died. The
+/// returned run is identical for any sink; callers that do not trace
+/// pass [`NoopSink`].
+///
 /// # Errors
 /// [`ShuffleError::ChecksumRequired`] when wire corruption is injected
 /// without checksum frames; otherwise whatever a stage surfaced
 /// (undetected corruption, decode failures, spill-store faults,
 /// duplicate keys).
-pub fn run_backend(cfg: &ShuffleConfig, backend: Backend) -> Result<BackendRun, ShuffleError> {
-    run_backend_sunk(cfg, backend, &mut NoopSink)
-}
-
-/// [`run_backend`] with a telemetry sink. Each executor traces into its
-/// own `S::default()` child sink on its worker thread; the children are
-/// absorbed into `sink` in executor order, so the merged telemetry is
-/// byte-identical for any `jobs` count — exactly the report's
-/// determinism argument, applied to the trace. A mapper death shifts
-/// its child's whole timeline by the lost work plus the detection
-/// timeout (the rerun's timeline) and leaves a `mapper.death` instant
-/// at the moment the first execution died. The returned run is
-/// identical to the untraced path for any sink.
-///
-/// # Errors
-/// Same as [`run_backend`].
 pub fn run_backend_sunk<S: Sink>(
     cfg: &ShuffleConfig,
     backend: Backend,
@@ -161,7 +155,7 @@ pub fn run_backend_sunk<S: Sink>(
     let net = compose_sunk(cfg, &all, &de_ns, &plans, &mut fault_totals, sink);
 
     // Merge the folds; key spaces are disjoint (key % reducers routing).
-    let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
+    let mut fold = Fold::new();
     for outcome in &reduces {
         for (&k, &v) in &outcome.fold {
             if fold.insert(k, v).is_some() {
@@ -203,12 +197,12 @@ pub fn run_backend_sunk<S: Sink>(
 /// # Errors
 /// [`ShuffleError::FoldMismatch`] when two backends disagree on the
 /// aggregate — a round-trip correctness failure — plus anything
-/// [`run_backend`] surfaces.
+/// [`run_backend_sunk`] surfaces.
 pub fn run_suite(cfg: &ShuffleConfig, backends: &[Backend]) -> Result<ShuffleReport, ShuffleError> {
     let mut reports = Vec::with_capacity(backends.len());
-    let mut first_fold: Option<(&'static str, BTreeMap<u64, (u64, f64)>)> = None;
+    let mut first_fold: Option<(&'static str, Fold)> = None;
     for &b in backends {
-        let run = run_backend(cfg, b)?;
+        let run = run_backend_sunk(cfg, b, &mut NoopSink)?;
         match &first_fold {
             None => first_fold = Some((b.name(), run.fold)),
             Some((name, fold)) => {

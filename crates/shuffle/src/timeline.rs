@@ -14,7 +14,7 @@ use sim::net::Fabric;
 use std::collections::VecDeque;
 use store::Engine;
 use telemetry::ids::{MAPPER_PID_BASE, REDUCER_PID_BASE, T_MAIN, T_NIC, T_SEND};
-use telemetry::{EntityId, FlowEvent, Instant, NoopSink, Sink, Span};
+use telemetry::{EntityId, FlowEvent, Instant, Sink, Span};
 
 /// Network-and-makespan statistics of one shuffle.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -34,10 +34,10 @@ pub struct NetStats {
 
 /// Composes the shuffle timeline.
 ///
-/// `msgs` is the global message list; `order` must iterate it in a
-/// deterministic total order of send attempts — ascending
-/// `(ser_done_ns, src, dst, seq)`. `de_ns[i]` is message `i`'s
-/// deserialization busy time.
+/// `msgs` is the global message list, in any order: the composition
+/// visits it in its own deterministic total order of send attempts,
+/// ascending `(ser_done_ns, src, dst, seq)`. `de_ns[i]` is message
+/// `i`'s deserialization busy time.
 ///
 /// Rules, in order, for each message:
 /// 1. a mapper issues sends serially (a send cannot start before the
@@ -58,26 +58,18 @@ pub struct NetStats {
 /// sender backs off. `faults` accumulates the retry counters and the
 /// recovery time (every nanosecond between a failed attempt's start and
 /// its retry's start).
-pub fn compose(
-    cfg: &ShuffleConfig,
-    msgs: &[&Message],
-    de_ns: &[f64],
-    plans: &[MsgPlan],
-    faults: &mut FaultTotals,
-) -> NetStats {
-    compose_sunk(cfg, msgs, de_ns, plans, faults, &mut NoopSink)
-}
-
-/// [`compose`] with a telemetry sink: the composed timeline is emitted
-/// as spans — `backpressure.wait`, `wire.lost`/`wire.corrupt` attempt
-/// windows (backoff included) and the final `wire` transit on each
-/// sender's send lane, `nack` instants on the receiver's NIC lane,
+///
+/// With a recording sink the composed timeline is emitted as spans —
+/// `backpressure.wait`, `wire.lost`/`wire.corrupt` attempt windows
+/// (backoff included) and the final `wire` transit on each sender's
+/// send lane, `nack` instants on the receiver's NIC lane,
 /// `deserialize` spans on each reducer's main lane, and the fabric's
 /// per-hop busy windows as `nic.egress`/`nic.ingress` spans. Net and
 /// fault counters (`shuffle.backpressure_blocks`, `shuffle.retries`,
 /// `shuffle.lost_messages`, `shuffle.wire_corruptions`,
 /// `shuffle.fabric_bytes`) are booked at the event sites. The returned
-/// stats are identical to the untraced path for any sink.
+/// stats are identical for any sink; callers that do not trace pass
+/// [`telemetry::NoopSink`].
 pub fn compose_sunk<S: Sink>(
     cfg: &ShuffleConfig,
     msgs: &[&Message],

@@ -4,9 +4,10 @@
 //! reports are byte-identical across job counts, and zero-rate
 //! injection reproduces the fault-free numbers.
 
-use shuffle::{run_backend, run_suite, Backend, FaultSpec, ShuffleConfig, ShuffleError};
+use shuffle::{run_backend_sunk, run_suite, Backend, FaultSpec, ShuffleConfig, ShuffleError};
 use sim::FaultConfig;
 use std::collections::BTreeMap;
+use telemetry::NoopSink;
 
 fn tiny() -> ShuffleConfig {
     ShuffleConfig {
@@ -39,7 +40,7 @@ fn assert_fold_exact(fold: &BTreeMap<u64, (u64, f64)>, cfg: &ShuffleConfig) {
 
 #[test]
 fn wire_loss_and_corruption_are_retried_and_the_fold_survives() {
-    let clean = run_backend(&tiny(), Backend::Kryo).unwrap();
+    let clean = run_backend_sunk(&tiny(), Backend::Kryo, &mut NoopSink).unwrap();
 
     let mut cfg = tiny();
     cfg.checksum = true;
@@ -48,7 +49,7 @@ fn wire_loss_and_corruption_are_retried_and_the_fold_survives() {
     spec.cfg.wire_corruption = 0.4;
     cfg.faults = Some(spec);
 
-    let run = run_backend(&cfg, Backend::Kryo).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
     assert!(f.lost_messages > 0, "loss rate 0.4 must lose transfers");
     assert!(f.wire_corruptions > 0, "corruption rate 0.4 must corrupt transfers");
@@ -85,21 +86,21 @@ fn wire_corruption_without_checksum_is_a_typed_error() {
     spec.cfg.wire_corruption = 0.1;
     cfg.faults = Some(spec);
     assert_eq!(
-        run_backend(&cfg, Backend::Kryo).unwrap_err(),
+        run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap_err(),
         ShuffleError::ChecksumRequired
     );
 }
 
 #[test]
 fn mapper_death_reexecutes_and_preserves_the_fold() {
-    let clean = run_backend(&tiny(), Backend::Kryo).unwrap();
+    let clean = run_backend_sunk(&tiny(), Backend::Kryo, &mut NoopSink).unwrap();
 
     let mut cfg = tiny();
     let mut spec = quiet_spec(0xFA17_0002);
     spec.cfg.mapper_death = 1.0; // every mapper dies once
     cfg.faults = Some(spec);
 
-    let run = run_backend(&cfg, Backend::Kryo).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
     assert_eq!(f.mapper_deaths, 3, "rate 1.0 kills each mapper's first attempt");
     assert!(f.reexec_ns > 0.0);
@@ -113,14 +114,14 @@ fn mapper_death_reexecutes_and_preserves_the_fold() {
 
 #[test]
 fn accelerator_faults_degrade_to_the_software_fallback() {
-    let clean = run_backend(&tiny(), Backend::Cereal).unwrap();
+    let clean = run_backend_sunk(&tiny(), Backend::Cereal, &mut NoopSink).unwrap();
 
     let mut cfg = tiny();
     let mut spec = quiet_spec(0xFA17_0003);
     spec.cfg.accel_fault = 1.0; // every accelerator request faults
     cfg.faults = Some(spec);
 
-    let run = run_backend(&cfg, Backend::Cereal).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Cereal, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
     assert_eq!(
         f.accel_faults, run.report.messages,
@@ -131,7 +132,7 @@ fn accelerator_faults_degrade_to_the_software_fallback() {
 
     // Software backends never touch the accelerator: same spec, no
     // accelerator faults drawn.
-    let sw = run_backend(&cfg, Backend::Kryo).unwrap();
+    let sw = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     assert_eq!(sw.report.faults.unwrap().accel_faults, 0);
 }
 
@@ -139,14 +140,14 @@ fn accelerator_faults_degrade_to_the_software_fallback() {
 fn spill_read_errors_are_retried_on_the_mapper_clock() {
     let mut base = tiny();
     base.spill_bytes = 1; // spill every sealed batch
-    let clean = run_backend(&base, Backend::Kryo).unwrap();
+    let clean = run_backend_sunk(&base, Backend::Kryo, &mut NoopSink).unwrap();
 
     let mut cfg = base;
     let mut spec = quiet_spec(0xFA17_0004);
     spec.cfg.disk_read_error = 0.4;
     cfg.faults = Some(spec);
 
-    let run = run_backend(&cfg, Backend::Kryo).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
     assert!(f.spill_retries > 0, "read-error rate 0.4 must trip retries");
     assert!(f.recovery_ns > 0.0, "retries and backoff cost simulated time");
@@ -191,17 +192,17 @@ fn every_backend_recovers_the_exact_fold_under_uniform_faults() {
     for b in &report.backends {
         assert_eq!(b.records, (3 * 96) as u64, "{} lost records", b.name);
     }
-    let run = run_backend(&cfg, Backend::Java).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Java, &mut NoopSink).unwrap();
     assert_fold_exact(&run.fold, &cfg);
 }
 
 #[test]
 fn zero_rate_injection_reproduces_the_fault_free_numbers() {
-    let clean = run_backend(&tiny(), Backend::Kryo).unwrap();
+    let clean = run_backend_sunk(&tiny(), Backend::Kryo, &mut NoopSink).unwrap();
 
     let mut cfg = tiny();
     cfg.faults = Some(quiet_spec(99));
-    let run = run_backend(&cfg, Backend::Kryo).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
 
     let f = run.report.faults.expect("counters render, all zero");
     assert_eq!(f.retries, 0);

@@ -2,7 +2,8 @@
 //! backpressure, coalescing, GC pressure, spilling, key skew, and
 //! cross-backend agreement.
 
-use shuffle::{run_backend, run_suite, Backend, ShuffleConfig};
+use shuffle::{run_backend_sunk, run_suite, Backend, ShuffleConfig};
+use telemetry::NoopSink;
 use workloads::KeySkew;
 
 fn tiny() -> ShuffleConfig {
@@ -32,7 +33,7 @@ fn report_is_byte_identical_for_any_job_count() {
 #[test]
 fn fold_matches_the_datasets_expected_aggregate() {
     let cfg = tiny();
-    let run = run_backend(&cfg, Backend::Kryo).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let expected = cfg.agg().expected_fold();
     assert_eq!(run.fold.len(), expected.len());
     for (k, &(count, sum)) in &expected {
@@ -59,7 +60,7 @@ fn backpressure_blocks_at_the_watermark() {
     // batch to clear the reducer.
     let mut tight = tiny();
     tight.watermark_bytes = 1;
-    let blocked = run_backend(&tight, Backend::Kryo).unwrap();
+    let blocked = run_backend_sunk(&tight, Backend::Kryo, &mut NoopSink).unwrap();
     assert!(
         blocked.report.net.backpressure_blocks > 0,
         "tight watermark must block senders"
@@ -70,7 +71,7 @@ fn backpressure_blocks_at_the_watermark() {
     // finishes no later.
     let mut open = tiny();
     open.watermark_bytes = u64::MAX;
-    let free = run_backend(&open, Backend::Kryo).unwrap();
+    let free = run_backend_sunk(&open, Backend::Kryo, &mut NoopSink).unwrap();
     assert_eq!(free.report.net.backpressure_blocks, 0);
     assert_eq!(free.report.net.backpressure_wait_ns, 0.0);
     assert!(
@@ -91,8 +92,8 @@ fn coalescing_ships_fewer_larger_messages_with_identical_records() {
     let mut coarse = tiny();
     coarse.flush_bytes = 64 << 10; // everything coalesces per reducer
 
-    let fine_run = run_backend(&fine, Backend::Kryo).unwrap();
-    let coarse_run = run_backend(&coarse, Backend::Kryo).unwrap();
+    let fine_run = run_backend_sunk(&fine, Backend::Kryo, &mut NoopSink).unwrap();
+    let coarse_run = run_backend_sunk(&coarse, Backend::Kryo, &mut NoopSink).unwrap();
     assert!(
         coarse_run.report.messages < fine_run.report.messages,
         "coalescing must reduce message count: {} vs {}",
@@ -120,7 +121,7 @@ fn gc_pressure_reports_collections_and_charges_pauses() {
     let mut cfg = tiny();
     cfg.gc_pressure = true;
     cfg.gc_waves = 4;
-    let run = run_backend(&cfg, Backend::Kryo).unwrap();
+    let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let gc = run.report.gc.expect("gc totals present in gc-pressure mode");
     assert_eq!(gc.collections, (cfg.gc_waves as u64 - 1) * cfg.mappers as u64);
     assert!(gc.pause_ns > 0.0);
@@ -137,7 +138,7 @@ fn gc_pressure_reports_collections_and_charges_pauses() {
     // Pauses push the map stage (and the whole shuffle) later.
     let mut no_gc = cfg;
     no_gc.gc_pressure = false;
-    let baseline = run_backend(&no_gc, Backend::Kryo).unwrap();
+    let baseline = run_backend_sunk(&no_gc, Backend::Kryo, &mut NoopSink).unwrap();
     assert!(run.report.map_makespan_ns > baseline.report.map_makespan_ns);
     assert_eq!(run.report.fold_checksum, baseline.report.fold_checksum);
 }
@@ -148,7 +149,7 @@ fn spill_threshold_routes_batches_through_the_store() {
     // SSD and back in at serve time.
     let mut spilling = tiny();
     spilling.spill_bytes = 1;
-    let spilled = run_backend(&spilling, Backend::Kryo).unwrap();
+    let spilled = run_backend_sunk(&spilling, Backend::Kryo, &mut NoopSink).unwrap();
     let totals = spilled.report.spill.expect("spill totals present when spilling is on");
     assert_eq!(totals.spills, spilled.report.messages, "every batch spilled");
     assert_eq!(totals.fetches, spilled.report.messages, "every batch read back");
@@ -157,7 +158,7 @@ fn spill_threshold_routes_batches_through_the_store() {
 
     // The store is a detour, not a transformation: identical bytes on
     // the wire, identical aggregate, and a later map stage.
-    let baseline = run_backend(&tiny(), Backend::Kryo).unwrap();
+    let baseline = run_backend_sunk(&tiny(), Backend::Kryo, &mut NoopSink).unwrap();
     assert!(baseline.report.spill.is_none());
     assert_eq!(spilled.report.wire_bytes, baseline.report.wire_bytes);
     assert_eq!(spilled.report.fold_checksum, baseline.report.fold_checksum);
@@ -166,7 +167,7 @@ fn spill_threshold_routes_batches_through_the_store() {
     // A budget above the mapper's whole output never touches the disk.
     let mut roomy = tiny();
     roomy.spill_bytes = u64::MAX;
-    let held = run_backend(&roomy, Backend::Kryo).unwrap();
+    let held = run_backend_sunk(&roomy, Backend::Kryo, &mut NoopSink).unwrap();
     let totals = held.report.spill.expect("store engaged");
     assert_eq!(totals.spills, 0);
     assert_eq!(totals.spill_ns, 0.0);
@@ -191,8 +192,8 @@ fn zipf_skew_engages_backpressure_on_the_hot_reducer() {
     let mut skewed = uniform;
     skewed.skew = KeySkew::Zipf(1.4);
 
-    let u = run_backend(&uniform, Backend::Kryo).unwrap();
-    let z = run_backend(&skewed, Backend::Kryo).unwrap();
+    let u = run_backend_sunk(&uniform, Backend::Kryo, &mut NoopSink).unwrap();
+    let z = run_backend_sunk(&skewed, Backend::Kryo, &mut NoopSink).unwrap();
     assert!(
         z.report.net.backpressure_blocks > u.report.net.backpressure_blocks,
         "skew must increase watermark blocking: {} vs {}",
@@ -218,8 +219,8 @@ fn cereal_backend_outruns_software() {
     // (its units are bandwidth-bound; tiny requests pay fixed latency).
     let mut cfg = tiny();
     cfg.flush_bytes = 64 << 10;
-    let kryo = run_backend(&cfg, Backend::Kryo).unwrap();
-    let cereal = run_backend(&cfg, Backend::Cereal).unwrap();
+    let kryo = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
+    let cereal = run_backend_sunk(&cfg, Backend::Cereal, &mut NoopSink).unwrap();
     assert!(
         cereal.report.ser_busy_ns < kryo.report.ser_busy_ns,
         "the accelerator must serialize faster than Kryo: {} vs {}",

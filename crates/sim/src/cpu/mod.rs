@@ -27,8 +27,8 @@ use serializers::{Op, TraceSink};
 
 pub use costs::OpCosts;
 
-/// Operation classes the optional telemetry accounting attributes time
-/// to. Order matches [`Cpu::op_classes`] output.
+/// Operation classes the per-op accounting attributes time to. Order
+/// matches [`Cpu::op_classes`] output.
 pub const OP_CLASS_NAMES: [&str; 10] = [
     "load.dep",
     "load.indep",
@@ -142,9 +142,7 @@ pub struct Cpu {
     lcg: u64,
     writebacks_charged: u64,
     wb_spread: u64,
-    /// Attribute issue-clock time and uops per op class. Off by default:
-    /// the hot path pays only this branch.
-    track_classes: bool,
+    /// Issue-clock time and uops attributed to each op class.
     class_cycles: [f64; OP_CLASS_NAMES.len()],
     class_uops: [u64; OP_CLASS_NAMES.len()],
 }
@@ -165,7 +163,6 @@ impl Cpu {
             lcg: 0x243f_6a88_85a3_08d3,
             writebacks_charged: 0,
             wb_spread: 0,
-            track_classes: false,
             class_cycles: [0.0; OP_CLASS_NAMES.len()],
             class_uops: [0; OP_CLASS_NAMES.len()],
         }
@@ -313,16 +310,8 @@ impl Cpu {
         &self.dram
     }
 
-    /// Turns per-op-class time/uop attribution on or off. Off (the
-    /// default) the accounting costs one predictable branch per op, so
-    /// wall-clock measurements of the model itself are unaffected.
-    pub fn track_op_classes(&mut self, on: bool) {
-        self.track_classes = on;
-    }
-
     /// Per-class `(name, ns, uops)` attribution for classes that
-    /// executed, in [`OP_CLASS_NAMES`] order. Empty unless
-    /// [`Cpu::track_op_classes`] was enabled. Attribution is issue-clock
+    /// executed, in [`OP_CLASS_NAMES`] order. Attribution is issue-clock
     /// time: overlapped miss latency lands on the op that stalled for it.
     pub fn op_classes(&self) -> Vec<(&'static str, f64, u64)> {
         OP_CLASS_NAMES
@@ -338,15 +327,11 @@ impl Cpu {
     /// slice path, so the two are bit-identical by construction
     /// (golden-tested in `tests/prop_timing.rs`).
     pub fn exec(&mut self, op: Op) {
-        if self.track_classes {
-            let class = op_class(&op);
-            let (cycle0, uops0) = (self.cycle, self.uops);
-            self.exec_inner(op);
-            self.class_cycles[class] += self.cycle - cycle0;
-            self.class_uops[class] += self.uops - uops0;
-        } else {
-            self.exec_inner(op);
-        }
+        let class = op_class(&op);
+        let (cycle0, uops0) = (self.cycle, self.uops);
+        self.exec_inner(op);
+        self.class_cycles[class] += self.cycle - cycle0;
+        self.class_uops[class] += self.uops - uops0;
     }
 
     fn exec_inner(&mut self, op: Op) {
@@ -559,7 +544,6 @@ mod tests {
     #[test]
     fn op_class_attribution_sums_to_totals() {
         let mut cpu = Cpu::host();
-        cpu.track_op_classes(true);
         cpu.op(Op::Alu(100));
         cpu.op(Op::Load {
             addr: 0x1000_0000,
@@ -574,10 +558,6 @@ mod tests {
         assert_eq!(uops, cpu.report().uops);
         let ns: f64 = classes.iter().map(|c| c.1).sum();
         assert!((ns - cpu.ns_of(cpu.cycle)).abs() < 1e-9, "{ns}");
-        // Off by default: an untracked CPU reports nothing.
-        let mut plain = Cpu::host();
-        plain.op(Op::Alu(4));
-        assert!(plain.op_classes().is_empty());
     }
 
     #[test]

@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use sim::{Disk, DiskConfig, FaultConfig, FaultInjector};
+use telemetry::{EntityId, Sink, Span};
 
 /// What a cache miss does with a block that is no longer in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -454,10 +455,19 @@ impl BlockStore {
         self.disk.record_tape();
     }
 
-    /// Drains the spill device's recorded access windows (empty unless
-    /// [`BlockStore::record_disk_tape`] was called).
-    pub fn take_disk_tape(&mut self) -> Vec<sim::DiskWindow> {
-        self.disk.take_tape()
+    /// Drains the spill device's recorded access windows (none unless
+    /// [`BlockStore::record_disk_tape`] was called) into `sink` as
+    /// `disk.read`/`disk.write` spans on `lane`, in access order.
+    pub fn emit_disk_tape<S: Sink>(&mut self, sink: &mut S, lane: EntityId) {
+        for w in self.disk.take_tape() {
+            sink.span(Span {
+                entity: lane,
+                name: if w.write { "disk.write" } else { "disk.read" },
+                t0_ns: w.start_ns,
+                t1_ns: w.end_ns,
+                attrs: vec![("bytes", w.bytes.into())],
+            });
+        }
     }
 
     /// Moves `id` to the most-recently-used position.

@@ -23,7 +23,7 @@ use serializers::{
 };
 use sim::Cpu;
 use std::fmt;
-use telemetry::{NoopSink, Sink};
+use telemetry::Sink;
 
 /// Histogram names for per-op-class host-CPU time, index-aligned with
 /// [`sim::OP_CLASS_NAMES`].
@@ -187,50 +187,38 @@ impl Engine {
     }
 
     /// Serializes the graph at `root`, returning the stream and timing.
-    pub fn serialize(
+    /// With `checksum`, the stream is sealed with the CRC frame footer;
+    /// the sealing cost ([`sdformat::crc_ns`] over the payload) is
+    /// charged to the request's busy time (and to its completion time on
+    /// the accelerator's timeline).
+    ///
+    /// Traced software requests book per-op-class host-CPU time (the
+    /// §III bottleneck breakdown), traced accelerator requests book SU
+    /// busy time and request/byte counters. The returned bytes and
+    /// timing are identical for any sink; callers that do not trace pass
+    /// [`telemetry::NoopSink`].
+    pub fn serialize<S: Sink>(
         &mut self,
         heap: &mut Heap,
         reg: &KlassRegistry,
         root: Addr,
-    ) -> (Vec<u8>, SerTiming) {
-        self.serialize_sunk(heap, reg, root, &mut NoopSink)
-    }
-
-    /// [`Engine::serialize`] with a telemetry sink: traced software
-    /// requests book per-op-class host-CPU time (the §III bottleneck
-    /// breakdown), traced accelerator requests book SU busy time and
-    /// request/byte counters. The returned bytes and timing are
-    /// identical to the untraced path for any sink.
-    pub fn serialize_sunk<S: Sink>(
-        &mut self,
-        heap: &mut Heap,
-        reg: &KlassRegistry,
-        root: Addr,
+        checksum: bool,
         sink: &mut S,
     ) -> (Vec<u8>, SerTiming) {
-        match self {
+        let (mut bytes, mut t) = match self {
             Engine::Software(ser) => {
                 let mut cpu = Cpu::host();
-                if S::ENABLED {
-                    cpu.track_op_classes(true);
-                }
                 let bytes = ser
                     .serialize(heap, reg, root, &mut cpu)
                     .expect("workload registers every class");
-                let busy_ns = cpu.report().ns;
                 if S::ENABLED {
                     emit_cpu_classes(sink, &cpu);
                 }
-                (bytes, SerTiming { busy_ns, done_ns: None })
+                (bytes, SerTiming { busy_ns: cpu.report().ns, done_ns: None })
             }
             Engine::Cereal(accel) => {
-                let r = accel
-                    .serialize(heap, reg, root)
-                    .expect("workload registers every class");
-                let t = SerTiming {
-                    busy_ns: r.run.busy_ns(),
-                    done_ns: Some(r.run.end_ns),
-                };
+                let r = accel.serialize(heap, reg, root).expect("workload registers every class");
+                let t = SerTiming { busy_ns: r.run.busy_ns(), done_ns: Some(r.run.end_ns) };
                 if S::ENABLED {
                     sink.count("accel.ser_requests", 1);
                     sink.count("accel.ser_bytes", r.bytes.len() as u64);
@@ -238,35 +226,7 @@ impl Engine {
                 }
                 (r.bytes, t)
             }
-        }
-    }
-
-    /// Serializes the graph at `root`, optionally sealing the stream
-    /// with the CRC frame footer. The sealing cost
-    /// ([`sdformat::crc_ns`] over the payload) is charged to the
-    /// request's busy time (and to its completion time on the
-    /// accelerator's timeline).
-    pub fn serialize_framed(
-        &mut self,
-        heap: &mut Heap,
-        reg: &KlassRegistry,
-        root: Addr,
-        checksum: bool,
-    ) -> (Vec<u8>, SerTiming) {
-        self.serialize_framed_sunk(heap, reg, root, checksum, &mut NoopSink)
-    }
-
-    /// [`Engine::serialize_framed`] with a telemetry sink (see
-    /// [`Engine::serialize_sunk`] for what traced requests book).
-    pub fn serialize_framed_sunk<S: Sink>(
-        &mut self,
-        heap: &mut Heap,
-        reg: &KlassRegistry,
-        root: Addr,
-        checksum: bool,
-        sink: &mut S,
-    ) -> (Vec<u8>, SerTiming) {
-        let (mut bytes, mut t) = self.serialize_sunk(heap, reg, root, sink);
+        };
         if checksum {
             let seal_ns = frame::crc_ns(bytes.len());
             frame::seal_into(&mut bytes);
@@ -277,47 +237,18 @@ impl Engine {
     }
 
     /// Reconstructs a stream into a fresh destination heap; returns the
-    /// heap, the root, and the request's busy time.
+    /// heap, the root, and the request's busy time. With `checksum`, the
+    /// stream's CRC frame is verified *before* any decoding — corruption
+    /// surfaces as [`EngineError::Checksum`] for every backend — and the
+    /// verification cost is charged to the returned busy time.
     ///
-    /// # Panics
-    /// Panics on a malformed stream — callers that can receive
-    /// corrupted or untrusted bytes use [`Engine::try_deserialize`].
-    pub fn deserialize(
-        &mut self,
-        bytes: &[u8],
-        reg: &KlassRegistry,
-        capacity: u64,
-    ) -> (Heap, Addr, f64) {
-        self.try_deserialize(bytes, reg, capacity, false)
-            .expect("stream produced by the matching serializer")
-    }
-
-    /// Reconstructs a stream into a fresh destination heap. With
-    /// `checksum`, the stream's CRC frame is verified *before* any
-    /// decoding — corruption surfaces as [`EngineError::Checksum`] for
-    /// every backend — and the verification cost is charged to the
-    /// returned busy time.
+    /// Traced software requests book per-op-class host-CPU time, traced
+    /// accelerator requests book DU busy time and request/byte counters.
     ///
     /// # Errors
     /// [`EngineError::Checksum`] on frame damage;
     /// [`EngineError::Ser`] when the backend rejects the stream.
-    pub fn try_deserialize(
-        &mut self,
-        bytes: &[u8],
-        reg: &KlassRegistry,
-        capacity: u64,
-        checksum: bool,
-    ) -> Result<(Heap, Addr, f64), EngineError> {
-        self.try_deserialize_sunk(bytes, reg, capacity, checksum, &mut NoopSink)
-    }
-
-    /// [`Engine::try_deserialize`] with a telemetry sink: traced software
-    /// requests book per-op-class host-CPU time, traced accelerator
-    /// requests book DU busy time and request/byte counters.
-    ///
-    /// # Errors
-    /// Same as [`Engine::try_deserialize`].
-    pub fn try_deserialize_sunk<S: Sink>(
+    pub fn deserialize<S: Sink>(
         &mut self,
         bytes: &[u8],
         reg: &KlassRegistry,
@@ -334,15 +265,11 @@ impl Engine {
         match self {
             Engine::Software(ser) => {
                 let mut cpu = Cpu::host();
-                if S::ENABLED {
-                    cpu.track_op_classes(true);
-                }
                 let root = ser.deserialize(payload, reg, &mut dst, &mut cpu)?;
-                let ns = cpu.report().ns;
                 if S::ENABLED {
                     emit_cpu_classes(sink, &cpu);
                 }
-                Ok((dst, root, ns + verify_ns))
+                Ok((dst, root, cpu.report().ns + verify_ns))
             }
             Engine::Cereal(accel) => {
                 let r = accel.deserialize(payload, &mut dst)?;
@@ -373,7 +300,7 @@ impl Engine {
 ///
 /// Consumers that fold straight off the view (shuffle reducers, the
 /// cached-RDD job) pay this instead of
-/// [`Engine::try_deserialize_sunk`]'s reconstruction.
+/// [`Engine::deserialize`]'s reconstruction.
 ///
 /// # Errors
 /// [`EngineError::Checksum`] on frame damage; [`EngineError::Ser`]
@@ -391,25 +318,9 @@ pub fn validate_archive_sunk<'a, S: Sink>(
         (bytes, 0.0)
     };
     let mut cpu = Cpu::host();
-    if S::ENABLED {
-        cpu.track_op_classes(true);
-    }
     let view = ArchiveView::validate(payload, reg, &mut cpu).map_err(SerError::from)?;
-    let ns = cpu.report().ns;
     if S::ENABLED {
         emit_cpu_classes(sink, &cpu);
     }
-    Ok((view, ns + verify_ns))
-}
-
-/// [`validate_archive_sunk`] without telemetry.
-///
-/// # Errors
-/// Same as [`validate_archive_sunk`].
-pub fn validate_archive<'a>(
-    bytes: &'a [u8],
-    reg: &KlassRegistry,
-    checksum: bool,
-) -> Result<(ArchiveView<'a>, f64), EngineError> {
-    validate_archive_sunk(bytes, reg, checksum, &mut NoopSink)
+    Ok((view, cpu.report().ns + verify_ns))
 }

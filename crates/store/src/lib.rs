@@ -41,10 +41,10 @@ pub use block::{
     StoreError, StoreStats,
 };
 pub use engine::{
-    validate_archive, validate_archive_sunk, Backend, Engine, EngineError, SerTiming, DST_BASE,
+    validate_archive_sunk, Backend, Engine, EngineError, SerTiming, DST_BASE,
 };
 pub use par::par_map;
 pub use rdd::{
-    build_part, run_rdd, run_rdd_sunk, AccessPattern, PartBuild, PassStats, RddConfig, RddOutcome,
+    build_part, run_rdd_sunk, AccessPattern, PartBuild, PassStats, RddConfig, RddOutcome,
 };
 pub use report::{run_suite, RunRecord, StoreReport};

@@ -16,19 +16,17 @@
 //! those values, so every reported number is byte-identical for any job
 //! count (test-enforced).
 
-use std::collections::BTreeMap;
-
 use sdheap::gc;
 use sdheap::{Addr, Heap, KlassRegistry};
 use sim::{DiskConfig, FaultConfig};
 use telemetry::ids::{DRIVER_PID, T_DISK, T_MAIN};
 use telemetry::{EntityId, FlowEvent, Instant, NoopSink, Sink, Span};
-use workloads::AggConfig;
+use workloads::{fold_record, merge_folds, AggConfig, Fold};
 
 use crate::block::{
     AccessOutcome, BlockSource, BlockStore, MissPolicy, StoreConfig, StoreError, StoreStats,
 };
-use crate::engine::{Backend, Engine};
+use crate::engine::{validate_archive_sunk, Backend, Engine};
 use crate::par::par_map;
 
 /// Order in which a pass visits the cached partitions.
@@ -89,7 +87,7 @@ pub struct PartBuild {
     /// plus re-serialization.
     pub recompute_ns: f64,
     /// Per-key `(count, sum)` folded from the reconstructed heap.
-    pub fold: BTreeMap<u64, (u64, f64)>,
+    pub fold: Fold,
 }
 
 /// Per-pass counters (deltas over the pass).
@@ -141,15 +139,11 @@ fn coalesce(heap: &mut Heap, reg: &KlassRegistry, batch_klass: sdheap::KlassId, 
 }
 
 /// Folds `(count, sum)` per key over a batch root.
-fn fold_batch(heap: &Heap, root: Addr) -> BTreeMap<u64, (u64, f64)> {
-    let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
+fn fold_batch(heap: &Heap, root: Addr) -> Fold {
+    let mut fold = Fold::new();
     for j in 0..heap.array_len(root) {
         let rec = Addr(heap.array_elem(root, j));
-        let key = heap.field(rec, 0);
-        let value = f64::from_bits(heap.field(rec, 1));
-        let e = fold.entry(key).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += value;
+        fold_record(&mut fold, heap.field(rec, 0), f64::from_bits(heap.field(rec, 1)));
     }
     fold
 }
@@ -169,7 +163,7 @@ fn rebuild(cfg: &RddConfig, m: usize) -> (Vec<u8>, f64, f64, Heap, KlassRegistry
         heap.gc_clear_serialization_metadata(&reg);
     }
     let batch = coalesce(&mut heap, &reg, part.batch_klass, &part.records);
-    let (bytes, t) = engine.serialize_framed(&mut heap, &reg, batch, cfg.checksum);
+    let (bytes, t) = engine.serialize(&mut heap, &reg, batch, cfg.checksum, &mut NoopSink);
     let (_, _, stats) =
         gc::collect(&heap, &reg, &[batch]).expect("live batch fits the semispace");
     let recompute_ns = stats.simulated_cost_ns() + t.busy_ns;
@@ -180,22 +174,14 @@ fn rebuild(cfg: &RddConfig, m: usize) -> (Vec<u8>, f64, f64, Heap, KlassRegistry
 /// pass over the image, then reads straight off the wire bytes.
 /// Returns the fold and the zero-copy decode cost (CRC verify when
 /// framed + validation).
-fn fold_archive_block(
-    bytes: &[u8],
-    reg: &KlassRegistry,
-    checksum: bool,
-) -> (BTreeMap<u64, (u64, f64)>, f64) {
+fn fold_archive_block(bytes: &[u8], reg: &KlassRegistry, checksum: bool) -> (Fold, f64) {
     let (view, de_ns) =
-        crate::engine::validate_archive(bytes, reg, checksum).expect("cached block is intact");
-    let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
+        validate_archive_sunk(bytes, reg, checksum, &mut NoopSink).expect("cached block is intact");
+    let mut fold = Fold::new();
     let root = view.root().expect("cached batch is non-empty");
     for j in 0..view.array_len(root) {
         let rec = view.array_elem_ref(root, j).expect("batch records are non-null");
-        let key = view.field(rec, 0);
-        let value = f64::from_bits(view.field(rec, 1));
-        let e = fold.entry(key).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += value;
+        fold_record(&mut fold, view.field(rec, 0), f64::from_bits(view.field(rec, 1)));
     }
     (fold, de_ns)
 }
@@ -206,7 +192,7 @@ pub fn build_part(cfg: &RddConfig, m: usize) -> PartBuild {
     let src_fold = fold_batch(&heap, batch);
     let mut engine = Engine::new(cfg.backend, &reg);
     let (dheap, droot, de_ns) = engine
-        .try_deserialize(&bytes, &reg, cfg.agg.heap_capacity(), cfg.checksum)
+        .deserialize(&bytes, &reg, cfg.agg.heap_capacity(), cfg.checksum, &mut NoopSink)
         .expect("freshly serialized block round-trips");
     let fold = fold_batch(&dheap, droot);
     assert_eq!(fold, src_fold, "partition {m}: reconstruction changed the fold");
@@ -287,25 +273,19 @@ fn pass_order(cfg: &RddConfig, pass: usize) -> Vec<usize> {
 /// Runs the cached-RDD job: parallel partition builds, then a sequential
 /// store simulation (materialize + `passes` re-reads).
 ///
+/// The phase-2 driver timeline is emitted into `sink` as spans on the
+/// driver entity — one `materialize` span per partition,
+/// `read.fetch`/`read.recompute` spans and `hit` instants per access,
+/// `deserialize` spans for every cache read, `evict` instants, and the
+/// spill device's busy windows as `disk.read`/`disk.write` spans on the
+/// driver's disk lane. Counters (`store.*`) are booked at the event
+/// sites so they reconcile with [`StoreStats`] by construction. The
+/// returned outcome is identical for any sink; callers that do not
+/// trace pass [`NoopSink`].
+///
 /// # Errors
 /// Propagates [`StoreError`] from faulted accesses the store cannot
 /// recover (e.g. corruption injected without checksums).
-pub fn run_rdd(cfg: &RddConfig) -> Result<RddOutcome, StoreError> {
-    run_rdd_sunk(cfg, &mut NoopSink)
-}
-
-/// [`run_rdd`] with a telemetry sink: the sequential phase-2 driver
-/// timeline is emitted as spans on the driver entity — one
-/// `materialize` span per partition, `read.fetch`/`read.recompute`
-/// spans and `hit` instants per access, `deserialize` spans for every
-/// cache read, `evict` instants, and the spill device's busy windows as
-/// `disk.read`/`disk.write` spans on the driver's disk lane. Counters
-/// (`store.*`) are booked at the event sites so they reconcile with
-/// [`StoreStats`] by construction. The returned outcome is identical to
-/// the untraced path for any sink.
-///
-/// # Errors
-/// Same as [`run_rdd`].
 pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome, StoreError> {
     let n = cfg.agg.mappers;
     let parts: Vec<PartBuild> = par_map(cfg.jobs, n, |m| build_part(cfg, m));
@@ -313,14 +293,7 @@ pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome
     // Round-trip check: merged folds (partition order) must equal the
     // dataset's expected aggregate — exact counts, value sums to f64
     // accumulation-order tolerance.
-    let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
-    for p in &parts {
-        for (&k, &(c, s)) in &p.fold {
-            let e = fold.entry(k).or_insert((0, 0.0));
-            e.0 += c;
-            e.1 += s;
-        }
-    }
+    let fold = merge_folds(parts.iter().map(|p| &p.fold));
     let expected = cfg.agg.expected_fold();
     let fold_ok = fold.len() == expected.len()
         && fold.iter().zip(expected.iter()).all(|((k1, (c1, s1)), (k2, (c2, s2)))| {
@@ -458,16 +431,7 @@ pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome
     }
 
     if S::ENABLED {
-        let lane = EntityId { pid: DRIVER_PID, tid: T_DISK };
-        for w in store.take_disk_tape() {
-            sink.span(Span {
-                entity: lane,
-                name: if w.write { "disk.write" } else { "disk.read" },
-                t0_ns: w.start_ns,
-                t1_ns: w.end_ns,
-                attrs: vec![("bytes", w.bytes.into())],
-            });
-        }
+        store.emit_disk_tape(sink, EntityId { pid: DRIVER_PID, tid: T_DISK });
         sink.count("store.disk_read_bytes", store.disk().read_bytes());
         sink.count("store.disk_write_bytes", store.disk().write_bytes());
         sink.count("store.disk_seeks", store.disk().seeks());

@@ -7,8 +7,8 @@
 //! goes through the workspace's one [`JsonWriter`].
 
 use crate::block::StoreError;
-use crate::rdd::{run_rdd, AccessPattern, RddConfig, RddOutcome};
-use telemetry::JsonWriter;
+use crate::rdd::{run_rdd_sunk, AccessPattern, RddConfig, RddOutcome};
+use telemetry::{JsonWriter, NoopSink};
 
 /// One cached-RDD run: the knobs that varied plus the outcome.
 pub struct RunRecord {
@@ -43,7 +43,7 @@ impl RunRecord {
             disk: cfg.disk.name,
             access: cfg.access.label(),
             faulted: cfg.checksum || cfg.fault.is_some_and(|f| f.enabled()),
-            outcome: run_rdd(cfg)?,
+            outcome: run_rdd_sunk(cfg, &mut NoopSink)?,
         })
     }
 

@@ -5,6 +5,7 @@
 
 use sdheap::rng::Rng;
 use store::{Backend, Engine, EngineError};
+use telemetry::NoopSink;
 use workloads::AggConfig;
 
 fn sample(backend: Backend) -> (Vec<u8>, sdheap::KlassRegistry, u64) {
@@ -28,7 +29,7 @@ fn sample(backend: Backend) -> (Vec<u8>, sdheap::KlassRegistry, u64) {
     for (j, &r) in part.records.iter().enumerate() {
         heap.set_array_elem(batch, j, r.get());
     }
-    let (bytes, _) = engine.serialize_framed(&mut heap, &reg, batch, true);
+    let (bytes, _) = engine.serialize(&mut heap, &reg, batch, true, &mut NoopSink);
     (bytes, reg, agg.heap_capacity())
 }
 
@@ -41,7 +42,7 @@ fn every_backend_detects_single_bit_corruption() {
         let (framed, reg, capacity) = sample(backend);
         let mut engine = Engine::new(backend, &reg);
         engine
-            .try_deserialize(&framed, &reg, capacity, true)
+            .deserialize(&framed, &reg, capacity, true, &mut NoopSink)
             .unwrap_or_else(|e| panic!("{}: intact stream rejected: {e}", backend.name()));
 
         let mut rng = Rng::new(0xF11B_0000 ^ backend as u64);
@@ -49,7 +50,7 @@ fn every_backend_detects_single_bit_corruption() {
             let bit = rng.gen_range_usize(0, framed.len() * 8);
             let mut bad = framed.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            match engine.try_deserialize(&bad, &reg, capacity, true) {
+            match engine.deserialize(&bad, &reg, capacity, true, &mut NoopSink) {
                 Err(EngineError::Checksum(_)) => {}
                 Err(e) => panic!(
                     "{}: bit {bit} produced {e} instead of a checksum error",
@@ -73,8 +74,10 @@ fn checksum_verification_costs_simulated_time() {
     let (framed, reg, capacity) = sample(backend);
     let plain = &framed[..framed.len() - sdformat::FOOTER_BYTES];
     let mut engine = Engine::new(backend, &reg);
-    let (_, _, ns_plain) = engine.try_deserialize(plain, &reg, capacity, false).unwrap();
-    let (_, _, ns_checked) = engine.try_deserialize(&framed, &reg, capacity, true).unwrap();
+    let mut de =
+        |bytes, checksum| engine.deserialize(bytes, &reg, capacity, checksum, &mut NoopSink);
+    let (_, _, ns_plain) = de(plain, false).unwrap();
+    let (_, _, ns_checked) = de(&framed, true).unwrap();
     let expected = sdformat::crc_ns(plain.len());
     assert!(expected > 0.0);
     assert!(

@@ -4,9 +4,10 @@
 
 use sim::DiskConfig;
 use store::{
-    build_part, run_rdd, run_suite, AccessPattern, Backend, BlockStore, MissPolicy, NoLineage,
+    build_part, run_rdd_sunk, run_suite, AccessPattern, Backend, BlockStore, MissPolicy, NoLineage,
     RddConfig, StoreConfig,
 };
+use telemetry::NoopSink;
 use workloads::{AggConfig, KeySkew};
 
 fn tiny_agg() -> AggConfig {
@@ -40,8 +41,8 @@ fn tiny(backend: Backend) -> RddConfig {
 #[test]
 fn eviction_order_is_deterministic() {
     let cfg = tiny(Backend::Kryo);
-    let a = run_rdd(&cfg).unwrap();
-    let b = run_rdd(&cfg).unwrap();
+    let a = run_rdd_sunk(&cfg, &mut NoopSink).unwrap();
+    let b = run_rdd_sunk(&cfg, &mut NoopSink).unwrap();
     assert_eq!(a.store, b.store);
     assert_eq!(a.total_ns.to_bits(), b.total_ns.to_bits());
     assert_eq!(a.materialize_ns.to_bits(), b.materialize_ns.to_bits());
@@ -99,22 +100,31 @@ fn spill_and_reload_is_byte_identical_per_backend() {
 fn auto_policy_crosses_over_with_the_disk() {
     let base = tiny(Backend::Kryo);
 
-    let hdd =
-        run_rdd(&RddConfig { policy: MissPolicy::Auto, disk: DiskConfig::hdd(), ..base }).unwrap();
+    let hdd = run_rdd_sunk(
+        &RddConfig { policy: MissPolicy::Auto, disk: DiskConfig::hdd(), ..base },
+        &mut NoopSink,
+    )
+    .unwrap();
     assert!(hdd.store.recomputes > 0, "HDD seeks dwarf recomputation");
     assert_eq!(hdd.store.spills, 0);
     assert!(hdd.fold_ok);
 
-    let nvme =
-        run_rdd(&RddConfig { policy: MissPolicy::Auto, disk: DiskConfig::nvme(), ..base }).unwrap();
+    let nvme = run_rdd_sunk(
+        &RddConfig { policy: MissPolicy::Auto, disk: DiskConfig::nvme(), ..base },
+        &mut NoopSink,
+    )
+    .unwrap();
     assert!(nvme.store.disk_fetches > 0, "NVMe fetches beat recomputation");
     assert_eq!(nvme.store.recomputes, 0);
     assert!(nvme.fold_ok);
 
     for (auto, disk) in [(&hdd, DiskConfig::hdd()), (&nvme, DiskConfig::nvme())] {
-        let fetch = run_rdd(&RddConfig { policy: MissPolicy::Fetch, disk, ..base }).unwrap();
+        let fetch =
+            run_rdd_sunk(&RddConfig { policy: MissPolicy::Fetch, disk, ..base }, &mut NoopSink)
+                .unwrap();
         let recompute =
-            run_rdd(&RddConfig { policy: MissPolicy::Recompute, disk, ..base }).unwrap();
+            run_rdd_sunk(&RddConfig { policy: MissPolicy::Recompute, disk, ..base }, &mut NoopSink)
+                .unwrap();
         let best = fetch.total_ns.min(recompute.total_ns);
         assert!(
             auto.total_ns <= best + 1e-6,
@@ -132,8 +142,9 @@ fn auto_policy_crosses_over_with_the_disk() {
 #[test]
 fn skewed_access_hits_where_scans_thrash() {
     let base = tiny(Backend::Kryo);
-    let scan = run_rdd(&base).unwrap();
-    let zipf = run_rdd(&RddConfig { access: AccessPattern::Zipf(1.2), ..base }).unwrap();
+    let scan = run_rdd_sunk(&base, &mut NoopSink).unwrap();
+    let zipf = run_rdd_sunk(&RddConfig { access: AccessPattern::Zipf(1.2), ..base }, &mut NoopSink)
+        .unwrap();
     let scan_hits: u64 = scan.passes.iter().map(|p| p.hits).sum();
     let zipf_hits: u64 = zipf.passes.iter().map(|p| p.hits).sum();
     assert_eq!(scan_hits, 0);

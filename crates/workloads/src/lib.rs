@@ -18,6 +18,6 @@ pub mod zipf;
 
 pub use jsbs::{catalog, media_content, LibClass, LibraryProfile};
 pub use micro::{MicroBench, Scale};
-pub use spark::agg::{AggConfig, AggPartition, KeySkew};
+pub use spark::agg::{fold_record, merge_folds, AggConfig, AggPartition, Fold, KeySkew};
 pub use spark::{phases, SparkApp, SparkDataset, SparkScale};
 pub use zipf::{SkewSampler, Zipf};

@@ -34,6 +34,31 @@ pub const PAYLOAD_WORDS: usize = 8;
 /// the shuffle service's coalescing estimate.
 pub const RECORD_HEAP_BYTES: u64 = (6 + 4 + PAYLOAD_WORDS as u64) * 8;
 
+/// A per-key `(count, sum)` aggregate — what every consumer of the
+/// dataset folds its records into.
+pub type Fold = BTreeMap<u64, (u64, f64)>;
+
+/// Folds one record into `fold`.
+pub fn fold_record(fold: &mut Fold, key: u64, value: f64) {
+    let e = fold.entry(key).or_insert((0, 0.0));
+    e.0 += 1;
+    e.1 += value;
+}
+
+/// Merges folds in the given order. Where folds share keys the order is
+/// part of the result's definition (the sums are f64).
+pub fn merge_folds<'f>(folds: impl IntoIterator<Item = &'f Fold>) -> Fold {
+    let mut merged = Fold::new();
+    for fold in folds {
+        for (&k, &(c, s)) in fold {
+            let e = merged.entry(k).or_insert((0, 0.0));
+            e.0 += c;
+            e.1 += s;
+        }
+    }
+    merged
+}
+
 /// Key-popularity distribution of the generated records.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum KeySkew {
@@ -184,8 +209,8 @@ impl AggConfig {
     /// with values accumulated in `(mapper, generation)` order — the
     /// order a shuffle that preserves per-mapper record order folds in,
     /// so sums match bit for bit.
-    pub fn expected_fold(&self) -> BTreeMap<u64, (u64, f64)> {
-        let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
+    pub fn expected_fold(&self) -> Fold {
+        let mut fold = Fold::new();
         let sampler = self.key_sampler();
         for m in 0..self.mappers {
             let mut rng = self.rng_for(m);
@@ -195,9 +220,7 @@ impl AggConfig {
                 for _ in 0..PAYLOAD_WORDS {
                     rng.next_u64();
                 }
-                let e = fold.entry(key).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += value;
+                fold_record(&mut fold, key, value);
             }
         }
         fold

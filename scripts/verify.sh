@@ -15,6 +15,12 @@ status_before=$(git status --porcelain)
 echo "== tier-1: build =="
 cargo build --release $CARGO_FLAGS
 
+echo "== perfbench builds against the current crate APIs =="
+# The benchmark is its own workspace, so nothing above compiles it; an
+# API change that breaks it must fail here, not at benchmark time. Its
+# output goes to the git-ignored perfbench/target.
+cargo build --release --manifest-path perfbench/Cargo.toml $CARGO_FLAGS
+
 echo "== tier-1: tests (root package) =="
 cargo test -q $CARGO_FLAGS
 
