@@ -4,10 +4,10 @@
 //! The eighteen experiment units (six microbenchmarks, six JSBS measured
 //! serializer runs, six Spark applications) are independent: each builds
 //! its own heap and seeds its own PRNG, so they fan out across worker
-//! threads ([`store::par_map`]; `--jobs N`, default: available
-//! parallelism up to 8) without changing any measurement. Rendering
-//! happens only after every unit completes, in the fixed figure order,
-//! so the report is byte-identical for any job count.
+//! threads ([`store::par_map`]; `--jobs N` or `--jobs=N`, default:
+//! available parallelism up to 8) without changing any measurement.
+//! Rendering happens only after every unit completes, in the fixed
+//! figure order, so the report is byte-identical for any job count.
 
 use cereal_bench::micro_suite::MicroResult;
 use cereal_bench::runners::SdMeasure;

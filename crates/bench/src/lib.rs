@@ -36,17 +36,68 @@ pub fn out_path(args: &[String], default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-/// Worker threads from `--jobs N` in `args`, else the available
-/// parallelism clamped to `1..=8`.
+/// Worker threads from `--jobs N` or `--jobs=N` in `args`, else the
+/// available parallelism clamped to `1..=8`. A missing, zero or
+/// non-numeric value prints an error and exits with status 2.
 pub fn jobs_arg(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8)
-        })
+    parse_jobs(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`jobs_arg`] without the exit: `Err` describes a bad `--jobs` value.
+fn parse_jobs(args: &[String]) -> Result<usize, String> {
+    let value = args
+        .iter()
+        .enumerate()
+        .find_map(|(i, a)| match a.strip_prefix("--jobs") {
+            Some("") => Some(args.get(i + 1).map(String::as_str)),
+            Some(rest) => rest.strip_prefix('=').map(Some),
+            None => None,
+        });
+    match value {
+        None => Ok(std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 8)),
+        Some(v) => match v.map(str::parse::<usize>) {
+            Some(Ok(n)) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "--jobs needs a positive integer, got {}",
+                v.map_or("nothing".to_string(), |v| format!("{v:?}"))
+            )),
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_jobs;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn jobs_accepts_both_spellings() {
+        assert_eq!(parse_jobs(&args(&["bin", "--jobs", "3"])), Ok(3));
+        assert_eq!(parse_jobs(&args(&["bin", "--smoke", "--jobs=4"])), Ok(4));
+        let default = parse_jobs(&args(&["bin", "--smoke"])).unwrap();
+        assert!((1..=8).contains(&default));
+    }
+
+    #[test]
+    fn jobs_rejects_missing_zero_and_non_numeric_values() {
+        for bad in [
+            &["bin", "--jobs"][..],
+            &["bin", "--jobs", "--smoke"],
+            &["bin", "--jobs", "0"],
+            &["bin", "--jobs=0"],
+            &["bin", "--jobs=four"],
+            &["bin", "--jobs="],
+        ] {
+            assert!(parse_jobs(&args(bad)).is_err(), "{bad:?} accepted");
+        }
+    }
 }

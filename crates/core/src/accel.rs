@@ -313,14 +313,14 @@ impl Accelerator {
                     root,
                     &mut cpu,
                 )?;
-                let ns = cpu.report().ns;
+                let report = cpu.report();
                 self.ser_requests += 1;
                 Ok(SerResult {
                     bytes: stream.to_bytes(),
                     run: UnitRun {
                         start_ns: 0.0,
-                        end_ns: ns,
-                        read_bytes: cpu.report().dram_bytes,
+                        end_ns: report.ns,
+                        read_bytes: report.dram_bytes,
                         write_bytes: 0,
                     },
                     unit: 0,

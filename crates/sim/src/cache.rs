@@ -36,19 +36,16 @@ impl LevelConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
 /// One set-associative cache level.
+///
+/// Lines are one flat, zero-initialised allocation of `sets × ways`
+/// entries `[tag << 1 | dirty, lru]`, set after set. Every fill stamps a
+/// tick ≥ 1, so `lru == 0` marks an invalid line.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: LevelConfig,
-    sets: Vec<Vec<Line>>,
+    nsets: usize,
+    lines: Vec<[u64; 2]>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -69,42 +66,34 @@ impl Cache {
         );
         Cache {
             cfg,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    cfg.ways
-                ];
-                nsets
-            ],
+            nsets,
+            lines: vec![[0; 2]; nsets * cfg.ways],
             tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
+    /// The set index, tag and lines of the set `addr` maps to.
+    fn set(&mut self, addr: u64) -> (usize, u64, &mut [[u64; 2]]) {
         let block = addr / self.cfg.line;
-        ((block as usize) % self.sets.len(), block / self.sets.len() as u64)
+        let set_idx = (block as usize) % self.nsets;
+        let ways = self.cfg.ways;
+        let set = &mut self.lines[set_idx * ways..][..ways];
+        (set_idx, block / self.nsets as u64, set)
     }
 
     /// Looks up a line; on hit, refreshes LRU and applies `write` to the
     /// dirty bit. Returns whether it hit.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.tick += 1;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= write;
-                self.hits += 1;
-                return true;
-            }
+        let tick = self.tick;
+        let (_, tag, set) = self.set(addr);
+        if let Some(line) = set.iter_mut().find(|l| l[1] != 0 && l[0] >> 1 == tag) {
+            line[0] |= u64::from(write);
+            line[1] = tick;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
         false
@@ -114,21 +103,15 @@ impl Cache {
     /// evicted dirty line's address if a write-back is needed.
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
         self.tick += 1;
-        let line_bytes = self.cfg.line;
-        let nsets = self.sets.len() as u64;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("ways > 0");
-        let evicted = (victim.valid && victim.dirty).then(|| {
-            (victim.tag * nsets + set_idx as u64) * line_bytes
-        });
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = write;
-        victim.lru = self.tick;
+        let tick = self.tick;
+        let (line_bytes, nsets) = (self.cfg.line, self.nsets as u64);
+        let (set_idx, tag, set) = self.set(addr);
+        // First least-recent line; invalid lines (lru 0) go first.
+        let victim = set.iter_mut().min_by_key(|l| l[1]).expect("ways > 0");
+        // Only a filled line can be dirty.
+        let evicted =
+            (victim[0] & 1 == 1).then(|| ((victim[0] >> 1) * nsets + set_idx as u64) * line_bytes);
+        *victim = [tag << 1 | u64::from(write), tick];
         evicted
     }
 
