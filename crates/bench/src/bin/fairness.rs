@@ -7,13 +7,13 @@
 //! cores vs the 8-unit accelerator, on the Tree-narrow microbenchmark.
 
 use cereal_bench::runners::{repeat_root, run_cereal, run_software_parallel};
+use cereal_bench::scale_arg;
 use cereal_bench::table::{ns, x, Table};
-use cereal_bench::micro_suite::scale_from_env;
 use serializers::Kryo;
 use workloads::MicroBench;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_arg();
     let (mut heap, reg, root) = MicroBench::TreeNarrow.build(scale);
     let roots = repeat_root(root, 16);
 

@@ -203,7 +203,7 @@ fn main() {
 
     let mut store_rows: Vec<StoreRow> = Vec::new();
     for &rate in rates {
-        let mut cfg = store_cfg.clone();
+        let mut cfg = store_cfg;
         cfg.fault = Some(FaultConfig::uniform(rate, FAULT_SEED));
         let out = run_rdd_sunk(&cfg, &mut NoopSink).unwrap_or_else(|e| {
             eprintln!("store at rate {rate} failed: {e}");

@@ -18,13 +18,10 @@ use cereal::CerealConfig;
 use cereal_bench::{out_path, repeat_root, run_cereal};
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
-use serializers::{
-    fold_words_heap, Archive, ArchiveView, JavaSd, Kryo, NullSink, ProtoLike, Serializer, Skyway,
-};
+use serializers::{fold_words_heap, Archive, ArchiveView, NullSink, Serializer};
+use store::{Backend, Engine};
+use telemetry::NoopSink;
 use workloads::{MicroBench, Scale};
-
-/// Destination-heap base for reconstruction (clear of every source).
-const DST_BASE: u64 = 0x40_0000_0000;
 
 struct CrossoverPerf {
     workload: &'static str,
@@ -33,7 +30,7 @@ struct CrossoverPerf {
     archive_validate_ns: f64,
     archive_fold_ns: f64,
     cereal_du_ns: f64,
-    sw_name: String,
+    sw_name: &'static str,
     sw_de_ns: f64,
 }
 
@@ -111,22 +108,17 @@ fn archive_crossover() -> Vec<CrossoverPerf> {
             let records = view.object_count();
             drop(view);
 
-            let sers: Vec<Box<dyn Serializer>> = vec![
-                Box::new(JavaSd::new()),
-                Box::new(Kryo::new()),
-                Box::new(Skyway::new()),
-                Box::new(ProtoLike::new()),
-            ];
-            let (sw_name, sw_de_ns) = sers
-                .iter()
-                .map(|ser| {
+            let compiled = [Backend::Java, Backend::Kryo, Backend::Skyway, Backend::ProtoLike];
+            let (sw_name, sw_de_ns) = compiled
+                .into_iter()
+                .map(|backend| {
                     heap.gc_clear_serialization_metadata(&reg);
-                    let sbytes =
-                        ser.serialize(&mut heap, &reg, root, &mut sink).expect("serialize");
-                    let mut cpu = sim::Cpu::host();
-                    let mut dst = Heap::with_base(Addr(DST_BASE), heap.capacity_bytes());
-                    ser.deserialize(&sbytes, &reg, &mut dst, &mut cpu).expect("deserialize");
-                    (ser.name().to_string(), cpu.report().ns)
+                    let mut engine = Engine::new(backend, &reg);
+                    let (sbytes, _) = engine.serialize(&mut heap, &reg, root, false, &mut NoopSink);
+                    let (_, _, de_ns) = engine
+                        .deserialize(&sbytes, &reg, heap.capacity_bytes(), false, &mut NoopSink)
+                        .expect("deserialize");
+                    (backend.name(), de_ns)
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("non-empty backend list");

@@ -7,17 +7,17 @@
 //! where the bottleneck sits — the punchline being that Cereal moves the
 //! bottleneck from S/D to the network itself.
 
-use cereal::Accelerator;
-use cereal_bench::spark_suite::scale_from_env;
 use cereal_bench::table::{ns, Table};
-use sdheap::{Addr, Heap};
-use serializers::{JavaSd, Kryo, NullSink, Serializer};
-use sim::{Cpu, Link, LinkConfig};
-use workloads::SparkApp;
+use cereal_bench::{scale_arg, spark_suite::spark_scale};
+use sdheap::Addr;
+use sim::{Link, LinkConfig};
+use store::{Backend, Engine};
+use telemetry::NoopSink;
+use workloads::{SparkApp, SparkDataset};
 
 /// Per-batch stage timings for one serializer.
 struct StageTimes {
-    name: String,
+    name: &'static str,
     /// Parallel servers per S/D stage: 1 host core for software, 8 units
     /// for the accelerator.
     ways: usize,
@@ -26,50 +26,28 @@ struct StageTimes {
     de: Vec<f64>,
 }
 
-fn software_stages(
-    ser: &dyn Serializer,
-    ds: &mut workloads::SparkDataset,
-    batches: &[Addr],
-) -> StageTimes {
+/// Times every batch's serialize and deserialize on one `backend`
+/// engine, without checksum frames.
+fn stages(backend: Backend, ds: &mut SparkDataset, batches: &[Addr]) -> StageTimes {
     let mut out = StageTimes {
-        name: ser.name().to_string(),
-        ways: 1,
+        name: backend.name(),
+        ways: if backend == Backend::Cereal { 8 } else { 1 },
         ser: Vec::new(),
         net_bytes: Vec::new(),
         de: Vec::new(),
     };
-    for &b in batches {
-        let mut cpu = Cpu::host();
-        let bytes = ser.serialize(&mut ds.heap, &ds.reg, b, &mut NullSink).expect("ok");
-        ser.serialize(&mut ds.heap, &ds.reg, b, &mut cpu).expect("ok");
-        out.ser.push(cpu.report().ns);
-        out.net_bytes.push(bytes.len() as u64);
-        let mut de_cpu = Cpu::host();
-        let mut dst = Heap::with_base(Addr(0x40_0000_0000), ds.heap.capacity_bytes());
-        ser.deserialize(&bytes, &ds.reg, &mut dst, &mut de_cpu).expect("ok");
-        out.de.push(de_cpu.report().ns);
-    }
-    out
-}
-
-fn cereal_stages(ds: &mut workloads::SparkDataset, batches: &[Addr]) -> StageTimes {
-    let mut out = StageTimes {
-        name: "Cereal".into(),
-        ways: 8,
-        ser: Vec::new(),
-        net_bytes: Vec::new(),
-        de: Vec::new(),
-    };
-    let mut accel = Accelerator::paper();
-    accel.register_all(&ds.reg).expect("register");
+    let mut engine = Engine::new(backend, &ds.reg);
+    // Play the GC's role: clear serialization counters left in header
+    // extensions by any earlier accelerator run over this heap.
     ds.heap.gc_clear_serialization_metadata(&ds.reg);
+    let capacity = ds.heap.capacity_bytes();
     for &b in batches {
-        let r = accel.serialize(&mut ds.heap, &ds.reg, b).expect("ok");
-        out.ser.push(r.run.busy_ns());
-        out.net_bytes.push(r.bytes.len() as u64);
-        let mut dst = Heap::with_base(Addr(0x40_0000_0000), ds.heap.capacity_bytes());
-        let de = accel.deserialize(&r.bytes, &mut dst).expect("ok");
-        out.de.push(de.run.busy_ns());
+        let (bytes, t) = engine.serialize(&mut ds.heap, &ds.reg, b, false, &mut NoopSink);
+        out.ser.push(t.busy_ns);
+        out.net_bytes.push(bytes.len() as u64);
+        let (_, _, de_ns) =
+            engine.deserialize(&bytes, &ds.reg, capacity, false, &mut NoopSink).expect("ok");
+        out.de.push(de_ns);
     }
     out
 }
@@ -113,9 +91,8 @@ fn pipeline(stages: &StageTimes, link_cfg: LinkConfig) -> (f64, &'static str) {
 }
 
 fn main() {
-    let scale = scale_from_env();
     let app = SparkApp::Terasort;
-    let mut ds = app.build(scale);
+    let mut ds = app.build(spark_scale(scale_arg()));
     let batches = ds.batches.clone();
     println!(
         "End-to-end shuffle — {} ({} partitions), sender S/D → link → receiver S/D\n",
@@ -123,11 +100,10 @@ fn main() {
         batches.len()
     );
 
-    let stage_sets = vec![
-        software_stages(&JavaSd::new(), &mut ds, &batches),
-        software_stages(&Kryo::new(), &mut ds, &batches),
-        cereal_stages(&mut ds, &batches),
-    ];
+    let stage_sets: Vec<StageTimes> = [Backend::Java, Backend::Kryo, Backend::Cereal]
+        .into_iter()
+        .map(|backend| stages(backend, &mut ds, &batches))
+        .collect();
 
     let mut t = Table::new(&["serializer", "10GbE", "bottleneck", "40GbE", "bottleneck", "100GbE", "bottleneck"]);
     for s in &stage_sets {
@@ -135,7 +111,7 @@ fn main() {
         let (t40, b40) = pipeline(s, LinkConfig::forty_gbe());
         let (t100, b100) = pipeline(s, LinkConfig::hundred_gbe());
         t.row(vec![
-            s.name.clone(),
+            s.name.into(),
             ns(t10),
             b10.into(),
             ns(t40),

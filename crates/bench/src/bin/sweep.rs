@@ -2,14 +2,13 @@
 //! Vanilla ablation): unit-count scaling, block-reconstructor scaling,
 //! and the packing on/off size comparison.
 
-use cereal::{Accelerator, CerealConfig};
-use cereal_bench::micro_suite::scale_from_env;
+use cereal::CerealConfig;
 use cereal_bench::table::{bytes as fmt_bytes, ns, pct, Table};
-use sdheap::{Addr, Heap};
+use cereal_bench::{repeat_root, run_cereal, scale_arg};
 use workloads::{MicroBench, Scale};
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_arg();
     unit_sweep(scale);
     reconstructor_sweep(scale);
     packing_sweep(scale);
@@ -28,27 +27,14 @@ fn unit_sweep(scale: Scale) {
             num_du: units,
             ..CerealConfig::paper()
         };
-        let mut accel = Accelerator::new(cfg);
-        accel.register_all(&reg).expect("register");
-        heap.gc_clear_serialization_metadata(&reg);
-        let mut stream = Vec::new();
-        for _ in 0..16 {
-            stream = accel.serialize(&mut heap, &reg, root).expect("serialize").bytes;
-        }
-        let ser_ns = accel.report().ser_makespan_ns;
-        accel.reset_meters();
-        for _ in 0..16 {
-            let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
-            accel.deserialize(&stream, &mut dst).expect("deserialize");
-        }
-        let de_ns = accel.report().de_makespan_ns;
-        let (bs, bd) = *base.get_or_insert((ser_ns, de_ns));
+        let m = run_cereal(cfg, &mut heap, &reg, &repeat_root(root, 16));
+        let (bs, bd) = *base.get_or_insert((m.ser_ns, m.de_ns));
         t.row(vec![
             units.to_string(),
-            ns(ser_ns),
-            ns(de_ns),
-            format!("{:.2}x", bs / ser_ns),
-            format!("{:.2}x", bd / de_ns),
+            ns(m.ser_ns),
+            ns(m.de_ns),
+            format!("{:.2}x", bs / m.ser_ns),
+            format!("{:.2}x", bd / m.de_ns),
         ]);
     }
     println!("{}", t.render());
@@ -62,12 +48,6 @@ fn unit_sweep(scale: Scale) {
 fn reconstructor_sweep(scale: Scale) {
     println!("Ablation B — block reconstructors per DU (List-large, 1 request)\n");
     let (mut heap, reg, root) = MicroBench::ListLarge.build(scale);
-    let bytes = {
-        let mut accel = Accelerator::paper();
-        accel.register_all(&reg).expect("register");
-        heap.gc_clear_serialization_metadata(&reg);
-        accel.serialize(&mut heap, &reg, root).expect("serialize").bytes
-    };
     let mut t = Table::new(&["reconstructors", "de time", "speedup vs 1"]);
     let mut base = None;
     for recon in [1usize, 2, 4, 8] {
@@ -75,16 +55,9 @@ fn reconstructor_sweep(scale: Scale) {
             reconstructors_per_du: recon,
             ..CerealConfig::paper()
         };
-        let mut accel = Accelerator::new(cfg);
-        accel.register_all(&reg).expect("register");
-        let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
-        let de = accel.deserialize(&bytes, &mut dst).expect("deserialize");
-        let b = *base.get_or_insert(de.run.busy_ns());
-        t.row(vec![
-            recon.to_string(),
-            ns(de.run.busy_ns()),
-            format!("{:.2}x", b / de.run.busy_ns()),
-        ]);
+        let de_ns = run_cereal(cfg, &mut heap, &reg, &[root]).de_ns;
+        let b = *base.get_or_insert(de_ns);
+        t.row(vec![recon.to_string(), ns(de_ns), format!("{:.2}x", b / de_ns)]);
     }
     println!("{}", t.render());
     println!("the paper's choice of four reconstructors sits at the knee.\n");
@@ -128,21 +101,8 @@ fn row_buffer_sweep(scale: Scale) {
             dram,
             ..CerealConfig::paper()
         };
-        let mut accel = Accelerator::new(cfg);
-        accel.register_all(&reg).expect("register");
-        heap.gc_clear_serialization_metadata(&reg);
-        let mut stream = Vec::new();
-        for _ in 0..8 {
-            stream = accel.serialize(&mut heap, &reg, root).expect("serialize").bytes;
-        }
-        let ser_ns = accel.report().ser_makespan_ns;
-        accel.reset_meters();
-        for _ in 0..8 {
-            let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
-            accel.deserialize(&stream, &mut dst).expect("deserialize");
-        }
-        let de_ns = accel.report().de_makespan_ns;
-        t.row(vec![name.to_string(), ns(ser_ns), ns(de_ns)]);
+        let m = run_cereal(cfg, &mut heap, &reg, &repeat_root(root, 8));
+        t.row(vec![name.to_string(), ns(m.ser_ns), ns(m.de_ns)]);
     }
     println!("{}", t.render());
     println!(

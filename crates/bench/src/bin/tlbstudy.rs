@@ -8,14 +8,15 @@
 //! TLB and measuring both units.
 
 use cereal::{Accelerator, CerealConfig};
-use cereal_bench::micro_suite::scale_from_env;
+use cereal_bench::scale_arg;
 use cereal_bench::table::{ns, pct, Table};
 use sdheap::{Addr, Heap};
 use sim::TlbConfig;
+use store::DST_BASE;
 use workloads::MicroBench;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_arg();
     // Graph-sparse: random reference targets → random SU header fetches.
     let (mut heap, reg, root) = MicroBench::GraphSparse.build(scale);
 
@@ -47,7 +48,7 @@ fn main() {
             accel.register_all(&reg).expect("register");
             heap.gc_clear_serialization_metadata(&reg);
             let ser = accel.serialize(heap, &reg, root).expect("serialize");
-            let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
+            let mut dst = Heap::with_base(Addr(DST_BASE), heap.capacity_bytes());
             let de = accel.deserialize(&ser.bytes, &mut dst).expect("deserialize");
             (ser.run.busy_ns(), de.run.busy_ns())
         };

@@ -101,13 +101,6 @@ pub fn assemble(measures: &[SdMeasure]) -> JsbsResult {
     JsbsResult { libraries, cereal }
 }
 
-/// Runs the suite sequentially (fan-out callers schedule
-/// [`run_measured`] units themselves and [`assemble`] the result).
-pub fn run() -> JsbsResult {
-    let measures: Vec<SdMeasure> = (0..MEASURED_UNITS).map(run_measured).collect();
-    assemble(&measures)
-}
-
 impl JsbsResult {
     /// Cereal's geometric-mean speedup over all 88 libraries (the paper's
     /// 43.4× headline).
@@ -143,7 +136,8 @@ mod tests {
 
     #[test]
     fn fig12_shapes_hold() {
-        let r = run();
+        let measures: Vec<SdMeasure> = (0..MEASURED_UNITS).map(run_measured).collect();
+        let r = assemble(&measures);
         assert_eq!(r.libraries.len(), 88);
 
         // Cereal beats every software library, including the fastest.

@@ -1,22 +1,25 @@
 //! `cereal-bench` — the experiment harness that regenerates every table
 //! and figure in the Cereal paper's evaluation (§VI).
 //!
-//! One binary per figure/table (`cargo run -p cereal-bench --release
-//! --bin fig10`), plus `--bin all`, which runs the whole evaluation and
-//! emits an EXPERIMENTS.md-style report. Set `CEREAL_SCALE=tiny` for a
-//! quick pass; the default `scaled` runs the DESIGN.md workload sizes.
+//! `cargo run -p cereal-bench --release --bin all` runs the whole
+//! evaluation and emits an EXPERIMENTS.md-style report; `--only <id>`
+//! (an id of [`figures::FIGURES`], e.g. `fig10`) renders one figure and
+//! runs only the suites it reads. Set `CEREAL_SCALE=tiny` for a quick
+//! pass; the default `scaled` runs the DESIGN.md workload sizes.
 //!
-//! | Experiment | Module |
-//! |---|---|
-//! | Fig. 2 (runtime breakdown) | [`render::fig2`] over [`spark_suite`] |
-//! | Fig. 3 (CPU S/D analysis) | [`render::fig3`] over [`micro_suite`] |
-//! | Fig. 10 (microbench speedups) | [`render::fig10`] |
-//! | Fig. 11 (microbench bandwidth) | [`render::fig11`] |
-//! | Table IV (serialized sizes) | [`render::table4`] |
-//! | Fig. 12 (JSBS, 88 libraries) | [`render::fig12`] over [`jsbs_suite`] |
-//! | Fig. 13–17 (Spark) | [`render::fig13`] … [`render::fig17`] |
-//! | Tables I & V | [`render::table1`], [`render::table5`] |
+//! | Experiment | `--only` | Module |
+//! |---|---|---|
+//! | Table I (architectural parameters) | `table1` | [`render::table1`] |
+//! | Fig. 2 (runtime breakdown) | `fig2` | [`render::fig2`] over [`spark_suite`] |
+//! | Fig. 3 (CPU S/D analysis) | `fig3` | [`render::fig3`] over [`micro_suite`] |
+//! | Fig. 10 (microbench speedups) | `fig10` | [`render::fig10`] |
+//! | Fig. 11 (microbench bandwidth) | `fig11` | [`render::fig11`] |
+//! | Table IV (serialized sizes) | `table4` | [`render::table4`] |
+//! | Fig. 12 (JSBS, 88 libraries) | `fig12` | [`render::fig12`] over [`jsbs_suite`] |
+//! | Fig. 13–17 (Spark) | `fig13` … `fig17` | [`render::fig13`] … [`render::fig17`] |
+//! | Table V (area/power) | `table5` | [`render::table5`] |
 
+pub mod figures;
 pub mod jsbs_suite;
 pub mod micro_suite;
 pub mod render;
@@ -26,6 +29,7 @@ pub mod table;
 pub mod trace_suite;
 
 pub use runners::{repeat_root, run_cereal, run_software, SdMeasure};
+use workloads::Scale;
 
 /// The report path from `--out PATH` in `args`, else `default`.
 pub fn out_path(args: &[String], default: &str) -> String {
@@ -48,15 +52,7 @@ pub fn jobs_arg(args: &[String]) -> usize {
 
 /// [`jobs_arg`] without the exit: `Err` describes a bad `--jobs` value.
 fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    let value = args
-        .iter()
-        .enumerate()
-        .find_map(|(i, a)| match a.strip_prefix("--jobs") {
-            Some("") => Some(args.get(i + 1).map(String::as_str)),
-            Some(rest) => rest.strip_prefix('=').map(Some),
-            None => None,
-        });
-    match value {
+    match flag_value(args, "--jobs") {
         None => Ok(std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -71,9 +67,41 @@ fn parse_jobs(args: &[String]) -> Result<usize, String> {
     }
 }
 
+/// The value of `flag` in `args`, spelled `flag VALUE` or `flag=VALUE`:
+/// `None` when the flag is absent, `Some(None)` when it has no value.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
+    args.iter().enumerate().find_map(|(i, a)| match a.strip_prefix(flag) {
+        Some("") => Some(args.get(i + 1).map(String::as_str)),
+        Some(rest) => rest.strip_prefix('=').map(Some),
+        None => None,
+    })
+}
+
+/// The experiment scale from `CEREAL_SCALE`: `tiny`, `scaled` or
+/// `paper`, and scaled when unset. Any other value prints an error and
+/// exits with status 2.
+pub fn scale_arg() -> Scale {
+    let value = std::env::var_os("CEREAL_SCALE");
+    parse_scale(value.as_ref().map(|v| v.to_string_lossy()).as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`scale_arg`] without the exit: `Err` describes a bad value.
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None | Some("scaled") => Ok(Scale::Scaled),
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("paper") => Ok(Scale::Paper),
+        Some(v) => Err(format!("CEREAL_SCALE must be tiny, scaled or paper, got {v:?}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::parse_jobs;
+    use super::{parse_jobs, parse_scale};
+    use workloads::Scale;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -98,6 +126,22 @@ mod tests {
             &["bin", "--jobs="],
         ] {
             assert!(parse_jobs(&args(bad)).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    #[test]
+    fn scale_accepts_its_three_names_and_defaults_to_scaled() {
+        assert_eq!(parse_scale(None), Ok(Scale::Scaled));
+        assert_eq!(parse_scale(Some("scaled")), Ok(Scale::Scaled));
+        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("paper")), Ok(Scale::Paper));
+    }
+
+    #[test]
+    fn scale_rejects_typos() {
+        for bad in ["Tiny", "tiny ", "", "small", "PAPER"] {
+            let e = parse_scale(Some(bad)).expect_err(bad);
+            assert!(e.contains("tiny, scaled or paper"), "{e}");
         }
     }
 }

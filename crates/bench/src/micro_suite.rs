@@ -42,31 +42,14 @@ pub fn run_one(bench: MicroBench, scale: Scale) -> MicroResult {
     }
 }
 
-/// Runs the full suite at `scale`, sequentially, in Table II order.
-pub fn run(scale: Scale) -> Vec<MicroResult> {
-    MicroBench::all()
-        .iter()
-        .map(|&bench| run_one(bench, scale))
-        .collect()
-}
-
-/// The experiment scale from `CEREAL_SCALE` (`tiny` | `paper` | anything
-/// else → scaled).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("CEREAL_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Scaled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tiny_suite_preserves_paper_orderings() {
-        let results = run(Scale::Tiny);
+        let results: Vec<MicroResult> =
+            MicroBench::all().into_iter().map(|bench| run_one(bench, Scale::Tiny)).collect();
         assert_eq!(results.len(), 6);
         for r in &results {
             let name = r.bench.name();

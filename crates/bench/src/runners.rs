@@ -14,6 +14,7 @@ use cereal::{Accelerator, CerealConfig};
 use sdheap::{Addr, Heap, KlassRegistry};
 use serializers::Serializer;
 use sim::Cpu;
+use store::DST_BASE;
 
 /// One serializer's measured behaviour on one workload.
 #[derive(Clone, Debug)]
@@ -53,9 +54,6 @@ impl SdMeasure {
         self.ser_energy_uj + self.de_energy_uj
     }
 }
-
-/// Destination-heap base for reconstruction (clear of every source).
-const DST_BASE: u64 = 0x40_0000_0000;
 
 /// Runs a software serializer over all `roots` sequentially on the
 /// modeled host core.

@@ -4,7 +4,7 @@
 use crate::runners::{run_cereal, run_software, SdMeasure};
 use cereal::CerealConfig;
 use workloads::spark::phases::{self, AppRun};
-use workloads::{SparkApp, SparkScale};
+use workloads::{Scale, SparkApp, SparkScale};
 
 /// All measurements for one application.
 #[derive(Clone, Debug)]
@@ -56,11 +56,6 @@ pub fn run_one(app: SparkApp, scale: SparkScale) -> SparkResult {
     }
 }
 
-/// Runs the full application suite at `scale`.
-pub fn run(scale: SparkScale) -> Vec<SparkResult> {
-    SparkApp::all().iter().map(|&app| run_one(app, scale)).collect()
-}
-
 /// Computes (packed, unpacked-baseline, packed+header-strip) stream sizes
 /// for Fig. 16's compression-rate comparison.
 fn format_sizes(ds: &mut workloads::SparkDataset, roots: &[sdheap::Addr]) -> (u64, u64, u64) {
@@ -101,12 +96,12 @@ fn format_sizes(ds: &mut workloads::SparkDataset, roots: &[sdheap::Addr]) -> (u6
     (packed, baseline, stripped)
 }
 
-/// The experiment scale from `CEREAL_SCALE` (`tiny` | anything else →
-/// scaled).
-pub fn scale_from_env() -> SparkScale {
-    match std::env::var("CEREAL_SCALE").as_deref() {
-        Ok("tiny") => SparkScale::Tiny,
-        _ => SparkScale::Scaled,
+/// The Spark datasets for experiment scale `scale`: the paper's full
+/// datasets are not modeled, so `Paper` runs the scaled ones.
+pub fn spark_scale(scale: Scale) -> SparkScale {
+    match scale {
+        Scale::Tiny => SparkScale::Tiny,
+        Scale::Scaled | Scale::Paper => SparkScale::Scaled,
     }
 }
 
@@ -117,7 +112,8 @@ mod tests {
 
     #[test]
     fn tiny_suite_preserves_paper_shapes() {
-        let results = run(SparkScale::Tiny);
+        let results: Vec<SparkResult> =
+            SparkApp::all().into_iter().map(|app| run_one(app, SparkScale::Tiny)).collect();
         assert_eq!(results.len(), 6);
 
         // Fig. 13 shape: Cereal > Kryo > Java on S/D time, every app.

@@ -7,10 +7,8 @@
 use cereal::{Accelerator, CerealConfig};
 use sdformat::{CerealStream, Packed};
 use sdheap::{Addr, Heap};
+use store::DST_BASE;
 use workloads::{MicroBench, Scale};
-
-/// Destination-heap base for reconstruction (clear of every source).
-const DST_BASE: u64 = 0x40_0000_0000;
 
 fn serialize_tiny(mb: MicroBench) -> (Vec<u8>, u64) {
     let (mut heap, reg, root) = mb.build(Scale::Tiny);
@@ -24,7 +22,7 @@ fn serialize_tiny(mb: MicroBench) -> (Vec<u8>, u64) {
     // Reconstruction must still work on the same accelerator's tables.
     let mut dst = Heap::with_base(Addr(DST_BASE), heap.capacity_bytes());
     accel.deserialize(&bytes, &mut dst).expect("deserialize");
-    (bytes, heap.capacity_bytes() as u64)
+    (bytes, heap.capacity_bytes())
 }
 
 #[test]

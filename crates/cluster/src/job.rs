@@ -62,8 +62,8 @@ const TENANT_BACKENDS: [Backend; 8] = [
 /// tenants run cached scans; backends cycle through
 /// [`TENANT_BACKENDS`]; every other tenant's keys are Zipf-skewed.
 pub fn template(cfg: &ClusterConfig, t: usize) -> TenantTemplate {
-    let kind = if t % 2 == 0 { JobKind::Shuffle } else { JobKind::Scan { passes: 2 } };
-    let skew = if t % 2 == 0 { KeySkew::Zipf(0.9) } else { KeySkew::Uniform };
+    let kind = if t.is_multiple_of(2) { JobKind::Shuffle } else { JobKind::Scan { passes: 2 } };
+    let skew = if t.is_multiple_of(2) { KeySkew::Zipf(0.9) } else { KeySkew::Uniform };
     TenantTemplate {
         tenant: t,
         kind,
@@ -109,7 +109,7 @@ pub fn arrivals(cfg: &ClusterConfig, mean_interarrival_ns: f64) -> Vec<Arrival> 
             // Inverse-CDF exponential: u ∈ [0,1) ⇒ -ln(1-u) ∈ [0,∞).
             let u = rng.gen_f64();
             t += -(1.0 - u).ln() * mean_interarrival_ns;
-            Arrival { t_ns: t, tenant: skew.next() as usize }
+            Arrival { t_ns: t, tenant: skew.draw() as usize }
         })
         .collect()
 }

@@ -272,7 +272,7 @@ impl ClusterConfig {
             spec_quantile: 0.5,
             spec_multiplier: 1.5,
             fault: ClusterFaultConfig::none(),
-            seed: 0xC105_7E2_5EED,
+            seed: 0x0C10_57E2_5EED,
             jobs: 1,
             timeline_bucket_ns: 50_000.0,
         }

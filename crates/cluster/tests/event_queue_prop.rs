@@ -54,7 +54,8 @@ fn seeded_interleavings_preserve_fifo_among_equal_timestamps() {
             assert_eq!((t, id), (et, eid));
         }
         assert!(model.expected_pop().is_none(), "queue and model drain together");
-        assert!(q.is_empty() && q.len() == 0);
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 }
 
@@ -102,7 +103,7 @@ fn follow_up_chains_always_drain() {
     // bounded follow-up strictly later. The loop must terminate with an
     // empty queue — no leaked timers after the last event.
     for seed in 0..4u64 {
-        let mut rng = Rng::new(0x7135_0FF ^ seed);
+        let mut rng = Rng::new(0x0713_50FF ^ seed);
         let mut q: EventQueue<u32> = EventQueue::new();
         for i in 0..50 {
             q.push(rng.gen_f64() * 10.0, 3 + (i % 3));

@@ -373,12 +373,9 @@ pub fn run_mapper_sunk<S: Sink>(
             gc.absorb(&stats);
         }
     }
-    for dst in 0..reducers {
-        let mut q = std::mem::take(&mut pending[dst]);
-        flush(dst, &mut q, &mut heap, &mut engine, &mut blocks, &mut clock, pause_total, &mut *sink);
-        pending[dst] = q;
+    for (dst, q) in pending.iter_mut().enumerate() {
+        flush(dst, q, &mut heap, &mut engine, &mut blocks, &mut clock, pause_total, &mut *sink);
     }
-    drop(flush);
 
     // Serve the shuffle files: read every batch back out of the store in
     // flush order. Resident batches are free; spilled ones pay the disk

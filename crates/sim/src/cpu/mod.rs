@@ -27,19 +27,20 @@ use serializers::{Op, TraceSink};
 
 pub use costs::OpCosts;
 
-/// Operation classes the per-op accounting attributes time to. Order
-/// matches [`Cpu::op_classes`] output.
+/// Operation classes the per-op accounting attributes time to, named as
+/// the telemetry histograms of their host-CPU nanoseconds. Order matches
+/// [`Cpu::op_classes`] output.
 pub const OP_CLASS_NAMES: [&str; 10] = [
-    "load.dep",
-    "load.indep",
-    "store",
-    "alu",
-    "branch",
-    "call",
-    "reflect_call",
-    "str_compare",
-    "hash_lookup",
-    "alloc",
+    "cpu.load.dep_ns",
+    "cpu.load.indep_ns",
+    "cpu.store_ns",
+    "cpu.alu_ns",
+    "cpu.branch_ns",
+    "cpu.call_ns",
+    "cpu.reflect_call_ns",
+    "cpu.str_compare_ns",
+    "cpu.hash_lookup_ns",
+    "cpu.alloc_ns",
 ];
 
 fn op_class(op: &Op) -> usize {
@@ -552,8 +553,8 @@ mod tests {
         });
         cpu.op(Op::Branch);
         let classes = cpu.op_classes();
-        assert!(classes.iter().any(|c| c.0 == "load.dep"));
-        assert!(classes.iter().any(|c| c.0 == "alu"));
+        assert!(classes.iter().any(|c| c.0 == "cpu.load.dep_ns"));
+        assert!(classes.iter().any(|c| c.0 == "cpu.alu_ns"));
         let uops: u64 = classes.iter().map(|c| c.2).sum();
         assert_eq!(uops, cpu.report().uops);
         let ns: f64 = classes.iter().map(|c| c.1).sum();

@@ -747,6 +747,6 @@ mod tests {
         let _ = now;
         assert_eq!(s.stats().spills, 2, "only first evictions write images");
         assert_eq!(s.stats().evictions, 3);
-        assert_eq!(s.disk().writes() as u64, 2);
+        assert_eq!(s.disk().writes(), 2);
     }
 }

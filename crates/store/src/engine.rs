@@ -25,30 +25,33 @@ use sim::Cpu;
 use std::fmt;
 use telemetry::Sink;
 
-/// Histogram names for per-op-class host-CPU time, index-aligned with
-/// [`sim::OP_CLASS_NAMES`].
-const CPU_CLASS_HISTS: [&str; 10] = [
-    "cpu.load.dep_ns",
-    "cpu.load.indep_ns",
-    "cpu.store_ns",
-    "cpu.alu_ns",
-    "cpu.branch_ns",
-    "cpu.call_ns",
-    "cpu.reflect_call_ns",
-    "cpu.str_compare_ns",
-    "cpu.hash_lookup_ns",
-    "cpu.alloc_ns",
-];
+/// Runs one software request on a fresh [`sim::Cpu`] host core (the
+/// harness's convention: every request starts with cold caches) and
+/// returns its result with the core's busy time. A traced request that
+/// succeeds books its per-op-class time and uop count.
+fn on_host_core<S: Sink, T, E>(
+    sink: &mut S,
+    request: impl FnOnce(&mut Cpu) -> Result<T, E>,
+) -> Result<(T, f64), E> {
+    let mut cpu = Cpu::host();
+    let out = request(&mut cpu)?;
+    if S::ENABLED {
+        for (hist, ns, uops) in cpu.op_classes() {
+            sink.observe(hist, ns);
+            sink.count("cpu.uops", uops);
+        }
+    }
+    Ok((out, cpu.report().ns))
+}
 
-/// Books a traced request's per-op-class time and uop count.
-fn emit_cpu_classes<S: Sink>(sink: &mut S, cpu: &Cpu) {
-    for (name, ns, uops) in cpu.op_classes() {
-        let i = sim::OP_CLASS_NAMES
-            .iter()
-            .position(|n| *n == name)
-            .expect("class name comes from the same table");
-        sink.observe(CPU_CLASS_HISTS[i], ns);
-        sink.count("cpu.uops", uops);
+/// The payload of `bytes` and the cost of checking it: with `checksum`,
+/// the CRC frame is verified (and its scan charged); without, the bytes
+/// pass through for free.
+fn unframe(bytes: &[u8], checksum: bool) -> Result<(&[u8], f64), EngineError> {
+    if checksum {
+        Ok((frame::verify(bytes)?, Engine::verify_ns(bytes.len())))
+    } else {
+        Ok((bytes, 0.0))
     }
 }
 
@@ -207,14 +210,10 @@ impl Engine {
     ) -> (Vec<u8>, SerTiming) {
         let (mut bytes, mut t) = match self {
             Engine::Software(ser) => {
-                let mut cpu = Cpu::host();
-                let bytes = ser
-                    .serialize(heap, reg, root, &mut cpu)
-                    .expect("workload registers every class");
-                if S::ENABLED {
-                    emit_cpu_classes(sink, &cpu);
-                }
-                (bytes, SerTiming { busy_ns: cpu.report().ns, done_ns: None })
+                let (bytes, busy_ns) =
+                    on_host_core(sink, |cpu| ser.serialize(heap, reg, root, cpu))
+                        .expect("workload registers every class");
+                (bytes, SerTiming { busy_ns, done_ns: None })
             }
             Engine::Cereal(accel) => {
                 let r = accel.serialize(heap, reg, root).expect("workload registers every class");
@@ -256,20 +255,13 @@ impl Engine {
         checksum: bool,
         sink: &mut S,
     ) -> Result<(Heap, Addr, f64), EngineError> {
-        let (payload, verify_ns) = if checksum {
-            (frame::verify(bytes)?, frame::crc_ns(bytes.len() - frame::FOOTER_BYTES))
-        } else {
-            (bytes, 0.0)
-        };
+        let (payload, verify_ns) = unframe(bytes, checksum)?;
         let mut dst = Heap::with_base(Addr(DST_BASE), capacity);
         match self {
             Engine::Software(ser) => {
-                let mut cpu = Cpu::host();
-                let root = ser.deserialize(payload, reg, &mut dst, &mut cpu)?;
-                if S::ENABLED {
-                    emit_cpu_classes(sink, &cpu);
-                }
-                Ok((dst, root, cpu.report().ns + verify_ns))
+                let (root, ns) =
+                    on_host_core(sink, |cpu| ser.deserialize(payload, reg, &mut dst, cpu))?;
+                Ok((dst, root, ns + verify_ns))
             }
             Engine::Cereal(accel) => {
                 let r = accel.deserialize(payload, &mut dst)?;
@@ -312,15 +304,8 @@ pub fn validate_archive_sunk<'a, S: Sink>(
     checksum: bool,
     sink: &mut S,
 ) -> Result<(ArchiveView<'a>, f64), EngineError> {
-    let (payload, verify_ns) = if checksum {
-        (frame::verify(bytes)?, frame::crc_ns(bytes.len() - frame::FOOTER_BYTES))
-    } else {
-        (bytes, 0.0)
-    };
-    let mut cpu = Cpu::host();
-    let view = ArchiveView::validate(payload, reg, &mut cpu).map_err(SerError::from)?;
-    if S::ENABLED {
-        emit_cpu_classes(sink, &cpu);
-    }
-    Ok((view, cpu.report().ns + verify_ns))
+    let (payload, verify_ns) = unframe(bytes, checksum)?;
+    let (view, ns) = on_host_core(sink, |cpu| ArchiveView::validate(payload, reg, cpu))
+        .map_err(SerError::from)?;
+    Ok((view, ns + verify_ns))
 }

@@ -265,7 +265,7 @@ fn pass_order(cfg: &RddConfig, pass: usize) -> Vec<usize> {
             // stream draw for draw, so report bytes are unchanged.
             let mut skew =
                 workloads::SkewSampler::new(n as u64, theta, cfg.agg.seed ^ (0xD15C_0000 + pass as u64));
-            (0..n).map(|_| skew.next() as usize).collect()
+            (0..n).map(|_| skew.draw() as usize).collect()
         }
     }
 }

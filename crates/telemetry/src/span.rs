@@ -391,7 +391,7 @@ mod tests {
             S::default()
         }
         let _: NoopSink = takes();
-        assert!(!NoopSink::ENABLED);
-        assert!(Recorder::ENABLED);
+        const { assert!(!NoopSink::ENABLED) };
+        const { assert!(Recorder::ENABLED) };
     }
 }

@@ -59,7 +59,7 @@ impl Zipf {
 }
 
 /// A self-contained seeded Zipf stream: distribution plus PRNG in one
-/// value, one draw per [`SkewSampler::next`].
+/// value, one draw per [`SkewSampler::draw`].
 ///
 /// Everything that picks "which tenant / which key / which block" from a
 /// skewed population — the store's cached-RDD access patterns, the
@@ -104,7 +104,7 @@ impl SkewSampler {
     }
 
     /// Draws the next rank in `[0, n)`, consuming exactly one PRNG word.
-    pub fn next(&mut self) -> u64 {
+    pub fn draw(&mut self) -> u64 {
         self.zipf.sample(&mut self.rng)
     }
 }
@@ -169,7 +169,7 @@ mod tests {
         let z = Zipf::new(64, 1.1);
         let mut rng = Rng::new(42);
         for _ in 0..1000 {
-            assert_eq!(s.next(), z.sample(&mut rng));
+            assert_eq!(s.draw(), z.sample(&mut rng));
         }
     }
 
@@ -179,7 +179,7 @@ mod tests {
         // the PRNG, the CDF construction, or the inversion changes every
         // seeded workload downstream.
         let mut s = SkewSampler::new(16, 1.1, 7);
-        let golden: Vec<u64> = (0..12).map(|_| s.next()).collect();
+        let golden: Vec<u64> = (0..12).map(|_| s.draw()).collect();
         assert_eq!(golden, vec![0, 0, 5, 1, 13, 1, 5, 0, 14, 0, 0, 0]);
     }
 

@@ -21,6 +21,9 @@ echo "== perfbench builds against the current crate APIs =="
 # output goes to the git-ignored perfbench/target.
 cargo build --release --manifest-path perfbench/Cargo.toml $CARGO_FLAGS
 
+echo "== lint: clippy, zero warnings =="
+cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
+
 echo "== tier-1: tests (root package) =="
 cargo test -q $CARGO_FLAGS
 
@@ -33,6 +36,24 @@ echo "== zero-copy archive round trip =="
 cargo test -q -p serializers $CARGO_FLAGS --test golden_archive
 cargo test -q -p serializers $CARGO_FLAGS --test prop_archive
 cargo test -q $CARGO_FLAGS --test cross_serializer
+
+echo "== figure driver: thread-count determinism, --only covers the report =="
+# At CEREAL_SCALE=tiny the full report must be byte-identical for 1 and
+# 4 worker threads, and the thirteen `--only <id>` reports, joined in
+# table order, must equal it: an id missing here, or a figure whose
+# `--only` run measures differently, fails the cmp.
+all() {
+  CEREAL_SCALE=tiny cargo run --release -p cereal-bench --bin all $CARGO_FLAGS -- "$@"
+}
+all --jobs 1 > target/figures_jobs1.txt
+all --jobs 4 > target/figures_jobs4.txt
+cmp target/figures_jobs1.txt target/figures_jobs4.txt \
+  || { echo "figure report differs between 1 and 4 jobs"; exit 1; }
+for id in table1 fig2 fig3 fig10 fig11 table4 fig12 fig13 fig14 fig15 fig16 fig17 table5; do
+  all --only "$id"
+done > target/figures_only.txt
+cmp target/figures_jobs1.txt target/figures_only.txt \
+  || { echo "the --only reports do not join to the full report"; exit 1; }
 
 echo "== shuffle smoke + thread-count determinism =="
 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
