@@ -1,8 +1,11 @@
-//! Helpers shared by the integration tests: an FNV-1a-64 digest and a
-//! graph walk that does not trust the heap it walks.
+//! Helpers shared by the integration tests: an FNV-1a-64 digest, a
+//! graph walk that does not trust the heap it walks, and the serializer
+//! fixture corpus ([`corpus`]).
 
 // Each test crate uses a subset of these helpers.
 #![allow(dead_code)]
+
+pub mod corpus;
 
 use cereal_repro::heap::{Addr, Heap, KlassRegistry, HEADER_WORDS, KLASS_OFFSET};
 use std::collections::{HashMap, HashSet};
