@@ -7,12 +7,10 @@
 //! that claim by shrinking pages until the working set overflows the
 //! TLB and measuring both units.
 
-use cereal::{Accelerator, CerealConfig};
-use cereal_bench::scale_arg;
+use cereal::CerealConfig;
 use cereal_bench::table::{ns, pct, Table};
-use sdheap::{Addr, Heap};
+use cereal_bench::{run_cereal, scale_arg};
 use sim::TlbConfig;
-use store::DST_BASE;
 use workloads::MicroBench;
 
 fn main() {
@@ -37,6 +35,9 @@ fn main() {
             page_bits,
             walk_ns: 200.0,
         };
+        // One request each way, measured as every other ablation is:
+        // the deserialize starts on reset meters, not on the units and
+        // DRAM the serialize left busy.
         let run = |vanilla: bool, heap: &mut sdheap::Heap| {
             let cfg = CerealConfig {
                 tlb,
@@ -44,13 +45,8 @@ fn main() {
                 reconstructors_per_du: if vanilla { 1 } else { 4 },
                 ..CerealConfig::paper()
             };
-            let mut accel = Accelerator::new(cfg);
-            accel.register_all(&reg).expect("register");
-            heap.gc_clear_serialization_metadata(&reg);
-            let ser = accel.serialize(heap, &reg, root).expect("serialize");
-            let mut dst = Heap::with_base(Addr(DST_BASE), heap.capacity_bytes());
-            let de = accel.deserialize(&ser.bytes, &mut dst).expect("deserialize");
-            (ser.run.busy_ns(), de.run.busy_ns())
+            let m = run_cereal(cfg, heap, &reg, &[root]);
+            (m.ser_ns, m.de_ns)
         };
         let (pipe_ser, de_ns) = run(false, &mut heap);
         let (van_ser, _) = run(true, &mut heap);

@@ -29,13 +29,10 @@ use crate::tables::ClassTables;
 pub struct SerResult {
     /// The serialized stream bytes.
     pub bytes: Vec<u8>,
-    /// Unit timing (or host-CPU timing when `fell_back`).
+    /// Unit timing.
     pub run: UnitRun,
-    /// Which SU executed the request (0 when `fell_back`).
+    /// Which SU executed the request.
     pub unit: usize,
-    /// Whether the request fell back to software serialization because a
-    /// shared object's header was reserved by another unit (§V-E).
-    pub fell_back: bool,
 }
 
 /// Timing and placement of one serialization request, without the
@@ -45,12 +42,10 @@ pub struct SerResult {
 pub struct SerMeta {
     /// Encoded stream length in bytes.
     pub len: usize,
-    /// Unit timing (or host-CPU timing when `fell_back`).
+    /// Unit timing.
     pub run: UnitRun,
-    /// Which SU executed the request (0 when `fell_back`).
+    /// Which SU executed the request.
     pub unit: usize,
-    /// Whether the request fell back to software serialization.
-    pub fell_back: bool,
 }
 
 /// Timed result of one deserialization request.
@@ -182,8 +177,9 @@ impl Accelerator {
     /// functional bytes plus unit timing.
     ///
     /// # Errors
-    /// [`SerError`] for unregistered classes or the shared-object
-    /// software-fallback case.
+    /// [`SerError`] for unregistered classes, or
+    /// [`SerError::Unsupported`] when another unit reserved a shared
+    /// object's header (§V-E's case for software serialization).
     pub fn serialize(
         &mut self,
         heap: &mut Heap,
@@ -196,7 +192,6 @@ impl Accelerator {
             bytes,
             run: meta.run,
             unit: meta.unit,
-            fell_back: meta.fell_back,
         })
     }
 
@@ -208,8 +203,9 @@ impl Accelerator {
     /// Bytes and timing are identical to [`Accelerator::serialize`].
     ///
     /// # Errors
-    /// [`SerError`] for unregistered classes or the shared-object
-    /// software-fallback case.
+    /// [`SerError`] for unregistered classes, or
+    /// [`SerError::Unsupported`] when another unit reserved a shared
+    /// object's header (§V-E's case for software serialization).
     pub fn serialize_into(
         &mut self,
         heap: &mut Heap,
@@ -243,7 +239,6 @@ impl Accelerator {
             len: out.len(),
             run,
             unit,
-            fell_back: false,
         })
     }
 
@@ -253,8 +248,9 @@ impl Accelerator {
     /// exactly `serialize_into`.
     ///
     /// # Errors
-    /// [`SerError`] for unregistered classes or the shared-object
-    /// software-fallback case.
+    /// [`SerError`] for unregistered classes, or
+    /// [`SerError::Unsupported`] when another unit reserved a shared
+    /// object's header (§V-E's case for software serialization).
     pub fn serialize_into_traced<S: Sink>(
         &mut self,
         heap: &mut Heap,
@@ -285,50 +281,6 @@ impl Accelerator {
             sink.observe("accel.su_busy_ns", meta.run.busy_ns());
         }
         Ok(meta)
-    }
-
-    /// Like [`Accelerator::serialize`], but when the hardware path hits a
-    /// shared object whose header another unit reserved, the request
-    /// falls back to **software serialization** (§V-E): the same stream
-    /// is produced with a thread-local visited table, timed on the host
-    /// CPU model — "this can potentially reduce the performance benefits
-    /// of the Cereal", exactly as the paper warns.
-    ///
-    /// # Errors
-    /// [`SerError`] for errors other than the reservation conflict.
-    pub fn serialize_with_fallback(
-        &mut self,
-        heap: &mut Heap,
-        reg: &KlassRegistry,
-        root: Addr,
-    ) -> Result<SerResult, SerError> {
-        match self.serialize(heap, reg, root) {
-            Err(SerError::Unsupported(msg)) if msg.contains("reserved by another") => {
-                let mut cpu = sim::Cpu::host();
-                let stream = crate::functional::encode_software(
-                    heap,
-                    reg,
-                    &self.tables,
-                    self.cfg.strip_mark_words,
-                    root,
-                    &mut cpu,
-                )?;
-                let report = cpu.report();
-                self.ser_requests += 1;
-                Ok(SerResult {
-                    bytes: stream.to_bytes(),
-                    run: UnitRun {
-                        start_ns: 0.0,
-                        end_ns: report.ns,
-                        read_bytes: report.dram_bytes,
-                        write_bytes: 0,
-                    },
-                    unit: 0,
-                    fell_back: true,
-                })
-            }
-            other => other,
-        }
     }
 
     /// Deserializes `bytes` into `dst` (the `ReadObject` call).
@@ -516,16 +468,15 @@ mod tests {
     }
 
     #[test]
-    fn software_fallback_produces_identical_stream() {
+    fn reserved_header_is_rejected_and_software_encodes_the_same_stream() {
         let (mut heap, reg, root) = list(50);
         let mut accel = Accelerator::paper();
         accel.register_all(&reg).unwrap();
         // Hardware stream, for reference.
         let hw = accel.serialize(&mut heap, &reg, root).unwrap();
-        assert!(!hw.fell_back);
 
         // Reserve a mid-list object for another unit at the *next*
-        // counter value, forcing the fallback.
+        // counter value: the hardware path must refuse the request.
         let victim = heap.ref_field(root, 1).unwrap();
         heap.set_ext_word(
             victim,
@@ -536,30 +487,18 @@ mod tests {
         let err = accel.serialize(&mut heap, &reg, root).unwrap_err();
         assert!(matches!(err, SerError::Unsupported(_)));
 
-        heap.set_ext_word(
-            victim,
-            sdheap::ExtWord::new()
-                .with_counter(accel.serial_counter + 1)
-                .with_reserving_unit(5),
-        );
-        let sw = accel.serialize_with_fallback(&mut heap, &reg, root).unwrap();
-        assert!(sw.fell_back);
-        assert_eq!(sw.bytes, hw.bytes, "fallback stream must be bit-identical");
-        assert!(sw.run.busy_ns() > hw.run.busy_ns(), "software path is slower");
-
-        // The fallback stream deserializes on the hardware as usual.
-        let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 22);
-        let de = accel.deserialize(&sw.bytes, &mut dst).unwrap();
-        assert!(isomorphic(&heap, &reg, root, &dst, de.root));
-    }
-
-    #[test]
-    fn fallback_not_taken_when_unreserved() {
-        let (mut heap, reg, root) = list(10);
-        let mut accel = Accelerator::paper();
-        accel.register_all(&reg).unwrap();
-        let r = accel.serialize_with_fallback(&mut heap, &reg, root).unwrap();
-        assert!(!r.fell_back);
+        // §V-E's software path, with its thread-local visited table,
+        // produces the hardware stream regardless of the reservation.
+        let sw = crate::functional::encode_software(
+            &heap,
+            &reg,
+            &accel.tables,
+            accel.cfg.strip_mark_words,
+            root,
+            &mut serializers::NullSink,
+        )
+        .unwrap();
+        assert_eq!(sw.to_bytes(), hw.bytes, "software stream must be bit-identical");
     }
 
     #[test]
@@ -583,7 +522,6 @@ mod tests {
             assert_eq!(meta.unit, owned.unit);
             assert_eq!(meta.run.start_ns.to_bits(), owned.run.start_ns.to_bits());
             assert_eq!(meta.run.end_ns.to_bits(), owned.run.end_ns.to_bits());
-            assert!(!meta.fell_back);
         }
         assert_eq!(a.report().ser_requests, b.report().ser_requests);
     }

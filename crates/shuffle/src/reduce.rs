@@ -3,7 +3,7 @@
 use crate::exec::Message;
 use crate::faults::{Attempt, MsgPlan, ShuffleError};
 use sdheap::{Addr, KlassRegistry};
-use store::{validate_archive_sunk, Backend, Engine, EngineError};
+use store::{Backend, Engine, EngineError};
 use telemetry::ids::{REDUCER_PID_BASE, T_MAIN, T_NIC};
 use telemetry::{NoopSink, Sink};
 use workloads::{fold_record, Fold};
@@ -121,7 +121,7 @@ pub fn run_reducer_sunk<S: Sink>(
             // The fold visits the same records in the same array order
             // as the reconstructing path below, so the sums are
             // bit-identical (the suite cross-checks every backend).
-            let (view, ns) = validate_archive_sunk(&msg.bytes, reg, checksum, sink)?;
+            let (view, ns) = engine.validate_archive_sunk(&msg.bytes, reg, checksum, sink)?;
             let root = view.root().ok_or_else(bad_batch)?;
             let n = view.array_len(root);
             if n as u64 != msg.records {

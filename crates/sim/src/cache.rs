@@ -39,14 +39,19 @@ impl LevelConfig {
 /// One set-associative cache level.
 ///
 /// Lines are one flat, zero-initialised allocation of `sets × ways`
-/// entries `[tag << 1 | dirty, lru]`, set after set. Every fill stamps a
-/// tick ≥ 1, so `lru == 0` marks an invalid line.
+/// entries `[tag << 1 | dirty, lru]`, set after set. Every access and
+/// fill advances the tick, and a fill stamps the line with it. A line is
+/// valid only if `lru > epoch`: [`Cache::reset`] moves the epoch up to
+/// the current tick, which invalidates every line in O(1) without
+/// touching them, and a new cache (epoch 0, all `lru` 0) starts empty.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: LevelConfig,
     nsets: usize,
     lines: Vec<[u64; 2]>,
     tick: u64,
+    /// Lines stamped at or before this tick are invalid.
+    epoch: u64,
     hits: u64,
     misses: u64,
 }
@@ -69,6 +74,7 @@ impl Cache {
             nsets,
             lines: vec![[0; 2]; nsets * cfg.ways],
             tick: 0,
+            epoch: 0,
             hits: 0,
             misses: 0,
         }
@@ -87,9 +93,9 @@ impl Cache {
     /// dirty bit. Returns whether it hit.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.tick += 1;
-        let tick = self.tick;
+        let (tick, epoch) = (self.tick, self.epoch);
         let (_, tag, set) = self.set(addr);
-        if let Some(line) = set.iter_mut().find(|l| l[1] != 0 && l[0] >> 1 == tag) {
+        if let Some(line) = set.iter_mut().find(|l| l[0] >> 1 == tag && l[1] > epoch) {
             line[0] |= u64::from(write);
             line[1] = tick;
             self.hits += 1;
@@ -103,16 +109,32 @@ impl Cache {
     /// evicted dirty line's address if a write-back is needed.
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
         self.tick += 1;
-        let tick = self.tick;
+        let (tick, epoch) = (self.tick, self.epoch);
         let (line_bytes, nsets) = (self.cfg.line, self.nsets as u64);
         let (set_idx, tag, set) = self.set(addr);
-        // First least-recent line; invalid lines (lru 0) go first.
-        let victim = set.iter_mut().min_by_key(|l| l[1]).expect("ways > 0");
-        // Only a filled line can be dirty.
-        let evicted =
-            (victim[0] & 1 == 1).then(|| ((victim[0] >> 1) * nsets + set_idx as u64) * line_bytes);
+        // First least-recent line; invalid lines (lru <= epoch: key 0)
+        // go first, and valid lines keep their LRU order.
+        let victim = set
+            .iter_mut()
+            .min_by_key(|l| l[1].saturating_sub(epoch))
+            .expect("ways > 0");
+        // Only a valid dirty line writes back: a line a reset invalidated
+        // keeps its dirty bit, but its data is gone.
+        let evicted = (victim[1] > epoch && victim[0] & 1 == 1)
+            .then(|| ((victim[0] >> 1) * nsets + set_idx as u64) * line_bytes);
         *victim = [tag << 1 | u64::from(write), tick];
         evicted
+    }
+
+    /// Empties the cache and zeroes its hit/miss counts in O(1): every
+    /// line stamped so far falls at or below the new epoch. Afterwards
+    /// the cache behaves access for access as a new one of its geometry
+    /// (the tick keeps running, which shifts every `lru` stamp by the
+    /// same amount and so leaves every LRU choice as it was).
+    pub fn reset(&mut self) {
+        self.epoch = self.tick;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Hit count.
@@ -216,6 +238,15 @@ impl Hierarchy {
         worst
     }
 
+    /// Empties all three levels and zeroes the write-back count in O(1)
+    /// (see [`Cache::reset`]).
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+        self.l3.reset();
+        self.writebacks = 0;
+    }
+
     /// LLC (L3) miss rate — Fig. 3(b)'s metric.
     pub fn llc_miss_rate(&self) -> f64 {
         self.l3.miss_rate()
@@ -276,6 +307,93 @@ mod tests {
         c.fill(0x0, false);
         c.fill(0x200, false);
         assert_eq!(c.fill(0x400, false), None);
+    }
+
+    #[test]
+    fn reset_invalidates_every_line_and_zeroes_the_counts() {
+        let mut c = small();
+        c.fill(0x0, true); // set 0, tag 0, dirty, way 0
+        c.fill(0x200, false); // set 0, tag 1, way 1
+        assert!(c.access(0x0, false));
+        assert!(!c.access(0x40, false));
+        c.reset();
+        assert_eq!((c.hits(), c.misses()), (0, 0));
+        assert!(!c.access(0x0, false), "no hit after reset");
+        assert!(!c.access(0x200, false), "no hit after reset");
+        assert_eq!((c.hits(), c.misses()), (0, 2));
+        // Both ways are invalid: the fill takes way 0, whose stale line
+        // is dirty but must not write back.
+        assert_eq!(
+            c.fill(0x400, false),
+            None,
+            "a stale dirty victim never writes back"
+        );
+        assert_eq!(
+            c.lines[0][0] >> 1,
+            2,
+            "the first invalid way (0) is the victim"
+        );
+        assert_eq!(c.fill(0x600, true), None);
+        assert_eq!(c.lines[1][0] >> 1, 3, "then way 1");
+        // Both ways now hold valid lines: plain LRU, and a valid dirty
+        // line writes back again.
+        assert_eq!(c.fill(0x800, false), None, "way 0 (clean) is the LRU line");
+        assert_eq!(
+            c.fill(0xa00, false),
+            Some(0x600),
+            "way 1 (dirty) writes back"
+        );
+    }
+
+    #[test]
+    fn reset_cache_replays_a_new_one() {
+        let mut used = small();
+        for i in 0..64u64 {
+            used.fill(i * 0xc0, i % 3 == 0);
+        }
+        used.access(0x0, true);
+        used.reset();
+        let mut fresh = small();
+        let mut x = 7u64;
+        for _ in 0..20_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (addr, write) = ((x >> 20) % 0x1000, x >> 63 == 1);
+            if (x >> 40) & 3 == 0 {
+                assert_eq!(used.fill(addr, write), fresh.fill(addr, write));
+            } else {
+                assert_eq!(used.access(addr, write), fresh.access(addr, write));
+            }
+        }
+        assert_eq!((used.hits(), used.misses()), (fresh.hits(), fresh.misses()));
+    }
+
+    #[test]
+    fn reset_hierarchy_after_a_dirty_sweep_replays_a_new_one() {
+        let mut used = Hierarchy::i7_7820x();
+        // 12 MB of writes: every LLC line is valid and dirty.
+        for i in 0..(12u64 << 20) / 64 {
+            used.access(i * 64, true);
+        }
+        used.reset();
+        assert_eq!(used.writebacks, 0);
+        let mut fresh = Hierarchy::i7_7820x();
+        for i in 0..40_000u64 {
+            let addr = (i * 0x9e37_79b9) % (24 << 20);
+            assert_eq!(
+                used.access(addr, i % 3 == 0),
+                fresh.access(addr, i % 3 == 0)
+            );
+        }
+        assert_eq!(used.writebacks, fresh.writebacks);
+        for (u, f) in [
+            (&used.l1, &fresh.l1),
+            (&used.l2, &fresh.l2),
+            (&used.l3, &fresh.l3),
+        ] {
+            assert_eq!((u.hits(), u.misses()), (f.hits(), f.misses()));
+        }
     }
 
     #[test]

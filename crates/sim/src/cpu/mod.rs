@@ -148,6 +148,9 @@ pub struct Cpu {
     class_uops: [u64; OP_CLASS_NAMES.len()],
 }
 
+/// Seed of the internal dictionary/hash address generator.
+const LCG_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
 impl Cpu {
     /// A CPU with the given configuration and a fresh memory system.
     pub fn new(cfg: CpuConfig) -> Self {
@@ -161,7 +164,7 @@ impl Cpu {
             horizon: 0.0,
             uops: 0,
             branches: 0,
-            lcg: 0x243f_6a88_85a3_08d3,
+            lcg: LCG_SEED,
             writebacks_charged: 0,
             wb_spread: 0,
             class_cycles: [0.0; OP_CLASS_NAMES.len()],
@@ -172,6 +175,40 @@ impl Cpu {
     /// A CPU with the default (Table I) configuration.
     pub fn host() -> Self {
         Cpu::new(CpuConfig::default())
+    }
+
+    /// Returns the CPU to the state [`Cpu::new`] gives it, with cold
+    /// caches and an idle DRAM, without reallocating either: the caches
+    /// reset in O(1) ([`crate::cache::Cache::reset`]), the DRAM ledgers
+    /// are emptied. Every later report is bit-identical to a new CPU's
+    /// over the same ops. A CPU built [`Cpu::with_dram`] resets the
+    /// shared DRAM it holds as well.
+    pub fn reset(&mut self) {
+        // Destructured so that a field added to `Cpu` must be handled here.
+        let Cpu {
+            cfg: _,
+            cache,
+            dram,
+            cycle,
+            chain_ready,
+            outstanding,
+            horizon,
+            uops,
+            branches,
+            lcg,
+            writebacks_charged,
+            wb_spread,
+            class_cycles,
+            class_uops,
+        } = self;
+        cache.reset();
+        dram.reset();
+        outstanding.clear();
+        (*cycle, *chain_ready, *horizon) = (0.0, 0.0, 0.0);
+        (*uops, *branches, *writebacks_charged, *wb_spread) = (0, 0, 0, 0);
+        *lcg = LCG_SEED;
+        *class_cycles = [0.0; OP_CLASS_NAMES.len()];
+        *class_uops = [0; OP_CLASS_NAMES.len()];
     }
 
     /// A CPU sharing an existing DRAM system — used to model multiple

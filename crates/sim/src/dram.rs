@@ -201,8 +201,12 @@ impl Dram {
         self.row_misses
     }
 
-    /// Resets accounting (not channel state).
-    pub fn reset_counters(&mut self) {
+    /// Returns the DRAM to its state at construction: empty channel
+    /// ledgers, no open rows, zero counters. The ledgers keep their
+    /// allocations.
+    pub fn reset(&mut self) {
+        self.ledger.iter_mut().for_each(Ledger::clear);
+        self.open_rows.fill(None);
         self.total_bytes = 0;
         self.reads = 0;
         self.writes = 0;
@@ -324,8 +328,50 @@ mod tests {
         assert_eq!(d.total_bytes(), 96);
         assert_eq!(d.reads(), 1);
         assert_eq!(d.writes(), 1);
-        d.reset_counters();
+        d.reset();
         assert_eq!(d.total_bytes(), 0);
+    }
+
+    /// A seeded mix of reads and writes over a few rows and channels, at
+    /// issue times that queue; returns every completion time as bits.
+    fn drive(d: &mut Dram, seed: u64) -> Vec<u64> {
+        let mut x = seed;
+        (0..4000)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = (x >> 24) % (1 << 20) / 64 * 64;
+                let now = i as f64 * 2.5;
+                let done = if x >> 63 == 1 {
+                    d.write(addr, 64, now)
+                } else {
+                    d.read(addr, 128, now)
+                };
+                done.to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_dram_replays_a_new_one() {
+        for cfg in [DramConfig::default(), DramConfig::with_row_buffer()] {
+            let mut used = Dram::new(cfg);
+            drive(&mut used, 1);
+            used.reset();
+            let mut fresh = Dram::new(cfg);
+            assert_eq!(drive(&mut used, 2), drive(&mut fresh, 2));
+            let counters = |d: &Dram| {
+                (
+                    d.total_bytes(),
+                    d.reads(),
+                    d.writes(),
+                    d.row_hits(),
+                    d.row_misses(),
+                )
+            };
+            assert_eq!(counters(&used), counters(&fresh));
+        }
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl Ledger {
         finish
     }
 
+    /// Empties the ledger (every bucket free, frontier 0), keeping the
+    /// map's allocation.
+    pub fn clear(&mut self) {
+        self.booked.clear();
+        self.frontier = 0;
+    }
+
     /// Bytes booked in `bucket` (0.0 if never touched).
     pub fn booked(&self, bucket: u64) -> f64 {
         self.booked.get(&bucket).copied().unwrap_or(0.0)

@@ -1,9 +1,10 @@
 //! Per-executor serialization engines.
 //!
-//! Every executor owns one engine: a software [`Serializer`] timed on a
-//! fresh [`sim::Cpu`] host-core model per request (the harness's
-//! convention), or a private Cereal [`Accelerator`] whose unit models
-//! time and schedule requests internally. The engine lives here (rather
+//! Every executor owns one engine: a software [`Serializer`] timed on
+//! the engine's own [`sim::Cpu`] host core, reset to cold before each
+//! request (the harness's convention: every request starts with cold
+//! caches), or a private Cereal [`Accelerator`] whose unit models time
+//! and schedule requests internally. The engine lives here (rather
 //! than in `shuffle`) because both the shuffle service and the block
 //! store serialize through it.
 //!
@@ -25,16 +26,19 @@ use sim::Cpu;
 use std::fmt;
 use telemetry::Sink;
 
-/// Runs one software request on a fresh [`sim::Cpu`] host core (the
-/// harness's convention: every request starts with cold caches) and
-/// returns its result with the core's busy time. A traced request that
-/// succeeds books its per-op-class time and uop count.
+/// Runs one software request on the engine's own host core, reset to
+/// cold before each request (the harness's convention: every request
+/// starts with cold caches; [`Cpu::reset`] makes that O(1) and
+/// bit-identical to a new core), and returns its result with the core's
+/// busy time. A traced request that succeeds books its per-op-class
+/// time and uop count.
 fn on_host_core<S: Sink, T, E>(
+    cpu: &mut Cpu,
     sink: &mut S,
     request: impl FnOnce(&mut Cpu) -> Result<T, E>,
 ) -> Result<(T, f64), E> {
-    let mut cpu = Cpu::host();
-    let out = request(&mut cpu)?;
+    cpu.reset();
+    let out = request(cpu)?;
     if S::ENABLED {
         for (hist, ns, uops) in cpu.op_classes() {
             sink.observe(hist, ns);
@@ -164,8 +168,8 @@ pub struct SerTiming {
 
 /// One executor's engine.
 pub enum Engine {
-    /// A software serializer baseline.
-    Software(Box<dyn Serializer>),
+    /// A software serializer baseline and the host core it runs on.
+    Software(Box<dyn Serializer>, Box<Cpu>),
     /// A private Cereal accelerator.
     Cereal(Box<Accelerator>),
 }
@@ -174,19 +178,20 @@ impl Engine {
     /// Builds the engine for `backend`, registering every class of `reg`
     /// with the accelerator's hardware table when applicable.
     pub fn new(backend: Backend, reg: &KlassRegistry) -> Engine {
-        match backend {
-            Backend::Java => Engine::Software(Box::new(JavaSd::new())),
-            Backend::Kryo => Engine::Software(Box::new(Kryo::new())),
-            Backend::Skyway => Engine::Software(Box::new(Skyway::new())),
-            Backend::JsonLike => Engine::Software(Box::new(JsonLike::new())),
-            Backend::ProtoLike => Engine::Software(Box::new(ProtoLike::new())),
-            Backend::Archive => Engine::Software(Box::new(Archive::new())),
+        let ser: Box<dyn Serializer> = match backend {
+            Backend::Java => Box::new(JavaSd::new()),
+            Backend::Kryo => Box::new(Kryo::new()),
+            Backend::Skyway => Box::new(Skyway::new()),
+            Backend::JsonLike => Box::new(JsonLike::new()),
+            Backend::ProtoLike => Box::new(ProtoLike::new()),
+            Backend::Archive => Box::new(Archive::new()),
             Backend::Cereal => {
                 let mut accel = Accelerator::paper();
                 accel.register_all(reg).expect("class table sized for workload");
-                Engine::Cereal(Box::new(accel))
+                return Engine::Cereal(Box::new(accel));
             }
-        }
+        };
+        Engine::Software(ser, Box::new(Cpu::host()))
     }
 
     /// Serializes the graph at `root`, returning the stream and timing.
@@ -209,9 +214,9 @@ impl Engine {
         sink: &mut S,
     ) -> (Vec<u8>, SerTiming) {
         let (mut bytes, mut t) = match self {
-            Engine::Software(ser) => {
+            Engine::Software(ser, cpu) => {
                 let (bytes, busy_ns) =
-                    on_host_core(sink, |cpu| ser.serialize(heap, reg, root, cpu))
+                    on_host_core(cpu, sink, |cpu| ser.serialize(heap, reg, root, cpu))
                         .expect("workload registers every class");
                 (bytes, SerTiming { busy_ns, done_ns: None })
             }
@@ -258,9 +263,9 @@ impl Engine {
         let (payload, verify_ns) = unframe(bytes, checksum)?;
         let mut dst = Heap::with_base(Addr(DST_BASE), capacity);
         match self {
-            Engine::Software(ser) => {
+            Engine::Software(ser, cpu) => {
                 let (root, ns) =
-                    on_host_core(sink, |cpu| ser.deserialize(payload, reg, &mut dst, cpu))?;
+                    on_host_core(cpu, sink, |cpu| ser.deserialize(payload, reg, &mut dst, cpu))?;
                 Ok((dst, root, ns + verify_ns))
             }
             Engine::Cereal(accel) => {
@@ -275,37 +280,44 @@ impl Engine {
         }
     }
 
+    /// The zero-copy deserialization path for [`Backend::Archive`]
+    /// streams: CRC-verify the frame (when `checksum`), validate the
+    /// archive in place on the engine's host core, and hand back the
+    /// [`ArchiveView`] — no destination heap, no reconstruction. The
+    /// returned time is the full receive-side decode cost on the
+    /// host-CPU model: CRC scan (when framed) plus validation, which
+    /// scales with records and references rather than payload bytes.
+    ///
+    /// Consumers that fold straight off the view (shuffle reducers, the
+    /// cached-RDD job) pay this instead of [`Engine::deserialize`]'s
+    /// reconstruction.
+    ///
+    /// # Errors
+    /// [`EngineError::Checksum`] on frame damage; [`EngineError::Ser`]
+    /// (carrying the typed [`serializers::ArchiveError`] rendering) when
+    /// validation rejects the image, or
+    /// [`SerError::Unsupported`] on a Cereal engine, which has no host
+    /// core.
+    pub fn validate_archive_sunk<'a, S: Sink>(
+        &mut self,
+        bytes: &'a [u8],
+        reg: &KlassRegistry,
+        checksum: bool,
+        sink: &mut S,
+    ) -> Result<(ArchiveView<'a>, f64), EngineError> {
+        let Engine::Software(_, cpu) = self else {
+            return Err(SerError::Unsupported("archive validation runs on a host core").into());
+        };
+        let (payload, verify_ns) = unframe(bytes, checksum)?;
+        let (view, ns) = on_host_core(cpu, sink, |cpu| ArchiveView::validate(payload, reg, cpu))
+            .map_err(SerError::from)?;
+        Ok((view, ns + verify_ns))
+    }
+
     /// The simulated cost of verifying a framed stream of `framed_len`
     /// total bytes (what a receiver pays to *detect* a corrupt frame
     /// before requesting a retry).
     pub fn verify_ns(framed_len: usize) -> f64 {
         frame::crc_ns(framed_len.saturating_sub(frame::FOOTER_BYTES))
     }
-}
-
-/// The zero-copy deserialization path for [`Backend::Archive`] streams:
-/// CRC-verify the frame (when `checksum`), validate the archive in
-/// place, and hand back the [`ArchiveView`] — no destination heap, no
-/// reconstruction. The returned time is the full receive-side decode
-/// cost on the host-CPU model: CRC scan (when framed) plus validation,
-/// which scales with records and references rather than payload bytes.
-///
-/// Consumers that fold straight off the view (shuffle reducers, the
-/// cached-RDD job) pay this instead of
-/// [`Engine::deserialize`]'s reconstruction.
-///
-/// # Errors
-/// [`EngineError::Checksum`] on frame damage; [`EngineError::Ser`]
-/// (carrying the typed [`serializers::ArchiveError`] rendering) when
-/// validation rejects the image.
-pub fn validate_archive_sunk<'a, S: Sink>(
-    bytes: &'a [u8],
-    reg: &KlassRegistry,
-    checksum: bool,
-    sink: &mut S,
-) -> Result<(ArchiveView<'a>, f64), EngineError> {
-    let (payload, verify_ns) = unframe(bytes, checksum)?;
-    let (view, ns) = on_host_core(sink, |cpu| ArchiveView::validate(payload, reg, cpu))
-        .map_err(SerError::from)?;
-    Ok((view, ns + verify_ns))
 }

@@ -12,8 +12,9 @@
 //! crates' models:
 //!
 //! * [`Engine`] — per-executor serialization engines (any software
-//!   [`serializers::Serializer`] timed on the [`sim::Cpu`] host model,
-//!   or a private Cereal accelerator), shared with the `shuffle` crate;
+//!   [`serializers::Serializer`] timed on the engine's own [`sim::Cpu`]
+//!   host core, or a private Cereal accelerator), shared with the
+//!   `shuffle` crate;
 //! * [`BlockStore`] — the block manager itself: bounded memory, LRU
 //!   eviction, spill to a [`sim::Disk`] seek + bandwidth time-bucket
 //!   ledger, and a [`MissPolicy`] choosing between disk fetch and
@@ -40,9 +41,7 @@ pub use block::{
     Access, AccessOutcome, BlockSource, BlockStore, MissPolicy, NoLineage, StoreConfig,
     StoreError, StoreStats,
 };
-pub use engine::{
-    validate_archive_sunk, Backend, Engine, EngineError, SerTiming, DST_BASE,
-};
+pub use engine::{Backend, Engine, EngineError, SerTiming, DST_BASE};
 pub use par::par_map;
 pub use rdd::{
     build_part, run_rdd_sunk, AccessPattern, PartBuild, PassStats, RddConfig, RddOutcome,

@@ -26,7 +26,7 @@ use workloads::{fold_record, merge_folds, AggConfig, Fold};
 use crate::block::{
     AccessOutcome, BlockSource, BlockStore, MissPolicy, StoreConfig, StoreError, StoreStats,
 };
-use crate::engine::{validate_archive_sunk, Backend, Engine};
+use crate::engine::{Backend, Engine};
 use crate::par::par_map;
 
 /// Order in which a pass visits the cached partitions.
@@ -156,27 +156,40 @@ fn rebuild(cfg: &RddConfig, m: usize) -> (Vec<u8>, f64, f64, Heap, KlassRegistry
     let part = cfg.agg.build_partition(m);
     let mut heap = part.heap;
     let reg = part.reg;
-    let mut engine = Engine::new(cfg.backend, &reg);
     if cfg.backend == Backend::Cereal {
         // Play the GC's role once up front, as the harness does: clear
         // any stale serialization metadata before hardware serialization.
         heap.gc_clear_serialization_metadata(&reg);
     }
     let batch = coalesce(&mut heap, &reg, part.batch_klass, &part.records);
-    let (bytes, t) = engine.serialize(&mut heap, &reg, batch, cfg.checksum, &mut NoopSink);
+    // The engine (and its host core) is dropped before the collection's
+    // semispace is allocated, so the two never coexist.
+    let (bytes, t) = Engine::new(cfg.backend, &reg).serialize(
+        &mut heap,
+        &reg,
+        batch,
+        cfg.checksum,
+        &mut NoopSink,
+    );
     let (_, _, stats) =
         gc::collect(&heap, &reg, &[batch]).expect("live batch fits the semispace");
     let recompute_ns = stats.simulated_cost_ns() + t.busy_ns;
     (bytes, t.busy_ns, recompute_ns, heap, reg, batch)
 }
 
-/// Folds a cached [`Backend::Archive`] block in place: one validation
-/// pass over the image, then reads straight off the wire bytes.
-/// Returns the fold and the zero-copy decode cost (CRC verify when
-/// framed + validation).
-fn fold_archive_block(bytes: &[u8], reg: &KlassRegistry, checksum: bool) -> (Fold, f64) {
-    let (view, de_ns) =
-        validate_archive_sunk(bytes, reg, checksum, &mut NoopSink).expect("cached block is intact");
+/// Folds a cached [`Backend::Archive`] block in place on `engine`: one
+/// validation pass over the image, then reads straight off the wire
+/// bytes. Returns the fold and the zero-copy decode cost (CRC verify
+/// when framed + validation).
+fn fold_archive_block(
+    engine: &mut Engine,
+    bytes: &[u8],
+    reg: &KlassRegistry,
+    checksum: bool,
+) -> (Fold, f64) {
+    let (view, de_ns) = engine
+        .validate_archive_sunk(bytes, reg, checksum, &mut NoopSink)
+        .expect("cached block is intact");
     let mut fold = Fold::new();
     let root = view.root().expect("cached batch is non-empty");
     for j in 0..view.array_len(root) {
@@ -190,6 +203,9 @@ fn fold_archive_block(bytes: &[u8], reg: &KlassRegistry, checksum: bool) -> (Fol
 pub fn build_part(cfg: &RddConfig, m: usize) -> PartBuild {
     let (bytes, ser_ns, recompute_ns, heap, reg, batch) = rebuild(cfg, m);
     let src_fold = fold_batch(&heap, batch);
+    // A fresh engine for the reads: a Cereal deserialize must not run on
+    // the accelerator that just serialized, whose units and DRAM are
+    // still busy from it.
     let mut engine = Engine::new(cfg.backend, &reg);
     let (dheap, droot, de_ns) = engine
         .deserialize(&bytes, &reg, cfg.agg.heap_capacity(), cfg.checksum, &mut NoopSink)
@@ -201,7 +217,7 @@ pub fn build_part(cfg: &RddConfig, m: usize) -> PartBuild {
         // instead of reconstructing, so the per-read cost is the
         // validate-only time — after proving, on every run, that the
         // in-place fold is bit-identical to the reconstruction fold.
-        let (zc_fold, zc_de_ns) = fold_archive_block(&bytes, &reg, cfg.checksum);
+        let (zc_fold, zc_de_ns) = fold_archive_block(&mut engine, &bytes, &reg, cfg.checksum);
         assert_eq!(zc_fold, fold, "partition {m}: zero-copy fold diverged from reconstruction");
         return PartBuild { bytes, ser_ns, de_ns: zc_de_ns, recompute_ns, fold };
     }

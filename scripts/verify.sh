@@ -55,6 +55,13 @@ done > target/figures_only.txt
 cmp target/figures_jobs1.txt target/figures_only.txt \
   || { echo "the --only reports do not join to the full report"; exit 1; }
 
+echo "== multi-core and TLB ablations run =="
+# Nothing else runs the multi-core host path (`Cpu::with_dram` /
+# `into_dram`: cores sharing one DRAM) or the TLB page-size study; both
+# take well under a second at CEREAL_SCALE=tiny.
+CEREAL_SCALE=tiny cargo run --release -p cereal-bench --bin fairness $CARGO_FLAGS > target/fairness_tiny.txt
+CEREAL_SCALE=tiny cargo run --release -p cereal-bench --bin tlbstudy $CARGO_FLAGS > target/tlbstudy_tiny.txt
+
 echo "== shuffle smoke + thread-count determinism =="
 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
   --smoke --jobs 1 --out target/shuffle_jobs1.json
