@@ -59,7 +59,7 @@ fn main() {
     );
 
     // Main sweep: every backend, GC pressure off.
-    let main = run_suite(&cfg, Backend::all()).unwrap_or_else(|e| {
+    let main = run_suite(&cfg, Backend::ALL).unwrap_or_else(|e| {
         eprintln!("shuffle suite failed: {e}");
         std::process::exit(1);
     });

@@ -60,7 +60,7 @@ const TENANT_BACKENDS: [Backend; 8] = [
 
 /// The template of tenant `t` under `cfg`: even tenants shuffle, odd
 /// tenants run cached scans; backends cycle through
-/// [`TENANT_BACKENDS`]; every other tenant's keys are Zipf-skewed.
+/// `TENANT_BACKENDS`; every other tenant's keys are Zipf-skewed.
 pub fn template(cfg: &ClusterConfig, t: usize) -> TenantTemplate {
     let kind = if t.is_multiple_of(2) { JobKind::Shuffle } else { JobKind::Scan { passes: 2 } };
     let skew = if t.is_multiple_of(2) { KeySkew::Zipf(0.9) } else { KeySkew::Uniform };

@@ -73,7 +73,6 @@ pub use report::CellResult;
 pub use sched::{run_cluster, run_cluster_sunk, ClusterOutcome, TenantStats};
 
 use sim::LinkConfig;
-use store::Backend;
 
 /// Errors the cluster scheduler can surface. A nonsensical config is
 /// rejected before any work runs. Profile building runs real executors,
@@ -137,7 +136,7 @@ pub struct ClusterFaultConfig {
     pub task_fail_rate: f64,
     /// Probability per DU-context acquisition that the node's DU device
     /// fails permanently, degrading the node's Cereal decodes to the
-    /// profiled `fallback` software backend.
+    /// profiled [`store::Backend::FALLBACK`] software backend.
     pub du_fail_rate: f64,
     /// Heartbeat/lease period on the event clock (ns).
     pub heartbeat_period_ns: f64,
@@ -162,8 +161,6 @@ pub struct ClusterFaultConfig {
     /// Admission-control watermark: arrivals finding this many pending
     /// attempts already queued are shed (0 disables shedding).
     pub shed_queue_depth: usize,
-    /// Software backend a DU-failed node degrades its Cereal decodes to.
-    pub fallback: Backend,
 }
 
 impl ClusterFaultConfig {
@@ -183,7 +180,6 @@ impl ClusterFaultConfig {
             job_retry_budget: 24,
             retry_backoff_ns: 5_000.0,
             shed_queue_depth: 0,
-            fallback: Backend::Kryo,
         }
     }
 

@@ -22,13 +22,11 @@ use store::{build_part, par_map, Backend, MissPolicy, RddConfig};
 use telemetry::NoopSink;
 use workloads::{merge_folds, Fold};
 
-/// Whether this tenant needs a software-fallback decode profile: only
-/// when DU device failures can fire and the tenant actually decodes on
-/// the DU (Cereal backend) with a *different* configured fallback.
+/// Whether this tenant needs a software-fallback decode profile
+/// ([`Backend::FALLBACK`]): only when DU device failures can fire and
+/// the tenant actually decodes on the DU (Cereal backend).
 fn profiles_fallback(cfg: &ClusterConfig, t: &TenantTemplate) -> bool {
-    cfg.fault.du_fail_rate > 0.0
-        && t.backend == Backend::Cereal
-        && cfg.fault.fallback != t.backend
+    cfg.fault.du_fail_rate > 0.0 && t.backend == Backend::Cereal
 }
 
 /// What a stage's tasks do.
@@ -233,7 +231,7 @@ fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile
         // re-running the template under that backend and demand the
         // per-task folds stay bit-identical — degradation moves time,
         // never answers.
-        let fb = shuffle_pass(cfg, &sc, cfg.fault.fallback)?;
+        let fb = shuffle_pass(cfg, &sc, Backend::FALLBACK)?;
         if fb.folds != folds {
             return Err(ClusterError::ProfileFoldMismatch { tenant: t.tenant });
         }
@@ -269,7 +267,7 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         checksum: false,
         fault: None,
     };
-    let fb = profiles_fallback(cfg, t).then_some(cfg.fault.fallback);
+    let fb = profiles_fallback(cfg, t).then_some(Backend::FALLBACK);
     let parts: Vec<(TaskProfile, TaskProfile, Fold)> = par_map(cfg.jobs, t.agg.mappers, |m| {
         // `build_part` runs the real materialize + re-read cycle and
         // asserts the reconstructed fold matches the source data.

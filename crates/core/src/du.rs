@@ -1,6 +1,6 @@
 //! Deserialization Unit timing model (paper §V-C, Fig. 8).
 //!
-//! Replays a [`DeWorkload`](crate::functional::DeWorkload):
+//! Replays a [`DeWorkload`]:
 //!
 //! * the **layout manager**'s bitmap loader and the **block manager**'s
 //!   value/reference loaders are *eager prefetchers*: each streams its

@@ -1,6 +1,6 @@
 //! Serialization Unit timing model (paper §V-B, Fig. 7).
 //!
-//! Replays a [`SerWorkload`](crate::functional::SerWorkload) against the
+//! Replays a [`SerWorkload`] against the
 //! shared memory system, reproducing the pipeline structure of Fig. 7:
 //!
 //! * the **header manager** walks traversal steps in order. Object

@@ -3,7 +3,7 @@
 //! All baselines (and the Cereal functional model in the `cereal` crate)
 //! implement [`Serializer`]: serialize an object graph rooted at an
 //! address into bytes, and reconstruct it into a destination heap. Both
-//! directions narrate their work into a [`TraceSink`](crate::TraceSink)
+//! directions narrate their work into a [`TraceSink`]
 //! for the timing models.
 
 use crate::trace::TraceSink;

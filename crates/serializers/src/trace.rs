@@ -171,10 +171,7 @@ impl TraceSink for CountingSink {
             Op::Branch => self.branches += 1,
             Op::Call => self.calls += 1,
             Op::ReflectCall => self.reflect_calls += 1,
-            Op::StrCompare(n) => {
-                self.str_compare_bytes += u64::from(n);
-                self.hash_lookups += 0;
-            }
+            Op::StrCompare(n) => self.str_compare_bytes += u64::from(n),
             Op::HashLookup => self.hash_lookups += 1,
             Op::Alloc(n) => {
                 self.allocs += 1;

@@ -8,7 +8,7 @@ use sim::FaultConfig;
 use store::{Backend, BlockStore, Engine, MissPolicy, NoLineage, StoreConfig};
 use telemetry::ids::{MAPPER_PID_BASE, T_DISK, T_MAIN, T_NIC, T_SEND};
 use telemetry::{EntityId, Instant, NoopSink, Sink, Span};
-use workloads::spark::agg::RECORD_HEAP_BYTES;
+use workloads::spark::agg::{self, RECORD_HEAP_BYTES};
 
 /// One serialized batch on its way from a mapper to a reducer.
 #[derive(Clone, Debug)]
@@ -24,8 +24,9 @@ pub struct Message {
     /// Records coalesced into this batch.
     pub records: u64,
     /// The backend that produced `bytes` — normally the run's backend,
-    /// but an accelerator-faulted flush degrades to the configured
-    /// software fallback, and the reducer must decode with the match.
+    /// but an accelerator-faulted flush degrades to the software
+    /// fallback ([`Backend::FALLBACK`]), and the reducer must decode
+    /// with the match.
     pub backend: Backend,
     /// Engine busy time serializing the batch.
     pub ser_ns: f64,
@@ -128,11 +129,11 @@ pub struct MapOutcome {
 /// lands on the mapper's clock.
 ///
 /// Under fault injection, each Cereal flush can draw an **accelerator
-/// fault**: the partition degrades to the configured software fallback
-/// serializer (its slower busy time charged to the mapper's clock, the
-/// message tagged with the fallback backend so the reducer decodes with
-/// the match), and spill reads can draw transient errors recovered by
-/// the store's retry loop.
+/// fault**: the partition degrades to the software fallback serializer,
+/// [`Backend::FALLBACK`] (its slower busy time charged to the mapper's
+/// clock, the message tagged with the fallback backend so the reducer
+/// decodes with the match), and spill reads can draw transient errors
+/// recovered by the store's retry loop.
 ///
 /// # Errors
 /// Propagates [`ShuffleError::Store`] from unrecoverable spill faults.
@@ -178,11 +179,6 @@ pub fn run_mapper_sunk<S: Sink>(
     let batch_klass = part.batch_klass;
     let mut records = part.records;
     let mut engine = Engine::new(backend, &reg);
-    if backend == Backend::Cereal {
-        // Play the GC's role once up front, as the harness does: clear
-        // any stale serialization metadata before hardware serialization.
-        heap.gc_clear_serialization_metadata(&reg);
-    }
 
     let reducers = cfg.reducers;
     let mut pending: Vec<Vec<Addr>> = vec![Vec::new(); reducers];
@@ -200,7 +196,6 @@ pub fn run_mapper_sunk<S: Sink>(
     } else {
         None
     };
-    let fallback_backend = cfg.faults.map_or(Backend::Kryo, |s| s.fallback);
     let mut fallback: Option<Engine> = None;
     // Shuffle batches have no cheap lineage: evictions always spill, and
     // injected spill *corruption* is zeroed here (a corrupt shuffle file
@@ -238,21 +233,16 @@ pub fn run_mapper_sunk<S: Sink>(
         if pending.is_empty() {
             return;
         }
-        let batch = heap
-            .alloc_array(&reg, batch_klass, pending.len())
-            .expect("heap capacity covers coalesced batches");
-        for (j, &r) in pending.iter().enumerate() {
-            heap.set_array_elem(batch, j, r.get());
-        }
+        let batch = agg::coalesce(heap, &reg, batch_klass, pending);
         let accel_faulted = accel_inj.as_mut().is_some_and(|inj| inj.accel_faults());
         let (bytes, t, used_backend) = if accel_faulted {
             // Hardware request faulted: this partition degrades to the
             // software fallback, paying its busy time on the host core.
-            let fb = fallback.get_or_insert_with(|| Engine::new(fallback_backend, &reg));
+            let fb = fallback.get_or_insert_with(|| Engine::new(Backend::FALLBACK, &reg));
             let (bytes, t) = fb.serialize(heap, &reg, batch, cfg.checksum, sink);
             faults.accel_faults += 1;
             faults.fallback_ns += t.busy_ns;
-            (bytes, t, fallback_backend)
+            (bytes, t, Backend::FALLBACK)
         } else {
             let (bytes, t) = engine.serialize(heap, &reg, batch, cfg.checksum, sink);
             (bytes, t, backend)
@@ -323,8 +313,7 @@ pub fn run_mapper_sunk<S: Sink>(
         let end = ((wave + 1) * wave_len).min(records.len());
         while i < end {
             let r = records[i];
-            let key = heap.field(r, 0);
-            let dst = (key % reducers as u64) as usize;
+            let dst = (agg::record_key(&heap, r) % reducers as u64) as usize;
             pending[dst].push(r);
             if pending[dst].len() as u64 * RECORD_HEAP_BYTES >= cfg.flush_bytes {
                 let mut q = std::mem::take(&mut pending[dst]);

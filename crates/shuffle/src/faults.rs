@@ -11,7 +11,7 @@
 
 use sim::{FaultConfig, FaultInjector};
 use std::fmt;
-use store::{Backend, EngineError, StoreError};
+use store::{EngineError, StoreError};
 
 /// Errors a shuffle run can surface. Anomalies are values, not panics:
 /// binaries render them, tests assert the variant.
@@ -100,24 +100,18 @@ impl From<EngineError> for ShuffleError {
     }
 }
 
-/// Fault injection for a shuffle run: the rates plus the software
-/// serializer a faulted accelerator partition degrades to.
+/// Fault injection for a shuffle run. A partition whose accelerator
+/// request faulted degrades to [`store::Backend::FALLBACK`].
 #[derive(Clone, Copy, Debug)]
 pub struct FaultSpec {
     /// Rates, seed and recovery knobs.
     pub cfg: FaultConfig,
-    /// Fallback backend for partitions whose accelerator request
-    /// faulted (must be a software serializer).
-    pub fallback: Backend,
 }
 
 impl FaultSpec {
-    /// Every fault class at `rate`, degrading to Kryo.
+    /// Every fault class at `rate`.
     pub fn uniform(rate: f64, seed: u64) -> Self {
-        FaultSpec {
-            cfg: FaultConfig::uniform(rate, seed),
-            fallback: Backend::Kryo,
-        }
+        FaultSpec { cfg: FaultConfig::uniform(rate, seed) }
     }
 }
 

@@ -108,7 +108,7 @@ pub struct ShuffleConfig {
     pub gc_waves: usize,
     /// Worker threads for executor fan-out (does not affect results).
     pub jobs: usize,
-    /// Seal every serialized stream with the [`sdformat::frame`] CRC
+    /// Seal every serialized stream with the `sdformat::frame` CRC
     /// footer; reducers verify before decoding. Required for
     /// wire-corruption injection to be detectable.
     pub checksum: bool,

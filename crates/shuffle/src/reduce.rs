@@ -2,11 +2,11 @@
 
 use crate::exec::Message;
 use crate::faults::{Attempt, MsgPlan, ShuffleError};
-use sdheap::{Addr, KlassRegistry};
+use sdheap::KlassRegistry;
 use store::{Backend, Engine, EngineError};
 use telemetry::ids::{REDUCER_PID_BASE, T_MAIN, T_NIC};
 use telemetry::{NoopSink, Sink};
-use workloads::{fold_record, Fold};
+use workloads::Fold;
 
 /// Everything one reduce executor produced.
 #[derive(Debug)]
@@ -27,10 +27,10 @@ pub struct ReduceOutcome {
 
 /// Runs one reduce executor over its incoming messages, which must be
 /// sorted by `(src, seq)` — the service's deterministic delivery order.
-/// Each message is reconstructed into a fresh destination heap
-/// ([`Backend::Archive`] batches skip reconstruction: the image is
-/// validated once and folded in place) and its records folded in array
-/// order, so for any one key the values
+/// Each message is read with [`Engine::fold_batch`] (an Archive batch is
+/// validated and folded in place, any other is reconstructed into a
+/// fresh destination heap) and its records folded in array order, so for
+/// any one key the values
 /// accumulate in `(mapper, generation)` order: exactly the order
 /// [`workloads::AggConfig::expected_fold`] uses, making the sums
 /// bit-identical.
@@ -52,7 +52,8 @@ pub struct ReduceOutcome {
 ///
 /// # Errors
 /// [`ShuffleError::Engine`] when an intact stream fails to decode;
-/// [`ShuffleError::BadBatch`] on a record-count mismatch;
+/// [`ShuffleError::BadBatch`] on a record-count mismatch or a stream
+/// that is not a batch of records;
 /// [`ShuffleError::UndetectedCorruption`] if a planned flip decodes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_reducer_sunk<S: Sink>(
@@ -72,7 +73,7 @@ pub fn run_reducer_sunk<S: Sink>(
         sink.name_thread(pid, T_NIC, "nic");
     }
     // One engine per wire format seen; the run's backend first.
-    let mut engines: Vec<(Backend, Engine)> = vec![(backend, Engine::new(backend, reg))];
+    let mut engines = vec![Engine::new(backend, reg)];
     let mut out = ReduceOutcome {
         de_ns: Vec::with_capacity(msgs.len()),
         fold: Fold::new(),
@@ -81,14 +82,14 @@ pub fn run_reducer_sunk<S: Sink>(
         checksum_errors: 0,
     };
     for (i, msg) in msgs.iter().enumerate() {
-        let idx = match engines.iter().position(|(b, _)| *b == msg.backend) {
+        let idx = match engines.iter().position(|e| e.backend() == msg.backend) {
             Some(i) => i,
             None => {
-                engines.push((msg.backend, Engine::new(msg.backend, reg)));
+                engines.push(Engine::new(msg.backend, reg));
                 engines.len() - 1
             }
         };
-        let engine = &mut engines[idx].1;
+        let engine = &mut engines[idx];
         // Corrupt arrivals first: the CRC check must reject every
         // planned flip before the clean retransmission decodes.
         if let Some(plan) = plans.get(i) {
@@ -114,40 +115,15 @@ pub fn run_reducer_sunk<S: Sink>(
                 }
             }
         }
-        let bad_batch = || ShuffleError::BadBatch { src: msg.src, dst: msg.dst, seq: msg.seq };
-        let (n, ns) = if msg.backend == Backend::Archive {
-            // Zero-copy path: validate the image once and fold straight
-            // off the wire bytes — no destination heap is ever built.
-            // The fold visits the same records in the same array order
-            // as the reconstructing path below, so the sums are
-            // bit-identical (the suite cross-checks every backend).
-            let (view, ns) = engine.validate_archive_sunk(&msg.bytes, reg, checksum, sink)?;
-            let root = view.root().ok_or_else(bad_batch)?;
-            let n = view.array_len(root);
-            if n as u64 != msg.records {
-                return Err(bad_batch());
-            }
-            for j in 0..n {
-                let rec = view.array_elem_ref(root, j).ok_or_else(bad_batch)?;
-                let key = view.field(rec, 0);
-                let value = f64::from_bits(view.field(rec, 1));
-                fold_record(&mut out.fold, key, value);
-            }
-            (n, ns)
-        } else {
-            let (heap, root, ns) = engine.deserialize(&msg.bytes, reg, capacity, checksum, sink)?;
-            let n = heap.array_len(root);
-            if n as u64 != msg.records {
-                return Err(bad_batch());
-            }
-            for j in 0..n {
-                let rec = Addr(heap.array_elem(root, j));
-                let key = heap.field(rec, 0);
-                let value = f64::from_bits(heap.field(rec, 1));
-                fold_record(&mut out.fold, key, value);
-            }
-            (n, ns)
-        };
+        let bad_batch = ShuffleError::BadBatch { src: msg.src, dst: msg.dst, seq: msg.seq };
+        let (n, ns) =
+            match engine.fold_batch(&msg.bytes, reg, capacity, checksum, &mut out.fold, sink) {
+                Err(EngineError::NotABatch) => return Err(bad_batch),
+                read => read?,
+            };
+        if n as u64 != msg.records {
+            return Err(bad_batch);
+        }
         if S::ENABLED {
             sink.count("shuffle.records", n as u64);
             sink.observe("shuffle.de_busy_ns", ns);

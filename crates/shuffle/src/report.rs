@@ -9,6 +9,7 @@ use crate::exec::{GcTotals, SpillTotals};
 use crate::faults::FaultTotals;
 use crate::timeline::NetStats;
 use crate::ShuffleConfig;
+use store::Backend;
 use telemetry::{per_sec, JsonWriter};
 
 /// One backend's end-to-end shuffle measurements.
@@ -151,7 +152,7 @@ impl ShuffleReport {
             if let Some(spec) = &c.faults {
                 let f = &spec.cfg;
                 w.field_u64("fault_seed", f.seed);
-                w.field_str("fallback", spec.fallback.name());
+                w.field_str("fallback", Backend::FALLBACK.name());
                 w.key("rates");
                 w.begin_obj();
                 for (name, rate) in [

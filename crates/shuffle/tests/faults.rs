@@ -22,10 +22,7 @@ fn tiny() -> ShuffleConfig {
 /// A spec with every rate zeroed; tests switch on just the class under
 /// test so recovery effects are attributable.
 fn quiet_spec(seed: u64) -> FaultSpec {
-    FaultSpec {
-        cfg: FaultConfig { seed, ..FaultConfig::none() },
-        fallback: Backend::Kryo,
-    }
+    FaultSpec { cfg: FaultConfig { seed, ..FaultConfig::none() } }
 }
 
 fn assert_fold_exact(fold: &BTreeMap<u64, (u64, f64)>, cfg: &ShuffleConfig) {
@@ -188,7 +185,7 @@ fn every_backend_recovers_the_exact_fold_under_uniform_faults() {
     cfg.checksum = true;
     cfg.faults = Some(FaultSpec::uniform(0.25, 0xFA17_0006));
     // run_suite cross-checks the folds; also pin them to the dataset.
-    let report = run_suite(&cfg, Backend::all()).unwrap();
+    let report = run_suite(&cfg, Backend::ALL).unwrap();
     for b in &report.backends {
         assert_eq!(b.records, (3 * 96) as u64, "{} lost records", b.name);
     }

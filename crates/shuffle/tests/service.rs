@@ -1,9 +1,15 @@
 //! End-to-end shuffle service tests: thread-count determinism,
-//! backpressure, coalescing, GC pressure, spilling, key skew, and
-//! cross-backend agreement.
+//! backpressure, coalescing, GC pressure, spilling, key skew,
+//! cross-backend agreement, and the reducer's batch checks.
 
-use shuffle::{run_backend_sunk, run_suite, Backend, ShuffleConfig};
+use sdheap::Addr;
+use shuffle::{
+    run_backend_sunk, run_mapper, run_reducer_sunk, run_suite, Backend, Message, ShuffleConfig,
+    ShuffleError,
+};
+use store::Engine;
 use telemetry::NoopSink;
+use workloads::spark::agg::coalesce;
 use workloads::KeySkew;
 
 fn tiny() -> ShuffleConfig {
@@ -46,7 +52,7 @@ fn fold_matches_the_datasets_expected_aggregate() {
 #[test]
 fn all_backends_agree_on_the_aggregate() {
     // run_suite errors on disagreement; also check the checksums match.
-    let report = run_suite(&tiny(), Backend::all()).unwrap();
+    let report = run_suite(&tiny(), Backend::ALL).unwrap();
     let first = report.backends[0].fold_checksum;
     for b in &report.backends {
         assert_eq!(b.fold_checksum, first, "{} diverged", b.name);
@@ -234,4 +240,62 @@ fn cereal_backend_outruns_software() {
         kryo.report.de_busy_ns
     );
     assert!(cereal.report.net.makespan_ns < kryo.report.net.makespan_ns);
+}
+
+/// Reduces one message on its own with the run's settings.
+fn reduce_one(cfg: &ShuffleConfig, msg: &Message) -> Result<u64, ShuffleError> {
+    let reg = cfg.agg().registry();
+    let cap = cfg.agg().heap_capacity();
+    run_reducer_sunk(msg.backend, &reg, cap, &[msg], &[], cfg.checksum, msg.dst, &mut NoopSink)
+        .map(|out| out.records)
+}
+
+/// A batch whose `records` field disagrees with what it decodes to is a
+/// `BadBatch`, on a reconstructing backend and on the in-place Archive
+/// read alike.
+#[test]
+fn a_record_count_mismatch_is_a_bad_batch() {
+    let cfg = tiny();
+    for backend in [Backend::Kryo, Backend::Archive] {
+        let mut msg = run_mapper(&cfg, backend, 1).unwrap().messages.swap_remove(0);
+        assert_eq!(reduce_one(&cfg, &msg), Ok(msg.records), "{backend:?}: the intact batch reads");
+        msg.records += 1;
+        let err = reduce_one(&cfg, &msg).unwrap_err();
+        assert!(
+            matches!(err, ShuffleError::BadBatch { src: 1, seq: 0, .. }),
+            "{backend:?}: {err:?}"
+        );
+    }
+}
+
+/// A batch holding a null element is a typed `BadBatch`, never a read of
+/// address 0.
+#[test]
+fn a_batch_with_a_null_element_is_a_bad_batch() {
+    let cfg = tiny();
+    let mut part = cfg.agg().build_partition(0);
+    let records = [part.records[0], Addr::NULL, part.records[1]];
+    let batch = coalesce(&mut part.heap, &part.reg, part.batch_klass, &records);
+    for backend in [Backend::Kryo, Backend::Archive] {
+        let (bytes, t) = Engine::new(backend, &part.reg).serialize(
+            &mut part.heap,
+            &part.reg,
+            batch,
+            cfg.checksum,
+            &mut NoopSink,
+        );
+        let msg = Message {
+            src: 0,
+            dst: 0,
+            seq: 0,
+            bytes,
+            records: records.len() as u64,
+            backend,
+            ser_ns: t.busy_ns,
+            ser_done_ns: t.busy_ns,
+        };
+        let err = reduce_one(&cfg, &msg).unwrap_err();
+        let bad = matches!(err, ShuffleError::BadBatch { src: 0, dst: 0, seq: 0 });
+        assert!(bad, "{backend:?}: {err:?}");
+    }
 }

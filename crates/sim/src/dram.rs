@@ -86,7 +86,7 @@ const BUCKET_NS: f64 = 100.0;
 /// assert_eq!(dram.total_bytes(), 64);
 /// ```
 ///
-/// Each channel is a fluid queue tracked in [`BUCKET_NS`] time buckets
+/// Each channel is a fluid queue tracked in `BUCKET_NS` time buckets
 /// by its own [`Ledger`]: an access books `bytes` of channel capacity
 /// starting at its issue bucket, spilling into later buckets when one is
 /// full. Booking is order-*insensitive*, so independent requesters (the

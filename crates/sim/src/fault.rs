@@ -7,7 +7,7 @@
 //!
 //! * **wire corruption** — a byte of a [`crate::net`] transfer is
 //!   flipped in flight; the receiver detects it via the stream's CRC
-//!   frame ([`sdformat`]-level) and re-fetches;
+//!   frame (`sdformat`-level) and re-fetches;
 //! * **link loss** — a transfer vanishes; the sender times out and
 //!   retries with exponential backoff;
 //! * **disk read error** — a [`crate::disk`] access returns a bad

@@ -8,6 +8,12 @@
 //! than in `shuffle`) because both the shuffle service and the block
 //! store serialize through it.
 //!
+//! The engine also owns the *read* of an aggregation batch
+//! ([`Engine::fold_batch`]): an [`Backend::Archive`] engine validates the
+//! image and folds it in place, every other engine reconstructs a heap
+//! and folds that. Shuffle reducers and the cached-RDD job both read
+//! through it.
+//!
 //! Checksummed frames: with the `checksum` flag, streams leave the
 //! engine sealed with the [`sdformat::frame`] CRC-32 footer and every
 //! deserialization verifies integrity *before* decoding — so a
@@ -25,6 +31,7 @@ use serializers::{
 use sim::Cpu;
 use std::fmt;
 use telemetry::Sink;
+use workloads::spark::agg::{self, Fold};
 
 /// Runs one software request on the engine's own host core, reset to
 /// cold before each request (the harness's convention: every request
@@ -97,10 +104,9 @@ impl Backend {
         Backend::Cereal,
     ];
 
-    /// All backends, software baselines first.
-    pub fn all() -> &'static [Backend] {
-        Backend::ALL
-    }
+    /// The software serializer an accelerator-faulted shuffle partition
+    /// (and a DU-failed cluster node) degrades to.
+    pub const FALLBACK: Backend = Backend::Kryo;
 
     /// Display name (matching the figure harness).
     pub fn name(&self) -> &'static str {
@@ -124,6 +130,9 @@ pub enum EngineError {
     Checksum(sdformat::FrameError),
     /// The backend rejected the (intact) stream.
     Ser(SerError),
+    /// The stream decoded, but not to a batch of records: a null root
+    /// or a null element.
+    NotABatch,
 }
 
 impl fmt::Display for EngineError {
@@ -131,6 +140,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Checksum(e) => write!(f, "checksum: {e}"),
             EngineError::Ser(e) => write!(f, "serializer: {e}"),
+            EngineError::NotABatch => write!(f, "the stream is not a batch of records"),
         }
     }
 }
@@ -140,6 +150,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Checksum(e) => Some(e),
             EngineError::Ser(e) => Some(e),
+            EngineError::NotABatch => None,
         }
     }
 }
@@ -168,8 +179,9 @@ pub struct SerTiming {
 
 /// One executor's engine.
 pub enum Engine {
-    /// A software serializer baseline and the host core it runs on.
-    Software(Box<dyn Serializer>, Box<Cpu>),
+    /// A software serializer baseline (and the backend it models) with
+    /// the host core it runs on.
+    Software(Backend, Box<dyn Serializer>, Box<Cpu>),
     /// A private Cereal accelerator.
     Cereal(Box<Accelerator>),
 }
@@ -191,7 +203,15 @@ impl Engine {
                 return Engine::Cereal(Box::new(accel));
             }
         };
-        Engine::Software(ser, Box::new(Cpu::host()))
+        Engine::Software(backend, ser, Box::new(Cpu::host()))
+    }
+
+    /// The backend this engine was built for.
+    pub fn backend(&self) -> Backend {
+        match self {
+            Engine::Software(backend, ..) => *backend,
+            Engine::Cereal(_) => Backend::Cereal,
+        }
     }
 
     /// Serializes the graph at `root`, returning the stream and timing.
@@ -214,7 +234,7 @@ impl Engine {
         sink: &mut S,
     ) -> (Vec<u8>, SerTiming) {
         let (mut bytes, mut t) = match self {
-            Engine::Software(ser, cpu) => {
+            Engine::Software(_, ser, cpu) => {
                 let (bytes, busy_ns) =
                     on_host_core(cpu, sink, |cpu| ser.serialize(heap, reg, root, cpu))
                         .expect("workload registers every class");
@@ -263,7 +283,7 @@ impl Engine {
         let (payload, verify_ns) = unframe(bytes, checksum)?;
         let mut dst = Heap::with_base(Addr(DST_BASE), capacity);
         match self {
-            Engine::Software(ser, cpu) => {
+            Engine::Software(_, ser, cpu) => {
                 let (root, ns) =
                     on_host_core(cpu, sink, |cpu| ser.deserialize(payload, reg, &mut dst, cpu))?;
                 Ok((dst, root, ns + verify_ns))
@@ -280,38 +300,44 @@ impl Engine {
         }
     }
 
-    /// The zero-copy deserialization path for [`Backend::Archive`]
-    /// streams: CRC-verify the frame (when `checksum`), validate the
-    /// archive in place on the engine's host core, and hand back the
-    /// [`ArchiveView`] — no destination heap, no reconstruction. The
-    /// returned time is the full receive-side decode cost on the
-    /// host-CPU model: CRC scan (when framed) plus validation, which
-    /// scales with records and references rather than payload bytes.
+    /// Reads one aggregation batch (see [`workloads::spark::agg`]) and
+    /// folds its records into `fold` in array order; returns the record
+    /// count and the request's busy time. With `checksum`, the CRC frame
+    /// is verified first and its scan charged, as in
+    /// [`Engine::deserialize`].
     ///
-    /// Consumers that fold straight off the view (shuffle reducers, the
-    /// cached-RDD job) pay this instead of [`Engine::deserialize`]'s
-    /// reconstruction.
+    /// An [`Backend::Archive`] engine validates the image in place on its
+    /// host core and folds straight off the wire bytes: no destination
+    /// heap, so its cost is the validation, which scales with records and
+    /// references rather than payload bytes. Every other engine
+    /// reconstructs the batch with [`Engine::deserialize`] and folds the
+    /// heap. Both visit the same records in the same order, so the sums
+    /// are bit-identical.
     ///
     /// # Errors
     /// [`EngineError::Checksum`] on frame damage; [`EngineError::Ser`]
-    /// (carrying the typed [`serializers::ArchiveError`] rendering) when
-    /// validation rejects the image, or
-    /// [`SerError::Unsupported`] on a Cereal engine, which has no host
-    /// core.
-    pub fn validate_archive_sunk<'a, S: Sink>(
+    /// when the backend rejects the stream (for Archive, the typed
+    /// [`serializers::ArchiveError`] rendering);
+    /// [`EngineError::NotABatch`] for a null root or element.
+    pub fn fold_batch<S: Sink>(
         &mut self,
-        bytes: &'a [u8],
+        bytes: &[u8],
         reg: &KlassRegistry,
+        capacity: u64,
         checksum: bool,
+        fold: &mut Fold,
         sink: &mut S,
-    ) -> Result<(ArchiveView<'a>, f64), EngineError> {
-        let Engine::Software(_, cpu) = self else {
-            return Err(SerError::Unsupported("archive validation runs on a host core").into());
-        };
-        let (payload, verify_ns) = unframe(bytes, checksum)?;
-        let (view, ns) = on_host_core(cpu, sink, |cpu| ArchiveView::validate(payload, reg, cpu))
-            .map_err(SerError::from)?;
-        Ok((view, ns + verify_ns))
+    ) -> Result<(usize, f64), EngineError> {
+        if let Engine::Software(Backend::Archive, _, cpu) = self {
+            let (payload, verify_ns) = unframe(bytes, checksum)?;
+            let (view, ns) = on_host_core(cpu, sink, |cpu| ArchiveView::validate(payload, reg, cpu))
+                .map_err(SerError::from)?;
+            let n = agg::fold_archive_batch(&view, fold).ok_or(EngineError::NotABatch)?;
+            return Ok((n, ns + verify_ns));
+        }
+        let (heap, root, ns) = self.deserialize(bytes, reg, capacity, checksum, sink)?;
+        let n = agg::fold_heap_batch(&heap, root, fold).ok_or(EngineError::NotABatch)?;
+        Ok((n, ns))
     }
 
     /// The simulated cost of verifying a framed stream of `framed_len`

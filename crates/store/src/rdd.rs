@@ -21,7 +21,8 @@ use sdheap::{Addr, Heap, KlassRegistry};
 use sim::{DiskConfig, FaultConfig};
 use telemetry::ids::{DRIVER_PID, T_DISK, T_MAIN};
 use telemetry::{EntityId, FlowEvent, Instant, NoopSink, Sink, Span};
-use workloads::{fold_record, merge_folds, AggConfig, Fold};
+use workloads::spark::agg;
+use workloads::{merge_folds, AggConfig, Fold};
 
 use crate::block::{
     AccessOutcome, BlockSource, BlockStore, MissPolicy, StoreConfig, StoreError, StoreStats,
@@ -81,12 +82,13 @@ pub struct PartBuild {
     pub bytes: Vec<u8>,
     /// Engine busy time serializing the block.
     pub ser_ns: f64,
-    /// Engine busy time deserializing the block (paid on every re-read).
+    /// Engine busy time reading the block (paid on every re-read): the
+    /// in-place validation for Archive, the reconstruction otherwise.
     pub de_ns: f64,
     /// Lineage rebuild cost: GC pressure of reconstructing the graph
     /// plus re-serialization.
     pub recompute_ns: f64,
-    /// Per-key `(count, sum)` folded from the reconstructed heap.
+    /// Per-key `(count, sum)` folded by that read.
     pub fold: Fold,
 }
 
@@ -127,27 +129,6 @@ pub struct RddOutcome {
     pub fold_ok: bool,
 }
 
-/// Coalesces a partition's records into one `Object[]` batch root.
-fn coalesce(heap: &mut Heap, reg: &KlassRegistry, batch_klass: sdheap::KlassId, records: &[Addr]) -> Addr {
-    let batch = heap
-        .alloc_array(reg, batch_klass, records.len())
-        .expect("heap capacity covers the coalesced batch");
-    for (j, &r) in records.iter().enumerate() {
-        heap.set_array_elem(batch, j, r.get());
-    }
-    batch
-}
-
-/// Folds `(count, sum)` per key over a batch root.
-fn fold_batch(heap: &Heap, root: Addr) -> Fold {
-    let mut fold = Fold::new();
-    for j in 0..heap.array_len(root) {
-        let rec = Addr(heap.array_elem(root, j));
-        fold_record(&mut fold, heap.field(rec, 0), f64::from_bits(heap.field(rec, 1)));
-    }
-    fold
-}
-
 /// Rebuilds partition `m` from lineage: graph construction, coalescing,
 /// a fresh engine's serialization, and the GC pressure of the rebuild
 /// ([`sdheap::GcStats::simulated_cost_ns`] over the live batch). Returns
@@ -156,12 +137,7 @@ fn rebuild(cfg: &RddConfig, m: usize) -> (Vec<u8>, f64, f64, Heap, KlassRegistry
     let part = cfg.agg.build_partition(m);
     let mut heap = part.heap;
     let reg = part.reg;
-    if cfg.backend == Backend::Cereal {
-        // Play the GC's role once up front, as the harness does: clear
-        // any stale serialization metadata before hardware serialization.
-        heap.gc_clear_serialization_metadata(&reg);
-    }
-    let batch = coalesce(&mut heap, &reg, part.batch_klass, &part.records);
+    let batch = agg::coalesce(&mut heap, &reg, part.batch_klass, &part.records);
     // The engine (and its host core) is dropped before the collection's
     // semispace is allocated, so the two never coexist.
     let (bytes, t) = Engine::new(cfg.backend, &reg).serialize(
@@ -177,50 +153,22 @@ fn rebuild(cfg: &RddConfig, m: usize) -> (Vec<u8>, f64, f64, Heap, KlassRegistry
     (bytes, t.busy_ns, recompute_ns, heap, reg, batch)
 }
 
-/// Folds a cached [`Backend::Archive`] block in place on `engine`: one
-/// validation pass over the image, then reads straight off the wire
-/// bytes. Returns the fold and the zero-copy decode cost (CRC verify
-/// when framed + validation).
-fn fold_archive_block(
-    engine: &mut Engine,
-    bytes: &[u8],
-    reg: &KlassRegistry,
-    checksum: bool,
-) -> (Fold, f64) {
-    let (view, de_ns) = engine
-        .validate_archive_sunk(bytes, reg, checksum, &mut NoopSink)
-        .expect("cached block is intact");
-    let mut fold = Fold::new();
-    let root = view.root().expect("cached batch is non-empty");
-    for j in 0..view.array_len(root) {
-        let rec = view.array_elem_ref(root, j).expect("batch records are non-null");
-        fold_record(&mut fold, view.field(rec, 0), f64::from_bits(view.field(rec, 1)));
-    }
-    (fold, de_ns)
-}
-
-/// Builds and measures partition `m` (phase 1).
+/// Builds and measures partition `m` (phase 1): rebuilds it, then reads
+/// the block back once through [`Engine::fold_batch`] (an Archive block
+/// folds in place, every other backend reconstructs) and asserts, on
+/// every run, that the read's fold equals the source heap's.
 pub fn build_part(cfg: &RddConfig, m: usize) -> PartBuild {
     let (bytes, ser_ns, recompute_ns, heap, reg, batch) = rebuild(cfg, m);
-    let src_fold = fold_batch(&heap, batch);
-    // A fresh engine for the reads: a Cereal deserialize must not run on
+    let mut src_fold = Fold::new();
+    agg::fold_heap_batch(&heap, batch, &mut src_fold).expect("the coalesced batch holds records");
+    // A fresh engine for the read: a Cereal deserialize must not run on
     // the accelerator that just serialized, whose units and DRAM are
     // still busy from it.
-    let mut engine = Engine::new(cfg.backend, &reg);
-    let (dheap, droot, de_ns) = engine
-        .deserialize(&bytes, &reg, cfg.agg.heap_capacity(), cfg.checksum, &mut NoopSink)
-        .expect("freshly serialized block round-trips");
-    let fold = fold_batch(&dheap, droot);
-    assert_eq!(fold, src_fold, "partition {m}: reconstruction changed the fold");
-    if cfg.backend == Backend::Archive {
-        // Zero-copy re-reads: every pass folds off the validated view
-        // instead of reconstructing, so the per-read cost is the
-        // validate-only time — after proving, on every run, that the
-        // in-place fold is bit-identical to the reconstruction fold.
-        let (zc_fold, zc_de_ns) = fold_archive_block(&mut engine, &bytes, &reg, cfg.checksum);
-        assert_eq!(zc_fold, fold, "partition {m}: zero-copy fold diverged from reconstruction");
-        return PartBuild { bytes, ser_ns, de_ns: zc_de_ns, recompute_ns, fold };
-    }
+    let mut fold = Fold::new();
+    let (_, de_ns) = Engine::new(cfg.backend, &reg)
+        .fold_batch(&bytes, &reg, cfg.agg.heap_capacity(), cfg.checksum, &mut fold, &mut NoopSink)
+        .expect("freshly serialized block reads back");
+    assert_eq!(fold, src_fold, "partition {m}: reading the block changed the fold");
     PartBuild { bytes, ser_ns, de_ns, recompute_ns, fold }
 }
 

@@ -38,7 +38,7 @@ fn sample(backend: Backend) -> (Vec<u8>, sdheap::KlassRegistry, u64) {
 /// never a silently wrong reconstruction.
 #[test]
 fn every_backend_detects_single_bit_corruption() {
-    for &backend in Backend::all() {
+    for &backend in Backend::ALL {
         let (framed, reg, capacity) = sample(backend);
         let mut engine = Engine::new(backend, &reg);
         engine

@@ -1,14 +1,16 @@
 //! End-to-end block-store tests: eviction determinism, spill/reload
 //! byte-identity per backend, the recompute-vs-fetch policy crossover,
-//! and job-count invariance of the suite report.
+//! job-count invariance of the suite report, and the agreement of the
+//! in-place and reconstructing batch reads.
 
 use sim::DiskConfig;
 use store::{
-    build_part, run_rdd_sunk, run_suite, AccessPattern, Backend, BlockStore, MissPolicy, NoLineage,
-    RddConfig, StoreConfig,
+    build_part, run_rdd_sunk, run_suite, AccessPattern, Backend, BlockStore, Engine, MissPolicy,
+    NoLineage, RddConfig, StoreConfig,
 };
 use telemetry::NoopSink;
-use workloads::{AggConfig, KeySkew};
+use workloads::spark::agg::{coalesce, fold_heap_batch};
+use workloads::{AggConfig, Fold, KeySkew};
 
 fn tiny_agg() -> AggConfig {
     AggConfig {
@@ -62,7 +64,7 @@ fn eviction_order_is_deterministic() {
 /// fold.
 #[test]
 fn spill_and_reload_is_byte_identical_per_backend() {
-    for &backend in Backend::all() {
+    for &backend in Backend::ALL {
         let cfg = tiny(backend);
         let parts: Vec<_> = (0..cfg.agg.mappers).map(|m| build_part(&cfg, m)).collect();
         // Room for one block at a time: every put evicts the previous
@@ -165,4 +167,37 @@ fn suite_report_is_job_count_invariant() {
     assert_eq!(one, four, "report must not depend on the worker count");
     assert!(one.contains("\"fold_ok\": true"));
     assert!(!one.contains("\"fold_ok\": false"));
+}
+
+/// One partition read by the Archive engine (validated and folded in
+/// place) and by the Kryo engine (reconstructed, then folded) folds to
+/// the source heap's aggregate, sums bit for bit.
+#[test]
+fn archive_in_place_fold_equals_kryo_rebuilt_fold() {
+    let agg = tiny_agg();
+    let mut part = agg.build_partition(2);
+    let batch = coalesce(&mut part.heap, &part.reg, part.batch_klass, &part.records);
+    let mut src = Fold::new();
+    fold_heap_batch(&part.heap, batch, &mut src).unwrap();
+    let reg = agg.registry();
+    let mut read = |backend| {
+        let mut engine = Engine::new(backend, &part.reg);
+        let (bytes, _) = engine.serialize(&mut part.heap, &part.reg, batch, true, &mut NoopSink);
+        let mut fold = Fold::new();
+        let (n, ns) = Engine::new(backend, &reg)
+            .fold_batch(&bytes, &reg, agg.heap_capacity(), true, &mut fold, &mut NoopSink)
+            .unwrap();
+        assert_eq!(n, part.records.len(), "{backend:?} reads every record");
+        assert!(ns > 0.0, "{backend:?} charges its read");
+        fold
+    };
+    let (archive, kryo) = (read(Backend::Archive), read(Backend::Kryo));
+    assert_eq!(archive.len(), src.len());
+    assert_eq!(kryo.len(), src.len());
+    for (k, &(count, sum)) in &src {
+        for (name, fold) in [("Archive", &archive), ("Kryo", &kryo)] {
+            assert_eq!(fold[k].0, count, "{name} count for key {k}");
+            assert_eq!(fold[k].1.to_bits(), sum.to_bits(), "{name} sum for key {k}");
+        }
+    }
 }

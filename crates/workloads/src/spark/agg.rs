@@ -14,6 +14,13 @@
 //! Event { key: long, value: double, payload: ref } -> long[PAYLOAD_WORDS]
 //! ```
 //!
+//! This module also owns the *batch* layout every consumer shares: a
+//! mapper flush or a cached block is one `Object[]` root of `Event`s
+//! ([`coalesce`]), a record routes by its key ([`record_key`]), and a
+//! read folds the batch in array order, whether from a reconstructed heap
+//! ([`fold_heap_batch`]) or in place from a validated archive image
+//! ([`fold_archive_batch`]).
+//!
 //! Generation is deterministic per `(seed, mapper)`, and
 //! [`AggConfig::expected_fold`] recomputes the exact aggregation result
 //! (same f64 accumulation order as a shuffle that preserves per-mapper
@@ -24,10 +31,16 @@ use crate::zipf::Zipf;
 use sdheap::builder::Init;
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassId, KlassRegistry, ValueType};
+use serializers::ArchiveView;
 use std::collections::BTreeMap;
 
 /// Words in each record's payload array.
 pub const PAYLOAD_WORDS: usize = 8;
+
+/// `Event` field holding the record's key.
+const KEY_FIELD: usize = 0;
+/// `Event` field holding the bits of the record's `f64` value.
+const VALUE_FIELD: usize = 1;
 
 /// Approximate heap bytes per record: Event (3 header + 3 fields) plus
 /// its payload array (3 header + 1 length + `PAYLOAD_WORDS`), used by
@@ -57,6 +70,64 @@ pub fn merge_folds<'f>(folds: impl IntoIterator<Item = &'f Fold>) -> Fold {
         }
     }
     merged
+}
+
+/// Coalesces `records` into one `Object[]` batch root allocated on
+/// `heap`: the unit a mapper flush ships and a cached block stores.
+///
+/// # Panics
+/// Panics if `heap` cannot hold the batch array
+/// ([`AggConfig::heap_capacity`] leaves room for it).
+pub fn coalesce(
+    heap: &mut Heap,
+    reg: &KlassRegistry,
+    batch_klass: KlassId,
+    records: &[Addr],
+) -> Addr {
+    let batch = heap
+        .alloc_array(reg, batch_klass, records.len())
+        .expect("heap capacity covers the coalesced batch");
+    for (j, &r) in records.iter().enumerate() {
+        heap.set_array_elem(batch, j, r.get());
+    }
+    batch
+}
+
+/// The key record `rec` is routed and folded by.
+pub fn record_key(heap: &Heap, rec: Addr) -> u64 {
+    heap.field(rec, KEY_FIELD)
+}
+
+/// Folds every record of the batch at `root` (a reconstructed heap) into
+/// `fold`, in array order, and returns the record count. `None` for a
+/// null root or a null element: not a batch of records.
+pub fn fold_heap_batch(heap: &Heap, root: Addr, fold: &mut Fold) -> Option<usize> {
+    if root.is_null() {
+        return None;
+    }
+    let n = heap.array_len(root);
+    for j in 0..n {
+        let rec = Addr(heap.array_elem(root, j));
+        if rec.is_null() {
+            return None;
+        }
+        fold_record(fold, record_key(heap, rec), f64::from_bits(heap.field(rec, VALUE_FIELD)));
+    }
+    Some(n)
+}
+
+/// Folds every record of a validated archive batch into `fold` straight
+/// off the image, in array order (so the sums equal
+/// [`fold_heap_batch`]'s bit for bit), and returns the record count.
+/// `None` for an empty image or a null element.
+pub fn fold_archive_batch(view: &ArchiveView<'_>, fold: &mut Fold) -> Option<usize> {
+    let root = view.root()?;
+    let n = view.array_len(root);
+    for j in 0..n {
+        let rec = view.array_elem_ref(root, j)?;
+        fold_record(fold, view.field(rec, KEY_FIELD), f64::from_bits(view.field(rec, VALUE_FIELD)));
+    }
+    Some(n)
 }
 
 /// Key-popularity distribution of the generated records.
@@ -285,21 +356,8 @@ mod tests {
             hot as f64 > total as f64 * 0.3,
             "zipf(1.2) head key holds a large share, got {hot}/{total}"
         );
-        // The heap contents replay the same stream.
-        let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
-        for m in 0..cfg.mappers {
-            let p = cfg.build_partition(m);
-            for &r in &p.records {
-                let e = fold.entry(p.heap.field(r, 0)).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += f64::from_bits(p.heap.field(r, 1));
-            }
-        }
-        assert_eq!(fold.len(), expected.len());
-        for (k, v) in &expected {
-            assert_eq!(fold[k].0, v.0, "count for key {k}");
-            assert_eq!(fold[k].1.to_bits(), v.1.to_bits(), "sum for key {k}");
-        }
+        // The heap contents replay the same stream, sums bit for bit.
+        assert_eq!(heap_fold(&cfg), expected);
     }
 
     #[test]
@@ -308,27 +366,23 @@ mod tests {
         assert_eq!(KeySkew::Zipf(1.1).label(), "zipf(1.10)");
     }
 
+    /// Every mapper's partition, coalesced and folded in mapper order.
+    fn heap_fold(cfg: &AggConfig) -> Fold {
+        let mut fold = Fold::new();
+        for m in 0..cfg.mappers {
+            let mut p = cfg.build_partition(m);
+            let batch = coalesce(&mut p.heap, &p.reg, p.batch_klass, &p.records);
+            assert_eq!(fold_heap_batch(&p.heap, batch, &mut fold), Some(cfg.records_per_mapper));
+        }
+        fold
+    }
+
     #[test]
     fn expected_fold_matches_heap_contents() {
         let cfg = tiny();
         let expected = cfg.expected_fold();
-        let mut fold: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
-        for m in 0..cfg.mappers {
-            let p = cfg.build_partition(m);
-            for &r in &p.records {
-                let key = p.heap.field(r, 0);
-                let value = f64::from_bits(p.heap.field(r, 1));
-                let e = fold.entry(key).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += value;
-            }
-        }
         let total: u64 = expected.values().map(|v| v.0).sum();
         assert_eq!(total, (cfg.mappers * cfg.records_per_mapper) as u64);
-        assert_eq!(fold.len(), expected.len());
-        for (k, v) in &expected {
-            assert_eq!(fold[k].0, v.0, "count for key {k}");
-            assert!((fold[k].1 - v.1).abs() < 1e-9, "sum for key {k}");
-        }
+        assert_eq!(heap_fold(&cfg), expected);
     }
 }

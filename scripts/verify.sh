@@ -24,6 +24,12 @@ cargo build --release --manifest-path perfbench/Cargo.toml $CARGO_FLAGS
 echo "== lint: clippy, zero warnings =="
 cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
 
+echo "== docs: rustdoc, zero warnings =="
+# A doc link to a renamed or deleted item fails here instead of going
+# stale. `--lib` keeps the store/shuffle/cluster bench binaries' doc
+# pages from colliding with their crates'.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib $CARGO_FLAGS
+
 echo "== tier-1: tests (root package) =="
 cargo test -q $CARGO_FLAGS
 

@@ -5,7 +5,7 @@
 //! single dependency:
 //!
 //! * [`heap`] (`sdheap`) — the HotSpot-like managed heap;
-//! * [`format`] (`sdformat`) — the Cereal serialization format;
+//! * [`format`](mod@format) (`sdformat`) — the Cereal serialization format;
 //! * [`baselines`] (`serializers`) — Java S/D, Kryo and Skyway;
 //! * [`arch`] (`sim`) — DRAM/cache/CPU/MAI/TLB models;
 //! * [`accel`] (`cereal`) — the Cereal accelerator itself;
