@@ -19,7 +19,7 @@
 //! `--out PATH` (default `BENCH_FAULTS.json`).
 
 use cereal_bench::table::{ns, Table};
-use shuffle::{run_backend_sunk, Backend, FaultSpec, ShuffleConfig};
+use shuffle::{run_backend_sunk, Backend, ShuffleConfig};
 use sim::FaultConfig;
 use store::{run_rdd_sunk, AccessPattern, MissPolicy, RddConfig};
 use telemetry::{ratio, JsonWriter, NoopSink};
@@ -125,7 +125,7 @@ fn main() {
         baselines.push((base.name, base.net.makespan_ns, base.wire_bytes, base.fold_checksum));
         for &rate in rates {
             let mut cfg = shuffle_cfg;
-            cfg.faults = Some(FaultSpec::uniform(rate, FAULT_SEED));
+            cfg.faults = Some(FaultConfig::uniform(rate, FAULT_SEED));
             let run = run_backend_sunk(&cfg, backend, &mut NoopSink).unwrap_or_else(|e| {
                 eprintln!("{} at rate {rate} failed: {e}", backend.name());
                 std::process::exit(1);

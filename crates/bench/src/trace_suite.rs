@@ -12,7 +12,7 @@
 
 use cereal::Accelerator;
 use sdheap::{Addr, Heap};
-use shuffle::{run_backend_sunk, BackendRun, FaultSpec, ShuffleConfig};
+use shuffle::{run_backend_sunk, BackendRun, ShuffleConfig};
 use store::{run_rdd_sunk, AccessPattern, MissPolicy, RddConfig, RddOutcome, DST_BASE};
 use telemetry::ids::ACCEL_PID;
 use telemetry::{Recon, Recorder};
@@ -44,7 +44,7 @@ pub fn shuffle_cfg(jobs: usize) -> ShuffleConfig {
     cfg.checksum = true;
     cfg.gc_pressure = true;
     cfg.spill_bytes = cfg.flush_bytes;
-    cfg.faults = Some(FaultSpec::uniform(0.05, FAULT_SEED));
+    cfg.faults = Some(sim::FaultConfig::uniform(0.05, FAULT_SEED));
     cfg
 }
 

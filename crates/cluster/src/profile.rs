@@ -145,11 +145,6 @@ impl JobProfile {
         self.stages[s].tasks[t].service_ns
     }
 
-    /// Nominal service of task `t` in stage `s` on a DU-failed node.
-    pub fn fallback_service_ns(&self, s: usize, t: usize) -> f64 {
-        self.stages[s].tasks[t].fallback_ns
-    }
-
     /// Blame-category fractions `(ser, de, gc)` of task `t`'s service
     /// window in stage `s`, measured during profiling.
     pub fn components(&self, s: usize, t: usize) -> (f64, f64, f64) {

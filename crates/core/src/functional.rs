@@ -30,10 +30,8 @@ use sdheap::{
     Addr, ExtWord, Heap, KlassRegistry, MarkWord, EXT_OFFSET, HEADER_WORDS, KLASS_OFFSET,
     MARK_OFFSET,
 };
-use serializers::{
-    NullSink, Op, OpBuf, RecordStarts, SerError, TraceSink, OUT_STREAM_BASE,
-};
-use std::collections::{HashMap, VecDeque};
+use serializers::{RecordStarts, SerError};
+use std::collections::VecDeque;
 
 use crate::tables::ClassTables;
 
@@ -116,8 +114,8 @@ pub struct SerOutcome {
 ///
 /// # Errors
 /// * [`SerError::Unsupported`] when a shared object's header is reserved
-///   by a different unit (the paper's software-fallback case) or a class
-///   is not registered in the Klass Pointer Table.
+///   by a different unit (the SU refuses it, §V-E) or a class is not
+///   registered in the Klass Pointer Table.
 pub fn encode<'a>(
     heap: &'a mut Heap,
     reg: &'a KlassRegistry,
@@ -153,17 +151,14 @@ impl EncodeCall<'_> {
     /// # Errors
     /// See [`encode`].
     pub fn run(self, root: Addr) -> Result<SerOutcome, SerError> {
-        let strip = self.strip_mark_words;
         let mut marks = HeaderMarks {
             heap: self.heap,
             counter: self.counter,
             unit: self.unit,
-            strip_mark_words: strip,
+            strip_mark_words: self.strip_mark_words,
             events: Vec::new(),
         };
-        let mut silent = OpBuf::for_sink(&NullSink);
-        let (stream, image_bytes) =
-            traverse(&mut marks, self.reg, self.tables, strip, root, &mut silent, &mut NullSink)?;
+        let (stream, image_bytes) = traverse(&mut marks, self.reg, self.tables, root)?;
         let workload = SerWorkload {
             events: marks.events,
             value_bytes: stream.value_array.len() as u64,
@@ -173,48 +168,6 @@ impl EncodeCall<'_> {
         };
         Ok(SerOutcome { stream, workload })
     }
-}
-
-/// Software-fallback serialization (paper §V-E): when a shared object's
-/// header is reserved by another unit, the hardware cannot record
-/// relative addresses in headers, so serialization falls back to
-/// software using a **thread-local hash table** for visited tracking —
-/// no header extensions are read or written.
-///
-/// Runs the same traversal as [`encode`], so the stream is bit-identical,
-/// and narrates the CPU work into `sink` so the caller can time it on the
-/// host model.
-///
-/// # Errors
-/// [`SerError`] for unregistered classes or over-large graphs.
-pub fn encode_software(
-    heap: &Heap,
-    reg: &KlassRegistry,
-    tables: &ClassTables,
-    strip_mark_words: bool,
-    root: Addr,
-    sink: &mut dyn TraceSink,
-) -> Result<CerealStream, SerError> {
-    let mut table = VisitedTable {
-        heap,
-        rel_of: HashMap::new(),
-    };
-    let mut ops = OpBuf::for_sink(sink);
-    let r = traverse(&mut table, reg, tables, strip_mark_words, root, &mut ops, sink);
-    ops.flush(sink);
-    r.map(|(stream, _)| stream)
-}
-
-/// How the header manager tracks visited objects.
-trait Visits {
-    /// The heap being serialized.
-    fn heap(&self) -> &Heap;
-
-    /// The relative address recorded for `addr`, if it was visited.
-    fn visited(&mut self, addr: Addr, ops: &mut OpBuf) -> Result<Option<u32>, SerError>;
-
-    /// Records the first visit of `addr`, assigned relative address `rel`.
-    fn first_visit(&mut self, reg: &KlassRegistry, addr: Addr, rel: u32, ops: &mut OpBuf);
 }
 
 /// The SU's visited state: the serialization counter, relative address
@@ -228,12 +181,10 @@ struct HeaderMarks<'a> {
     events: Vec<SerEvent>,
 }
 
-impl Visits for HeaderMarks<'_> {
-    fn heap(&self) -> &Heap {
-        self.heap
-    }
-
-    fn visited(&mut self, addr: Addr, _: &mut OpBuf) -> Result<Option<u32>, SerError> {
+impl HeaderMarks<'_> {
+    /// The relative address recorded for `addr`, if it was visited; an
+    /// error if another unit reserved its header (the SU refuses, §V-E).
+    fn visited(&mut self, addr: Addr) -> Result<Option<u32>, SerError> {
         let ext = self.heap.ext_word(addr);
         if !ext.visited_in(self.counter) {
             return Ok(None);
@@ -247,7 +198,8 @@ impl Visits for HeaderMarks<'_> {
         Ok(Some(ext.relative_addr()))
     }
 
-    fn first_visit(&mut self, reg: &KlassRegistry, addr: Addr, rel: u32, _: &mut OpBuf) {
+    /// Records the first visit of `addr`, assigned relative address `rel`.
+    fn first_visit(&mut self, reg: &KlassRegistry, addr: Addr, rel: u32) {
         let view = self.heap.object(reg, addr);
         let size = view.size_bytes() as u32;
         let refs = view.ref_offsets().len() as u32;
@@ -274,48 +226,20 @@ impl Visits for HeaderMarks<'_> {
     }
 }
 
-/// The software fallback's thread-local visited table; each probe and
-/// each first-visit header fetch is narrated.
-struct VisitedTable<'a> {
-    heap: &'a Heap,
-    rel_of: HashMap<Addr, u32>,
-}
-
-impl Visits for VisitedTable<'_> {
-    fn heap(&self) -> &Heap {
-        self.heap
-    }
-
-    fn visited(&mut self, addr: Addr, ops: &mut OpBuf) -> Result<Option<u32>, SerError> {
-        ops.push(Op::HashLookup);
-        Ok(self.rel_of.get(&addr).copied())
-    }
-
-    fn first_visit(&mut self, _: &KlassRegistry, addr: Addr, rel: u32, ops: &mut OpBuf) {
-        ops.load_word_dep(addr.get());
-        ops.load_word_dep(addr.add_words(KLASS_OFFSET as u64).get());
-        self.rel_of.insert(addr, rel);
-    }
-}
-
-/// The serialization data path, shared by the SU model and the software
-/// fallback. Returns the stream and the image size in bytes.
+/// The SU's serialization data path. Returns the stream and the image
+/// size in bytes.
 ///
 /// 1. The header-manager traversal: breadth-first, FIFO as references
 ///    stream in, assigning each first-visited object its relative
 ///    address (the running sum of object sizes).
 /// 2. The object handler's split of every object word into the value
 ///    array and the reference array, and the metadata manager's layout
-///    bitmaps. The work is narrated into `ops` (a silent buffer for the
-///    SU, whose cost the timing model derives from the events instead).
-fn traverse<V: Visits>(
-    v: &mut V,
+///    bitmaps.
+fn traverse(
+    marks: &mut HeaderMarks,
     reg: &KlassRegistry,
     tables: &ClassTables,
-    strip_mark_words: bool,
     root: Addr,
-    ops: &mut OpBuf,
-    sink: &mut dyn TraceSink,
 ) -> Result<(CerealStream, u64), SerError> {
     let mut order: Vec<Addr> = Vec::new();
     let mut ref_items: Vec<Option<u32>> = Vec::new();
@@ -323,31 +247,31 @@ fn traverse<V: Visits>(
 
     // Header-manager visit: the relative address of `addr` and whether
     // this was its first visit.
-    let mut visit = |v: &mut V, addr: Addr, ops: &mut OpBuf| -> Result<(u32, bool), SerError> {
-        if let Some(rel) = v.visited(addr, ops)? {
+    let mut visit = |marks: &mut HeaderMarks, addr: Addr| -> Result<(u32, bool), SerError> {
+        if let Some(rel) = marks.visited(addr)? {
             return Ok((rel, false));
         }
         let rel = u32::try_from(next_rel)
             .map_err(|_| SerError::Unsupported("object graph exceeds 4 GB image"))?;
-        let view = v.heap().object(reg, addr);
+        let view = marks.heap.object(reg, addr);
         // Verify registration (the CAM lookup the object handler does).
         tables.id_of(reg.meta_addr(view.klass_id()))?;
         next_rel += view.size_bytes();
-        v.first_visit(reg, addr, rel, ops);
+        marks.first_visit(reg, addr, rel);
         order.push(addr);
         Ok((rel, true))
     };
     if !root.is_null() {
         let mut queue: VecDeque<Addr> = VecDeque::new();
-        visit(v, root, ops)?;
+        visit(marks, root)?;
         queue.push_back(root);
         while let Some(obj) = queue.pop_front() {
-            for t in v.heap().object(reg, obj).references() {
+            for t in marks.heap.object(reg, obj).references() {
                 if t.is_null() {
                     ref_items.push(None);
                     continue;
                 }
-                let (rel, fresh) = visit(v, t, ops)?;
+                let (rel, fresh) = visit(marks, t)?;
                 ref_items.push(Some(rel));
                 if fresh {
                     queue.push_back(t);
@@ -356,7 +280,7 @@ fn traverse<V: Visits>(
         }
     }
 
-    let heap = v.heap();
+    let (heap, strip_mark_words) = (&*marks.heap, marks.strip_mark_words);
     let mut value_array = Vec::new();
     let mut ref_packer = Packer::new();
     let mut bitmap_packer = Packer::new();
@@ -364,7 +288,6 @@ fn traverse<V: Visits>(
         let view = heap.object(reg, addr);
         let bits = view.layout_bits();
         for (w, &is_ref) in bits.iter().enumerate() {
-            ops.load(addr.add_words(w as u64).get(), 8);
             if is_ref {
                 continue;
             }
@@ -374,15 +297,11 @@ fn traverse<V: Visits>(
                 EXT_OFFSET => continue, // runtime-private, regenerated
                 _ => view.word(w),
             };
-            ops.store(OUT_STREAM_BASE + value_array.len() as u64, 8);
             value_array.extend_from_slice(&word.to_le_bytes());
         }
-        ops.push(Op::Alu(bits.len() as u32)); // bitmap packing
         bitmap_packer.push_bits(&bits);
-        ops.maybe_flush(sink);
     }
     for &item in &ref_items {
-        ops.push(Op::Alu(4)); // significant-bit extraction + end-bit insert
         ref_packer.push_value(encode_ref(item));
     }
 

@@ -136,13 +136,6 @@ impl CerealSerializer {
         }
     }
 
-    /// With an explicit configuration (e.g. the Vanilla ablation).
-    pub fn with_config(cfg: CerealConfig) -> Self {
-        CerealSerializer {
-            accel: RefCell::new(Accelerator::new(cfg)),
-        }
-    }
-
     /// Access to the wrapped accelerator (timing reports).
     pub fn accelerator(&self) -> std::cell::RefMut<'_, Accelerator> {
         self.accel.borrow_mut()

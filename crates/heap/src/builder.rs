@@ -59,11 +59,6 @@ impl GraphBuilder {
         }
     }
 
-    /// A builder over an existing heap/registry pair.
-    pub fn from_parts(heap: Heap, reg: KlassRegistry) -> Self {
-        GraphBuilder { heap, reg }
-    }
-
     /// Registers (or re-uses) an instance klass.
     pub fn klass(&mut self, name: impl Into<String>, kinds: Vec<FieldKind>) -> KlassId {
         self.reg.register(Klass::new(name, kinds))

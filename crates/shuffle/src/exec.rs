@@ -192,7 +192,7 @@ pub fn run_mapper_sunk<S: Sink>(
     // Accelerator faults are drawn per flush from this mapper's private
     // stream (only the Cereal engine can fault in hardware).
     let mut accel_inj = if backend == Backend::Cereal {
-        cfg.faults.map(|s| s.cfg.scoped(accel_scope(m)))
+        cfg.faults.map(|f| f.scoped(accel_scope(m)))
     } else {
         None
     };
@@ -203,10 +203,10 @@ pub fn run_mapper_sunk<S: Sink>(
     // transient read-error class still applies, recovered by the
     // store's device-level retry loop.
     let mut blocks = (cfg.spill_bytes > 0).then(|| {
-        let fault = cfg.faults.map(|s| FaultConfig {
-            seed: s.cfg.seed ^ (0x5B11_0000_0000 | m as u64),
+        let fault = cfg.faults.map(|f| FaultConfig {
+            seed: f.seed ^ (0x5B11_0000_0000 | m as u64),
             spill_corruption: 0.0,
-            ..s.cfg
+            ..f
         });
         BlockStore::new(StoreConfig {
             memory_budget: cfg.spill_bytes,

@@ -100,21 +100,6 @@ impl From<EngineError> for ShuffleError {
     }
 }
 
-/// Fault injection for a shuffle run. A partition whose accelerator
-/// request faulted degrades to [`store::Backend::FALLBACK`].
-#[derive(Clone, Copy, Debug)]
-pub struct FaultSpec {
-    /// Rates, seed and recovery knobs.
-    pub cfg: FaultConfig,
-}
-
-impl FaultSpec {
-    /// Every fault class at `rate`.
-    pub fn uniform(rate: f64, seed: u64) -> Self {
-        FaultSpec { cfg: FaultConfig::uniform(rate, seed) }
-    }
-}
-
 /// Injector scope for message `i` of the global list (wire faults).
 pub(crate) fn wire_scope(i: usize) -> u64 {
     0x77AE_0000_0000 | i as u64

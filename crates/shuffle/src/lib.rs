@@ -58,14 +58,14 @@ pub mod service;
 pub mod timeline;
 
 pub use exec::{run_mapper, run_mapper_sunk, GcTotals, MapOutcome, Message, SpillTotals};
-pub use faults::{Attempt, FaultSpec, FaultTotals, MsgPlan, ShuffleError};
+pub use faults::{Attempt, FaultTotals, MsgPlan, ShuffleError};
 pub use reduce::{run_reducer_sunk, ReduceOutcome};
 pub use report::{fold_checksum, BackendReport, ShuffleReport};
 pub use service::{run_backend_sunk, run_suite, BackendRun};
 pub use store::Backend;
 pub use timeline::{compose_sunk, NetStats};
 
-use sim::LinkConfig;
+use sim::{FaultConfig, LinkConfig};
 use workloads::{AggConfig, KeySkew};
 
 /// Shuffle service configuration.
@@ -113,8 +113,10 @@ pub struct ShuffleConfig {
     /// wire-corruption injection to be detectable.
     pub checksum: bool,
     /// Fault injection (`None` = the fault-free happy path, bit-for-bit
-    /// identical to the pre-fault service).
-    pub faults: Option<FaultSpec>,
+    /// identical to the pre-fault service). A partition whose
+    /// accelerator request faulted degrades to
+    /// [`store::Backend::FALLBACK`].
+    pub faults: Option<FaultConfig>,
 }
 
 impl ShuffleConfig {

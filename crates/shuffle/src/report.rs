@@ -149,8 +149,7 @@ impl ShuffleReport {
         // fault-free config block stays free of the fault fields.
         if c.checksum || c.faults.is_some() {
             w.field_bool("checksum", c.checksum);
-            if let Some(spec) = &c.faults {
-                let f = &spec.cfg;
+            if let Some(f) = &c.faults {
                 w.field_u64("fault_seed", f.seed);
                 w.field_str("fallback", Backend::FALLBACK.name());
                 w.key("rates");

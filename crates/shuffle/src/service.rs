@@ -47,7 +47,7 @@ pub fn run_backend_sunk<S: Sink>(
     backend: Backend,
     sink: &mut S,
 ) -> Result<BackendRun, ShuffleError> {
-    if !cfg.checksum && cfg.faults.is_some_and(|s| s.cfg.wire_corruption > 0.0) {
+    if !cfg.checksum && cfg.faults.is_some_and(|f| f.wire_corruption > 0.0) {
         return Err(ShuffleError::ChecksumRequired);
     }
 
@@ -61,11 +61,11 @@ pub fn run_backend_sunk<S: Sink>(
         par_map(cfg.jobs, cfg.mappers, |m| {
             let mut child = S::default();
             let mut outcome = run_mapper_sunk(cfg, backend, m, &mut child)?;
-            if let Some(spec) = cfg.faults {
-                let mut inj = spec.cfg.scoped(death_scope(m));
+            if let Some(fc) = cfg.faults {
+                let mut inj = fc.scoped(death_scope(m));
                 if let Some(frac) = inj.mapper_dies() {
                     let died_at = frac * outcome.clock_ns;
-                    let death_ns = died_at + spec.cfg.timeout_ns;
+                    let death_ns = died_at + fc.timeout_ns;
                     for msg in &mut outcome.messages {
                         msg.ser_done_ns += death_ns;
                     }
@@ -82,7 +82,7 @@ pub fn run_backend_sunk<S: Sink>(
                             entity: EntityId { pid: MAPPER_PID_BASE + m as u32, tid: T_MAIN },
                             name: "mapper.death",
                             t_ns: died_at,
-                            attrs: vec![("timeout_ns", spec.cfg.timeout_ns.into())],
+                            attrs: vec![("timeout_ns", fc.timeout_ns.into())],
                         });
                     }
                 }
@@ -109,10 +109,10 @@ pub fn run_backend_sunk<S: Sink>(
     // the global message index — the reduce stage (detection) and the
     // timeline (recovery timing) replay the same schedule.
     let plans: Vec<MsgPlan> = match &cfg.faults {
-        Some(spec) if spec.cfg.enabled() => all
+        Some(fc) if fc.enabled() => all
             .iter()
             .enumerate()
-            .map(|(i, m)| plan_message(&spec.cfg, i, m.bytes.len()))
+            .map(|(i, m)| plan_message(fc, i, m.bytes.len()))
             .collect(),
         _ => Vec::new(),
     };

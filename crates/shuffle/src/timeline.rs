@@ -149,9 +149,9 @@ pub fn compose_sunk<S: Sink>(
         let mut attempt_start = start;
         if let Some(plan) = plans.get(i) {
             if plan.retries() > 0 {
-                let fc = &cfg.faults.expect("fault plans imply a fault spec").cfg;
+                let fc = cfg.faults.expect("fault plans imply a fault config");
                 for (k, a) in plan.attempts.iter().enumerate() {
-                    let backoff = fc.backoff_ns * f64::from(1u32 << (k as u32).min(16));
+                    let backoff = fc.retry_backoff_ns(k as u32);
                     let resume = match a {
                         Attempt::Clean => break,
                         Attempt::Lost => {
@@ -280,4 +280,43 @@ pub fn compose_sunk<S: Sink>(
     }
     stats.ingress_utilization = fabric.ingress_utilization(stats.makespan_ns);
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Backend;
+    use sim::FaultConfig;
+    use telemetry::NoopSink;
+
+    #[test]
+    fn a_lost_attempt_recovers_at_timeout_or_arrival_plus_backoff() {
+        // A 1 ms timeout outlasts the lost transfer; a 1 ns one does not.
+        for timeout_ns in [1_000_000.0, 1.0] {
+            let fc = FaultConfig { timeout_ns, ..FaultConfig::none() };
+            let cfg = ShuffleConfig { faults: Some(fc), ..ShuffleConfig::smoke() };
+            let start = 1_000.0;
+            let msg = Message {
+                src: 1,
+                dst: 2,
+                seq: 0,
+                bytes: vec![0; 4096],
+                records: 1,
+                backend: Backend::Kryo,
+                ser_ns: 0.0,
+                ser_done_ns: start,
+            };
+            let plan = MsgPlan { attempts: vec![Attempt::Lost, Attempt::Clean] };
+            let mut faults = FaultTotals::default();
+            compose_sunk(&cfg, &[&msg], &[0.0], &[plan], &mut faults, &mut NoopSink);
+
+            let lost_arrival = Fabric::full_mesh(cfg.mappers, cfg.reducers, cfg.link)
+                .send(1, 2, 4096, start);
+            assert_eq!(lost_arrival > start + timeout_ns, timeout_ns == 1.0);
+            let expect = (start + timeout_ns).max(lost_arrival) + fc.backoff_ns - start;
+            assert_eq!(faults.recovery_ns.to_bits(), expect.to_bits());
+            assert_eq!((faults.retries, faults.lost_messages), (1, 1));
+            assert_eq!(faults.fabric_bytes, 2 * 4096);
+        }
+    }
 }

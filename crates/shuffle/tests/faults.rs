@@ -4,7 +4,7 @@
 //! reports are byte-identical across job counts, and zero-rate
 //! injection reproduces the fault-free numbers.
 
-use shuffle::{run_backend_sunk, run_suite, Backend, FaultSpec, ShuffleConfig, ShuffleError};
+use shuffle::{run_backend_sunk, run_suite, Backend, ShuffleConfig, ShuffleError};
 use sim::FaultConfig;
 use std::collections::BTreeMap;
 use telemetry::NoopSink;
@@ -21,8 +21,8 @@ fn tiny() -> ShuffleConfig {
 
 /// A spec with every rate zeroed; tests switch on just the class under
 /// test so recovery effects are attributable.
-fn quiet_spec(seed: u64) -> FaultSpec {
-    FaultSpec { cfg: FaultConfig { seed, ..FaultConfig::none() } }
+fn quiet_spec(seed: u64) -> FaultConfig {
+    FaultConfig { seed, ..FaultConfig::none() }
 }
 
 fn assert_fold_exact(fold: &BTreeMap<u64, (u64, f64)>, cfg: &ShuffleConfig) {
@@ -42,8 +42,8 @@ fn wire_loss_and_corruption_are_retried_and_the_fold_survives() {
     let mut cfg = tiny();
     cfg.checksum = true;
     let mut spec = quiet_spec(0xFA17_0001);
-    spec.cfg.link_loss = 0.4;
-    spec.cfg.wire_corruption = 0.4;
+    spec.link_loss = 0.4;
+    spec.wire_corruption = 0.4;
     cfg.faults = Some(spec);
 
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
@@ -80,7 +80,7 @@ fn wire_loss_and_corruption_are_retried_and_the_fold_survives() {
 fn wire_corruption_without_checksum_is_a_typed_error() {
     let mut cfg = tiny();
     let mut spec = quiet_spec(1);
-    spec.cfg.wire_corruption = 0.1;
+    spec.wire_corruption = 0.1;
     cfg.faults = Some(spec);
     assert_eq!(
         run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap_err(),
@@ -94,7 +94,7 @@ fn mapper_death_reexecutes_and_preserves_the_fold() {
 
     let mut cfg = tiny();
     let mut spec = quiet_spec(0xFA17_0002);
-    spec.cfg.mapper_death = 1.0; // every mapper dies once
+    spec.mapper_death = 1.0; // every mapper dies once
     cfg.faults = Some(spec);
 
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
@@ -115,7 +115,7 @@ fn accelerator_faults_degrade_to_the_software_fallback() {
 
     let mut cfg = tiny();
     let mut spec = quiet_spec(0xFA17_0003);
-    spec.cfg.accel_fault = 1.0; // every accelerator request faults
+    spec.accel_fault = 1.0; // every accelerator request faults
     cfg.faults = Some(spec);
 
     let run = run_backend_sunk(&cfg, Backend::Cereal, &mut NoopSink).unwrap();
@@ -141,7 +141,7 @@ fn spill_read_errors_are_retried_on_the_mapper_clock() {
 
     let mut cfg = base;
     let mut spec = quiet_spec(0xFA17_0004);
-    spec.cfg.disk_read_error = 0.4;
+    spec.disk_read_error = 0.4;
     cfg.faults = Some(spec);
 
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
@@ -168,7 +168,7 @@ fn spill_read_errors_are_retried_on_the_mapper_clock() {
 fn faulted_report_is_byte_identical_for_any_job_count() {
     let mut cfg = tiny();
     cfg.checksum = true;
-    cfg.faults = Some(FaultSpec::uniform(0.2, 0xFA17_0005));
+    cfg.faults = Some(FaultConfig::uniform(0.2, 0xFA17_0005));
     cfg.spill_bytes = 1;
 
     let backends = [Backend::Kryo, Backend::Cereal];
@@ -183,7 +183,7 @@ fn faulted_report_is_byte_identical_for_any_job_count() {
 fn every_backend_recovers_the_exact_fold_under_uniform_faults() {
     let mut cfg = tiny();
     cfg.checksum = true;
-    cfg.faults = Some(FaultSpec::uniform(0.25, 0xFA17_0006));
+    cfg.faults = Some(FaultConfig::uniform(0.25, 0xFA17_0006));
     // run_suite cross-checks the folds; also pin them to the dataset.
     let report = run_suite(&cfg, Backend::ALL).unwrap();
     for b in &report.backends {

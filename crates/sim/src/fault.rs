@@ -71,7 +71,7 @@ pub struct FaultConfig {
     /// times; the final attempt within the budget always succeeds (the
     /// model guarantees forward progress, so folds stay exact).
     pub max_retries: u32,
-    /// Initial retry backoff; attempt `k` waits `backoff_ns << k`.
+    /// Initial retry backoff; see [`FaultConfig::retry_backoff_ns`].
     pub backoff_ns: f64,
     /// Loss-detection timeout a sender waits before declaring a
     /// transfer lost and retrying.
@@ -133,6 +133,12 @@ impl FaultConfig {
     /// The injector stream for a stable entity id.
     pub fn scoped(&self, scope: u64) -> FaultInjector {
         FaultInjector::scoped(*self, scope)
+    }
+
+    /// Exponential backoff before retry attempt `k` (0-based):
+    /// `backoff_ns · 2^min(k, 16)`.
+    pub fn retry_backoff_ns(&self, k: u32) -> f64 {
+        self.backoff_ns * f64::from(1u32 << k.min(16))
     }
 }
 
@@ -253,10 +259,6 @@ impl FaultInjector {
         (pos, mask)
     }
 
-    /// Exponential backoff before retry attempt `k` (0-based).
-    pub fn backoff_ns(&self, k: u32) -> f64 {
-        self.cfg.backoff_ns * f64::from(1u32 << k.min(16))
-    }
 }
 
 #[cfg(test)]
@@ -346,8 +348,10 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let inj = FaultConfig::none().scoped(0);
-        assert_eq!(inj.backoff_ns(1), 2.0 * inj.backoff_ns(0));
-        assert_eq!(inj.backoff_ns(3), 8.0 * inj.backoff_ns(0));
+        let cfg = FaultConfig::none();
+        assert_eq!(cfg.retry_backoff_ns(0), cfg.backoff_ns);
+        assert_eq!(cfg.retry_backoff_ns(1), 2.0 * cfg.retry_backoff_ns(0));
+        assert_eq!(cfg.retry_backoff_ns(3), 8.0 * cfg.retry_backoff_ns(0));
+        assert_eq!(cfg.retry_backoff_ns(40), cfg.retry_backoff_ns(16), "capped at 2^16");
     }
 }

@@ -389,7 +389,7 @@ impl BlockStore {
                 // forces the last attempt to succeed, so the store
                 // always makes progress.
                 let inj = self.injector.as_ref().expect("transient implies injector");
-                let resume = done + inj.backoff_ns(attempt);
+                let resume = done + inj.config().retry_backoff_ns(attempt);
                 self.stats.read_retries += 1;
                 self.stats.retry_ns += resume - now;
                 now = resume;
@@ -432,11 +432,6 @@ impl BlockStore {
     /// Whether the store holds no blocks.
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
-    }
-
-    /// Resident bytes.
-    pub fn mem_used(&self) -> u64 {
-        self.used
     }
 
     /// Lifetime counters.

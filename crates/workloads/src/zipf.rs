@@ -87,12 +87,6 @@ impl SkewSampler {
         }
     }
 
-    /// Wraps an already-built distribution (callers that share one CDF
-    /// across many seeded streams avoid the `O(n)` setup per stream).
-    pub fn from_zipf(zipf: Zipf, seed: u64) -> Self {
-        SkewSampler { zipf, rng: Rng::new(seed) }
-    }
-
     /// Number of ranks.
     pub fn len(&self) -> u64 {
         self.zipf.len()

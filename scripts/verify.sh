@@ -61,12 +61,24 @@ done > target/figures_only.txt
 cmp target/figures_jobs1.txt target/figures_only.txt \
   || { echo "the --only reports do not join to the full report"; exit 1; }
 
-echo "== multi-core and TLB ablations run =="
-# Nothing else runs the multi-core host path (`Cpu::with_dram` /
-# `into_dram`: cores sharing one DRAM) or the TLB page-size study; both
-# take well under a second at CEREAL_SCALE=tiny.
-CEREAL_SCALE=tiny cargo run --release -p cereal-bench --bin fairness $CARGO_FLAGS > target/fairness_tiny.txt
-CEREAL_SCALE=tiny cargo run --release -p cereal-bench --bin tlbstudy $CARGO_FLAGS > target/tlbstudy_tiny.txt
+echo "== ablations: regenerate ablations_output.txt byte-identical =="
+# The committed ablation report is the unit-count/strip/encoder sweep
+# and the multi-core fairness study at CEREAL_SCALE=tiny, the TLB
+# page-size study at its default scale, and the end-to-end shuffle at
+# CEREAL_SCALE=tiny, concatenated. Nothing else runs the multi-core host
+# path (`Cpu::with_dram` / `into_dram`: cores sharing one DRAM) or the
+# TLB study; together they take well under a second.
+abl() {
+  cargo run --release -q -p cereal-bench --bin "$1" $CARGO_FLAGS
+}
+{
+  CEREAL_SCALE=tiny abl sweep
+  CEREAL_SCALE=tiny abl fairness
+  abl tlbstudy
+  CEREAL_SCALE=tiny abl shuffle_e2e
+} > target/ablations_output.txt
+cmp target/ablations_output.txt ablations_output.txt \
+  || { echo "ablations_output.txt does not regenerate byte-identical"; exit 1; }
 
 echo "== shuffle smoke + thread-count determinism =="
 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \

@@ -28,9 +28,8 @@
 //!
 //! [`CEREAL`] pins Cereal's functional model over the same corpus, with
 //! and without mark-word stripping: the `functional::encode` stream and
-//! SU workload, the ops `functional::encode_software` narrates (its
-//! stream must equal `encode`'s), and the `functional::decode` outcome
-//! with its DU workload.
+//! SU workload (the header-mark traversal, the only Cereal encoder), and
+//! the `functional::decode` outcome with its DU workload.
 //!
 //! On a mismatch the tests print the actual rows.
 
@@ -322,8 +321,6 @@ struct CerealRow {
     len: usize,
     stream: u64,
     su: u64,
-    /// `functional::encode_software`'s narrated ops `(count, digest)`.
-    soft: (u64, u64),
     /// `functional::decode`: the outcome and FNV of the DU workload's
     /// `{:?}` (0 on error).
     result: &'static str,
@@ -339,8 +336,8 @@ impl fmt::Display for CerealRow {
         )?;
         writeln!(
             f,
-            "        soft: ({}, {:#018x}), result: {:?}, du: {:#018x} }},",
-            self.soft.0, self.soft.1, self.result, self.du
+            "        result: {:?}, du: {:#018x} }},",
+            self.result, self.du
         )
     }
 }
@@ -353,10 +350,6 @@ fn measure_cereal(graph: &'static str, strip: bool, (heap, reg, root): &mut Grap
         .run(*root)
         .unwrap_or_else(|e| panic!("Cereal/{graph}: encode failed: {e}"));
     let wire = out.stream.to_bytes();
-    let mut soft_ops = OpDigest::new();
-    let soft = functional::encode_software(heap, reg, &tables, strip, *root, &mut soft_ops)
-        .unwrap_or_else(|e| panic!("Cereal/{graph}: encode_software failed: {e}"));
-    assert_eq!(soft.to_bytes(), wire, "Cereal/{graph}: the two encoders disagree");
     let mut dst = Heap::with_base(Addr(DST_BASE), heap.capacity_bytes());
     let (result, du) = match functional::decode(&out.stream, &tables, &mut dst, strip) {
         Ok((new_root, work)) => (
@@ -371,7 +364,6 @@ fn measure_cereal(graph: &'static str, strip: bool, (heap, reg, root): &mut Grap
         len: wire.len(),
         stream: Fnv::of(&wire),
         su: Fnv::of(format!("{:?}", out.workload).as_bytes()),
-        soft: soft_ops.get(),
         result: leak(result),
         du,
     }
@@ -1331,75 +1323,75 @@ static ROWS: [Row; 108] = [
 #[rustfmt::skip]
 const CEREAL: [CerealRow; 36] = [
     CerealRow { graph: "diamond", strip: false, len: 245, stream: 0x67b1ed9fbe4fdf38, su: 0xb098d308ec740d58,
-        soft: (72, 0x466e0799228486e4), result: "Ok(0xfed9db775820f7a8)", du: 0x8def36f814f7eb2f },
+        result: "Ok(0xfed9db775820f7a8)", du: 0x8def36f814f7eb2f },
     CerealRow { graph: "diamond", strip: true, len: 221, stream: 0x84e8638079c08b08, su: 0xa6d72ca9ca86b34f,
-        soft: (69, 0xb6010b9c8c6cbf7d), result: "Ok(0xfed9db775820f7a8)", du: 0x6809dab84b16e8be },
+        result: "Ok(0xfed9db775820f7a8)", du: 0x6809dab84b16e8be },
     CerealRow { graph: "cycle", strip: false, len: 94, stream: 0x002fc888cbbcc798, su: 0x8facc6b708144eff,
-        soft: (27, 0x15aec8bf91376290), result: "Ok(0xa27b74f539891e65)", du: 0xcedb79c334ef92a6 },
+        result: "Ok(0xa27b74f539891e65)", du: 0xcedb79c334ef92a6 },
     CerealRow { graph: "cycle", strip: true, len: 78, stream: 0x45880af2a248b560, su: 0xfad20332dcad1122,
-        soft: (25, 0xfc57f5f3110db77e), result: "Ok(0xa27b74f539891e65)", du: 0x78178d3f5b7d86ef },
+        result: "Ok(0xa27b74f539891e65)", du: 0x78178d3f5b7d86ef },
     CerealRow { graph: "arrays", strip: false, len: 207, stream: 0x53028b9f0b7a8777, su: 0xe5b0d1bfec182b4b,
-        soft: (69, 0x84c52704eae9c219), result: "Ok(0xdcdabf4eaf4c5f10)", du: 0xa1732c5c73d98f7a },
+        result: "Ok(0xdcdabf4eaf4c5f10)", du: 0xa1732c5c73d98f7a },
     CerealRow { graph: "arrays", strip: true, len: 175, stream: 0xcde284cf2ae93db3, su: 0x090150b985378144,
-        soft: (65, 0x7ab174e49df3520b), result: "Ok(0xdcdabf4eaf4c5f10)", du: 0x46faf9ef44206f5b },
+        result: "Ok(0xdcdabf4eaf4c5f10)", du: 0x46faf9ef44206f5b },
     CerealRow { graph: "deep_list", strip: false, len: 4142, stream: 0xed87442af59ed498, su: 0x535c98cb03ed2630,
-        soft: (1950, 0x49d5244b90aea360), result: "Ok(0xd34c065a1fbeb462)", du: 0x69fa9c6f33f0f62e },
+        result: "Ok(0xd34c065a1fbeb462)", du: 0x69fa9c6f33f0f62e },
     CerealRow { graph: "deep_list", strip: true, len: 2942, stream: 0xa21392af725c6ecb, su: 0x1947a1a6d5af80b7,
-        soft: (1800, 0xc7629d5241ec0d4e), result: "Ok(0xd34c065a1fbeb462)", du: 0x0ffcf344d67d10cd },
+        result: "Ok(0xd34c065a1fbeb462)", du: 0x0ffcf344d67d10cd },
     CerealRow { graph: "null_root", strip: false, len: 40, stream: 0x5668df0f6dd2618f, su: 0x0dc30b7ee7d61b2d,
-        soft: (0, 0xcbf29ce484222325), result: "Ok(0xcbf29ce484222325)", du: 0xd92665f492a81332 },
+        result: "Ok(0xcbf29ce484222325)", du: 0xd92665f492a81332 },
     CerealRow { graph: "null_root", strip: true, len: 40, stream: 0x5668df0f6dd2618f, su: 0x0dc30b7ee7d61b2d,
-        soft: (0, 0xcbf29ce484222325), result: "Ok(0xcbf29ce484222325)", du: 0xd92665f492a81332 },
+        result: "Ok(0xcbf29ce484222325)", du: 0xd92665f492a81332 },
     CerealRow { graph: "Tree-narrow", strip: false, len: 7276, stream: 0x8d93c62f47961a9d, su: 0x4ffec2be3a24d0fe,
-        soft: (3810, 0x7b4560fe5ace9e8b), result: "Ok(0xcb6eb1d750fe8585)", du: 0x0918dcd4dbb3e7d3 },
+        result: "Ok(0xcb6eb1d750fe8585)", du: 0x0918dcd4dbb3e7d3 },
     CerealRow { graph: "Tree-narrow", strip: true, len: 5244, stream: 0x46fb574e359b008e, su: 0x4cce7b5a9ce3e5e3,
-        soft: (3556, 0xa351ae5603d50307), result: "Ok(0xcb6eb1d750fe8585)", du: 0x46126f0a45b4a77e },
+        result: "Ok(0xcb6eb1d750fe8585)", du: 0x46126f0a45b4a77e },
     CerealRow { graph: "Tree-wide", strip: false, len: 21553, stream: 0x71b44aad0105aff5, su: 0xe1f75eca95904b89,
-        soft: (15768, 0x7e88f7ac3cf4ed0f), result: "Ok(0xd27bbef80c67095e)", du: 0x17b49340b54b7b80 },
+        result: "Ok(0xd27bbef80c67095e)", du: 0x17b49340b54b7b80 },
     CerealRow { graph: "Tree-wide", strip: true, len: 16881, stream: 0xd2718907d630d8b8, su: 0x492814e7c79c2613,
-        soft: (15184, 0x561a1733fab17c71), result: "Ok(0xd27bbef80c67095e)", du: 0x0a0f4e1c4c72049e },
+        result: "Ok(0xd27bbef80c67095e)", du: 0x0a0f4e1c4c72049e },
     CerealRow { graph: "List-small", strip: false, len: 3540, stream: 0xe967fad707b67116, su: 0x10b29c80e76c6457,
-        soft: (1664, 0x3e74737cc6f0fc81), result: "Ok(0x08c1c76ade366684)", du: 0xc28901ab206b8c69 },
+        result: "Ok(0x08c1c76ade366684)", du: 0xc28901ab206b8c69 },
     CerealRow { graph: "List-small", strip: true, len: 2516, stream: 0x9d52abaec4815ecc, su: 0xfc190e2872c0545b,
-        soft: (1536, 0x0da70e8105ea3879), result: "Ok(0x08c1c76ade366684)", du: 0x162ce4a5fdc80fdd },
+        result: "Ok(0x08c1c76ade366684)", du: 0x162ce4a5fdc80fdd },
     CerealRow { graph: "List-large", strip: false, len: 14052, stream: 0x4590b55812ce30a1, su: 0x21823a469bdd9eb5,
-        soft: (6656, 0x03bd7200763f3735), result: "Ok(0x05cec3e564a9a37a)", du: 0x432c2e13b37b674d },
+        result: "Ok(0x05cec3e564a9a37a)", du: 0x432c2e13b37b674d },
     CerealRow { graph: "List-large", strip: true, len: 9956, stream: 0x40b94d7dac77724b, su: 0x5e9038100efbca52,
-        soft: (6144, 0xab54f1984b8fb575), result: "Ok(0x05cec3e564a9a37a)", du: 0x41b963d1ab57d52a },
+        result: "Ok(0x05cec3e564a9a37a)", du: 0x41b963d1ab57d52a },
     CerealRow { graph: "Graph-sparse", strip: false, len: 3750, stream: 0x8111c32524f57b53, su: 0xd72c14215cac4528,
-        soft: (1880, 0x5d9a8c2bde1ca282), result: "Ok(0xdffa8797434c9ed8)", du: 0xa471e83b80f66d41 },
+        result: "Ok(0xdffa8797434c9ed8)", du: 0xa471e83b80f66d41 },
     CerealRow { graph: "Graph-sparse", strip: true, len: 2710, stream: 0x90b3af367727c53e, su: 0xfef9630d9221e782,
-        soft: (1750, 0xbfb3c2030688ada8), result: "Ok(0xdffa8797434c9ed8)", du: 0xc47c6b1ffecde1a1 },
+        result: "Ok(0xdffa8797434c9ed8)", du: 0xc47c6b1ffecde1a1 },
     CerealRow { graph: "Graph-dense", strip: false, len: 13263, stream: 0x08eb7f16aeee23c8, su: 0x5ea470a32d35659c,
-        soft: (13784, 0xe2f548a4538cc57e), result: "Ok(0x539ddd1d1f33179a)", du: 0xb151b5c3e2872925 },
+        result: "Ok(0x539ddd1d1f33179a)", du: 0xb151b5c3e2872925 },
     CerealRow { graph: "Graph-dense", strip: true, len: 12223, stream: 0x923fb856fd438a93, su: 0x61dd3f4ccebc7366,
-        soft: (13654, 0x39692ef10a98ffa8), result: "Ok(0x539ddd1d1f33179a)", du: 0xaeeb204d3bbb71f5 },
+        result: "Ok(0x539ddd1d1f33179a)", du: 0xaeeb204d3bbb71f5 },
     CerealRow { graph: "media_content", strip: false, len: 899, stream: 0x84ee788a3bde7124, su: 0xf49f3c8902d2c68d,
-        soft: (305, 0xe6f764653a1980de), result: "Ok(0xc5e32975a2988ef1)", du: 0x745aa64d6f6a7d6f },
+        result: "Ok(0xc5e32975a2988ef1)", du: 0x745aa64d6f6a7d6f },
     CerealRow { graph: "media_content", strip: true, len: 779, stream: 0x43de7baeb1b393ac, su: 0xdbf43441af35f62a,
-        soft: (290, 0x17509f75239ba155), result: "Ok(0xc5e32975a2988ef1)", du: 0x13ed80d15aa97e41 },
+        result: "Ok(0xc5e32975a2988ef1)", du: 0x13ed80d15aa97e41 },
     CerealRow { graph: "NWeight", strip: false, len: 240228, stream: 0x2e1cc8031cf042f8, su: 0x41e31a672c336f7c,
-        soft: (92704, 0x4a3364747c7fbce2), result: "Ok(0x462da0b87258eb12)", du: 0xca55834cc93162da },
+        result: "Ok(0x462da0b87258eb12)", du: 0xca55834cc93162da },
     CerealRow { graph: "NWeight", strip: true, len: 195636, stream: 0x8ea4d5fb5a5440ae, su: 0x71f760f59cacb70c,
-        soft: (87130, 0x7cb067175265f43a), result: "Ok(0x462da0b87258eb12)", du: 0x7ec9727e123eebb4 },
+        result: "Ok(0x462da0b87258eb12)", du: 0x7ec9727e123eebb4 },
     CerealRow { graph: "SVM", strip: false, len: 147740, stream: 0x7f3ea2d61d647ff6, su: 0xa488e2084710e47e,
-        soft: (39435, 0xc3d1c7992804de34), result: "Ok(0x4f4c41fb10b06ad2)", du: 0x98330954c3d48b53 },
+        result: "Ok(0x4f4c41fb10b06ad2)", du: 0x98330954c3d48b53 },
     CerealRow { graph: "SVM", strip: true, len: 143636, stream: 0x494ec794e4d60319, su: 0xdb948e039e74a41f,
-        soft: (38922, 0x3a19eea4a797c1c9), result: "Ok(0x4f4c41fb10b06ad2)", du: 0x4ae843735b04aef7 },
+        result: "Ok(0x4f4c41fb10b06ad2)", du: 0x4ae843735b04aef7 },
     CerealRow { graph: "Bayes", strip: false, len: 87182, stream: 0xb5b1f42bec29163e, su: 0x5f388bfffaa08d5d,
-        soft: (26103, 0x6e7f7b02b4873e87), result: "Ok(0x6d8da1e39165dc19)", du: 0x3fc3960db7f39212 },
+        result: "Ok(0x6d8da1e39165dc19)", du: 0x3fc3960db7f39212 },
     CerealRow { graph: "Bayes", strip: true, len: 81030, stream: 0xadbc7c422b5310d0, su: 0x10ebf0ee9b3f7015,
-        soft: (25334, 0xeb8a467775e24902), result: "Ok(0x6d8da1e39165dc19)", du: 0xcf0382f01c20094f },
+        result: "Ok(0x6d8da1e39165dc19)", du: 0xcf0382f01c20094f },
     CerealRow { graph: "LR", strip: false, len: 81015, stream: 0xb8deb869392fc173, su: 0x7a47c31939174431,
-        soft: (23051, 0x8f88c7ea28a3cac7), result: "Ok(0x5e7e5cccffbb1693)", du: 0xa18a1a0abc8e6ae8 },
+        result: "Ok(0x5e7e5cccffbb1693)", du: 0xa18a1a0abc8e6ae8 },
     CerealRow { graph: "LR", strip: true, len: 76911, stream: 0x12ef1e0637edb1b2, su: 0x44d8e2b89924081f,
-        soft: (22538, 0x5e716281f8b549eb), result: "Ok(0x5e7e5cccffbb1693)", du: 0xb56aa030ff94054f },
+        result: "Ok(0x5e7e5cccffbb1693)", du: 0xb56aa030ff94054f },
     CerealRow { graph: "Terasort", strip: false, len: 48640, stream: 0xd1031924e4f4cfa6, su: 0xf6be230971fade4e,
-        soft: (16651, 0x7f8aefef950643e0), result: "Ok(0x391c9b05b72217a8)", du: 0x66ccdaf8c61f154a },
+        result: "Ok(0x391c9b05b72217a8)", du: 0x66ccdaf8c61f154a },
     CerealRow { graph: "Terasort", strip: true, len: 42488, stream: 0xfca318cbf1614150, su: 0xc98b11377d579e84,
-        soft: (15882, 0x9ec9e9118e52aaf9), result: "Ok(0x391c9b05b72217a8)", du: 0x8c398de47e283a5d },
+        result: "Ok(0x391c9b05b72217a8)", du: 0x8c398de47e283a5d },
     CerealRow { graph: "ALS", strip: false, len: 47606, stream: 0x33276266258e612f, su: 0x5aa28f1ff4ab3959,
-        soft: (14859, 0xfbc919a72cc7f6f8), result: "Ok(0xb8c235c0e5ddf9b1)", du: 0xf271d033f07e205b },
+        result: "Ok(0xb8c235c0e5ddf9b1)", du: 0xf271d033f07e205b },
     CerealRow { graph: "ALS", strip: true, len: 43502, stream: 0x6af64c4b681e4d8c, su: 0xa389ee2f387248b9,
-        soft: (14346, 0xb349f4942e11e611), result: "Ok(0xb8c235c0e5ddf9b1)", du: 0x43dbd7ab45e48f86 },
+        result: "Ok(0xb8c235c0e5ddf9b1)", du: 0x43dbd7ab45e48f86 },
 ];
