@@ -6,7 +6,7 @@
 //! user computation. This experiment quantifies it: Kryo on 1/2/4/8 host
 //! cores vs the 8-unit accelerator, on the Tree-narrow microbenchmark.
 
-use cereal_bench::runners::{repeat_root, run_cereal, run_software_parallel};
+use cereal_bench::runners::{run_cereal, run_software_parallel};
 use cereal_bench::scale_arg;
 use cereal_bench::table::{ns, x, Table};
 use serializers::Kryo;
@@ -15,7 +15,7 @@ use workloads::MicroBench;
 fn main() {
     let scale = scale_arg();
     let (mut heap, reg, root) = MicroBench::TreeNarrow.build(scale);
-    let roots = repeat_root(root, 16);
+    let roots = vec![root; 16];
 
     println!("Fairness — Kryo on N host cores vs the 8-unit Cereal accelerator");
     println!("(Tree-narrow, 16 concurrent S/D requests)\n");

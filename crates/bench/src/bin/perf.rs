@@ -15,7 +15,7 @@
 //! `BENCH_PERF.json`).
 
 use cereal::CerealConfig;
-use cereal_bench::{out_path, repeat_root, run_cereal};
+use cereal_bench::{out_path, run_cereal};
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
 use serializers::{fold_words_heap, Archive, ArchiveView, NullSink, Serializer};
@@ -151,7 +151,7 @@ struct AccelPerf {
 fn accel_sim() -> AccelPerf {
     let bench = MicroBench::TreeNarrow;
     let (mut heap, reg, root) = bench.build(Scale::Tiny);
-    let roots = repeat_root(root, 8);
+    let roots = vec![root; 8];
     let m = run_cereal(CerealConfig::paper(), &mut heap, &reg, &roots);
     AccelPerf {
         bench: bench.name(),

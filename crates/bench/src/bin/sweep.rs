@@ -4,7 +4,7 @@
 
 use cereal::CerealConfig;
 use cereal_bench::table::{bytes as fmt_bytes, ns, pct, Table};
-use cereal_bench::{repeat_root, run_cereal, scale_arg};
+use cereal_bench::{run_cereal, scale_arg};
 use workloads::{MicroBench, Scale};
 
 fn main() {
@@ -27,7 +27,7 @@ fn unit_sweep(scale: Scale) {
             num_du: units,
             ..CerealConfig::paper()
         };
-        let m = run_cereal(cfg, &mut heap, &reg, &repeat_root(root, 16));
+        let m = run_cereal(cfg, &mut heap, &reg, &[root; 16]);
         let (bs, bd) = *base.get_or_insert((m.ser_ns, m.de_ns));
         t.row(vec![
             units.to_string(),
@@ -101,7 +101,7 @@ fn row_buffer_sweep(scale: Scale) {
             dram,
             ..CerealConfig::paper()
         };
-        let m = run_cereal(cfg, &mut heap, &reg, &repeat_root(root, 8));
+        let m = run_cereal(cfg, &mut heap, &reg, &[root; 8]);
         t.row(vec![name.to_string(), ns(m.ser_ns), ns(m.de_ns)]);
     }
     println!("{}", t.render());

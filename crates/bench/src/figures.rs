@@ -2,8 +2,8 @@
 //! it: `--bin all` renders every [`FIGURES`] entry, `--bin all --only
 //! <id>` one of them.
 //!
-//! The experiment units (six microbenchmarks, six JSBS measured
-//! serializer runs, six Spark applications) are independent: each builds
+//! The experiment units (six microbenchmarks, one JSBS run per
+//! [`store::Backend`], six Spark applications) are independent: each builds
 //! its own heap and seeds its own PRNG, so they fan out across worker
 //! threads ([`store::par_map`]) without changing any measurement. Only
 //! the suites the requested figures read are run. Rendering happens
@@ -15,7 +15,7 @@ use crate::micro_suite::{self, MicroResult};
 use crate::render;
 use crate::runners::SdMeasure;
 use crate::spark_suite::{self, SparkResult};
-use store::par_map;
+use store::{par_map, Backend};
 use workloads::{MicroBench, Scale, SparkApp};
 
 /// What a figure renders from.
@@ -84,14 +84,14 @@ fn parse_only(args: &[String]) -> Result<&'static [Figure], String> {
 #[derive(Clone, Copy)]
 enum Unit {
     Micro(MicroBench),
-    Jsbs(usize),
+    Jsbs(Backend),
     Spark(SparkApp),
 }
 
 /// What a [`Unit`] measured.
 enum Measured {
     Micro(MicroResult),
-    Jsbs(SdMeasure),
+    Jsbs(Backend, SdMeasure),
     Spark(SparkResult),
 }
 
@@ -105,7 +105,7 @@ pub fn run(figures: &[Figure], scale: Scale, jobs: usize) -> Vec<String> {
         units.extend(MicroBench::all().map(Unit::Micro));
     }
     if needs(|s| matches!(s, Source::Jsbs(_))) {
-        units.extend((0..jsbs_suite::MEASURED_UNITS).map(Unit::Jsbs));
+        units.extend(Backend::ALL.iter().copied().map(Unit::Jsbs));
     }
     if needs(|s| matches!(s, Source::Spark(_))) {
         units.extend(SparkApp::all().map(Unit::Spark));
@@ -121,24 +121,24 @@ pub fn run(figures: &[Figure], scale: Scale, jobs: usize) -> Vec<String> {
             eprintln!("  micro: {}...", bench.name());
             Measured::Micro(micro_suite::run_one(bench, scale))
         }
-        Unit::Jsbs(m) => {
-            eprintln!("  JSBS measured run {m}...");
-            Measured::Jsbs(jsbs_suite::run_measured(m))
+        Unit::Jsbs(backend) => {
+            eprintln!("  JSBS: {}...", backend.name());
+            Measured::Jsbs(backend, jsbs_suite::run(backend))
         }
         Unit::Spark(app) => {
             eprintln!("  Spark: {}...", app.name());
             Measured::Spark(spark_suite::run_one(app, spark_scale))
         }
     });
-    let (mut micro, mut jsbs_measures, mut spark) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut micro, mut jsbs_runs, mut spark) = (Vec::new(), Vec::new(), Vec::new());
     for m in measured {
         match m {
             Measured::Micro(r) => micro.push(r),
-            Measured::Jsbs(r) => jsbs_measures.push(r),
+            Measured::Jsbs(backend, r) => jsbs_runs.push((backend, r)),
             Measured::Spark(r) => spark.push(r),
         }
     }
-    let jsbs = (!jsbs_measures.is_empty()).then(|| jsbs_suite::assemble(&jsbs_measures));
+    let jsbs = (!jsbs_runs.is_empty()).then(|| JsbsResult::new(jsbs_runs));
 
     figures
         .iter()

@@ -15,7 +15,7 @@
 //! | Fig. 10 (microbench speedups) | `fig10` | [`render::fig10`] |
 //! | Fig. 11 (microbench bandwidth) | `fig11` | [`render::fig11`] |
 //! | Table IV (serialized sizes) | `table4` | [`render::table4`] |
-//! | Fig. 12 (JSBS, 88 libraries) | `fig12` | [`render::fig12`] over [`jsbs_suite`] |
+//! | Fig. 12 (JSBS, measured libraries) | `fig12` | [`render::fig12`] over [`jsbs_suite`] |
 //! | Fig. 13–17 (Spark) | `fig13` … `fig17` | [`render::fig13`] … [`render::fig17`] |
 //! | Table V (area/power) | `table5` | [`render::table5`] |
 
@@ -28,7 +28,7 @@ pub mod spark_suite;
 pub mod table;
 pub mod trace_suite;
 
-pub use runners::{repeat_root, run_cereal, run_software, SdMeasure};
+pub use runners::{run_cereal, run_software, SdMeasure};
 use workloads::Scale;
 
 /// The report path from `--out PATH` in `args`, else `default`.

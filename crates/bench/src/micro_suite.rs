@@ -1,7 +1,7 @@
 //! Microbenchmark suite: the measurements behind Fig. 3, Fig. 10,
 //! Fig. 11 and Table IV.
 
-use crate::runners::{repeat_root, run_cereal, run_software, SdMeasure};
+use crate::runners::{run_cereal, run_software, SdMeasure};
 use cereal::CerealConfig;
 use workloads::{MicroBench, Scale};
 
@@ -31,7 +31,7 @@ pub struct MicroResult {
 /// fan benchmarks out across threads without changing any measurement.
 pub fn run_one(bench: MicroBench, scale: Scale) -> MicroResult {
     let (mut heap, reg, root) = bench.build(scale);
-    let roots = repeat_root(root, REQUESTS);
+    let roots = vec![root; REQUESTS];
     MicroResult {
         bench,
         java: run_software(&serializers::JavaSd::new(), &mut heap, &reg, &roots),

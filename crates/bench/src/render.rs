@@ -198,51 +198,38 @@ pub fn table4(results: &[MicroResult]) -> String {
 
 /// Fig. 12: the JSBS comparison.
 pub fn fig12(r: &JsbsResult) -> String {
-    let mut out = String::from("Fig. 12 — JSBS: Cereal vs 88 serializer libraries\n\n");
+    let mut out = String::from("Fig. 12 — JSBS: Cereal vs the measured serializer libraries\n\n");
     let mut sorted: Vec<_> = r.libraries.iter().collect();
-    sorted.sort_by(|a, b| a.sd_ns.partial_cmp(&b.sd_ns).expect("no NaN"));
-    let mut t = Table::new(&["library", "class", "S/D time", "size", "Cereal speedup"]);
-    for lib in sorted.iter().take(10) {
+    sorted.sort_by(|a, b| a.sd_ns().total_cmp(&b.sd_ns()));
+    let reps = crate::jsbs_suite::REPS;
+    let mut t = Table::new(&["library", "S/D time", "size", "Cereal speedup"]);
+    for lib in sorted {
         t.row(vec![
             lib.name.clone(),
-            format!("{:?}", lib.class),
-            ns(lib.sd_ns),
-            bytes(lib.size),
-            x(lib.sd_ns / r.cereal.sd_ns()),
+            ns(lib.sd_ns()),
+            bytes(lib.bytes / reps as u64),
+            x(r.speedup(lib)),
         ]);
     }
-    out.push_str("fastest 10 of 88 software libraries:\n");
     out.push_str(&t.render());
-    out.push_str("\nfull series (Cereal's speedup over each library, sorted):\n");
-    for (i, lib) in sorted.iter().enumerate() {
-        out.push_str(&format!(
-            "{:>24} {:>8}{}",
-            lib.name,
-            x(lib.sd_ns / r.cereal.sd_ns()),
-            if i % 3 == 2 { "\n" } else { "   " }
-        ));
-    }
-    if sorted.len() % 3 != 0 {
-        out.push('\n');
-    }
     out.push_str(&format!(
-        "\nCereal: {} for {} round trips, size {}\n",
+        "\nCereal: {} for {reps} round trips, size {}\n",
         ns(r.cereal.sd_ns()),
-        crate::jsbs_suite::REPS,
-        bytes(r.cereal.bytes / crate::jsbs_suite::REPS as u64),
+        bytes(r.cereal.bytes / reps as u64),
     ));
     out.push_str(&format!(
-        "Cereal geomean speedup over all 88 libraries: {}   (paper: 43.4x)\n",
+        "Cereal geomean speedup over {} measured libraries: {}   (paper: 43.4x over 88 JSBS libraries)\n",
+        r.libraries.len(),
         x(r.cereal_geomean_speedup())
     ));
     let fastest = r.fastest_software();
     out.push_str(&format!(
-        "vs fastest software ({}): {}   (paper: 15.1x over kryo-manual)\n",
+        "vs fastest measured software ({}): {}   (paper: 15.1x over kryo-manual)\n",
         fastest.name,
-        x(fastest.sd_ns / r.cereal.sd_ns())
+        x(r.speedup(fastest))
     ));
     out.push_str(&format!(
-        "Cereal size vs library average: {}   (paper: 46% smaller)\n",
+        "Cereal size vs measured-library average: {}   (paper: 46% smaller)\n",
         pct(r.cereal_size_vs_average())
     ));
     out

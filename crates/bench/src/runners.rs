@@ -56,7 +56,9 @@ impl SdMeasure {
 }
 
 /// Runs a software serializer over all `roots` sequentially on the
-/// modeled host core.
+/// modeled host core: serialization on one core, deserialization on a
+/// second. Each stream is deserialized as soon as it is written and then
+/// dropped, so only one is held at a time.
 ///
 /// # Panics
 /// Panics if any request fails (workloads register everything needed).
@@ -66,26 +68,22 @@ pub fn run_software(
     reg: &KlassRegistry,
     roots: &[Addr],
 ) -> SdMeasure {
-    let mut ser_cpu = Cpu::host();
-    let mut streams = Vec::with_capacity(roots.len());
-    for &root in roots {
-        streams.push(ser.serialize(heap, reg, root, &mut ser_cpu).expect("serialize"));
-    }
-    let ser_report = ser_cpu.report();
-
-    let mut de_cpu = Cpu::host();
+    let (mut ser_cpu, mut de_cpu) = (Cpu::host(), Cpu::host());
     let cap = heap.capacity_bytes();
-    for bytes in &streams {
+    let mut bytes = 0;
+    for &root in roots {
+        let stream = ser.serialize(heap, reg, root, &mut ser_cpu).expect("serialize");
         let mut dst = Heap::with_base(Addr(DST_BASE), cap);
-        ser.deserialize(bytes, reg, &mut dst, &mut de_cpu).expect("deserialize");
+        ser.deserialize(&stream, reg, &mut dst, &mut de_cpu).expect("deserialize");
+        bytes += stream.len() as u64;
     }
-    let de_report = de_cpu.report();
+    let (ser_report, de_report) = (ser_cpu.report(), de_cpu.report());
 
     SdMeasure {
         name: ser.name().to_string(),
         ser_ns: ser_report.ns,
         de_ns: de_report.ns,
-        bytes: streams.iter().map(|s| s.len() as u64).sum(),
+        bytes,
         ser_ipc: ser_report.ipc,
         de_ipc: de_report.ipc,
         ser_llc_miss_rate: ser_report.llc_miss_rate,
@@ -141,12 +139,6 @@ pub fn run_cereal(
         ser_energy_uj: ser_rep.energy_uj,
         de_energy_uj: de_rep.energy_uj,
     }
-}
-
-/// Duplicates a single root `n` times — microbenchmarks issue repeated
-/// requests over one graph, as JSBS does with its fixed object.
-pub fn repeat_root(root: Addr, n: usize) -> Vec<Addr> {
-    vec![root; n]
 }
 
 /// Runs a software serializer across `cores` host cores (the paper's
@@ -248,7 +240,7 @@ mod tests {
     #[test]
     fn software_and_cereal_agree_on_shape() {
         let (mut heap, reg, root) = small_list();
-        let roots = repeat_root(root, 4);
+        let roots = vec![root; 4];
         let java = run_software(&JavaSd::new(), &mut heap, &reg, &roots);
         let kryo = run_software(&Kryo::new(), &mut heap, &reg, &roots);
         let cer = run_cereal(CerealConfig::paper(), &mut heap, &reg, &roots);

@@ -8,7 +8,7 @@
 //! On a mismatch the test prints the actual rows.
 
 use cereal::CerealConfig;
-use cereal_bench::{repeat_root, run_cereal};
+use cereal_bench::run_cereal;
 use workloads::micro::{MicroBench, Scale};
 
 #[derive(Debug, PartialEq, Eq)]
@@ -75,7 +75,7 @@ fn micro_accelerator_timings_match_frozen_rows() {
                 CerealConfig::paper(),
                 &mut heap,
                 &reg,
-                &repeat_root(root, 8),
+                &[root; 8],
             );
             Row {
                 name: mb.name(),

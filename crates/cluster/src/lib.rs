@@ -156,7 +156,7 @@ pub struct ClusterFaultConfig {
     /// aborted as exhausted-retries.
     pub job_retry_budget: u32,
     /// Base backoff before retrying a cleanly failed task (ns); doubles
-    /// per prior failure of that task (exponential backoff).
+    /// per prior failure of that task ([`sim::fault::exp_backoff_ns`]).
     pub retry_backoff_ns: f64,
     /// Admission-control watermark: arrivals finding this many pending
     /// attempts already queued are shed (0 disables shedding).

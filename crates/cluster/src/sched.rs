@@ -60,6 +60,7 @@ use crate::event::EventQueue;
 use crate::profile::{build_profiles, JobProfile, StageKind};
 use crate::{ClusterConfig, ClusterError};
 use shuffle::fold_checksum;
+use sim::fault::exp_backoff_ns;
 use sim::net::Fabric;
 use sim::FaultInjector;
 use std::collections::{BTreeSet, VecDeque};
@@ -1123,10 +1124,10 @@ impl<'a, S: Sink> Sched<'a, S> {
                 self.out.task_retries += 1;
                 self.sink.count("cluster.task_retries", 1);
                 let task = &mut self.jobs[j].stages[s].tasks[t];
-                let k = task.fails.saturating_sub(1).min(16);
                 task.retry_pending = true;
                 task.retry_src = src.map(|en| (en, now));
-                let delay = self.cfg.fault.retry_backoff_ns * (1u64 << k) as f64;
+                let delay =
+                    exp_backoff_ns(self.cfg.fault.retry_backoff_ns, task.fails.saturating_sub(1));
                 self.q.push(now + delay, Event::Retry { job: j, stage: s, task: t });
             }
             Origin::Crash => {

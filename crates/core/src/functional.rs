@@ -337,31 +337,26 @@ pub fn decode(
     if stream.object_count == 0 {
         return Ok((Addr::NULL, DeWorkload::default()));
     }
-    let image_bytes = u64::from(stream.total_object_bytes);
-    if image_bytes % 8 != 0 {
-        return Err(SerError::Malformed("image size not word aligned"));
-    }
-    let base = dst.alloc_raw((image_bytes / 8) as usize)?;
-
     let bitmaps = stream.bitmaps.to_items();
     if bitmaps.len() != stream.object_count as usize {
         return Err(SerError::Malformed("bitmap count mismatch"));
     }
+    if bitmaps.iter().any(Vec::is_empty) {
+        return Err(SerError::Malformed("empty record bitmap"));
+    }
+    // The header's image size is untrusted: nothing is sized from it
+    // until the bitmaps, whose bits the payload bounds, tile it exactly.
+    let image_words: u64 = bitmaps.iter().map(|bits| bits.len() as u64).sum();
+    let image_bytes = u64::from(stream.total_object_bytes);
+    if image_words * 8 != image_bytes {
+        return Err(SerError::Malformed("bitmaps do not cover declared image"));
+    }
+    let base = dst.alloc_raw(image_words as usize)?;
     let mut starts = RecordStarts::new(image_bytes);
     let mut offset_words: u64 = 0;
     for bits in &bitmaps {
-        let words = bits.len() as u64;
-        if words == 0 {
-            return Err(SerError::Malformed("empty record bitmap"));
-        }
-        if (offset_words + words) * 8 > image_bytes {
-            return Err(SerError::Malformed("bitmaps overflow declared image"));
-        }
         starts.insert(offset_words * 8);
-        offset_words += words;
-    }
-    if offset_words * 8 != image_bytes {
-        return Err(SerError::Malformed("bitmaps do not cover declared image"));
+        offset_words += bits.len() as u64;
     }
 
     let values = stream.value_words();
@@ -369,7 +364,7 @@ pub fn decode(
     let mut ref_unpacker = sdformat::pack::Unpacker::new(&stream.refs);
     let mut ref_count = 0u64;
 
-    let mut image_bits: Vec<bool> = Vec::with_capacity((image_bytes / 8) as usize);
+    let mut image_bits: Vec<bool> = Vec::with_capacity(image_words as usize);
     let mut offset_words: u64 = 0;
     for bits in &bitmaps {
         let record = base.add_words(offset_words);
@@ -671,6 +666,27 @@ mod tests {
         let mut s = out.stream.clone();
         s.value_array[11 * 8..12 * 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         assert!(rejects(&s), "array length against bitmap");
+    }
+
+    #[test]
+    fn image_size_is_checked_before_allocating() {
+        // One object with a one-word bitmap that declares a 4 GB image:
+        // the bitmaps disprove it before `dst` is asked for the space.
+        let mut bitmaps = Packer::new();
+        bitmaps.push_bits(&[false]);
+        let s = CerealStream {
+            total_object_bytes: 0xFFFF_FFF8,
+            object_count: 1,
+            value_array: Vec::new(),
+            refs: sdformat::pack::Packed::from_values([]),
+            bitmaps: bitmaps.finish(),
+        };
+        let (_, reg, _) = diamond();
+        let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 12);
+        assert!(matches!(
+            decode(&s, &tables_for(&reg), &mut dst, false),
+            Err(SerError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * `ReadObject(ObjectInputStream)` — [`read_object`].
 //!
 //! [`CerealSerializer`] additionally adapts the accelerator to the same
-//! [`Serializer`] trait the software baselines implement, so the JSBS
-//! harness and the round-trip property tests treat all four identically.
+//! [`Serializer`] trait the software baselines implement, so the
+//! round-trip and corruption property tests treat them all identically.
 
 use std::cell::RefCell;
 

@@ -135,11 +135,17 @@ impl FaultConfig {
         FaultInjector::scoped(*self, scope)
     }
 
-    /// Exponential backoff before retry attempt `k` (0-based):
-    /// `backoff_ns · 2^min(k, 16)`.
+    /// [`exp_backoff_ns`] from this config's `backoff_ns`.
     pub fn retry_backoff_ns(&self, k: u32) -> f64 {
-        self.backoff_ns * f64::from(1u32 << k.min(16))
+        exp_backoff_ns(self.backoff_ns, k)
     }
+}
+
+/// Exponential backoff before retry attempt `k` (0-based):
+/// `base_ns · 2^min(k, 16)`. The shuffle, the store and the cluster
+/// scheduler all retry on this schedule.
+pub fn exp_backoff_ns(base_ns: f64, k: u32) -> f64 {
+    base_ns * f64::from(1u32 << k.min(16))
 }
 
 /// One seeded fault stream. Each injector owns an independent PRNG

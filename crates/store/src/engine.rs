@@ -92,7 +92,7 @@ pub enum Backend {
 impl Backend {
     /// Every backend, software baselines first, the accelerator last.
     /// This is the single roster site: adding a variant means extending
-    /// this slice (plus the `name`/`Engine::new` match arms the compiler
+    /// this slice (plus the `software`/`name` match arms the compiler
     /// then points at).
     pub const ALL: &'static [Backend] = &[
         Backend::Java,
@@ -107,6 +107,21 @@ impl Backend {
     /// The software serializer an accelerator-faulted shuffle partition
     /// (and a DU-failed cluster node) degrades to.
     pub const FALLBACK: Backend = Backend::Kryo;
+
+    /// The software serializer this backend models; `None` for the
+    /// accelerator.
+    pub fn software(&self) -> Option<Box<dyn Serializer>> {
+        let ser: Box<dyn Serializer> = match self {
+            Backend::Java => Box::new(JavaSd::new()),
+            Backend::Kryo => Box::new(Kryo::new()),
+            Backend::Skyway => Box::new(Skyway::new()),
+            Backend::JsonLike => Box::new(JsonLike::new()),
+            Backend::ProtoLike => Box::new(ProtoLike::new()),
+            Backend::Archive => Box::new(Archive::new()),
+            Backend::Cereal => return None,
+        };
+        Some(ser)
+    }
 
     /// Display name (matching the figure harness).
     pub fn name(&self) -> &'static str {
@@ -190,20 +205,14 @@ impl Engine {
     /// Builds the engine for `backend`, registering every class of `reg`
     /// with the accelerator's hardware table when applicable.
     pub fn new(backend: Backend, reg: &KlassRegistry) -> Engine {
-        let ser: Box<dyn Serializer> = match backend {
-            Backend::Java => Box::new(JavaSd::new()),
-            Backend::Kryo => Box::new(Kryo::new()),
-            Backend::Skyway => Box::new(Skyway::new()),
-            Backend::JsonLike => Box::new(JsonLike::new()),
-            Backend::ProtoLike => Box::new(ProtoLike::new()),
-            Backend::Archive => Box::new(Archive::new()),
-            Backend::Cereal => {
+        match backend.software() {
+            Some(ser) => Engine::Software(backend, ser, Box::new(Cpu::host())),
+            None => {
                 let mut accel = Accelerator::paper();
                 accel.register_all(reg).expect("class table sized for workload");
-                return Engine::Cereal(Box::new(accel));
+                Engine::Cereal(Box::new(accel))
             }
-        };
-        Engine::Software(backend, ser, Box::new(Cpu::host()))
+        }
     }
 
     /// The backend this engine was built for.

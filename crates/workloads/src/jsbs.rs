@@ -1,27 +1,13 @@
-//! A JSBS-like serializer benchmark suite (paper §VI-C, Fig. 12).
+//! The JSBS media-content object (paper §VI-C, Fig. 12).
 //!
-//! The Java Serialization Benchmark Suite repeatedly serializes a
+//! The Java Serialization Benchmark Suite repeatedly serializes one
 //! predefined "media content" object with ~90 serializer libraries and
-//! compares throughput and size. We reproduce:
-//!
-//! * the **media-content object** — a `MediaContent` holding a `Media`
-//!   record (strings, numeric metadata, a person list) and two `Image`
-//!   records, built on the `sdheap` object model;
-//! * a **catalog of 88 libraries**. Five are fully implemented,
-//!   mechanistic baselines of this repository (`Java`, `Kryo`, `Skyway`,
-//!   a JSON-style text serializer, a protobuf-style codegen serializer);
-//!   the rest are modeled profiles spanning JSBS's characteristic
-//!   classes (text/JSON, XML, string-typed binary, ID-typed binary,
-//!   codegen, hand-optimized manual), each with a deterministic
-//!   throughput/size factor *relative to the measured Java S/D run* —
-//!   the population Cereal's Fig. 12 geomean is computed against.
-//!
-//! The profile parameters are bracketed by the two mechanistically
-//! implemented endpoints (Java S/D at 1×, Kryo-manual as the fastest
-//! software library), so the geomean shape is anchored, not free.
+//! compares throughput and size. This module builds that object on the
+//! `sdheap` object model: a `MediaContent` holding a `Media` record
+//! (strings, numeric metadata, a person list) and two `Image` records.
+//! Fig. 12 runs it through every serializer this repository implements.
 
 use sdheap::builder::Init;
-use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
 
 /// Builds the JSBS media-content object graph.
@@ -136,115 +122,6 @@ fn pack_chars(s: &str) -> Vec<u64> {
         .collect()
 }
 
-/// The characteristic library classes JSBS contains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LibClass {
-    /// Fully implemented in this repository; measured, not modeled.
-    Implemented,
-    /// Text/JSON serializers (gson, jackson/json, …).
-    Json,
-    /// XML serializers (xstream, jaxb, …).
-    Xml,
-    /// Binary with string-typed metadata (hessian, java-built-in kin).
-    BinaryStringTyped,
-    /// Binary with integer type IDs (kryo-like, fst, protostuff runtime).
-    BinaryIdTyped,
-    /// Compile-time generated code (protobuf, thrift, avro-specific).
-    Codegen,
-    /// Hand-optimized manual serializers (kryo-manual, wire hand-rolled).
-    Manual,
-}
-
-/// One library of the suite.
-#[derive(Clone, Debug)]
-pub struct LibraryProfile {
-    /// Library name.
-    pub name: String,
-    /// Class of implementation.
-    pub class: LibClass,
-    /// Serialization time relative to measured Java S/D (lower = faster).
-    pub ser_rel: f64,
-    /// Deserialization time relative to measured Java S/D.
-    pub de_rel: f64,
-    /// Serialized size relative to measured Java S/D.
-    pub size_rel: f64,
-}
-
-/// The 88-library catalog. `Implemented` entries have factor 0 — the
-/// harness substitutes real measurements for them.
-pub fn catalog() -> Vec<LibraryProfile> {
-    let mut rng = Rng::new(0x4A5B5);
-    let mut out = vec![
-        LibraryProfile {
-            name: "java-built-in".into(),
-            class: LibClass::Implemented,
-            ser_rel: 0.0,
-            de_rel: 0.0,
-            size_rel: 0.0,
-        },
-        LibraryProfile {
-            name: "kryo".into(),
-            class: LibClass::Implemented,
-            ser_rel: 0.0,
-            de_rel: 0.0,
-            size_rel: 0.0,
-        },
-        LibraryProfile {
-            name: "skyway".into(),
-            class: LibClass::Implemented,
-            ser_rel: 0.0,
-            de_rel: 0.0,
-            size_rel: 0.0,
-        },
-        LibraryProfile {
-            name: "json-gson-like".into(),
-            class: LibClass::Implemented,
-            ser_rel: 0.0,
-            de_rel: 0.0,
-            size_rel: 0.0,
-        },
-        LibraryProfile {
-            name: "proto-codegen-like".into(),
-            class: LibClass::Implemented,
-            ser_rel: 0.0,
-            de_rel: 0.0,
-            size_rel: 0.0,
-        },
-    ];
-    // (class, base names, count, ser range, de range, size range) — time
-    // factors relative to Java S/D = 1.0. Ranges bracket published JSBS
-    // results: XML slowest, manual binary fastest.
-    type Family = (
-        &'static str,
-        LibClass,
-        usize,
-        (f64, f64),
-        (f64, f64),
-        (f64, f64),
-    );
-    let families: &[Family] = &[
-        ("json", LibClass::Json, 17, (0.4, 2.5), (0.3, 1.8), (0.7, 1.6)),
-        ("xml", LibClass::Xml, 12, (1.2, 4.0), (1.0, 3.5), (1.2, 2.5)),
-        ("hessian", LibClass::BinaryStringTyped, 10, (0.6, 1.6), (0.4, 1.2), (0.6, 1.1)),
-        ("binary", LibClass::BinaryIdTyped, 22, (0.25, 0.8), (0.04, 0.3), (0.35, 0.8)),
-        ("codegen", LibClass::Codegen, 13, (0.2, 0.6), (0.03, 0.15), (0.3, 0.6)),
-        ("manual", LibClass::Manual, 9, (0.15, 0.45), (0.02, 0.08), (0.25, 0.5)),
-    ];
-    for (base, class, n, ser, de, size) in families {
-        for i in 0..*n {
-            out.push(LibraryProfile {
-                name: format!("{base}-{i}"),
-                class: *class,
-                ser_rel: rng.gen_range_f64(ser.0, ser.1),
-                de_rel: rng.gen_range_f64(de.0, de.1),
-                size_rel: rng.gen_range_f64(size.0, size.1),
-            });
-        }
-    }
-    debug_assert_eq!(out.len(), 88);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,46 +154,5 @@ mod tests {
                 check_identity_hash: false
             }
         ));
-    }
-
-    #[test]
-    fn catalog_has_88_entries() {
-        let c = catalog();
-        assert_eq!(c.len(), 88);
-        assert_eq!(
-            c.iter().filter(|l| l.class == LibClass::Implemented).count(),
-            5
-        );
-        // Deterministic across calls.
-        let c2 = catalog();
-        assert_eq!(c[10].ser_rel, c2[10].ser_rel);
-    }
-
-    #[test]
-    fn modeled_factors_are_bracketed() {
-        for lib in catalog() {
-            if lib.class == LibClass::Implemented {
-                continue;
-            }
-            assert!(lib.ser_rel > 0.1 && lib.ser_rel < 5.0, "{}", lib.name);
-            assert!(lib.de_rel > 0.01 && lib.de_rel < 5.0, "{}", lib.name);
-            assert!(lib.size_rel > 0.2 && lib.size_rel < 3.0, "{}", lib.name);
-        }
-    }
-
-    #[test]
-    fn manual_libraries_are_fastest_class() {
-        let c = catalog();
-        let avg = |class: LibClass| {
-            let v: Vec<f64> = c
-                .iter()
-                .filter(|l| l.class == class)
-                .map(|l| l.de_rel)
-                .collect();
-            v.iter().sum::<f64>() / v.len() as f64
-        };
-        assert!(avg(LibClass::Manual) < avg(LibClass::BinaryIdTyped));
-        assert!(avg(LibClass::BinaryIdTyped) < avg(LibClass::Json));
-        assert!(avg(LibClass::Json) < avg(LibClass::Xml));
     }
 }

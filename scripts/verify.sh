@@ -55,11 +55,30 @@ all --jobs 1 > target/figures_jobs1.txt
 all --jobs 4 > target/figures_jobs4.txt
 cmp target/figures_jobs1.txt target/figures_jobs4.txt \
   || { echo "figure report differs between 1 and 4 jobs"; exit 1; }
-for id in table1 fig2 fig3 fig10 fig11 table4 fig12 fig13 fig14 fig15 fig16 fig17 table5; do
-  all --only "$id"
-done > target/figures_only.txt
+ids="table1 fig2 fig3 fig10 fig11 table4 fig12 fig13 fig14 fig15 fig16 fig17 table5"
+for id in $ids; do
+  all --only "$id" > "target/figure_$id.txt"
+done
+(for id in $ids; do cat "target/figure_$id.txt"; done) > target/figures_only.txt
 cmp target/figures_jobs1.txt target/figures_only.txt \
   || { echo "the --only reports do not join to the full report"; exit 1; }
+
+echo "== figure driver: scale-independent blocks match bench_output_scaled.txt =="
+# Table I, Fig. 12 (the JSBS media-content object) and Table V do not
+# depend on CEREAL_SCALE, so their tiny reports must equal their blocks
+# of the committed Scaled transcript: each block runs from its heading
+# to the next figure's heading (Table V's to the end of the file).
+block() {
+  awk -v start="$1" -v stop="$2" \
+    'index($0, start) == 1 { on = 1 } stop != "" && index($0, stop) == 1 { on = 0 } on' \
+    bench_output_scaled.txt
+}
+cmp "target/figure_table1.txt" <(block "Table I —" "Fig. 2 —") \
+  || { echo "Table I differs from bench_output_scaled.txt"; exit 1; }
+cmp "target/figure_fig12.txt" <(block "Fig. 12 —" "Fig. 13 —") \
+  || { echo "Fig. 12 differs from bench_output_scaled.txt"; exit 1; }
+cmp "target/figure_table5.txt" <(block "Table V —" "") \
+  || { echo "Table V differs from bench_output_scaled.txt"; exit 1; }
 
 echo "== ablations: regenerate ablations_output.txt byte-identical =="
 # The committed ablation report is the unit-count/strip/encoder sweep
