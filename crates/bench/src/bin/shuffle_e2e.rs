@@ -8,7 +8,7 @@
 //! bottleneck from S/D to the network itself.
 
 use cereal_bench::table::{ns, Table};
-use cereal_bench::{scale_arg, spark_suite::spark_scale};
+use cereal_bench::scale_arg;
 use sdheap::Addr;
 use sim::{Link, LinkConfig};
 use store::{Backend, Engine};
@@ -92,7 +92,7 @@ fn pipeline(stages: &StageTimes, link_cfg: LinkConfig) -> (f64, &'static str) {
 
 fn main() {
     let app = SparkApp::Terasort;
-    let mut ds = app.build(spark_scale(scale_arg()));
+    let mut ds = app.build(scale_arg());
     let batches = ds.batches.clone();
     println!(
         "End-to-end shuffle — {} ({} partitions), sender S/D → link → receiver S/D\n",

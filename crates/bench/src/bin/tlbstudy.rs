@@ -39,12 +39,8 @@ fn main() {
         // the deserialize starts on reset meters, not on the units and
         // DRAM the serialize left busy.
         let run = |vanilla: bool, heap: &mut sdheap::Heap| {
-            let cfg = CerealConfig {
-                tlb,
-                vanilla,
-                reconstructors_per_du: if vanilla { 1 } else { 4 },
-                ..CerealConfig::paper()
-            };
+            let base = if vanilla { CerealConfig::vanilla() } else { CerealConfig::paper() };
+            let cfg = CerealConfig { tlb, ..base };
             let m = run_cereal(cfg, heap, &reg, &[root]);
             (m.ser_ns, m.de_ns)
         };

@@ -99,7 +99,6 @@ enum Measured {
 /// renders each figure, in the order given.
 pub fn run(figures: &[Figure], scale: Scale, jobs: usize) -> Vec<String> {
     let needs = |pick: fn(&Source) -> bool| figures.iter().any(|f| pick(&f.source));
-    let spark_scale = spark_suite::spark_scale(scale);
     let mut units = Vec::new();
     if needs(|s| matches!(s, Source::Micro(_))) {
         units.extend(MicroBench::all().map(Unit::Micro));
@@ -112,7 +111,7 @@ pub fn run(figures: &[Figure], scale: Scale, jobs: usize) -> Vec<String> {
     }
     eprintln!(
         "running {} experiment units on {jobs} worker thread(s) \
-         (micro {scale:?}, spark {spark_scale:?})...",
+         ({scale:?})...",
         units.len()
     );
 
@@ -127,7 +126,7 @@ pub fn run(figures: &[Figure], scale: Scale, jobs: usize) -> Vec<String> {
         }
         Unit::Spark(app) => {
             eprintln!("  Spark: {}...", app.name());
-            Measured::Spark(spark_suite::run_one(app, spark_scale))
+            Measured::Spark(spark_suite::run_one(app, scale))
         }
     });
     let (mut micro, mut jsbs_runs, mut spark) = (Vec::new(), Vec::new(), Vec::new());

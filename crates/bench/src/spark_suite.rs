@@ -4,7 +4,7 @@
 use crate::runners::{run_cereal, run_software, SdMeasure};
 use cereal::CerealConfig;
 use workloads::spark::phases::{self, AppRun};
-use workloads::{Scale, SparkApp, SparkScale};
+use workloads::{Scale, SparkApp};
 
 /// All measurements for one application.
 #[derive(Clone, Debug)]
@@ -31,7 +31,7 @@ pub struct SparkResult {
 /// Runs one application at `scale` on its own dataset — the unit of
 /// fan-out scheduling (each app builds a private heap, so apps can run
 /// on any worker in any order).
-pub fn run_one(app: SparkApp, scale: SparkScale) -> SparkResult {
+pub fn run_one(app: SparkApp, scale: Scale) -> SparkResult {
     let mut ds = app.build(scale);
     let roots = ds.batches.clone();
     let java = run_software(&serializers::JavaSd::new(), &mut ds.heap, &ds.reg, &roots);
@@ -96,15 +96,6 @@ fn format_sizes(ds: &mut workloads::SparkDataset, roots: &[sdheap::Addr]) -> (u6
     (packed, baseline, stripped)
 }
 
-/// The Spark datasets for experiment scale `scale`: the paper's full
-/// datasets are not modeled, so `Paper` runs the scaled ones.
-pub fn spark_scale(scale: Scale) -> SparkScale {
-    match scale {
-        Scale::Tiny => SparkScale::Tiny,
-        Scale::Scaled | Scale::Paper => SparkScale::Scaled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +104,7 @@ mod tests {
     #[test]
     fn tiny_suite_preserves_paper_shapes() {
         let results: Vec<SparkResult> =
-            SparkApp::all().into_iter().map(|app| run_one(app, SparkScale::Tiny)).collect();
+            SparkApp::all().into_iter().map(|app| run_one(app, Scale::Tiny)).collect();
         assert_eq!(results.len(), 6);
 
         // Fig. 13 shape: Cereal > Kryo > Java on S/D time, every app.

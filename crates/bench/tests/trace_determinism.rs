@@ -66,3 +66,10 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(traced.rdd.store, rdd.store);
     assert_eq!(traced.rdd.total_ns.to_bits(), rdd.total_ns.to_bits());
 }
+
+#[test]
+fn the_demonstrated_shuffle_config_validates() {
+    for jobs in [1, 4] {
+        assert_eq!(trace_suite::shuffle_cfg(jobs).validate(), Ok(()));
+    }
+}

@@ -35,8 +35,9 @@
 //!   context reclaimed). Copies replay the same profile, so folds stay
 //!   bit-identical — speculation moves time, never answers;
 //! * **a cluster fault domain** — seeded executor crashes and whole-node
-//!   failures ([`ClusterFaultConfig`], scoped [`sim::FaultInjector`]
-//!   streams keyed by the stable executor entity ids), a heartbeat/lease
+//!   failures ([`ClusterFaultConfig`]'s rates, drawn from
+//!   [`sim::fault::stream`]s keyed by the stable executor entity ids), a
+//!   heartbeat/lease
 //!   failure detector on the event clock (miss-threshold → declared
 //!   dead, in-flight attempts killed with DU reservations refunded,
 //!   lost stage-0 outputs recomputed Spark-style), fetch failures that
@@ -117,11 +118,12 @@ impl From<shuffle::ShuffleError> for ClusterError {
 /// recovery machinery that answers them (heartbeat detection,
 /// blacklisting, retries with backoff, admission control).
 ///
-/// All rates are per-dispatch probabilities drawn from scoped
-/// [`sim::FaultInjector`] streams — executor streams keyed by the
-/// executor's stable telemetry entity id (`CLUSTER_PID_BASE + e`), node
-/// streams by the node index — so the fault schedule is a pure function
-/// of `(seed, entity)` and byte-identical for any `--jobs` thread count.
+/// This config is the only home of the four rates. Each is a
+/// per-dispatch probability drawn from a scoped [`sim::fault::stream`]
+/// — executor streams keyed by the executor's stable telemetry entity
+/// id (`CLUSTER_PID_BASE + e`), node streams by the node index — so the
+/// fault schedule is a pure function of `(seed, entity)` and
+/// byte-identical for any `--jobs` thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterFaultConfig {
     /// Probability per dispatched attempt that the hosting executor

@@ -333,6 +333,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_tenants_profile_shuffle_config_validates() {
+        let cfg = ClusterConfig::smoke();
+        for t in 0..cfg.tenants {
+            assert_eq!(shuffle_cfg(&template(&cfg, t)).validate(), Ok(()), "tenant {t}");
+        }
+    }
+
+    #[test]
     fn profiles_are_deterministic_across_thread_counts() {
         let mut cfg = ClusterConfig::smoke();
         cfg.tenants = 2;

@@ -24,10 +24,15 @@
 //! # The fault domain
 //!
 //! When [`crate::ClusterFaultConfig::enabled`], every dispatched
-//! attempt draws from scoped [`sim::FaultInjector`] streams — the
-//! executor's stream is keyed by its stable telemetry entity id
+//! attempt draws the config's rates from scoped [`sim::fault::stream`]s
+//! — the executor's stream is keyed by its stable telemetry entity id
 //! (`CLUSTER_PID_BASE + e`), the node's by the node index — so the
-//! fault schedule is a pure function of `(seed, entity)`:
+//! fault schedule is a pure function of `(seed, entity)`. A Cereal
+//! decode dispatch first draws DU failure (unless the node's DU has
+//! already failed); every dispatch then draws node failure (unless a
+//! node crash is already pending), executor crash and task failure.
+//! Each draw happens at any rate, 0 included, so one class's rate
+//! never shifts another's schedule:
 //!
 //! * **executor crashes** land at an interior fraction of the running
 //!   attempt's service. A crash is *silent*: the attempt is doomed but
@@ -60,9 +65,9 @@ use crate::event::EventQueue;
 use crate::profile::{build_profiles, JobProfile, StageKind};
 use crate::{ClusterConfig, ClusterError};
 use shuffle::fold_checksum;
-use sim::fault::exp_backoff_ns;
+use sdheap::rng::Rng;
+use sim::fault::{exp_backoff_ns, interior, stream};
 use sim::net::Fabric;
-use sim::FaultInjector;
 use std::collections::{BTreeSet, VecDeque};
 use store::Backend;
 use telemetry::ids::{CLUSTER_PID_BASE, DRIVER_PID, T_DU, T_FAIL, T_MAIN};
@@ -325,10 +330,11 @@ enum DeathCause {
 /// The live fault machinery — only constructed when the fault domain
 /// is enabled, so the fault-free path stays a byte-identical no-op.
 struct Faults {
-    /// Per-executor injector streams, keyed by `CLUSTER_PID_BASE + e`.
-    exec: Vec<FaultInjector>,
-    /// Per-node injector streams (node failures, DU device failures).
-    node: Vec<FaultInjector>,
+    /// Per-executor fault streams, keyed by `CLUSTER_PID_BASE + e`
+    /// (crashes, clean task failures, blacklist cooldown jitter).
+    exec: Vec<Rng>,
+    /// Per-node fault streams (node failures, DU device failures).
+    node: Vec<Rng>,
     /// A `NodeCrash` event is already scheduled for this node.
     node_crash_pending: Vec<bool>,
     /// The node's DU device has failed (permanent; decodes degrade).
@@ -750,7 +756,7 @@ impl<'a, S: Sink> Sched<'a, S> {
                 let mut degraded = false;
                 let mut du_failed_now = false;
                 if let Some(fx) = &mut self.faults {
-                    if !fx.du_failed[node] && fx.node[node].accel_faults() {
+                    if !fx.du_failed[node] && fx.node[node].gen_bool(self.cfg.fault.du_fail_rate) {
                         fx.du_failed[node] = true;
                         du_failed_now = true;
                     }
@@ -843,18 +849,19 @@ impl<'a, S: Sink> Sched<'a, S> {
             // an interior point of the service, so a drawn crash always
             // beats the drawing attempt's finish.
             let node = self.node_of(e);
+            let rates = &self.cfg.fault;
             if let Some(fx) = &mut self.faults {
                 if !fx.node_crash_pending[node] {
-                    if let Some(frac) = fx.node[node].node_fails() {
+                    if let Some(frac) = interior(&mut fx.node[node], rates.node_fail_rate) {
                         fx.node_crash_pending[node] = true;
                         self.q.push(start + frac * service, Event::NodeCrash { node });
                     }
                 }
-                if let Some(frac) = fx.exec[e].exec_crashes() {
+                if let Some(frac) = interior(&mut fx.exec[e], rates.exec_crash_rate) {
                     let gen = self.execs[e].gen;
                     self.q.push(start + frac * service, Event::Crash { exec: e, gen });
                 }
-                if let Some(frac) = fx.exec[e].task_fails() {
+                if let Some(frac) = interior(&mut fx.exec[e], rates.task_fail_rate) {
                     self.q.push(start + frac * service, Event::TaskFail(a));
                 }
             }
@@ -1046,7 +1053,7 @@ impl<'a, S: Sink> Sched<'a, S> {
             let jitter = self
                 .faults
                 .as_mut()
-                .map_or(0.0, |fx| fx.exec[e].jitter());
+                .map_or(0.0, |fx| fx.exec[e].gen_f64());
             let cooldown = self.cfg.fault.blacklist_cooldown_ns * (1.0 + jitter);
             self.q.push(now + cooldown, Event::Up { exec: e, gen });
         }
@@ -1463,21 +1470,12 @@ pub fn run_cluster_sunk<S: Sink>(
     // The fault machinery only exists when it can fire, so a zero-rate
     // run is byte-identical to one with no fault domain at all.
     let faults = cfg.fault.enabled().then(|| {
-        let fc = sim::FaultConfig {
-            seed: cfg.seed ^ CLUSTER_FAULT_SCOPE,
-            exec_crash: cfg.fault.exec_crash_rate,
-            node_failure: cfg.fault.node_fail_rate,
-            task_failure: cfg.fault.task_fail_rate,
-            accel_fault: cfg.fault.du_fail_rate,
-            ..sim::FaultConfig::none()
-        };
+        let seed = cfg.seed ^ CLUSTER_FAULT_SCOPE;
         Faults {
             exec: (0..cfg.executors)
-                .map(|e| fc.scoped(u64::from(CLUSTER_PID_BASE + e as u32)))
+                .map(|e| stream(seed, u64::from(CLUSTER_PID_BASE + e as u32)))
                 .collect(),
-            node: (0..cfg.nodes())
-                .map(|n| fc.scoped(NODE_FAULT_SCOPE ^ n as u64))
-                .collect(),
+            node: (0..cfg.nodes()).map(|n| stream(seed, NODE_FAULT_SCOPE ^ n as u64)).collect(),
             node_crash_pending: vec![false; cfg.nodes()],
             du_failed: vec![false; cfg.nodes()],
         }

@@ -42,9 +42,11 @@ pub struct CerealConfig {
     pub coherence_ns: f64,
     /// Strip mark words from the value array (Fig. 16's "Header Strip").
     pub strip_mark_words: bool,
-    /// The paper's ablation: disable pipelining in the SU and use a single
-    /// block reconstructor per DU ("Cereal Vanilla", Fig. 10). Operation-
-    /// level parallelism across units remains.
+    /// The paper's ablation: disable pipelining in the SU ("Cereal
+    /// Vanilla", Fig. 10). Operation-level parallelism across units
+    /// remains. The DU reads only `reconstructors_per_du`, so the
+    /// ablation's single block reconstructor per DU is set there, as
+    /// [`CerealConfig::vanilla`] does.
     pub vanilla: bool,
 }
 
@@ -91,15 +93,6 @@ impl CerealConfig {
     pub fn cycle_ns(&self) -> f64 {
         1.0 / self.clock_ghz
     }
-
-    /// Effective reconstructors per DU under the current ablation.
-    pub fn effective_reconstructors(&self) -> usize {
-        if self.vanilla {
-            1
-        } else {
-            self.reconstructors_per_du
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,8 +116,9 @@ mod tests {
     fn vanilla_disables_fine_grained_parallelism() {
         let v = CerealConfig::vanilla();
         assert!(v.vanilla);
-        assert_eq!(v.effective_reconstructors(), 1);
-        assert_eq!(CerealConfig::paper().effective_reconstructors(), 4);
+        assert_eq!(v.reconstructors_per_du, 1);
+        assert!(!CerealConfig::paper().vanilla);
+        assert_eq!(CerealConfig::paper().reconstructors_per_du, 4);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * each **block reconstructor** holds a block for `reconstruct_cycles`
 //!   (scan the 8-bit bitmap, place values/references, translate a class
 //!   ID through the Class ID Table) and then writes the 64 B result to
-//!   its destination; with `vanilla = true` a single reconstructor
-//!   serializes everything (Fig. 10's ablation).
+//!   its destination; with one reconstructor per DU (the
+//!   [`CerealConfig::vanilla`] ablation of Fig. 10) a single
+//!   reconstructor serializes everything.
 //!
 //! Because all three input streams and the output stream are sequential,
 //! the DU's throughput is bandwidth- rather than latency-bound — the
@@ -142,7 +143,7 @@ impl DeserializationUnit {
         let cyc = cfg.cycle_ns();
         let dispatch_ns = f64::from(cfg.dispatch_cycles) * cyc;
         let recon_ns = f64::from(cfg.reconstruct_cycles) * cyc;
-        let nrecon = cfg.effective_reconstructors();
+        let nrecon = cfg.reconstructors_per_du;
 
         let bytes_before = dram.total_bytes();
         let mut reads = 0u64;

@@ -4,6 +4,7 @@
 use crate::faults::{accel_scope, FaultTotals, ShuffleError};
 use crate::ShuffleConfig;
 use sdheap::{Addr, GcStats};
+use sim::fault::stream;
 use sim::FaultConfig;
 use store::{Backend, BlockStore, Engine, MissPolicy, NoLineage, StoreConfig};
 use telemetry::ids::{MAPPER_PID_BASE, T_DISK, T_MAIN, T_NIC, T_SEND};
@@ -136,7 +137,9 @@ pub struct MapOutcome {
 /// recovered by the store's retry loop.
 ///
 /// # Errors
-/// Propagates [`ShuffleError::Store`] from unrecoverable spill faults.
+/// [`ShuffleError::InvalidConfig`] when [`ShuffleConfig::validate`]
+/// rejects `cfg`; propagates [`ShuffleError::Store`] from
+/// unrecoverable spill faults.
 // Untraced wrapper kept because the frozen `perfbench/` calls it.
 pub fn run_mapper(
     cfg: &ShuffleConfig,
@@ -164,6 +167,7 @@ pub fn run_mapper_sunk<S: Sink>(
     m: usize,
     sink: &mut S,
 ) -> Result<MapOutcome, ShuffleError> {
+    cfg.validate()?;
     let pid = MAPPER_PID_BASE + m as u32;
     let main = EntityId { pid, tid: T_MAIN };
     if S::ENABLED {
@@ -191,8 +195,8 @@ pub fn run_mapper_sunk<S: Sink>(
     let mut faults = FaultTotals::default();
     // Accelerator faults are drawn per flush from this mapper's private
     // stream (only the Cereal engine can fault in hardware).
-    let mut accel_inj = if backend == Backend::Cereal {
-        cfg.faults.map(|f| f.scoped(accel_scope(m)))
+    let mut accel = if backend == Backend::Cereal {
+        cfg.faults.map(|f| (f.accel_fault, stream(f.seed, accel_scope(m))))
     } else {
         None
     };
@@ -234,7 +238,7 @@ pub fn run_mapper_sunk<S: Sink>(
             return;
         }
         let batch = agg::coalesce(heap, &reg, batch_klass, pending);
-        let accel_faulted = accel_inj.as_mut().is_some_and(|inj| inj.accel_faults());
+        let accel_faulted = accel.as_mut().is_some_and(|(rate, rng)| rng.gen_bool(*rate));
         let (bytes, t, used_backend) = if accel_faulted {
             // Hardware request faulted: this partition degrades to the
             // software fallback, paying its busy time on the host core.

@@ -9,7 +9,8 @@
 //! (which charges the retries, timeouts and backoff) see the same
 //! schedule regardless of worker-thread count.
 
-use sim::{FaultConfig, FaultInjector};
+use sim::fault::{corrupt_byte, stream};
+use sim::FaultConfig;
 use std::fmt;
 use store::{EngineError, StoreError};
 
@@ -17,6 +18,9 @@ use store::{EngineError, StoreError};
 /// binaries render them, tests assert the variant.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShuffleError {
+    /// [`crate::ShuffleConfig::validate`] rejected the config; the
+    /// message names the offending field and the range it must lie in.
+    InvalidConfig(&'static str),
     /// Wire-corruption injection is configured but streams carry no
     /// checksum frame, so corruption would be undetectable.
     ChecksumRequired,
@@ -58,6 +62,7 @@ pub enum ShuffleError {
 impl fmt::Display for ShuffleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ShuffleError::InvalidConfig(why) => write!(f, "invalid shuffle config: {why}"),
             ShuffleError::ChecksumRequired => {
                 write!(f, "wire-corruption injection requires checksummed frames")
             }
@@ -100,17 +105,17 @@ impl From<EngineError> for ShuffleError {
     }
 }
 
-/// Injector scope for message `i` of the global list (wire faults).
+/// Fault-stream scope for message `i` of the global list (wire faults).
 pub(crate) fn wire_scope(i: usize) -> u64 {
     0x77AE_0000_0000 | i as u64
 }
 
-/// Injector scope for mapper `m`'s death draw.
+/// Fault-stream scope for mapper `m`'s death draw.
 pub(crate) fn death_scope(m: usize) -> u64 {
     0xDEAD_0000_0000 | m as u64
 }
 
-/// Injector scope for mapper `m`'s accelerator-fault draws.
+/// Fault-stream scope for mapper `m`'s accelerator-fault draws.
 pub(crate) fn accel_scope(m: usize) -> u64 {
     0xACCE_0000_0000 | m as u64
 }
@@ -153,18 +158,18 @@ impl MsgPlan {
 /// happen on every attempt, in a fixed order, so the stream layout is
 /// independent of which faults actually fire.
 pub(crate) fn plan_message(cfg: &FaultConfig, i: usize, wire_len: usize) -> MsgPlan {
-    let mut inj = FaultInjector::scoped(*cfg, wire_scope(i));
+    let mut rng = stream(cfg.seed, wire_scope(i));
     let mut attempts = Vec::new();
     for k in 0..=cfg.max_retries {
-        let lost = inj.lose_message();
-        let corrupt = inj.corrupt_wire();
+        let lost = rng.gen_bool(cfg.link_loss);
+        let corrupt = rng.gen_bool(cfg.wire_corruption);
         if k == cfg.max_retries {
             break;
         }
         if lost {
             attempts.push(Attempt::Lost);
         } else if corrupt {
-            let (pos, mask) = inj.corrupt_byte(wire_len);
+            let (pos, mask) = corrupt_byte(&mut rng, wire_len);
             attempts.push(Attempt::Corrupt { pos, mask });
         } else {
             break;

@@ -35,12 +35,13 @@
 //!   when the shuffle files are served, with the disk time charged on
 //!   the mapper's clock;
 //! * **fault injection & recovery** — with [`ShuffleConfig::faults`]
-//!   set, a seeded [`sim::FaultInjector`] loses and corrupts wire
+//!   set, its rates are drawn from seeded [`sim::fault::stream`]s
+//!   scoped by message, mapper and store. Draws lose and corrupt wire
 //!   transfers (reducers detect corruption through the CRC frame;
 //!   retransmissions pay timeout and exponential backoff on the
-//!   simulated clock), kills mappers mid-stage (Spark-style
-//!   re-execution), fails spill reads (device-level retries), and
-//!   faults accelerator requests (the partition degrades to the
+//!   simulated clock), kill mappers mid-stage (Spark-style
+//!   re-execution), fail spill reads (device-level retries), and
+//!   fault accelerator requests (the partition degrades to the
 //!   configured software serializer). Every class is recovered, so the
 //!   fold exactly matches the fault-free aggregate; anomalies surface
 //!   as typed [`ShuffleError`]s, never panics.
@@ -162,6 +163,28 @@ impl ShuffleConfig {
             checksum: false,
             faults: None,
         }
+    }
+
+    /// Checks the fields a run divides by or draws from: at least one
+    /// mapper and one reducer, a finite positive link bandwidth, a
+    /// finite non-negative link latency, and valid fault rates
+    /// ([`FaultConfig::validate`]).
+    ///
+    /// # Errors
+    /// [`ShuffleError::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ShuffleError> {
+        let (bw, lat) = (self.link.bytes_per_ns, self.link.latency_ns);
+        for (bad, why) in [
+            (self.mappers == 0, "mappers must be > 0"),
+            (self.reducers == 0, "reducers must be > 0"),
+            (!(bw.is_finite() && bw > 0.0), "link.bytes_per_ns must be finite and > 0"),
+            (!(lat.is_finite() && lat >= 0.0), "link.latency_ns must be finite and >= 0"),
+        ] {
+            if bad {
+                return Err(ShuffleError::InvalidConfig(why));
+            }
+        }
+        self.faults.map_or(Ok(()), |f| f.validate()).map_err(ShuffleError::InvalidConfig)
     }
 
     /// The dataset this configuration shuffles.

@@ -7,6 +7,7 @@ use crate::reduce::{run_reducer_sunk, ReduceOutcome};
 use crate::report::{fold_checksum, BackendReport, ShuffleReport};
 use crate::timeline::compose_sunk;
 use crate::ShuffleConfig;
+use sim::fault::{interior, stream};
 use store::{par_map, Backend};
 use telemetry::ids::{MAPPER_PID_BASE, T_MAIN};
 use telemetry::{EntityId, Instant, NoopSink, Sink};
@@ -38,15 +39,17 @@ pub struct BackendRun {
 /// pass [`NoopSink`].
 ///
 /// # Errors
-/// [`ShuffleError::ChecksumRequired`] when wire corruption is injected
-/// without checksum frames; otherwise whatever a stage surfaced
-/// (undetected corruption, decode failures, spill-store faults,
-/// duplicate keys).
+/// [`ShuffleError::InvalidConfig`] when [`ShuffleConfig::validate`]
+/// rejects `cfg`; [`ShuffleError::ChecksumRequired`] when wire
+/// corruption is injected without checksum frames; otherwise whatever
+/// a stage surfaced (undetected corruption, decode failures,
+/// spill-store faults, duplicate keys).
 pub fn run_backend_sunk<S: Sink>(
     cfg: &ShuffleConfig,
     backend: Backend,
     sink: &mut S,
 ) -> Result<BackendRun, ShuffleError> {
+    cfg.validate()?;
     if !cfg.checksum && cfg.faults.is_some_and(|f| f.wire_corruption > 0.0) {
         return Err(ShuffleError::ChecksumRequired);
     }
@@ -62,8 +65,8 @@ pub fn run_backend_sunk<S: Sink>(
             let mut child = S::default();
             let mut outcome = run_mapper_sunk(cfg, backend, m, &mut child)?;
             if let Some(fc) = cfg.faults {
-                let mut inj = fc.scoped(death_scope(m));
-                if let Some(frac) = inj.mapper_dies() {
+                let mut rng = stream(fc.seed, death_scope(m));
+                if let Some(frac) = interior(&mut rng, fc.mapper_death) {
                     let died_at = frac * outcome.clock_ns;
                     let death_ns = died_at + fc.timeout_ns;
                     for msg in &mut outcome.messages {

@@ -299,3 +299,49 @@ fn a_batch_with_a_null_element_is_a_bad_batch() {
         assert!(bad, "{backend:?}: {err:?}");
     }
 }
+
+#[test]
+fn invalid_configs_are_typed_errors_not_panics() {
+    let invalid = |cfg: ShuffleConfig, why: &'static str| {
+        let want = Err(ShuffleError::InvalidConfig(why));
+        assert_eq!(cfg.validate(), want);
+        let backend = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).map(|_| ());
+        assert_eq!(backend, want, "run_backend_sunk");
+        let mapper = shuffle::run_mapper_sunk(&cfg, Backend::Kryo, 0, &mut NoopSink).map(|_| ());
+        assert_eq!(mapper, want, "run_mapper_sunk");
+    };
+    // A remainder by zero in the mapper's partitioning before validation.
+    invalid(ShuffleConfig { reducers: 0, ..ShuffleConfig::smoke() }, "reducers must be > 0");
+    invalid(ShuffleConfig { mappers: 0, ..ShuffleConfig::smoke() }, "mappers must be > 0");
+    let faulty = |f: sim::FaultConfig| ShuffleConfig { faults: Some(f), ..ShuffleConfig::smoke() };
+    let none = sim::FaultConfig::none();
+    invalid(
+        faulty(sim::FaultConfig { link_loss: f64::NAN, ..none }),
+        "faults.link_loss must be in [0, 1]",
+    );
+    invalid(
+        faulty(sim::FaultConfig { mapper_death: 1.5, ..none }),
+        "faults.mapper_death must be in [0, 1]",
+    );
+    invalid(
+        faulty(sim::FaultConfig { backoff_ns: -1.0, ..none }),
+        "faults.backoff_ns must be finite and >= 0",
+    );
+    let mut link = ShuffleConfig::smoke();
+    link.link.bytes_per_ns = 0.0;
+    invalid(link, "link.bytes_per_ns must be finite and > 0");
+
+    // Every preset, and the fault sweep's configs, stay valid.
+    for base in [ShuffleConfig::smoke(), ShuffleConfig::full()] {
+        assert_eq!(base.validate(), Ok(()));
+        for rate in [0.0, 0.01, 0.05, 0.15, 1.0] {
+            let cfg = ShuffleConfig {
+                checksum: true,
+                spill_bytes: base.flush_bytes,
+                faults: Some(sim::FaultConfig::uniform(rate, 0xFA17)),
+                ..base
+            };
+            assert_eq!(cfg.validate(), Ok(()), "rate {rate}");
+        }
+    }
+}

@@ -3,7 +3,8 @@
 //! The shuffle service and block store model the happy path; real
 //! Spark-class deployments spend a meaningful fraction of wall-clock on
 //! stragglers, failed fetches, and lineage recomputation. This module
-//! provides the seeded anomaly source every layer shares:
+//! provides the seeded anomaly source every layer shares. The classes
+//! whose rates [`FaultConfig`] holds:
 //!
 //! * **wire corruption** — a byte of a [`crate::net`] transfer is
 //!   flipped in flight; the receiver detects it via the stream's CRC
@@ -18,22 +19,23 @@
 //! * **accelerator fault** — one hardware serialization request fails
 //!   and the affected partition degrades to a configured software
 //!   serializer;
-//! * **executor crash** — a cluster executor silently stops mid-task;
-//!   the scheduler's heartbeat detector declares it dead, kills its
-//!   in-flight attempt, and recomputes any lost outputs;
-//! * **node failure** — a whole node (all its executors and its DU
-//!   device contexts) goes down at once;
-//! * **task failure** — one task attempt fails without taking its
-//!   executor down (a flaky host); repeated failures on the same
-//!   executor feed the scheduler's blacklist accounting.
+//! * **spill corruption** — a reloaded spill image comes back damaged
+//!   and the block is rebuilt from lineage.
 //!
-//! Determinism is the contract: every draw comes from a
-//! [`sdheap::rng::Rng`] stream derived from `(seed, scope)`, where the
-//! scope is a stable entity id (mapper index, global message index,
-//! store instance) — never a thread or wall-clock artifact. Two runs
-//! with the same seed see byte-identical fault schedules for any
-//! worker-thread count, which is what lets CI `cmp` fault-sweep
-//! reports.
+//! The cluster scheduler's executor crashes, node failures, clean task
+//! failures and DU device failures draw from the same kind of stream;
+//! their rates live in the cluster crate's own fault config.
+//!
+//! Determinism is the contract: a fault stream is a plain
+//! [`sdheap::rng::Rng`] from [`stream`]`(seed, scope)`, where the scope
+//! is a stable entity id (mapper index, global message index, store
+//! instance, executor) — never a thread or wall-clock artifact. A
+//! caller draws a class with `rng.gen_bool(rate)` (every draw consumes
+//! the stream, also at rate 0, so the layout never depends on which
+//! faults fire), a landing point with [`interior`], a damaged byte with
+//! [`corrupt_byte`] and jitter with `rng.gen_f64()`. Two runs with the
+//! same seed see byte-identical fault schedules for any worker-thread
+//! count, which is what lets CI `cmp` fault-sweep reports.
 
 use sdheap::rng::Rng;
 
@@ -41,7 +43,7 @@ use sdheap::rng::Rng;
 /// probabilities in `[0, 1]`; a rate of `0` disables that class.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
-    /// Base seed all scoped injector streams derive from.
+    /// Base seed every scoped [`stream`] derives from.
     pub seed: u64,
     /// Per-transfer probability that one wire byte is corrupted.
     pub wire_corruption: f64,
@@ -57,16 +59,6 @@ pub struct FaultConfig {
     /// Per-reload probability that a spill image comes back corrupted
     /// (detected by the block checksum; recovered via lineage).
     pub spill_corruption: f64,
-    /// Per-dispatch probability that a cluster executor crashes while
-    /// running the dispatched attempt (drawn from the executor's scoped
-    /// stream; the crash lands at an interior fraction of the service).
-    pub exec_crash: f64,
-    /// Per-dispatch probability that the executor's whole node fails
-    /// (drawn from the node's scoped stream).
-    pub node_failure: f64,
-    /// Per-dispatch probability that the attempt fails without killing
-    /// its executor (a flaky-task failure, retried with backoff).
-    pub task_failure: f64,
     /// Retry budget: failed fetches are retried at most this many
     /// times; the final attempt within the budget always succeeds (the
     /// model guarantees forward progress, so folds stay exact).
@@ -81,7 +73,7 @@ pub struct FaultConfig {
 impl FaultConfig {
     /// All fault classes disabled (rates zero); recovery knobs keep
     /// their defaults so a zero-rate run is byte-identical to one with
-    /// no injector at all.
+    /// no fault config at all.
     pub fn none() -> Self {
         FaultConfig {
             seed: 0,
@@ -91,9 +83,6 @@ impl FaultConfig {
             mapper_death: 0.0,
             accel_fault: 0.0,
             spill_corruption: 0.0,
-            exec_crash: 0.0,
-            node_failure: 0.0,
-            task_failure: 0.0,
             max_retries: 4,
             backoff_ns: 50_000.0,
             timeout_ns: 1_000_000.0,
@@ -110,29 +99,48 @@ impl FaultConfig {
             mapper_death: rate,
             accel_fault: rate,
             spill_corruption: rate,
-            exec_crash: rate,
-            node_failure: rate,
-            task_failure: rate,
             ..FaultConfig::none()
         }
     }
 
     /// Whether any fault class can fire.
     pub fn enabled(&self) -> bool {
-        self.wire_corruption > 0.0
-            || self.link_loss > 0.0
-            || self.disk_read_error > 0.0
-            || self.mapper_death > 0.0
-            || self.accel_fault > 0.0
-            || self.spill_corruption > 0.0
-            || self.exec_crash > 0.0
-            || self.node_failure > 0.0
-            || self.task_failure > 0.0
+        self.rates().iter().any(|&(rate, _)| rate > 0.0)
     }
 
-    /// The injector stream for a stable entity id.
-    pub fn scoped(&self, scope: u64) -> FaultInjector {
-        FaultInjector::scoped(*self, scope)
+    /// The six rates, each with the error [`FaultConfig::validate`]
+    /// reports when it lies outside `[0, 1]`.
+    fn rates(&self) -> [(f64, &'static str); 6] {
+        [
+            (self.wire_corruption, "faults.wire_corruption must be in [0, 1]"),
+            (self.link_loss, "faults.link_loss must be in [0, 1]"),
+            (self.disk_read_error, "faults.disk_read_error must be in [0, 1]"),
+            (self.mapper_death, "faults.mapper_death must be in [0, 1]"),
+            (self.accel_fault, "faults.accel_fault must be in [0, 1]"),
+            (self.spill_corruption, "faults.spill_corruption must be in [0, 1]"),
+        ]
+    }
+
+    /// Checks that every rate lies in `[0, 1]` (NaN does not) and that
+    /// both recovery times are finite and `>= 0`.
+    ///
+    /// # Errors
+    /// A message naming the first offending field.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        for (rate, why) in self.rates() {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(why);
+            }
+        }
+        for (x, why) in [
+            (self.backoff_ns, "faults.backoff_ns must be finite and >= 0"),
+            (self.timeout_ns, "faults.timeout_ns must be finite and >= 0"),
+        ] {
+            if !(x.is_finite() && x >= 0.0) {
+                return Err(why);
+            }
+        }
+        Ok(())
     }
 
     /// [`exp_backoff_ns`] from this config's `backoff_ns`.
@@ -148,123 +156,35 @@ pub fn exp_backoff_ns(base_ns: f64, k: u32) -> f64 {
     base_ns * f64::from(1u32 << k.min(16))
 }
 
-/// One seeded fault stream. Each injector owns an independent PRNG
-/// stream, so the draw order within a scope is fixed and scopes never
-/// interfere — the foundation of thread-count invariance.
-#[derive(Clone, Debug)]
-pub struct FaultInjector {
-    cfg: FaultConfig,
-    rng: Rng,
-}
-
-/// Mixes the scope into the seed (SplitMix64 finalizer) so neighboring
-/// scope ids land in unrelated stream states.
-fn mix(seed: u64, scope: u64) -> u64 {
+/// The fault stream of a stable entity id. The scope is mixed into the
+/// seed (SplitMix64 finalizer) so neighbouring scope ids land in
+/// unrelated stream states; each stream is independent, so the draw
+/// order within a scope is fixed and scopes never interfere.
+pub fn stream(seed: u64, scope: u64) -> Rng {
     let mut z = seed ^ scope.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    Rng::new(z ^ (z >> 31))
 }
 
-impl FaultInjector {
-    /// The injector stream for `(cfg.seed, scope)`.
-    pub fn scoped(cfg: FaultConfig, scope: u64) -> Self {
-        FaultInjector {
-            rng: Rng::new(mix(cfg.seed, scope)),
-            cfg,
-        }
+/// Whether a fault at `rate` fires, and if so at which fraction of the
+/// interrupted work (in `[0.05, 0.95)`: never exactly 0 or 1, so the
+/// fault interrupts real progress and always beats the work's finish).
+pub fn interior(rng: &mut Rng, rate: f64) -> Option<f64> {
+    if rng.gen_bool(rate) {
+        Some(rng.gen_range_f64(0.05, 0.95))
+    } else {
+        None
     }
+}
 
-    /// The configuration behind this stream.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// Whether the next wire transfer is corrupted.
-    pub fn corrupt_wire(&mut self) -> bool {
-        self.rng.gen_bool(self.cfg.wire_corruption)
-    }
-
-    /// Whether the next wire transfer is lost.
-    pub fn lose_message(&mut self) -> bool {
-        self.rng.gen_bool(self.cfg.link_loss)
-    }
-
-    /// Whether the next disk read errors.
-    pub fn disk_read_fails(&mut self) -> bool {
-        self.rng.gen_bool(self.cfg.disk_read_error)
-    }
-
-    /// Whether the next spill reload comes back corrupted.
-    pub fn corrupt_spill(&mut self) -> bool {
-        self.rng.gen_bool(self.cfg.spill_corruption)
-    }
-
-    /// Whether the next accelerator request faults.
-    pub fn accel_faults(&mut self) -> bool {
-        self.rng.gen_bool(self.cfg.accel_fault)
-    }
-
-    /// Whether this mapper dies, and if so at which fraction of its map
-    /// work (in `(0, 1)`); the task re-executes from scratch after the
-    /// death point.
-    pub fn mapper_dies(&mut self) -> Option<f64> {
-        if self.rng.gen_bool(self.cfg.mapper_death) {
-            // Never exactly 0 or 1: the death interrupts real progress.
-            Some(self.rng.gen_range_f64(0.05, 0.95))
-        } else {
-            None
-        }
-    }
-
-    /// Whether the executor behind this stream crashes during the
-    /// attempt just dispatched, and if so at which interior fraction of
-    /// the attempt's service the machine stops.
-    pub fn exec_crashes(&mut self) -> Option<f64> {
-        if self.rng.gen_bool(self.cfg.exec_crash) {
-            Some(self.rng.gen_range_f64(0.05, 0.95))
-        } else {
-            None
-        }
-    }
-
-    /// Whether the node behind this stream fails during the attempt
-    /// just dispatched on one of its executors, and if so at which
-    /// interior fraction of that attempt's service.
-    pub fn node_fails(&mut self) -> Option<f64> {
-        if self.rng.gen_bool(self.cfg.node_failure) {
-            Some(self.rng.gen_range_f64(0.05, 0.95))
-        } else {
-            None
-        }
-    }
-
-    /// Whether the attempt just dispatched fails (without killing its
-    /// executor), and if so at which interior fraction of its service.
-    pub fn task_fails(&mut self) -> Option<f64> {
-        if self.rng.gen_bool(self.cfg.task_failure) {
-            Some(self.rng.gen_range_f64(0.05, 0.95))
-        } else {
-            None
-        }
-    }
-
-    /// A seeded uniform draw in `[0, 1)` — cooldown/backoff jitter that
-    /// stays on this scope's deterministic stream.
-    pub fn jitter(&mut self) -> f64 {
-        self.rng.gen_f64()
-    }
-
-    /// A deterministic single-byte corruption for a `len`-byte payload:
-    /// `(position, xor mask)` with a non-zero mask, so the byte always
-    /// changes.
-    pub fn corrupt_byte(&mut self, len: usize) -> (usize, u8) {
-        debug_assert!(len > 0, "cannot corrupt an empty payload");
-        let pos = self.rng.gen_range_usize(0, len);
-        let mask = self.rng.gen_range_u64(1, 256) as u8;
-        (pos, mask)
-    }
-
+/// A single-byte corruption of a `len`-byte payload: `(position, xor
+/// mask)` with a non-zero mask, so the byte always changes.
+pub fn corrupt_byte(rng: &mut Rng, len: usize) -> (usize, u8) {
+    debug_assert!(len > 0, "cannot corrupt an empty payload");
+    let pos = rng.gen_range_usize(0, len);
+    let mask = rng.gen_range_u64(1, 256) as u8;
+    (pos, mask)
 }
 
 #[cfg(test)]
@@ -273,83 +193,63 @@ mod tests {
 
     #[test]
     fn zero_rates_never_fire() {
-        let mut inj = FaultConfig::none().scoped(7);
+        let mut rng = stream(0, 7);
         for _ in 0..1000 {
-            assert!(!inj.corrupt_wire());
-            assert!(!inj.lose_message());
-            assert!(!inj.disk_read_fails());
-            assert!(!inj.corrupt_spill());
-            assert!(!inj.accel_faults());
-            assert!(inj.mapper_dies().is_none());
+            assert!(!rng.gen_bool(0.0));
+            assert!(interior(&mut rng, 0.0).is_none());
         }
+        assert!(!FaultConfig::none().enabled());
+        assert!(FaultConfig::uniform(0.1, 0).enabled());
     }
 
     #[test]
     fn scoped_streams_are_deterministic_and_independent() {
-        let cfg = FaultConfig::uniform(0.5, 42);
-        let a: Vec<bool> = {
-            let mut i = cfg.scoped(3);
-            (0..64).map(|_| i.corrupt_wire()).collect()
+        let draws = |scope| -> Vec<bool> {
+            let mut rng = stream(42, scope);
+            (0..64).map(|_| rng.gen_bool(0.5)).collect()
         };
-        let b: Vec<bool> = {
-            let mut i = cfg.scoped(3);
-            (0..64).map(|_| i.corrupt_wire()).collect()
-        };
-        assert_eq!(a, b, "same scope replays the same schedule");
-        let c: Vec<bool> = {
-            let mut i = cfg.scoped(4);
-            (0..64).map(|_| i.corrupt_wire()).collect()
-        };
-        assert_ne!(a, c, "different scopes draw different schedules");
+        assert_eq!(draws(3), draws(3), "same scope replays the same schedule");
+        assert_ne!(draws(3), draws(4), "different scopes draw different schedules");
     }
 
     #[test]
     fn rates_track_probability() {
-        let cfg = FaultConfig::uniform(0.25, 9);
-        let mut inj = cfg.scoped(0);
-        let hits = (0..10_000).filter(|_| inj.lose_message()).count();
+        let mut rng = stream(9, 0);
+        let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((2000..3000).contains(&hits), "{hits}");
     }
 
     #[test]
     fn corrupt_byte_changes_the_payload() {
-        let mut inj = FaultConfig::uniform(1.0, 1).scoped(5);
+        let mut rng = stream(1, 5);
         for len in [1usize, 2, 64, 4096] {
-            let (pos, mask) = inj.corrupt_byte(len);
+            let (pos, mask) = corrupt_byte(&mut rng, len);
             assert!(pos < len);
             assert_ne!(mask, 0, "xor mask must flip at least one bit");
         }
     }
 
     #[test]
-    fn death_fraction_is_interior() {
-        let mut inj = FaultConfig::uniform(1.0, 2).scoped(0);
+    fn interior_fraction_is_interior() {
+        let mut rng = stream(2, 0);
         for _ in 0..100 {
-            let f = inj.mapper_dies().expect("rate 1 always fires");
+            let f = interior(&mut rng, 1.0).expect("rate 1 always fires");
             assert!(f > 0.0 && f < 1.0, "{f}");
         }
     }
 
     #[test]
-    fn cluster_fault_draws_fire_and_stay_interior() {
-        let mut zero = FaultConfig::none().scoped(11);
-        for _ in 0..200 {
-            assert!(zero.exec_crashes().is_none());
-            assert!(zero.node_fails().is_none());
-            assert!(zero.task_fails().is_none());
-        }
-        let mut hot = FaultConfig::uniform(1.0, 11).scoped(11);
-        for _ in 0..200 {
-            for f in [
-                hot.exec_crashes().expect("rate 1 fires"),
-                hot.node_fails().expect("rate 1 fires"),
-                hot.task_fails().expect("rate 1 fires"),
-            ] {
-                assert!(f > 0.0 && f < 1.0, "{f}");
-            }
-            let j = hot.jitter();
-            assert!((0.0..1.0).contains(&j), "{j}");
-        }
+    fn validate_rejects_out_of_range_rates_and_times() {
+        assert_eq!(FaultConfig::none().validate(), Ok(()));
+        assert_eq!(FaultConfig::uniform(1.0, 3).validate(), Ok(()));
+        let nan = FaultConfig { link_loss: f64::NAN, ..FaultConfig::none() };
+        assert_eq!(nan.validate(), Err("faults.link_loss must be in [0, 1]"));
+        let high = FaultConfig { spill_corruption: 1.5, ..FaultConfig::none() };
+        assert_eq!(high.validate(), Err("faults.spill_corruption must be in [0, 1]"));
+        let back = FaultConfig { backoff_ns: -1.0, ..FaultConfig::none() };
+        assert_eq!(back.validate(), Err("faults.backoff_ns must be finite and >= 0"));
+        let time = FaultConfig { timeout_ns: f64::INFINITY, ..FaultConfig::none() };
+        assert_eq!(time.validate(), Err("faults.timeout_ns must be finite and >= 0"));
     }
 
     #[test]

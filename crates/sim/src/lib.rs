@@ -19,8 +19,10 @@
 //! * [`ledger`] — the time-bucket capacity ledger every
 //!   bandwidth-limited device above books on (one per DRAM channel,
 //!   network link and disk).
-//! * [`fault`] — the seeded fault injector (wire corruption, link loss,
-//!   disk read errors, mapper death, accelerator faults) behind the
+//! * [`fault`] — the seeded fault streams ([`fault::stream`], plain
+//!   PRNGs scoped by entity id) and the shuffle/store fault rates
+//!   ([`FaultConfig`]: wire corruption, link loss, disk read errors,
+//!   mapper death, accelerator faults, spill corruption) behind the
 //!   recovery experiments.
 //!
 //! The `cereal` crate builds the SU/DU pipeline models on top of
@@ -41,7 +43,7 @@ pub use cache::{Cache, Hierarchy, HitLevel, LevelConfig};
 pub use cpu::{Cpu, CpuConfig, CpuReport, OpCosts, OP_CLASS_NAMES};
 pub use disk::{Disk, DiskConfig, DiskWindow};
 pub use dram::{Dram, DramConfig};
-pub use fault::{FaultConfig, FaultInjector};
+pub use fault::FaultConfig;
 pub use mai::{Mai, MaiConfig, MaiStats, ReorderBuffer};
 pub use net::{Link, LinkConfig, NetWindow};
 pub use tlb::{Tlb, TlbConfig};

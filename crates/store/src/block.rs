@@ -34,7 +34,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sim::{Disk, DiskConfig, FaultConfig, FaultInjector};
+use sdheap::rng::Rng;
+use sim::fault::{corrupt_byte, stream};
+use sim::{Disk, DiskConfig, FaultConfig};
 use telemetry::{EntityId, Sink, Span};
 
 /// What a cache miss does with a block that is no longer in memory.
@@ -217,7 +219,7 @@ struct Block {
     tick: Option<u64>,
 }
 
-/// Scope id for a store's private injector stream (the caller
+/// Scope id for a store's private fault stream (the caller
 /// differentiates stores via the fault seed).
 const STORE_FAULT_SCOPE: u64 = 0x0D15_C0DE;
 
@@ -234,8 +236,8 @@ pub struct BlockStore {
     clock: u64,
     /// LRU index: recency tick → block id (oldest first).
     lru: BTreeMap<u64, usize>,
-    /// Seeded anomaly source for spill reloads.
-    injector: Option<FaultInjector>,
+    /// Seeded fault stream for spill reloads (`Some` iff `cfg.fault` is).
+    fault_rng: Option<Rng>,
     stats: StoreStats,
 }
 
@@ -249,7 +251,7 @@ impl BlockStore {
             used: 0,
             clock: 0,
             lru: BTreeMap::new(),
-            injector: cfg.fault.map(|f| f.scoped(STORE_FAULT_SCOPE)),
+            fault_rng: cfg.fault.map(|f| stream(f.seed, STORE_FAULT_SCOPE)),
             cfg,
             stats: StoreStats::default(),
         }
@@ -356,12 +358,13 @@ impl BlockStore {
             // Fault draws are per attempt, in a fixed order, from the
             // store's private stream — deterministic for any thread
             // count because the store simulation itself is sequential.
-            let (transient, corrupt) = match &mut self.injector {
-                Some(inj) => {
-                    let budget_left = attempt < inj.config().max_retries;
-                    (inj.disk_read_fails() && budget_left, inj.corrupt_spill())
+            let (transient, corrupt) = match (&self.cfg.fault, &mut self.fault_rng) {
+                (Some(f), Some(rng)) => {
+                    let budget_left = attempt < f.max_retries;
+                    let transient = rng.gen_bool(f.disk_read_error) && budget_left;
+                    (transient, rng.gen_bool(f.spill_corruption))
                 }
-                None => (false, false),
+                _ => (false, false),
             };
             if corrupt {
                 if !self.cfg.checksum {
@@ -371,8 +374,8 @@ impl BlockStore {
                 // Really corrupt the reloaded copy, demonstrate the
                 // frame check catches it, then rebuild from lineage.
                 let mut image = self.spill[off as usize..(off + len) as usize].to_vec();
-                let inj = self.injector.as_mut().expect("corrupt implies injector");
-                let (pos, mask) = inj.corrupt_byte(image.len());
+                let rng = self.fault_rng.as_mut().expect("corrupt implies a fault stream");
+                let (pos, mask) = corrupt_byte(rng, image.len());
                 image[pos] ^= mask;
                 debug_assert!(
                     sdformat::frame::verify(&image).is_err(),
@@ -388,8 +391,8 @@ impl BlockStore {
                 // the backoff, then try again. The budget check above
                 // forces the last attempt to succeed, so the store
                 // always makes progress.
-                let inj = self.injector.as_ref().expect("transient implies injector");
-                let resume = done + inj.config().retry_backoff_ns(attempt);
+                let f = self.cfg.fault.expect("transient implies a fault config");
+                let resume = done + f.retry_backoff_ns(attempt);
                 self.stats.read_retries += 1;
                 self.stats.retry_ns += resume - now;
                 now = resume;

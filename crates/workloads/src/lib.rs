@@ -19,5 +19,5 @@ pub mod zipf;
 pub use jsbs::media_content;
 pub use micro::{MicroBench, Scale};
 pub use spark::agg::{fold_record, merge_folds, AggConfig, AggPartition, Fold, KeySkew};
-pub use spark::{phases, SparkApp, SparkDataset, SparkScale};
+pub use spark::{phases, SparkApp, SparkDataset};
 pub use zipf::{SkewSampler, Zipf};

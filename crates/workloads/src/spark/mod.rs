@@ -17,13 +17,15 @@
 //!
 //! Each batch (one `Object[]` of records) is one S/D request — Spark
 //! serializes per partition, which is where Cereal's operation-level
-//! parallelism comes from. Input sizes follow Table III, scaled by
-//! [`SparkScale`] (default 1/256 — ratios, not absolute times, are what
-//! the figures report).
+//! parallelism comes from. Input sizes follow Table III, divided by 256
+//! at [`Scale::Scaled`] and [`Scale::Paper`] alike (the full inputs are
+//! not modeled; ratios, not absolute times, are what the figures
+//! report), or a few batches at [`Scale::Tiny`].
 
 pub mod agg;
 pub mod phases;
 
+use crate::Scale;
 use sdheap::builder::Init;
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
@@ -43,15 +45,6 @@ pub enum SparkApp {
     Terasort,
     /// Alternating Least Squares (1331 MB).
     Als,
-}
-
-/// Dataset size selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SparkScale {
-    /// Table III sizes divided by 256 — the experiment default.
-    Scaled,
-    /// A few batches — for tests.
-    Tiny,
 }
 
 /// A generated dataset: one heap holding `batches` independent S/D
@@ -112,16 +105,17 @@ impl SparkApp {
         }
     }
 
-    /// Target S/D-visible bytes at a scale.
-    pub fn target_bytes(&self, scale: SparkScale) -> u64 {
+    /// Target S/D-visible bytes at a scale: the Table III size divided
+    /// by 256 at `Scaled` and `Paper`, a few batches at `Tiny`.
+    pub fn target_bytes(&self, scale: Scale) -> u64 {
         match scale {
-            SparkScale::Scaled => self.input_mb() * (1 << 20) / 256,
-            SparkScale::Tiny => 64 << 10,
+            Scale::Scaled | Scale::Paper => self.input_mb() * (1 << 20) / 256,
+            Scale::Tiny => 64 << 10,
         }
     }
 
     /// Builds the dataset.
-    pub fn build(&self, scale: SparkScale) -> SparkDataset {
+    pub fn build(&self, scale: Scale) -> SparkDataset {
         let target = self.target_bytes(scale);
         let mut b = GraphBuilder::new(target * 6 + (1 << 20));
         let mut rng = Rng::new(0x5EED ^ (*self as u64) << 8);
@@ -283,7 +277,7 @@ mod tests {
     #[test]
     fn all_apps_build_tiny_datasets() {
         for app in SparkApp::all() {
-            let ds = app.build(SparkScale::Tiny);
+            let ds = app.build(Scale::Tiny);
             assert!(!ds.batches.is_empty(), "{}", app.name());
             let s = GraphStats::measure(&ds.heap, &ds.reg, ds.batches[0]);
             assert!(s.objects > 100, "{}: {} objects", app.name(), s.objects);
@@ -302,8 +296,8 @@ mod tests {
 
     #[test]
     fn nweight_is_reference_heavy_svm_is_not() {
-        let nw = SparkApp::NWeight.build(SparkScale::Tiny);
-        let svm = SparkApp::Svm.build(SparkScale::Tiny);
+        let nw = SparkApp::NWeight.build(Scale::Tiny);
+        let svm = SparkApp::Svm.build(Scale::Tiny);
         let s_nw = GraphStats::measure(&nw.heap, &nw.reg, nw.batches[0]);
         let s_svm = GraphStats::measure(&svm.heap, &svm.reg, svm.batches[0]);
         let refs_per_byte_nw = s_nw.live_refs as f64 / s_nw.total_bytes as f64;
@@ -316,8 +310,8 @@ mod tests {
 
     #[test]
     fn datasets_are_deterministic() {
-        let a = SparkApp::Als.build(SparkScale::Tiny);
-        let b = SparkApp::Als.build(SparkScale::Tiny);
+        let a = SparkApp::Als.build(Scale::Tiny);
+        let b = SparkApp::Als.build(Scale::Tiny);
         assert_eq!(a.batches.len(), b.batches.len());
         assert!(sdheap::isomorphic_with(
             &a.heap,
@@ -333,8 +327,8 @@ mod tests {
 
     #[test]
     fn scaled_dataset_hits_target_bytes() {
-        let ds = SparkApp::NWeight.build(SparkScale::Scaled);
-        let target = SparkApp::NWeight.target_bytes(SparkScale::Scaled);
+        let ds = SparkApp::NWeight.build(Scale::Scaled);
+        let target = SparkApp::NWeight.target_bytes(Scale::Scaled);
         let total: u64 = ds
             .batches
             .iter()

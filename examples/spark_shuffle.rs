@@ -8,7 +8,7 @@
 
 use cereal_repro::accel::CerealConfig;
 use cereal_repro::baselines::{JavaSd, Kryo, Serializer};
-use cereal_repro::bench_workloads::{SparkApp, SparkScale};
+use cereal_repro::bench_workloads::{Scale, SparkApp};
 use cereal_repro::heap::{Addr, Heap};
 use sim::Cpu;
 
@@ -20,7 +20,7 @@ fn main() {
         app.workload_type(),
         app.input_mb()
     );
-    let mut ds = app.build(SparkScale::Tiny);
+    let mut ds = app.build(Scale::Tiny);
     let batches = ds.batches.clone();
     println!("{} partitions of 256 records each\n", batches.len());
 

@@ -5,12 +5,12 @@ use cereal_repro::accel::{
     initialize, read_object, write_object, Accelerator, CerealConfig, ObjectInputStream,
     ObjectOutputStream,
 };
-use cereal_repro::bench_workloads::{MicroBench, Scale, SparkApp, SparkScale};
+use cereal_repro::bench_workloads::{MicroBench, Scale, SparkApp};
 use cereal_repro::heap::{isomorphic, Addr, Heap};
 
 #[test]
 fn write_read_object_over_a_whole_spark_dataset() {
-    let mut ds = SparkApp::Bayes.build(SparkScale::Tiny);
+    let mut ds = SparkApp::Bayes.build(Scale::Tiny);
     let mut accel = initialize(CerealConfig::paper());
     accel.register_all(&ds.reg).expect("register");
 

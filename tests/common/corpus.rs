@@ -1,10 +1,10 @@
 //! The 18-graph corpus the serializer fixtures run over: five
 //! handcrafted shapes, every microbenchmark at `Scale::Tiny`, the JSBS
 //! media object, and the first batch of every Spark application at
-//! `SparkScale::Tiny`; with the six software backends that run on it.
+//! `Scale::Tiny`; with the six software backends that run on it.
 
 use cereal_repro::baselines::{Archive, JavaSd, JsonLike, Kryo, ProtoLike, Serializer, Skyway};
-use cereal_repro::bench_workloads::{media_content, MicroBench, Scale, SparkApp, SparkScale};
+use cereal_repro::bench_workloads::{media_content, MicroBench, Scale, SparkApp};
 use cereal_repro::heap::builder::Init;
 use cereal_repro::heap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
 
@@ -148,7 +148,7 @@ pub fn corpus() -> Vec<(&'static str, Graph)> {
     }
     graphs.push(("media_content", media_content()));
     for app in SparkApp::all() {
-        let ds = app.build(SparkScale::Tiny);
+        let ds = app.build(Scale::Tiny);
         let root = ds.batches[0];
         graphs.push((app.name(), (ds.heap, ds.reg, root)));
     }

@@ -6,7 +6,7 @@ use cereal_repro::accel::CerealSerializer;
 use cereal_repro::baselines::{
     Archive, JavaSd, JsonLike, Kryo, NullSink, ProtoLike, Serializer, Skyway,
 };
-use cereal_repro::bench_workloads::{media_content, MicroBench, Scale, SparkApp, SparkScale};
+use cereal_repro::bench_workloads::{media_content, MicroBench, Scale, SparkApp};
 use cereal_repro::heap::{isomorphic_with, Addr, Heap, IsoOptions, KlassRegistry};
 
 fn all_serializers() -> Vec<Box<dyn Serializer>> {
@@ -73,7 +73,7 @@ fn every_serializer_roundtrips_the_jsbs_object() {
 #[test]
 fn every_serializer_roundtrips_every_spark_batch() {
     for app in SparkApp::all() {
-        let mut ds = app.build(SparkScale::Tiny);
+        let mut ds = app.build(Scale::Tiny);
         let root = ds.batches[0];
         for ser in all_serializers().into_iter().chain(acyclic_extra_serializers()) {
             assert_roundtrip(ser.as_ref(), &mut ds.heap, &ds.reg, root, app.name());

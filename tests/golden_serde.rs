@@ -7,7 +7,7 @@
 //! sequence. This test pins both, per backend, over an 18-graph corpus:
 //! the five handcrafted shapes of [`common::corpus`], every microbenchmark at
 //! `Scale::Tiny`, the JSBS media object, and the first batch of every
-//! Spark application at `SparkScale::Tiny`. For each graph a row in
+//! Spark application at `Scale::Tiny`. For each graph a row in
 //! [`ROWS`] records
 //!
 //! * the stream length and its FNV-1a-64;
