@@ -6,7 +6,9 @@ use crate::jsbs_suite::JsbsResult;
 use crate::micro_suite::MicroResult;
 use crate::spark_suite::SparkResult;
 use crate::table::{bytes, geomean, ns, pct, x, Table};
+use cereal::config::{CLOCK_GHZ, MAX_CLASSES};
 use cereal::energy::{self, ModuleGroup};
+use sim::cpu::{FREQ_GHZ, ISSUE_WIDTH, MLP};
 use workloads::spark::phases::AppRun;
 
 fn breakdown_row(name: &str, run: &AppRun) -> Vec<String> {
@@ -376,7 +378,8 @@ pub fn table1() -> String {
     let dram = cfg.dram;
     let mut out = String::from("Table I — Architectural parameters\n\n");
     let mut t = Table::new(&["parameter", "value"]);
-    t.row(vec!["Host core".into(), "i7-7820X-class, 3.6 GHz, 4-wide, MLP 10".into()]);
+    let host = format!("i7-7820X-class, {FREQ_GHZ} GHz, {ISSUE_WIDTH}-wide, MLP {MLP}");
+    t.row(vec!["Host core".into(), host]);
     t.row(vec!["L1/L2/L3".into(), "32KB / 1MB / 11MB (64B lines, LRU)".into()]);
     t.row(vec![
         "DRAM".into(),
@@ -399,8 +402,8 @@ pub fn table1() -> String {
         "TLB".into(),
         format!("{} entries, 1 GB pages", cfg.tlb.entries),
     ]);
-    t.row(vec!["Max classes".into(), format!("{}", cfg.max_classes)]);
-    t.row(vec!["Accelerator clock".into(), format!("{} GHz (assumed; see DESIGN.md)", cfg.clock_ghz)]);
+    t.row(vec!["Max classes".into(), format!("{MAX_CLASSES}")]);
+    t.row(vec!["Accelerator clock".into(), format!("{CLOCK_GHZ} GHz (assumed; see DESIGN.md)")]);
     out.push_str(&t.render());
     out
 }

@@ -167,7 +167,7 @@ pub fn run_software_parallel(
     let mut streams_per_core: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cores);
     let mut ser_energy_core_ns = 0.0;
     for chunk in &chunks {
-        let mut cpu = Cpu::with_dram(sim::CpuConfig::default(), dram);
+        let mut cpu = Cpu::with_dram(dram);
         let mut streams = Vec::with_capacity(chunk.len());
         for &root in chunk {
             streams.push(ser.serialize(heap, reg, root, &mut cpu).expect("serialize"));
@@ -191,7 +191,7 @@ pub fn run_software_parallel(
     let mut de_energy_core_ns = 0.0;
     let cap = heap.capacity_bytes();
     for streams in &streams_per_core {
-        let mut cpu = Cpu::with_dram(sim::CpuConfig::default(), dram);
+        let mut cpu = Cpu::with_dram(dram);
         for bytes in streams {
             let mut dst = Heap::with_base(Addr(DST_BASE), cap);
             ser.deserialize(bytes, reg, &mut dst, &mut cpu).expect("deserialize");

@@ -3,21 +3,21 @@
 //! The scheduler needs per-task service times and inter-task transfer
 //! sizes. Rather than inventing synthetic numbers, every tenant's
 //! template runs through the *actual* executors —
-//! [`shuffle::run_mapper`]/[`shuffle::run_reducer_sunk`] for shuffle jobs,
-//! [`store::build_part`] for cached-RDD jobs — exactly once, and the
-//! measurements become the profile that every job instance of that
-//! tenant replays under contention. Whatever the template, a profile is
-//! one table: stages of tasks ([`StageProfile`], [`TaskProfile`]). The
-//! executors' per-task folds are merged here into the profile digest;
-//! since every attempt replays this fixed profile, a completed job's
-//! answer *is* that digest.
+//! [`shuffle::run_backend_sunk`] for shuffle jobs, [`store::build_part`]
+//! for cached-RDD jobs — exactly once, and the measurements become the
+//! profile that every job instance of that tenant replays under
+//! contention. Whatever the template, a profile is one table: stages of
+//! tasks ([`StageProfile`], [`TaskProfile`]). The job's merged fold (the
+//! shuffle service's, or the partitions' merged here) becomes the
+//! profile digest; since every attempt replays this fixed profile, a
+//! completed job's answer *is* that digest.
 //!
-//! Builds fan out over [`store::par_map`] (per-task results are pure
-//! functions of the template), so `--jobs` changes wall-clock only.
+//! Builds fan out over `cfg.jobs` worker threads (per-task results are
+//! pure functions of the template), so `--jobs` changes wall-clock only.
 
 use crate::job::{template, JobKind, TenantTemplate};
 use crate::{ClusterConfig, ClusterError};
-use shuffle::{fold_checksum, run_mapper, run_reducer_sunk, Message, ShuffleConfig};
+use shuffle::{fold_checksum, run_backend_sunk, ShuffleConfig};
 use store::{build_part, par_map, Backend, MissPolicy, RddConfig};
 use telemetry::NoopSink;
 use workloads::{merge_folds, Fold};
@@ -152,10 +152,11 @@ impl JobProfile {
     }
 }
 
-/// The shuffle configuration a tenant template profiles under:
-/// fault-free, spill-free, square (reducers = mappers), single-threaded
-/// per task.
-fn shuffle_cfg(t: &TenantTemplate) -> ShuffleConfig {
+/// The shuffle configuration a tenant template profiles under: the
+/// template's dataset, square (reducers = mappers), on the smoke
+/// preset's fault-free, spill-free settings. The preset's watermark
+/// shapes only the timeline, which the profile does not read.
+fn shuffle_cfg(cfg: &ClusterConfig, t: &TenantTemplate) -> ShuffleConfig {
     ShuffleConfig {
         mappers: t.agg.mappers,
         reducers: t.agg.mappers,
@@ -163,81 +164,59 @@ fn shuffle_cfg(t: &TenantTemplate) -> ShuffleConfig {
         distinct_keys: t.agg.distinct_keys,
         seed: t.agg.seed,
         skew: t.agg.skew,
-        flush_bytes: 4 << 10,
-        watermark_bytes: 1 << 30,
-        spill_bytes: 0,
-        link: sim::LinkConfig::ten_gbe(),
-        link_name: "10GbE",
-        gc_pressure: false,
-        gc_waves: 1,
-        jobs: 1,
-        checksum: false,
-        faults: None,
+        jobs: cfg.jobs,
+        ..ShuffleConfig::smoke()
     }
 }
 
-/// One run of the shuffle template: its tasks and the reducers' folds.
+/// One run of the shuffle template: its tasks and the merged fold.
 struct ShufflePass {
     maps: Vec<TaskProfile>,
     reduces: Vec<TaskProfile>,
-    folds: Vec<Fold>,
+    fold: Fold,
 }
 
-/// Runs the shuffle template under `backend`: every mapper, then every
-/// reducer over its batches in `(mapper, seq)` order.
-fn shuffle_pass(
-    cfg: &ClusterConfig,
-    sc: &ShuffleConfig,
-    backend: Backend,
-) -> Result<ShufflePass, ClusterError> {
-    let mut maps = Vec::with_capacity(sc.mappers);
-    let mut all_msgs: Vec<Message> = Vec::new();
-    for out in par_map(cfg.jobs, sc.mappers, |m| run_mapper(sc, backend, m)) {
-        let out = out?;
-        let ser_frac =
-            if out.clock_ns > 0.0 { (out.ser_busy_ns / out.clock_ns).min(1.0) } else { 0.0 };
-        maps.push(TaskProfile::new(out.clock_ns, (ser_frac, 0.0, 0.0), Vec::new()));
-        all_msgs.extend(out.messages);
-    }
-    let reg = sc.agg().registry();
-    let cap = sc.agg().heap_capacity();
-    let mut reduces = Vec::with_capacity(sc.reducers);
-    let mut folds = Vec::with_capacity(sc.reducers);
-    for out in par_map(cfg.jobs, sc.reducers, |r| {
-        let mut msgs: Vec<&Message> = all_msgs.iter().filter(|m| m.dst == r).collect();
-        msgs.sort_by_key(|m| (m.src, m.seq));
-        let inputs = msgs.iter().map(|m| (m.src, m.bytes.len() as u64)).collect();
-        run_reducer_sunk(backend, &reg, cap, &msgs, &[], false, r, &mut NoopSink)
-            .map(|out| (inputs, out))
-    }) {
-        let (inputs, out) = out?;
-        reduces.push(TaskProfile::new(out.de_busy_ns, (0.0, 1.0, 0.0), inputs));
-        folds.push(out.fold);
-    }
-    Ok(ShufflePass { maps, reduces, folds })
+/// Runs the shuffle template under `backend` through the shuffle
+/// service; each reducer's inputs are its batches in delivery order.
+fn shuffle_pass(sc: &ShuffleConfig, backend: Backend) -> Result<ShufflePass, ClusterError> {
+    let run = run_backend_sunk(sc, backend, &mut NoopSink)?;
+    let maps = run
+        .maps
+        .iter()
+        .map(|out| {
+            let ser_frac =
+                if out.clock_ns > 0.0 { (out.ser_busy_ns / out.clock_ns).min(1.0) } else { 0.0 };
+            TaskProfile::new(out.clock_ns, (ser_frac, 0.0, 0.0), Vec::new())
+        })
+        .collect();
+    let reduces = run
+        .reduces
+        .iter()
+        .enumerate()
+        .map(|(r, out)| TaskProfile::new(out.de_busy_ns, (0.0, 1.0, 0.0), run.reducer_inputs(r)))
+        .collect();
+    Ok(ShufflePass { maps, reduces, fold: run.fold })
 }
 
 fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile, ClusterError> {
-    let sc = shuffle_cfg(t);
-    let ShufflePass { maps, mut reduces, folds } = shuffle_pass(cfg, &sc, t.backend)?;
+    let sc = shuffle_cfg(cfg, t);
+    let ShufflePass { maps, mut reduces, fold } = shuffle_pass(&sc, t.backend)?;
     if profiles_fallback(cfg, t) {
         // A DU-failed node degrades end-to-end to the software fallback
         // format (PR 4 semantics): profile the fallback decode by
         // re-running the template under that backend and demand the
-        // per-task folds stay bit-identical — degradation moves time,
-        // never answers.
-        let fb = shuffle_pass(cfg, &sc, Backend::FALLBACK)?;
-        if fb.folds != folds {
+        // fold stays bit-identical — degradation moves time, never
+        // answers. Reducers own disjoint key ranges (key % reducers),
+        // so equal merged folds mean equal per-reducer folds.
+        let fb = shuffle_pass(&sc, Backend::FALLBACK)?;
+        if fb.fold != fold {
             return Err(ClusterError::ProfileFoldMismatch { tenant: t.tenant });
         }
         for (r, fb) in reduces.iter_mut().zip(fb.reduces) {
             r.fallback_ns = fb.service_ns;
         }
     }
-    // Reducers own disjoint key ranges (key % reducers), so merging in
-    // reducer order reproduces the expected aggregate bit for bit.
-    let merged = merge_folds(&folds);
-    if merged != sc.agg().expected_fold() {
+    if fold != sc.agg().expected_fold() {
         return Err(ClusterError::ProfileFoldMismatch { tenant: t.tenant });
     }
     let total: f64 = maps.iter().map(|m| m.service_ns).sum::<f64>()
@@ -246,7 +225,7 @@ fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile
         StageProfile { kind: StageKind::Map, tasks: maps },
         StageProfile { kind: StageKind::Reduce, tasks: reduces },
     ];
-    Ok(JobProfile::new(t, stages, &merged, total))
+    Ok(JobProfile::new(t, stages, &fold, total))
 }
 
 fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobProfile {
@@ -336,23 +315,7 @@ mod tests {
     fn every_tenants_profile_shuffle_config_validates() {
         let cfg = ClusterConfig::smoke();
         for t in 0..cfg.tenants {
-            assert_eq!(shuffle_cfg(&template(&cfg, t)).validate(), Ok(()), "tenant {t}");
-        }
-    }
-
-    #[test]
-    fn profiles_are_deterministic_across_thread_counts() {
-        let mut cfg = ClusterConfig::smoke();
-        cfg.tenants = 2;
-        cfg.jobs = 1;
-        let a = build_profiles(&cfg).expect("profiles build");
-        cfg.jobs = 4;
-        let b = build_profiles(&cfg).expect("profiles build");
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.fold_checksum, y.fold_checksum);
-            assert_eq!(x.tasks, y.tasks);
-            assert_eq!(x.total_service_ns, y.total_service_ns);
+            assert_eq!(shuffle_cfg(&cfg, &template(&cfg, t)).validate(), Ok(()), "tenant {t}");
         }
     }
 

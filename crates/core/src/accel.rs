@@ -17,7 +17,7 @@ use sim::Dram;
 use telemetry::ids::DU_TID_BASE;
 use telemetry::{EntityId, Sink, Span};
 
-use crate::config::CerealConfig;
+use crate::config::{CerealConfig, MAX_CLASSES};
 use crate::du::DeserializationUnit;
 use crate::energy;
 use crate::functional::{decode, encode};
@@ -109,7 +109,7 @@ impl Accelerator {
     /// paper's software interface).
     pub fn new(cfg: CerealConfig) -> Self {
         Accelerator {
-            tables: ClassTables::new(cfg.max_classes),
+            tables: ClassTables::new(MAX_CLASSES),
             dram: Dram::new(cfg.dram),
             su: (0..cfg.num_su).map(|_| SerializationUnit::new(&cfg)).collect(),
             du: (0..cfg.num_du).map(|_| DeserializationUnit::new(&cfg)).collect(),
@@ -198,9 +198,13 @@ impl Accelerator {
     /// Like [`Accelerator::serialize`], but encodes the stream into a
     /// caller-provided arena instead of allocating a fresh `Vec` per
     /// request. `out` is cleared first, so a reused arena amortizes its
-    /// allocation across requests — the hot path for callers issuing
-    /// many serializations in a loop (the shuffle and store services).
-    /// Bytes and timing are identical to [`Accelerator::serialize`].
+    /// allocation across requests. Its callers are
+    /// [`Accelerator::serialize`] (with a fresh `Vec`; the shuffle and
+    /// store services reach the accelerator that way, through
+    /// `store::Engine`), [`Accelerator::serialize_into_traced`], and the
+    /// [`crate::iface::CerealSerializer`] adapter behind the
+    /// [`serializers::Serializer`] trait. Bytes and timing are identical
+    /// to [`Accelerator::serialize`].
     ///
     /// # Errors
     /// [`SerError`] for unregistered classes, or

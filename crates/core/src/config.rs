@@ -1,7 +1,35 @@
 //! Architectural parameters of the Cereal accelerator (paper Table I and
 //! §V-E), plus the knobs for the paper's own ablation ("Cereal Vanilla").
+//!
+//! Parameters the evaluation never varies are constants: the clock, the
+//! class-table capacity, the header-manager and dispatch cycle counts,
+//! the DU prefetch buffer, the SU lookahead and the coherence latency.
+//! [`CerealConfig`] holds the ones the figures, ablations and tests turn.
 
 use sim::{DramConfig, MaiConfig, TlbConfig};
+
+/// Accelerator clock in GHz. The paper synthesizes at 40 nm but does not
+/// state a clock; 1 GHz is assumed (documented in DESIGN.md) and only
+/// scales the non-memory latencies.
+pub const CLOCK_GHZ: f64 = 1.0;
+/// Nanoseconds per accelerator cycle.
+pub(crate) const CYCLE_NS: f64 = 1.0 / CLOCK_GHZ;
+/// Maximum registered classes (Klass Pointer Table / Class ID Table
+/// capacity, §V-E: 4 K entries).
+pub const MAX_CLASSES: usize = 4096;
+/// Header-manager processing time per traversal step, in cycles.
+pub(crate) const HM_STEP_CYCLES: u32 = 1;
+/// Block-manager dispatch time per block, in cycles.
+pub(crate) const DISPATCH_CYCLES: u32 = 1;
+/// Per-stream eager-prefetch buffer in the DU, in bytes.
+pub(crate) const PREFETCH_BUFFER_BYTES: u64 = 4096;
+/// Header-prefetch lookahead of the SU's work queue, in objects.
+pub(crate) const SU_LOOKAHEAD: usize = 8;
+/// Extra latency per heap access for cache-coherence `get` messages
+/// (§V-E: Cereal participates in the on-chip coherence domain to fetch
+/// up-to-date copies; the pipeline tolerates the added latency). In
+/// nanoseconds.
+pub(crate) const COHERENCE_NS: f64 = 10.0;
 
 /// Full accelerator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -12,34 +40,14 @@ pub struct CerealConfig {
     pub num_du: usize,
     /// Block reconstructors per DU (paper: four).
     pub reconstructors_per_du: usize,
-    /// Accelerator clock in GHz. The paper synthesizes at 40 nm but does
-    /// not state a clock; 1 GHz is assumed (documented in DESIGN.md) and
-    /// only scales the non-memory latencies.
-    pub clock_ghz: f64,
-    /// Maximum registered classes (Klass Pointer Table / Class ID Table
-    /// capacity, §V-E: 4 K entries).
-    pub max_classes: usize,
     /// MAI geometry (Table I: 64 entries, 32 B blocks).
     pub mai: MaiConfig,
     /// TLB geometry (Table I: 128 entries, 1 GB pages).
     pub tlb: TlbConfig,
     /// DRAM system shared with the host (Table I).
     pub dram: DramConfig,
-    /// Header-manager processing time per traversal step, in cycles.
-    pub hm_step_cycles: u32,
     /// Block-reconstructor occupancy per 64 B block, in cycles.
     pub reconstruct_cycles: u32,
-    /// Block-manager dispatch time per block, in cycles.
-    pub dispatch_cycles: u32,
-    /// Per-stream eager-prefetch buffer in the DU, in bytes.
-    pub prefetch_buffer_bytes: u64,
-    /// Header-prefetch lookahead of the SU's work queue, in objects.
-    pub su_lookahead: usize,
-    /// Extra latency per heap access for cache-coherence `get` messages
-    /// (§V-E: Cereal participates in the on-chip coherence domain to
-    /// fetch up-to-date copies; the pipeline tolerates the added
-    /// latency). In nanoseconds.
-    pub coherence_ns: f64,
     /// Strip mark words from the value array (Fig. 16's "Header Strip").
     pub strip_mark_words: bool,
     /// The paper's ablation: disable pipelining in the SU ("Cereal
@@ -56,17 +64,10 @@ impl Default for CerealConfig {
             num_su: 8,
             num_du: 8,
             reconstructors_per_du: 4,
-            clock_ghz: 1.0,
-            max_classes: 4096,
             mai: MaiConfig::default(),
             tlb: TlbConfig::default(),
             dram: DramConfig::default(),
-            hm_step_cycles: 1,
             reconstruct_cycles: 8,
-            dispatch_cycles: 1,
-            prefetch_buffer_bytes: 4096,
-            su_lookahead: 8,
-            coherence_ns: 10.0,
             strip_mark_words: false,
             vanilla: false,
         }
@@ -88,11 +89,6 @@ impl CerealConfig {
             ..Self::default()
         }
     }
-
-    /// Nanoseconds per accelerator cycle.
-    pub fn cycle_ns(&self) -> f64 {
-        1.0 / self.clock_ghz
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +104,7 @@ mod tests {
         assert_eq!(c.mai.entries, 64);
         assert_eq!(c.mai.block_bytes, 32);
         assert_eq!(c.tlb.entries, 128);
-        assert_eq!(c.max_classes, 4096);
+        const _: () = assert!(MAX_CLASSES == 4096);
         assert!((c.dram.peak_bytes_per_ns() - 76.8).abs() < 1e-9);
     }
 
@@ -123,6 +119,6 @@ mod tests {
 
     #[test]
     fn cycle_time() {
-        assert!((CerealConfig::paper().cycle_ns() - 1.0).abs() < 1e-12);
+        const _: () = assert!(CYCLE_NS == 1.0);
     }
 }

@@ -6,7 +6,7 @@
 //!   value/reference loaders are *eager prefetchers*: each streams its
 //!   section of the serialized input sequentially, as far ahead as its
 //!   internal buffer allows ([`StreamPrefetcher`]);
-//! * the block manager dispatches one 64 B block per `dispatch_cycles`
+//! * the block manager dispatches one 64 B block per `DISPATCH_CYCLES`
 //!   once the block's bitmap chunk, values and references are all
 //!   buffered — the per-block value/reference counts come straight from
 //!   the unpacked bitmap, exactly as in the paper;
@@ -21,7 +21,7 @@
 //! the DU's throughput is bandwidth- rather than latency-bound — the
 //! design property behind Cereal's much larger deserialization speedups.
 
-use crate::config::CerealConfig;
+use crate::config::{CerealConfig, CYCLE_NS, DISPATCH_CYCLES, PREFETCH_BUFFER_BYTES};
 use crate::functional::DeWorkload;
 use crate::su::UnitRun;
 use serializers::IN_STREAM_BASE;
@@ -140,9 +140,8 @@ impl DeserializationUnit {
         dram: &mut Dram,
         dst_base: u64,
     ) -> UnitRun {
-        let cyc = cfg.cycle_ns();
-        let dispatch_ns = f64::from(cfg.dispatch_cycles) * cyc;
-        let recon_ns = f64::from(cfg.reconstruct_cycles) * cyc;
+        let dispatch_ns = f64::from(DISPATCH_CYCLES) * CYCLE_NS;
+        let recon_ns = f64::from(cfg.reconstruct_cycles) * CYCLE_NS;
         let nrecon = cfg.reconstructors_per_du;
 
         let bytes_before = dram.total_bytes();
@@ -165,11 +164,11 @@ impl DeserializationUnit {
         let r_base = v_base + workload.value_bytes;
         let b_base = r_base + workload.ref_bytes;
         self.values
-            .reset(v_base, workload.value_bytes, cfg.prefetch_buffer_bytes);
+            .reset(v_base, workload.value_bytes, PREFETCH_BUFFER_BYTES);
         self.refs
-            .reset(r_base, workload.ref_bytes, cfg.prefetch_buffer_bytes);
+            .reset(r_base, workload.ref_bytes, PREFETCH_BUFFER_BYTES);
         self.bitmaps
-            .reset(b_base, workload.bitmap_bytes, cfg.prefetch_buffer_bytes);
+            .reset(b_base, workload.bitmap_bytes, PREFETCH_BUFFER_BYTES);
 
         // Average packed-reference item size (the loader consumes whole
         // items; we apportion bytes uniformly).

@@ -22,7 +22,7 @@
 //! serially per object: header fetch, then metadata fetch, then object
 //! fetch, then writes, with no overlap between objects.
 
-use crate::config::CerealConfig;
+use crate::config::{CerealConfig, COHERENCE_NS, CYCLE_NS, HM_STEP_CYCLES, SU_LOOKAHEAD};
 use crate::functional::{SerEvent, SerWorkload};
 use serializers::OUT_STREAM_BASE;
 use sim::{Dram, Mai, ReorderBuffer, Tlb};
@@ -80,9 +80,8 @@ impl SerializationUnit {
         start_ns: f64,
         dram: &mut Dram,
     ) -> UnitRun {
-        let cyc = cfg.cycle_ns();
-        let hm_step = f64::from(cfg.hm_step_cycles) * cyc;
-        let lookahead = if cfg.vanilla { 0 } else { cfg.su_lookahead };
+        let hm_step = f64::from(HM_STEP_CYCLES) * CYCLE_NS;
+        let lookahead = if cfg.vanilla { 0 } else { SU_LOOKAHEAD };
 
         let bytes_before = dram.total_bytes();
         let mut reads = 0u64;
@@ -120,7 +119,7 @@ impl SerializationUnit {
                 SerEvent::Revisit { addr } => (*addr, false),
             };
             // Heap reads carry a coherence round trip (§V-E).
-            let t = issue_at + self.tlb.translate(addr) + cfg.coherence_ns;
+            let t = issue_at + self.tlb.translate(addr) + COHERENCE_NS;
             header_done[i] = self.mai.read(dram, addr, 8, t);
             reads += 1;
 
@@ -143,7 +142,7 @@ impl SerializationUnit {
                         dram,
                         v.meta_addr,
                         u64::from(v.meta_bytes),
-                        meta_issue + self.tlb.translate(v.meta_addr) + cfg.coherence_ns,
+                        meta_issue + self.tlb.translate(v.meta_addr) + COHERENCE_NS,
                     );
                     reads += 1;
                     // Header update (visited mark + relative address):
@@ -161,7 +160,7 @@ impl SerializationUnit {
                         dram,
                         v.addr,
                         u64::from(v.size_bytes),
-                        body_issue + cfg.coherence_ns,
+                        body_issue + COHERENCE_NS,
                     ));
                     reads += 1;
 

@@ -160,13 +160,9 @@ impl Heap {
     }
 
     fn next_identity_hash(&mut self) -> u32 {
-        // SplitMix64 step; identity hashes only need to be well distributed
-        // and deterministic for reproducible runs.
-        self.hash_seed = self.hash_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.hash_seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) & 0x7fff_ffff) as u32
+        // Identity hashes only need to be well distributed and
+        // deterministic for reproducible runs.
+        (crate::rng::splitmix64(&mut self.hash_seed) & 0x7fff_ffff) as u32
     }
 
     /// Allocates an instance of `klass`, zero-initialized, with a fresh

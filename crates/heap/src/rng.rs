@@ -20,13 +20,21 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-/// One SplitMix64 step — used to expand the seed into generator state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 finalizer: a bijective 64-bit mix in which every
+/// input bit affects every output bit, so neighbouring inputs map to
+/// unrelated outputs.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One SplitMix64 step: advances `state` by the golden-ratio increment
+/// and returns its [`mix64`]. Expands seeds into generator state, and
+/// draws heap identity hashes.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    mix64(*state)
 }
 
 impl Rng {

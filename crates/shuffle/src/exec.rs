@@ -113,14 +113,19 @@ pub struct MapOutcome {
     pub faults: FaultTotals,
 }
 
+/// Record waves per mapper in GC-pressure mode: a collection runs
+/// between consecutive waves, so each mapper collects `GC_WAVES - 1`
+/// times.
+pub const GC_WAVES: usize = 4;
+
 /// Runs map executor `m` to completion: builds its partition, shuffles
 /// every record into a per-reducer pending queue, flushes each queue as
 /// a coalesced `Object[]` batch whenever the estimated heap bytes reach
 /// `cfg.flush_bytes`, and serializes each flush with the backend's
 /// engine. With `cfg.gc_pressure`, a semispace collection runs between
-/// record waves; unprocessed records and pending queues are the roots
-/// (and get relocated), everything already serialized is reclaimed, and
-/// the simulated pause is charged to the mapper's clock.
+/// the [`GC_WAVES`] record waves; unprocessed records and pending queues
+/// are the roots (and get relocated), everything already serialized is
+/// reclaimed, and the simulated pause is charged to the mapper's clock.
 ///
 /// With `cfg.spill_bytes` set, serialized batches go into a per-mapper
 /// [`BlockStore`] as they are produced — batches past the budget spill
@@ -310,7 +315,7 @@ pub fn run_mapper_sunk<S: Sink>(
         pending.clear();
     };
 
-    let waves = if cfg.gc_pressure { cfg.gc_waves.max(1) } else { 1 };
+    let waves = if cfg.gc_pressure { GC_WAVES } else { 1 };
     let wave_len = records.len().div_ceil(waves).max(1);
     let mut i = 0usize;
     for wave in 0..waves {

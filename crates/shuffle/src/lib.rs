@@ -24,9 +24,9 @@
 //!   configured watermark (classic shuffle backpressure), and the report
 //!   counts the blocks and the waiting time;
 //! * **GC pressure mode** — optionally each mapper runs
-//!   [`sdheap::gc::collect`] between record waves; live roots are
-//!   relocated, shipped batches become reclaimable garbage, and the
-//!   collector's simulated pause
+//!   [`sdheap::gc::collect`] between its [`GC_WAVES`] record waves;
+//!   live roots are relocated, shipped batches become reclaimable
+//!   garbage, and the collector's simulated pause
 //!   ([`sdheap::GcStats::simulated_cost_ns`]) is charged into the
 //!   mapper's timeline;
 //! * **map-side spill** — with [`ShuffleConfig::spill_bytes`] set, each
@@ -58,7 +58,7 @@ pub mod report;
 pub mod service;
 pub mod timeline;
 
-pub use exec::{run_mapper, run_mapper_sunk, GcTotals, MapOutcome, Message, SpillTotals};
+pub use exec::{run_mapper, run_mapper_sunk, GcTotals, MapOutcome, Message, SpillTotals, GC_WAVES};
 pub use faults::{Attempt, FaultTotals, MsgPlan, ShuffleError};
 pub use reduce::{run_reducer_sunk, ReduceOutcome};
 pub use report::{fold_checksum, BackendReport, ShuffleReport};
@@ -103,10 +103,9 @@ pub struct ShuffleConfig {
     pub link: LinkConfig,
     /// Display name for the link preset.
     pub link_name: &'static str,
-    /// Run a garbage collection on each mapper between record waves.
+    /// Run a garbage collection on each mapper between its
+    /// [`GC_WAVES`] record waves.
     pub gc_pressure: bool,
-    /// Number of record waves per mapper when `gc_pressure` is on.
-    pub gc_waves: usize,
     /// Worker threads for executor fan-out (does not affect results).
     pub jobs: usize,
     /// Seal every serialized stream with the `sdformat::frame` CRC
@@ -136,7 +135,6 @@ impl ShuffleConfig {
             link: LinkConfig::ten_gbe(),
             link_name: "10GbE",
             gc_pressure: false,
-            gc_waves: 4,
             jobs: 1,
             checksum: false,
             faults: None,
@@ -158,24 +156,24 @@ impl ShuffleConfig {
             link: LinkConfig::ten_gbe(),
             link_name: "10GbE",
             gc_pressure: false,
-            gc_waves: 4,
             jobs: 1,
             checksum: false,
             faults: None,
         }
     }
 
-    /// Checks the fields a run divides by or draws from: at least one
-    /// mapper and one reducer, a finite positive link bandwidth, a
-    /// finite non-negative link latency, and valid fault rates
-    /// ([`FaultConfig::validate`]).
+    /// Checks the fields a run divides by or draws from: a valid
+    /// dataset ([`AggConfig::validate`]: mappers, key space, Zipf
+    /// exponent), at least one reducer, a finite positive link
+    /// bandwidth, a finite non-negative link latency, and valid fault
+    /// rates ([`FaultConfig::validate`]).
     ///
     /// # Errors
     /// [`ShuffleError::InvalidConfig`] naming the first offending field.
     pub fn validate(&self) -> Result<(), ShuffleError> {
+        self.agg().validate().map_err(ShuffleError::InvalidConfig)?;
         let (bw, lat) = (self.link.bytes_per_ns, self.link.latency_ns);
         for (bad, why) in [
-            (self.mappers == 0, "mappers must be > 0"),
             (self.reducers == 0, "reducers must be > 0"),
             (!(bw.is_finite() && bw > 0.0), "link.bytes_per_ns must be finite and > 0"),
             (!(lat.is_finite() && lat >= 0.0), "link.latency_ns must be finite and >= 0"),

@@ -5,7 +5,7 @@
 //! rendered JSON is byte-identical across runs and job counts. All
 //! rendering goes through the workspace's one [`JsonWriter`].
 
-use crate::exec::{GcTotals, SpillTotals};
+use crate::exec::{GcTotals, SpillTotals, GC_WAVES};
 use crate::faults::FaultTotals;
 use crate::timeline::NetStats;
 use crate::ShuffleConfig;
@@ -144,7 +144,7 @@ impl ShuffleReport {
         w.field_u64("spill_bytes", c.spill_bytes);
         w.field_str("link", c.link_name);
         w.field_bool("gc_pressure", c.gc_pressure);
-        w.field_u64("gc_waves", c.gc_waves as u64);
+        w.field_u64("gc_waves", GC_WAVES as u64);
         // Appended only when checksums or fault injection are on, so the
         // fault-free config block stays free of the fault fields.
         if c.checksum || c.faults.is_some() {

@@ -13,15 +13,33 @@ use telemetry::ids::{MAPPER_PID_BASE, T_MAIN};
 use telemetry::{EntityId, Instant, NoopSink, Sink};
 use workloads::Fold;
 
-/// One backend's full run: the report plus the merged aggregate (kept
-/// out of the report; tests check it against the dataset's expected
-/// fold).
+/// One backend's full run: the report, the merged aggregate (kept out
+/// of the report; tests check it against the dataset's expected fold),
+/// and the executors' own outcomes the report is composed from.
 #[derive(Debug)]
 pub struct BackendRun {
     /// The measurements.
     pub report: BackendReport,
     /// The merged key → `(count, sum)` aggregate over all reducers.
     pub fold: Fold,
+    /// Every mapper's outcome, in mapper order; a re-executed mapper's
+    /// clock includes the work lost at its death.
+    pub maps: Vec<MapOutcome>,
+    /// Every reducer's outcome, in reducer order.
+    pub reduces: Vec<ReduceOutcome>,
+}
+
+impl BackendRun {
+    /// Reducer `r`'s incoming batches as `(mapper, wire bytes)`, in the
+    /// order the reducer decoded them: ascending `(src, seq)`.
+    pub fn reducer_inputs(&self, r: usize) -> Vec<(usize, u64)> {
+        self.maps
+            .iter()
+            .flat_map(|o| &o.messages)
+            .filter(|m| m.dst == r)
+            .map(|m| (m.src, m.bytes.len() as u64))
+            .collect()
+    }
 }
 
 /// Runs one backend through the whole shuffle: map fan-out (with
@@ -191,7 +209,7 @@ pub fn run_backend_sunk<S: Sink>(
         faults: cfg.faults.map(|_| fault_totals),
         fold_checksum: fold_checksum(&fold),
     };
-    Ok(BackendRun { report, fold })
+    Ok(BackendRun { report, fold, maps, reduces })
 }
 
 /// Runs a list of backends and checks they all computed the same

@@ -5,7 +5,7 @@
 use sdheap::Addr;
 use shuffle::{
     run_backend_sunk, run_mapper, run_reducer_sunk, run_suite, Backend, Message, ShuffleConfig,
-    ShuffleError,
+    ShuffleError, GC_WAVES,
 };
 use store::Engine;
 use telemetry::NoopSink;
@@ -126,10 +126,9 @@ fn coalescing_ships_fewer_larger_messages_with_identical_records() {
 fn gc_pressure_reports_collections_and_charges_pauses() {
     let mut cfg = tiny();
     cfg.gc_pressure = true;
-    cfg.gc_waves = 4;
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let gc = run.report.gc.expect("gc totals present in gc-pressure mode");
-    assert_eq!(gc.collections, (cfg.gc_waves as u64 - 1) * cfg.mappers as u64);
+    assert_eq!(gc.collections, (GC_WAVES as u64 - 1) * cfg.mappers as u64);
     assert!(gc.pause_ns > 0.0);
     assert!(
         gc.reclaimed_bytes > 0,
@@ -313,6 +312,17 @@ fn invalid_configs_are_typed_errors_not_panics() {
     // A remainder by zero in the mapper's partitioning before validation.
     invalid(ShuffleConfig { reducers: 0, ..ShuffleConfig::smoke() }, "reducers must be > 0");
     invalid(ShuffleConfig { mappers: 0, ..ShuffleConfig::smoke() }, "mappers must be > 0");
+    // An empty key range or a bad Zipf exponent in partition generation.
+    invalid(
+        ShuffleConfig { distinct_keys: 0, ..ShuffleConfig::smoke() },
+        "distinct_keys must be > 0",
+    );
+    for theta in [f64::NAN, f64::INFINITY, -1.0] {
+        invalid(
+            ShuffleConfig { skew: KeySkew::Zipf(theta), ..ShuffleConfig::smoke() },
+            "zipf theta must be finite and >= 0",
+        );
+    }
     let faulty = |f: sim::FaultConfig| ShuffleConfig { faults: Some(f), ..ShuffleConfig::smoke() };
     let none = sim::FaultConfig::none();
     invalid(

@@ -47,30 +47,27 @@ pub struct OpCosts {
     pub alloc_zero_bytes_per_uop: u32,
 }
 
-impl Default for OpCosts {
-    fn default() -> Self {
-        OpCosts {
-            // A managed-runtime load/store is never one instruction:
-            // null/bounds checks, compressed-oop decode, write barriers
-            // and stream-position bookkeeping ride along.
-            load_uops: 2,
-            store_uops: 6,
-            branch_uops: 1,
-            branch_misp_rate: 0.03,
-            branch_misp_penalty: 14.0,
-            // Virtual dispatch through a serializer interface.
-            call_uops: 8,
-            reflect_uops: 120,
-            reflect_dep_loads: 2,
-            str_cmp_base_uops: 8,
-            str_cmp_bytes_per_uop: 8,
-            hash_uops: 25,
-            hash_dep_loads: 1,
-            alloc_base_uops: 30,
-            alloc_zero_bytes_per_uop: 16,
-        }
-    }
-}
+/// The frozen cost table every [`crate::Cpu`] runs on.
+pub const OP_COSTS: OpCosts = OpCosts {
+    // A managed-runtime load/store is never one instruction:
+    // null/bounds checks, compressed-oop decode, write barriers
+    // and stream-position bookkeeping ride along.
+    load_uops: 2,
+    store_uops: 6,
+    branch_uops: 1,
+    branch_misp_rate: 0.03,
+    branch_misp_penalty: 14.0,
+    // Virtual dispatch through a serializer interface.
+    call_uops: 8,
+    reflect_uops: 120,
+    reflect_dep_loads: 2,
+    str_cmp_base_uops: 8,
+    str_cmp_bytes_per_uop: 8,
+    hash_uops: 25,
+    hash_dep_loads: 1,
+    alloc_base_uops: 30,
+    alloc_zero_bytes_per_uop: 16,
+};
 
 /// Byte size of the region the reflection dictionaries (Class/Field
 /// objects, method tables) occupy — larger than the private L2, so
@@ -92,8 +89,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_sane() {
-        let c = OpCosts::default();
+    fn cost_table_is_sane() {
+        let c = OP_COSTS;
         assert!(c.reflect_uops > 10 * c.call_uops, "reflection must dwarf a call");
         assert!(c.branch_misp_rate > 0.0 && c.branch_misp_rate < 0.5);
         assert!(c.str_cmp_bytes_per_uop > 0);

@@ -16,8 +16,11 @@
 //!   caches, which is why Java S/D's IPC hovers around 1.
 //!
 //! The model is deliberately *not* cycle-accurate micro-architecture — it
-//! is the standard trace-driven abstraction used for first-order DSE, and
-//! all cost constants live in [`costs::OpCosts`].
+//! is the standard trace-driven abstraction used for first-order DSE.
+//! It models one machine, the paper's: the core parameters are the
+//! constants [`FREQ_GHZ`], [`ISSUE_WIDTH`], [`MLP`] and the three cache
+//! hit latencies below, and every per-op cost lives in the frozen
+//! [`costs::OP_COSTS`] table.
 
 pub mod costs;
 
@@ -26,6 +29,7 @@ use crate::dram::Dram;
 use serializers::{Op, TraceSink};
 
 pub use costs::OpCosts;
+use costs::OP_COSTS;
 
 /// Operation classes the per-op accounting attributes time to, named as
 /// the telemetry histograms of their host-CPU nanoseconds. Order matches
@@ -58,38 +62,18 @@ fn op_class(op: &Op) -> usize {
     }
 }
 
-/// CPU model configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct CpuConfig {
-    /// Core frequency in GHz.
-    pub freq_ghz: f64,
-    /// Sustained issue width (uops per cycle).
-    pub issue_width: f64,
-    /// Maximum overlapped outstanding misses (window/LSQ-limited MLP).
-    pub mlp: usize,
-    /// L1 hit latency in cycles.
-    pub l1_latency: f64,
-    /// L2 hit latency in cycles.
-    pub l2_latency: f64,
-    /// L3 hit latency in cycles.
-    pub l3_latency: f64,
-    /// Per-op costs.
-    pub costs: OpCosts,
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            freq_ghz: 3.6,
-            issue_width: 4.0,
-            mlp: 10,
-            l1_latency: 4.0,
-            l2_latency: 14.0,
-            l3_latency: 44.0,
-            costs: OpCosts::default(),
-        }
-    }
-}
+/// Core frequency in GHz (Table I: i7-7820X, 3.6 GHz).
+pub const FREQ_GHZ: f64 = 3.6;
+/// Sustained issue width in uops per cycle.
+pub const ISSUE_WIDTH: f64 = 4.0;
+/// Maximum overlapped outstanding misses (window/LSQ-limited MLP).
+pub const MLP: usize = 10;
+/// L1 hit latency in cycles.
+const L1_LATENCY: f64 = 4.0;
+/// L2 hit latency in cycles.
+const L2_LATENCY: f64 = 14.0;
+/// L3 hit latency in cycles.
+const L3_LATENCY: f64 = 44.0;
 
 /// Measured outcome of one traced phase.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,7 +110,6 @@ pub struct CpuReport {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cpu {
-    cfg: CpuConfig,
     cache: Hierarchy,
     dram: Dram,
     /// Issue-side clock in cycles.
@@ -148,14 +131,21 @@ pub struct Cpu {
     class_uops: [u64; OP_CLASS_NAMES.len()],
 }
 
+fn ns_of(cycles: f64) -> f64 {
+    cycles / FREQ_GHZ
+}
+
+fn cycles_of_ns(ns: f64) -> f64 {
+    ns * FREQ_GHZ
+}
+
 /// Seed of the internal dictionary/hash address generator.
 const LCG_SEED: u64 = 0x243f_6a88_85a3_08d3;
 
 impl Cpu {
-    /// A CPU with the given configuration and a fresh memory system.
-    pub fn new(cfg: CpuConfig) -> Self {
+    /// The Table I host core with a fresh memory system.
+    pub fn host() -> Self {
         Cpu {
-            cfg,
             cache: Hierarchy::i7_7820x(),
             dram: Dram::default(),
             cycle: 0.0,
@@ -172,12 +162,7 @@ impl Cpu {
         }
     }
 
-    /// A CPU with the default (Table I) configuration.
-    pub fn host() -> Self {
-        Cpu::new(CpuConfig::default())
-    }
-
-    /// Returns the CPU to the state [`Cpu::new`] gives it, with cold
+    /// Returns the CPU to the state [`Cpu::host`] gives it, with cold
     /// caches and an idle DRAM, without reallocating either: the caches
     /// reset in O(1) ([`crate::cache::Cache::reset`]), the DRAM ledgers
     /// are emptied. Every later report is bit-identical to a new CPU's
@@ -186,7 +171,6 @@ impl Cpu {
     pub fn reset(&mut self) {
         // Destructured so that a field added to `Cpu` must be handled here.
         let Cpu {
-            cfg: _,
             cache,
             dram,
             cycle,
@@ -215,8 +199,8 @@ impl Cpu {
     /// cores: each core gets private caches, all contend for the same
     /// channels (the DRAM model's time-bucket ledger makes sequential
     /// simulation of concurrent cores order-insensitive).
-    pub fn with_dram(cfg: CpuConfig, dram: Dram) -> Self {
-        let mut cpu = Cpu::new(cfg);
+    pub fn with_dram(dram: Dram) -> Self {
+        let mut cpu = Cpu::host();
         cpu.dram = dram;
         cpu
     }
@@ -226,17 +210,9 @@ impl Cpu {
         self.dram
     }
 
-    fn ns_of(&self, cycles: f64) -> f64 {
-        cycles / self.cfg.freq_ghz
-    }
-
-    fn cycles_of_ns(&self, ns: f64) -> f64 {
-        ns * self.cfg.freq_ghz
-    }
-
     fn issue_uops(&mut self, n: u32) {
         self.uops += u64::from(n);
-        self.cycle += f64::from(n) / self.cfg.issue_width;
+        self.cycle += f64::from(n) / ISSUE_WIDTH;
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -256,25 +232,25 @@ impl Cpu {
         let new_wb = self.cache.writebacks - before_wb;
         for _ in 0..new_wb {
             self.wb_spread = self.wb_spread.wrapping_add(64);
-            let now_ns = self.ns_of(issue_cycle);
+            let now_ns = ns_of(issue_cycle);
             self.dram.write(0x7000_0000 + self.wb_spread, 64, now_ns);
             self.writebacks_charged += 1;
         }
         match level {
-            HitLevel::L1 => self.cfg.l1_latency,
-            HitLevel::L2 => self.cfg.l2_latency,
-            HitLevel::L3 => self.cfg.l3_latency,
+            HitLevel::L1 => L1_LATENCY,
+            HitLevel::L2 => L2_LATENCY,
+            HitLevel::L3 => L3_LATENCY,
             HitLevel::Memory => {
                 let lines = (addr + bytes.max(1) - 1) / 64 - addr / 64 + 1;
-                let now_ns = self.ns_of(issue_cycle);
+                let now_ns = ns_of(issue_cycle);
                 let done_ns = self.dram.read(addr, lines * 64, now_ns);
-                self.cycles_of_ns(done_ns - now_ns)
+                cycles_of_ns(done_ns - now_ns)
             }
         }
     }
 
     fn dependent_load(&mut self, addr: u64, bytes: u64) {
-        self.issue_uops(self.cfg.costs.load_uops);
+        self.issue_uops(OP_COSTS.load_uops);
         let issue = self.cycle.max(self.chain_ready);
         let lat = self.mem_latency(addr, bytes, false, issue);
         let done = issue + lat;
@@ -285,11 +261,11 @@ impl Cpu {
     }
 
     fn independent_load(&mut self, addr: u64, bytes: u64) {
-        self.issue_uops(self.cfg.costs.load_uops);
+        self.issue_uops(OP_COSTS.load_uops);
         let mut issue = self.cycle;
         // MLP cap: with a full miss window, wait for the earliest slot.
         self.outstanding.retain(|&t| t > issue);
-        if self.outstanding.len() >= self.cfg.mlp {
+        if self.outstanding.len() >= MLP {
             let earliest = self
                 .outstanding
                 .iter()
@@ -301,14 +277,14 @@ impl Cpu {
         }
         let lat = self.mem_latency(addr, bytes, false, issue);
         let done = issue + lat;
-        if lat > self.cfg.l3_latency {
+        if lat > L3_LATENCY {
             self.outstanding.push(done);
         }
         self.horizon = self.horizon.max(done);
     }
 
     fn store(&mut self, addr: u64, bytes: u64) {
-        self.issue_uops(self.cfg.costs.store_uops);
+        self.issue_uops(OP_COSTS.store_uops);
         // Stores retire through the store buffer; the fill traffic of a
         // write-allocate miss still hits DRAM.
         let issue = self.cycle;
@@ -325,7 +301,7 @@ impl Cpu {
     /// Finishes the run and reports.
     pub fn report(&self) -> CpuReport {
         let cycles = self.cycle.max(self.horizon);
-        let ns = self.ns_of(cycles);
+        let ns = ns_of(cycles);
         CpuReport {
             cycles,
             ns,
@@ -356,7 +332,7 @@ impl Cpu {
             .iter()
             .zip(self.class_cycles.iter().zip(&self.class_uops))
             .filter(|(_, (&c, &u))| c > 0.0 || u > 0)
-            .map(|(&name, (&c, &u))| (name, self.ns_of(c), u))
+            .map(|(&name, (&c, &u))| (name, ns_of(c), u))
             .collect()
     }
 
@@ -373,7 +349,7 @@ impl Cpu {
     }
 
     fn exec_inner(&mut self, op: Op) {
-        let costs = self.cfg.costs;
+        let costs = OP_COSTS;
         match op {
             Op::Load {
                 addr,
@@ -595,7 +571,7 @@ mod tests {
         let uops: u64 = classes.iter().map(|c| c.2).sum();
         assert_eq!(uops, cpu.report().uops);
         let ns: f64 = classes.iter().map(|c| c.1).sum();
-        assert!((ns - cpu.ns_of(cpu.cycle)).abs() < 1e-9, "{ns}");
+        assert!((ns - ns_of(cpu.cycle)).abs() < 1e-9, "{ns}");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! same seed see byte-identical fault schedules for any worker-thread
 //! count, which is what lets CI `cmp` fault-sweep reports.
 
-use sdheap::rng::Rng;
+use sdheap::rng::{mix64, Rng};
 
 /// Fault rates and recovery knobs. All rates are per-event
 /// probabilities in `[0, 1]`; a rate of `0` disables that class.
@@ -157,14 +157,11 @@ pub fn exp_backoff_ns(base_ns: f64, k: u32) -> f64 {
 }
 
 /// The fault stream of a stable entity id. The scope is mixed into the
-/// seed (SplitMix64 finalizer) so neighbouring scope ids land in
-/// unrelated stream states; each stream is independent, so the draw
+/// seed (the SplitMix64 finalizer [`mix64`]) so neighbouring scope ids
+/// land in unrelated stream states; each stream is independent, so the draw
 /// order within a scope is fixed and scopes never interfere.
 pub fn stream(seed: u64, scope: u64) -> Rng {
-    let mut z = seed ^ scope.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    Rng::new(z ^ (z >> 31))
+    Rng::new(mix64(seed ^ scope.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Whether a fault at `rate` fires, and if so at which fraction of the

@@ -40,7 +40,7 @@ pub mod net;
 pub mod tlb;
 
 pub use cache::{Cache, Hierarchy, HitLevel, LevelConfig};
-pub use cpu::{Cpu, CpuConfig, CpuReport, OpCosts, OP_CLASS_NAMES};
+pub use cpu::{Cpu, CpuReport, OpCosts, OP_CLASS_NAMES};
 pub use disk::{Disk, DiskConfig, DiskWindow};
 pub use dram::{Dram, DramConfig};
 pub use fault::FaultConfig;

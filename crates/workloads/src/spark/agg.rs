@@ -196,6 +196,23 @@ pub struct AggPartition {
 }
 
 impl AggConfig {
+    /// Checks what partition generation draws from: at least one
+    /// mapper, a non-empty key space, and a Zipf exponent that is finite
+    /// and non-negative.
+    ///
+    /// # Errors
+    /// A description of the first offending field.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match self.skew {
+            _ if self.mappers == 0 => Err("mappers must be > 0"),
+            _ if self.distinct_keys == 0 => Err("distinct_keys must be > 0"),
+            KeySkew::Zipf(t) if !(t.is_finite() && t >= 0.0) => {
+                Err("zipf theta must be finite and >= 0")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Heap capacity each executor needs: the records themselves plus
     /// headroom for coalesced batch arrays (and a reducer's
     /// reconstruction of any single shipped batch fits too).
