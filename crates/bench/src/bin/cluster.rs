@@ -69,7 +69,10 @@ fn run_fault_cell(cfg: &ClusterConfig) -> CellResult {
         o.exec_crashes,
         "every crash must be declared dead exactly once"
     );
-    assert_eq!(o.restarts, o.exec_crashes, "every declared death must restart");
+    assert_eq!(
+        o.restarts, o.exec_crashes,
+        "every declared death must restart"
+    );
     cell
 }
 
@@ -87,39 +90,127 @@ fn reconcile(cfg: &ClusterConfig, untraced: &ClusterOutcome) -> (Recon, Recorder
     let mut r = Recon::new(1e-9);
     r.cond(traced == *untraced, "traced outcome == untraced outcome");
     r.exact("arrivals", m.counter("cluster.arrivals"), traced.arrivals);
-    r.exact("jobs_completed", m.counter("cluster.jobs_completed"), traced.jobs_completed);
-    r.exact("tasks_launched", m.counter("cluster.tasks_launched"), traced.tasks_launched);
-    r.exact("tasks_completed", m.counter("cluster.tasks_completed"), traced.tasks_completed);
-    r.exact("stragglers", m.counter("cluster.stragglers"), traced.stragglers);
-    r.exact("spec_launches", m.counter("cluster.spec_launches"), traced.spec_launches);
-    r.exact("spec_wins", m.counter("cluster.spec_wins"), traced.spec_wins);
+    r.exact(
+        "jobs_completed",
+        m.counter("cluster.jobs_completed"),
+        traced.jobs_completed,
+    );
+    r.exact(
+        "tasks_launched",
+        m.counter("cluster.tasks_launched"),
+        traced.tasks_launched,
+    );
+    r.exact(
+        "tasks_completed",
+        m.counter("cluster.tasks_completed"),
+        traced.tasks_completed,
+    );
+    r.exact(
+        "stragglers",
+        m.counter("cluster.stragglers"),
+        traced.stragglers,
+    );
+    r.exact(
+        "spec_launches",
+        m.counter("cluster.spec_launches"),
+        traced.spec_launches,
+    );
+    r.exact(
+        "spec_wins",
+        m.counter("cluster.spec_wins"),
+        traced.spec_wins,
+    );
     r.exact("du_waits", m.counter("cluster.du_waits"), traced.du_waits);
     // The outcome's fabric numbers come from the fabric's own ledgers,
     // the counters from event-site booking — a genuine cross-check.
-    r.exact("fabric_messages", m.counter("cluster.fabric_messages"), traced.fabric_messages);
-    r.exact("fabric_bytes", m.counter("cluster.fabric_bytes"), traced.fabric_bytes);
+    r.exact(
+        "fabric_messages",
+        m.counter("cluster.fabric_messages"),
+        traced.fabric_messages,
+    );
+    r.exact(
+        "fabric_bytes",
+        m.counter("cluster.fabric_bytes"),
+        traced.fabric_bytes,
+    );
     // The fault ledger: every counter the fault domain books at its
     // event site (all zero, and checked to be zero, on healthy cells).
-    r.exact("jobs_shed", m.counter("cluster.jobs_shed"), traced.jobs_shed);
-    r.exact("jobs_failed", m.counter("cluster.jobs_failed"), traced.jobs_failed);
-    r.exact("exec_crashes", m.counter("cluster.exec_crashes"), traced.exec_crashes);
-    r.exact("node_crashes", m.counter("cluster.node_crashes"), traced.node_crashes);
-    r.exact("heartbeat_deaths", m.counter("cluster.heartbeat_deaths"), traced.heartbeat_deaths);
-    r.exact("fetch_fail_deaths", m.counter("cluster.fetch_fail_deaths"), traced.fetch_fail_deaths);
-    r.exact("crash_task_kills", m.counter("cluster.crash_task_kills"), traced.crash_task_kills);
-    r.exact("task_failures", m.counter("cluster.task_failures"), traced.task_failures);
-    r.exact("task_retries", m.counter("cluster.task_retries"), traced.task_retries);
-    r.exact("crash_requeues", m.counter("cluster.crash_requeues"), traced.crash_requeues);
-    r.exact("recomputes", m.counter("cluster.recomputes"), traced.recomputes);
-    r.exact("blacklists", m.counter("cluster.blacklists"), traced.blacklists);
-    r.exact("blacklist_rejoins", m.counter("cluster.blacklist_rejoins"), traced.blacklist_rejoins);
+    r.exact(
+        "jobs_shed",
+        m.counter("cluster.jobs_shed"),
+        traced.jobs_shed,
+    );
+    r.exact(
+        "jobs_failed",
+        m.counter("cluster.jobs_failed"),
+        traced.jobs_failed,
+    );
+    r.exact(
+        "exec_crashes",
+        m.counter("cluster.exec_crashes"),
+        traced.exec_crashes,
+    );
+    r.exact(
+        "node_crashes",
+        m.counter("cluster.node_crashes"),
+        traced.node_crashes,
+    );
+    r.exact(
+        "heartbeat_deaths",
+        m.counter("cluster.heartbeat_deaths"),
+        traced.heartbeat_deaths,
+    );
+    r.exact(
+        "fetch_fail_deaths",
+        m.counter("cluster.fetch_fail_deaths"),
+        traced.fetch_fail_deaths,
+    );
+    r.exact(
+        "crash_task_kills",
+        m.counter("cluster.crash_task_kills"),
+        traced.crash_task_kills,
+    );
+    r.exact(
+        "task_failures",
+        m.counter("cluster.task_failures"),
+        traced.task_failures,
+    );
+    r.exact(
+        "task_retries",
+        m.counter("cluster.task_retries"),
+        traced.task_retries,
+    );
+    r.exact(
+        "crash_requeues",
+        m.counter("cluster.crash_requeues"),
+        traced.crash_requeues,
+    );
+    r.exact(
+        "recomputes",
+        m.counter("cluster.recomputes"),
+        traced.recomputes,
+    );
+    r.exact(
+        "blacklists",
+        m.counter("cluster.blacklists"),
+        traced.blacklists,
+    );
+    r.exact(
+        "blacklist_rejoins",
+        m.counter("cluster.blacklist_rejoins"),
+        traced.blacklist_rejoins,
+    );
     r.exact("restarts", m.counter("cluster.restarts"), traced.restarts);
     r.exact(
         "du_device_failures",
         m.counter("cluster.du_device_failures"),
         traced.du_device_failures,
     );
-    r.exact("degraded_tasks", m.counter("cluster.degraded_tasks"), traced.degraded_tasks);
+    r.exact(
+        "degraded_tasks",
+        m.counter("cluster.degraded_tasks"),
+        traced.degraded_tasks,
+    );
     match m.histogram("cluster.wasted_ns") {
         Some(h) => r.close("wasted_ns sum", h.sum, traced.wasted_ns),
         None => r.cond(traced.wasted_ns == 0.0, "wasted_ns histogram missing"),
@@ -127,7 +218,10 @@ fn reconcile(cfg: &ClusterConfig, untraced: &ClusterOutcome) -> (Recon, Recorder
     match m.histogram("cluster.recompute_service_ns") {
         Some(h) => r.close("recompute_service_ns sum", h.sum, traced.recompute_busy_ns),
         None => {
-            r.cond(traced.recompute_busy_ns == 0.0, "recompute_service_ns histogram missing");
+            r.cond(
+                traced.recompute_busy_ns == 0.0,
+                "recompute_service_ns histogram missing",
+            );
         }
     }
     let per_tenant: u64 = TENANT_JOB_COUNTERS
@@ -214,7 +308,11 @@ fn main() {
     let executor_axis: &[usize] = if smoke { &[64, 512] } else { &[128, 512, 1024] };
     let theta_axis: &[f64] = if smoke { &[0.0, 1.1] } else { &[0.0, 0.8, 1.3] };
     let du_axis: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 8] };
-    let straggler_axis: &[f64] = if smoke { &[0.0, 0.1] } else { &[0.0, 0.05, 0.15] };
+    let straggler_axis: &[f64] = if smoke {
+        &[0.0, 0.1]
+    } else {
+        &[0.0, 0.05, 0.15]
+    };
 
     eprintln!(
         "cluster: base {} executors / {} nodes, {} tenants, {} arrivals, {jobs} jobs",
@@ -289,11 +387,22 @@ fn main() {
     // ---- Fault sweeps ----------------------------------------------------
     // All fault cells run with stragglers + speculation on: recovery has
     // to coexist with the speculative copies, not assume a quiet cluster.
-    let crash_axis: &[f64] = if smoke { &[0.0, 0.05] } else { &[0.0, 0.05, 0.15] };
-    let heartbeat_axis: &[f64] =
-        if smoke { &[10_000.0, 200_000.0] } else { &[10_000.0, 50_000.0, 200_000.0] };
+    let crash_axis: &[f64] = if smoke {
+        &[0.0, 0.05]
+    } else {
+        &[0.0, 0.05, 0.15]
+    };
+    let heartbeat_axis: &[f64] = if smoke {
+        &[10_000.0, 200_000.0]
+    } else {
+        &[10_000.0, 50_000.0, 200_000.0]
+    };
     let blacklist_axis: &[u32] = if smoke { &[0, 2] } else { &[0, 2, 6] };
-    let du_fail_axis: &[f64] = if smoke { &[0.0, 0.25] } else { &[0.0, 0.05, 0.25] };
+    let du_fail_axis: &[f64] = if smoke {
+        &[0.0, 0.25]
+    } else {
+        &[0.0, 0.05, 0.25]
+    };
     let shed_axis: &[usize] = if smoke { &[0, 4] } else { &[0, 8] };
 
     let mut fault_base = base;
@@ -368,8 +477,17 @@ fn main() {
     }
 
     let mut t = Table::new(&[
-        "sweep", "exec", "theta", "du/node", "rate", "spec", "makespan", "mean lat",
-        "du waits", "spec wins", "x clean",
+        "sweep",
+        "exec",
+        "theta",
+        "du/node",
+        "rate",
+        "spec",
+        "makespan",
+        "mean lat",
+        "du waits",
+        "spec wins",
+        "x clean",
     ]);
     let mut table_row = |label: &str, c: &CellResult, baseline_ns: f64| {
         t.row(vec![
@@ -409,8 +527,18 @@ fn main() {
     // cell: crash 0, the fastest heartbeat, threshold 0, DU-fail 0,
     // watermark off.
     let mut ft = Table::new(&[
-        "sweep", "crash", "hb ns", "blk", "du fail", "shed", "makespan", "goodput",
-        "recompute", "shed rate", "failed", "x base",
+        "sweep",
+        "crash",
+        "hb ns",
+        "blk",
+        "du fail",
+        "shed",
+        "makespan",
+        "goodput",
+        "recompute",
+        "shed rate",
+        "failed",
+        "x base",
     ]);
     let mut fault_row = |label: &str, c: &CellResult, baseline_ns: f64| {
         let o = &c.outcome;

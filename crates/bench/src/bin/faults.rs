@@ -59,13 +59,20 @@ impl ShuffleRow {
         w.field_f64("recovery_ns", f.recovery_ns, 3);
         w.field_u64("fabric_bytes", f.fabric_bytes);
         w.field_f64("goodput", f.goodput(self.report.wire_bytes), 6);
-        w.field_f64("recovery_share", ratio(f.recovery_ns, self.report.net.makespan_ns), 6);
+        w.field_f64(
+            "recovery_share",
+            ratio(f.recovery_ns, self.report.net.makespan_ns),
+            6,
+        );
         w.field_f64(
             "makespan_inflation",
             ratio(self.report.net.makespan_ns, self.baseline_makespan_ns),
             6,
         );
-        w.field_str("fold_checksum", &format!("{:016x}", self.report.fold_checksum));
+        w.field_str(
+            "fold_checksum",
+            &format!("{:016x}", self.report.fold_checksum),
+        );
         w.end_obj();
     }
 }
@@ -88,7 +95,11 @@ impl StoreRow {
         w.field_u64("checksum_errors", s.checksum_errors);
         w.field_u64("recomputes", s.recomputes);
         w.field_u64("disk_fetches", s.disk_fetches);
-        w.field_f64("total_inflation", ratio(self.total_ns, self.baseline_total_ns), 6);
+        w.field_f64(
+            "total_inflation",
+            ratio(self.total_ns, self.baseline_total_ns),
+            6,
+        );
         w.end_obj();
     }
 }
@@ -99,13 +110,21 @@ fn main() {
     let jobs = cereal_bench::jobs_arg(&args);
     let out_path = cereal_bench::out_path(&args, "BENCH_FAULTS.json");
 
-    let rates: &[f64] = if smoke { &[0.0, 0.05] } else { &[0.0, 0.01, 0.05, 0.15] };
+    let rates: &[f64] = if smoke {
+        &[0.0, 0.05]
+    } else {
+        &[0.0, 0.01, 0.05, 0.15]
+    };
     let backends = [Backend::Kryo, Backend::Archive, Backend::Cereal];
 
     // ---- Shuffle sweep -------------------------------------------------
     // Checksummed frames throughout (wire corruption must be
     // detectable); map-side spilling on so disk read errors fire too.
-    let mut shuffle_cfg = if smoke { ShuffleConfig::smoke() } else { ShuffleConfig::full() };
+    let mut shuffle_cfg = if smoke {
+        ShuffleConfig::smoke()
+    } else {
+        ShuffleConfig::full()
+    };
     shuffle_cfg.jobs = jobs;
     shuffle_cfg.checksum = true;
     shuffle_cfg.spill_bytes = shuffle_cfg.flush_bytes;
@@ -122,7 +141,12 @@ fn main() {
             std::process::exit(1);
         });
         let base = base_run.report;
-        baselines.push((base.name, base.net.makespan_ns, base.wire_bytes, base.fold_checksum));
+        baselines.push((
+            base.name,
+            base.net.makespan_ns,
+            base.wire_bytes,
+            base.fold_checksum,
+        ));
         for &rate in rates {
             let mut cfg = shuffle_cfg;
             cfg.faults = Some(FaultConfig::uniform(rate, FAULT_SEED));
@@ -131,7 +155,8 @@ fn main() {
                 std::process::exit(1);
             });
             assert_eq!(
-                run.report.fold_checksum, base.fold_checksum,
+                run.report.fold_checksum,
+                base.fold_checksum,
                 "{} at rate {rate}: recovery must preserve the aggregate",
                 backend.name()
             );
@@ -151,8 +176,8 @@ fn main() {
     }
 
     let mut t = Table::new(&[
-        "backend", "rate", "retries", "lost", "corrupt", "deaths", "accel", "spill",
-        "goodput", "recovery", "makespan", "x base",
+        "backend", "rate", "retries", "lost", "corrupt", "deaths", "accel", "spill", "goodput",
+        "recovery", "makespan", "x base",
     ]);
     for r in &shuffle_rows {
         let f = r.report.faults.expect("sweep rows carry fault counters");
@@ -209,9 +234,15 @@ fn main() {
             eprintln!("store at rate {rate} failed: {e}");
             std::process::exit(1);
         });
-        assert!(out.fold_ok, "store at rate {rate}: recovery must preserve the fold");
+        assert!(
+            out.fold_ok,
+            "store at rate {rate}: recovery must preserve the fold"
+        );
         if rate == 0.0 {
-            assert_eq!(out.total_ns, base.total_ns, "zero-rate store run is fault-free");
+            assert_eq!(
+                out.total_ns, base.total_ns,
+                "zero-rate store run is fault-free"
+            );
             assert_eq!(out.store, base.store);
         }
         store_rows.push(StoreRow {
@@ -222,7 +253,9 @@ fn main() {
         });
     }
 
-    let mut t = Table::new(&["rate", "retries", "crc errs", "recomp", "fetches", "total", "x base"]);
+    let mut t = Table::new(&[
+        "rate", "retries", "crc errs", "recomp", "fetches", "total", "x base",
+    ]);
     for r in &store_rows {
         t.row(vec![
             format!("{}", r.rate),

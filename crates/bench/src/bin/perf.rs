@@ -59,8 +59,9 @@ fn dense_arrays_graph() -> (Heap, KlassRegistry, Addr) {
     let mut rng = Rng::new(0xA2C4_11E5);
     let arrays: Vec<Addr> = (0..64)
         .map(|_| {
-            let vals: Vec<u64> =
-                (0..256).map(|_| f64::to_bits(rng.next_u64() as f64 * 1e-3)).collect();
+            let vals: Vec<u64> = (0..256)
+                .map(|_| f64::to_bits(rng.next_u64() as f64 * 1e-3))
+                .collect();
             b.value_array(d, &vals).unwrap()
         })
         .collect();
@@ -108,7 +109,12 @@ fn archive_crossover() -> Vec<CrossoverPerf> {
             let records = view.object_count();
             drop(view);
 
-            let compiled = [Backend::Java, Backend::Kryo, Backend::Skyway, Backend::ProtoLike];
+            let compiled = [
+                Backend::Java,
+                Backend::Kryo,
+                Backend::Skyway,
+                Backend::ProtoLike,
+            ];
             let (sw_name, sw_de_ns) = compiled
                 .into_iter()
                 .map(|backend| {

@@ -17,15 +17,7 @@ use telemetry::json::nest;
 fn summarize(title: &str, report: &ShuffleReport) {
     eprintln!("{title}");
     let mut t = Table::new(&[
-        "backend",
-        "msgs",
-        "wire KB",
-        "ser busy",
-        "de busy",
-        "net",
-        "makespan",
-        "Mrec/s",
-        "blocks",
+        "backend", "msgs", "wire KB", "ser busy", "de busy", "net", "makespan", "Mrec/s", "blocks",
         "gc pause",
     ]);
     for b in &report.backends {
@@ -51,7 +43,11 @@ fn main() {
     let jobs = cereal_bench::jobs_arg(&args);
     let out_path = cereal_bench::out_path(&args, "BENCH_SHUFFLE.json");
 
-    let mut cfg = if smoke { ShuffleConfig::smoke() } else { ShuffleConfig::full() };
+    let mut cfg = if smoke {
+        ShuffleConfig::smoke()
+    } else {
+        ShuffleConfig::full()
+    };
     cfg.jobs = jobs;
     eprintln!(
         "shuffle: {} mappers x {} records -> {} reducers over {}, {} jobs",

@@ -7,8 +7,8 @@
 //! where the bottleneck sits — the punchline being that Cereal moves the
 //! bottleneck from S/D to the network itself.
 
-use cereal_bench::table::{ns, Table};
 use cereal_bench::scale_arg;
+use cereal_bench::table::{ns, Table};
 use sdheap::Addr;
 use sim::{Link, LinkConfig};
 use store::{Backend, Engine};
@@ -45,8 +45,9 @@ fn stages(backend: Backend, ds: &mut SparkDataset, batches: &[Addr]) -> StageTim
         let (bytes, t) = engine.serialize(&mut ds.heap, &ds.reg, b, false, &mut NoopSink);
         out.ser.push(t.busy_ns);
         out.net_bytes.push(bytes.len() as u64);
-        let (_, _, de_ns) =
-            engine.deserialize(&bytes, &ds.reg, capacity, false, &mut NoopSink).expect("ok");
+        let (_, _, de_ns) = engine
+            .deserialize(&bytes, &ds.reg, capacity, false, &mut NoopSink)
+            .expect("ok");
         out.de.push(de_ns);
     }
     out
@@ -105,7 +106,15 @@ fn main() {
         .map(|backend| stages(backend, &mut ds, &batches))
         .collect();
 
-    let mut t = Table::new(&["serializer", "10GbE", "bottleneck", "40GbE", "bottleneck", "100GbE", "bottleneck"]);
+    let mut t = Table::new(&[
+        "serializer",
+        "10GbE",
+        "bottleneck",
+        "40GbE",
+        "bottleneck",
+        "100GbE",
+        "bottleneck",
+    ]);
     for s in &stage_sets {
         let (t10, b10) = pipeline(s, LinkConfig::ten_gbe());
         let (t40, b40) = pipeline(s, LinkConfig::forty_gbe());

@@ -17,16 +17,7 @@ use workloads::{AggConfig, KeySkew};
 
 fn summarize(report: &StoreReport) {
     let mut t = Table::new(&[
-        "backend",
-        "frac",
-        "policy",
-        "disk",
-        "access",
-        "hits",
-        "fetch",
-        "recomp",
-        "evict",
-        "total",
+        "backend", "frac", "policy", "disk", "access", "hits", "fetch", "recomp", "evict", "total",
     ]);
     for r in &report.runs {
         let o = &r.outcome;
@@ -71,11 +62,15 @@ fn main() {
         checksum: false,
         fault: None,
     };
-    let backends = [Backend::Java, Backend::Kryo, Backend::Skyway, Backend::Archive, Backend::Cereal];
+    let backends = [
+        Backend::Java,
+        Backend::Kryo,
+        Backend::Skyway,
+        Backend::Archive,
+        Backend::Cereal,
+    ];
     let fractions = [0.25, 0.5, 1.0];
-    eprintln!(
-        "store: {partitions} partitions x {records} records, {passes} passes, {jobs} jobs"
-    );
+    eprintln!("store: {partitions} partitions x {records} records, {passes} passes, {jobs} jobs");
 
     let report = match run_suite(&base, &backends, &fractions) {
         Ok(r) => r,

@@ -19,7 +19,13 @@ fn main() {
 fn unit_sweep(scale: Scale) {
     println!("Ablation A — unit-count sweep (Tree-narrow, 16 concurrent requests)\n");
     let (mut heap, reg, root) = MicroBench::TreeNarrow.build(scale);
-    let mut t = Table::new(&["units", "ser makespan", "de makespan", "ser scaling", "de scaling"]);
+    let mut t = Table::new(&[
+        "units",
+        "ser makespan",
+        "de makespan",
+        "ser scaling",
+        "de scaling",
+    ]);
     let mut base: Option<(f64, f64)> = None;
     for units in [1usize, 2, 4, 8, 16] {
         let cfg = CerealConfig {
@@ -57,7 +63,11 @@ fn reconstructor_sweep(scale: Scale) {
         };
         let de_ns = run_cereal(cfg, &mut heap, &reg, &[root]).de_ns;
         let b = *base.get_or_insert(de_ns);
-        t.row(vec![recon.to_string(), ns(de_ns), format!("{:.2}x", b / de_ns)]);
+        t.row(vec![
+            recon.to_string(),
+            ns(de_ns),
+            format!("{:.2}x", b / de_ns),
+        ]);
     }
     println!("{}", t.render());
     println!("the paper's choice of four reconstructors sits at the knee.\n");
@@ -94,7 +104,10 @@ fn row_buffer_sweep(scale: Scale) {
     let (mut heap, reg, root) = MicroBench::TreeNarrow.build(scale);
     let mut t = Table::new(&["DRAM model", "ser makespan", "de makespan"]);
     for (name, dram) in [
-        ("flat 40 ns (Table I calibration)", sim::DramConfig::default()),
+        (
+            "flat 40 ns (Table I calibration)",
+            sim::DramConfig::default(),
+        ),
         ("open-row 26/44 ns", sim::DramConfig::with_row_buffer()),
     ] {
         let cfg = CerealConfig {

@@ -39,7 +39,11 @@ fn main() {
         // the deserialize starts on reset meters, not on the units and
         // DRAM the serialize left busy.
         let run = |vanilla: bool, heap: &mut sdheap::Heap| {
-            let base = if vanilla { CerealConfig::vanilla() } else { CerealConfig::paper() };
+            let base = if vanilla {
+                CerealConfig::vanilla()
+            } else {
+                CerealConfig::paper()
+            };
             let cfg = CerealConfig { tlb, ..base };
             let m = run_cereal(cfg, heap, &reg, &[root]);
             (m.ser_ns, m.de_ns)

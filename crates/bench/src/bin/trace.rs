@@ -50,7 +50,11 @@ fn main() {
 
     let recon = trace_suite::reconcile(&run);
     recon.eprint_failures("trace");
-    eprintln!("trace: {}/{} counters reconcile", recon.passed(), recon.total());
+    eprintln!(
+        "trace: {}/{} counters reconcile",
+        recon.passed(),
+        recon.total()
+    );
 
     let mut w = JsonWriter::new();
     w.begin_obj();

@@ -51,7 +51,10 @@ impl JsbsResult {
                 _ => libraries.push(m),
             }
         }
-        JsbsResult { libraries, cereal: cereal.expect("Cereal ran") }
+        JsbsResult {
+            libraries,
+            cereal: cereal.expect("Cereal ran"),
+        }
     }
 
     /// Cereal's speedup over `lib`.
@@ -95,7 +98,10 @@ mod tests {
     fn fig12_shapes_hold() {
         let r = JsbsResult::new(Backend::ALL.iter().map(|&b| (b, run(b))));
         let names: Vec<&str> = r.libraries.iter().map(|l| l.name.as_str()).collect();
-        assert_eq!(names, ["Java", "Kryo", "Skyway", "JsonLike", "ProtoLike", "Archive"]);
+        assert_eq!(
+            names,
+            ["Java", "Kryo", "Skyway", "JsonLike", "ProtoLike", "Archive"]
+        );
 
         // Cereal beats every software library, including the fastest.
         let fastest = r.fastest_software();

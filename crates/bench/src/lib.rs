@@ -70,11 +70,13 @@ fn parse_jobs(args: &[String]) -> Result<usize, String> {
 /// The value of `flag` in `args`, spelled `flag VALUE` or `flag=VALUE`:
 /// `None` when the flag is absent, `Some(None)` when it has no value.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
-    args.iter().enumerate().find_map(|(i, a)| match a.strip_prefix(flag) {
-        Some("") => Some(args.get(i + 1).map(String::as_str)),
-        Some(rest) => rest.strip_prefix('=').map(Some),
-        None => None,
-    })
+    args.iter()
+        .enumerate()
+        .find_map(|(i, a)| match a.strip_prefix(flag) {
+            Some("") => Some(args.get(i + 1).map(String::as_str)),
+            Some(rest) => rest.strip_prefix('=').map(Some),
+            None => None,
+        })
 }
 
 /// The experiment scale from `CEREAL_SCALE`: `tiny`, `scaled` or
@@ -94,7 +96,9 @@ fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
         None | Some("scaled") => Ok(Scale::Scaled),
         Some("tiny") => Ok(Scale::Tiny),
         Some("paper") => Ok(Scale::Paper),
-        Some(v) => Err(format!("CEREAL_SCALE must be tiny, scaled or paper, got {v:?}")),
+        Some(v) => Err(format!(
+            "CEREAL_SCALE must be tiny, scaled or paper, got {v:?}"
+        )),
     }
 }
 

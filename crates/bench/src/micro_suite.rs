@@ -48,8 +48,10 @@ mod tests {
 
     #[test]
     fn tiny_suite_preserves_paper_orderings() {
-        let results: Vec<MicroResult> =
-            MicroBench::all().into_iter().map(|bench| run_one(bench, Scale::Tiny)).collect();
+        let results: Vec<MicroResult> = MicroBench::all()
+            .into_iter()
+            .map(|bench| run_one(bench, Scale::Tiny))
+            .collect();
         assert_eq!(results.len(), 6);
         for r in &results {
             let name = r.bench.name();
@@ -80,6 +82,9 @@ mod tests {
             .iter()
             .find(|r| r.bench == MicroBench::ListSmall)
             .unwrap();
-        assert!(list.kryo.bytes < list.cereal.bytes, "Kryo smallest on lists");
+        assert!(
+            list.kryo.bytes < list.cereal.bytes,
+            "Kryo smallest on lists"
+        );
     }
 }

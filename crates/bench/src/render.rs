@@ -27,10 +27,7 @@ fn breakdown_row(name: &str, run: &AppRun) -> Vec<String> {
 /// and Kryo.
 pub fn fig2(results: &[SparkResult]) -> String {
     let mut out = String::from("Fig. 2 — Runtime breakdown (compute / GC / I/O / S/D)\n\n");
-    for (label, pick) in [
-        ("(a) Java S/D", 0usize),
-        ("(b) Kryo", 1),
-    ] {
+    for (label, pick) in [("(a) Java S/D", 0usize), ("(b) Kryo", 1)] {
         out.push_str(label);
         out.push('\n');
         let mut t = Table::new(&["app", "compute", "GC", "I/O", "S/D", "total"]);
@@ -92,8 +89,7 @@ pub fn fig3(results: &[MicroResult]) -> String {
 
 /// Fig. 10: S/D speedups over Java S/D on the microbenchmarks.
 pub fn fig10(results: &[MicroResult]) -> String {
-    let mut out =
-        String::from("Fig. 10 — Speedup over Java S/D (log scale in the paper)\n\n");
+    let mut out = String::from("Fig. 10 — Speedup over Java S/D (log scale in the paper)\n\n");
     let mut t = Table::new(&[
         "bench",
         "Kryo ser",
@@ -119,9 +115,7 @@ pub fn fig10(results: &[MicroResult]) -> String {
         ]);
     }
     out.push_str(&t.render());
-    let g = |f: &dyn Fn(&MicroResult) -> f64| {
-        geomean(&results.iter().map(f).collect::<Vec<_>>())
-    };
+    let g = |f: &dyn Fn(&MicroResult) -> f64| geomean(&results.iter().map(f).collect::<Vec<_>>());
     out.push_str(&format!(
         "geomean: Kryo {} ser / {} de; Cereal {} ser / {} de\n",
         x(g(&|r| r.java.ser_ns / r.kryo.ser_ns)),
@@ -157,9 +151,8 @@ pub fn fig11(results: &[MicroResult]) -> String {
         ]);
     }
     out.push_str(&t.render());
-    let avg = |f: &dyn Fn(&MicroResult) -> f64| {
-        results.iter().map(f).sum::<f64>() / results.len() as f64
-    };
+    let avg =
+        |f: &dyn Fn(&MicroResult) -> f64| results.iter().map(f).sum::<f64>() / results.len() as f64;
     out.push_str(&format!(
         "averages: Java {} / Kryo {} / Cereal {} (ser); Java {} / Kryo {} / Cereal {} (de)\n",
         pct(avg(&|r| r.java.ser_bw_util)),
@@ -250,9 +243,7 @@ pub fn fig13(results: &[SparkResult]) -> String {
         ]);
     }
     out.push_str(&t.render());
-    let g = |f: &dyn Fn(&SparkResult) -> f64| {
-        geomean(&results.iter().map(f).collect::<Vec<_>>())
-    };
+    let g = |f: &dyn Fn(&SparkResult) -> f64| geomean(&results.iter().map(f).collect::<Vec<_>>());
     out.push_str(&format!(
         "geomean: Kryo {} / Cereal {} over Java; Cereal {} over Kryo\n",
         x(g(&|r| r.java.sd_ns() / r.kryo.sd_ns())),
@@ -275,9 +266,7 @@ pub fn fig14(results: &[SparkResult]) -> String {
         ]);
     }
     out.push_str(&t.render());
-    let g = |f: &dyn Fn(&SparkResult) -> f64| {
-        geomean(&results.iter().map(f).collect::<Vec<_>>())
-    };
+    let g = |f: &dyn Fn(&SparkResult) -> f64| geomean(&results.iter().map(f).collect::<Vec<_>>());
     out.push_str(&format!(
         "geomean: {} over Java, {} over Kryo\n",
         x(g(&|r| r.java_run.total_ns() / r.cereal_run.total_ns())),
@@ -290,7 +279,15 @@ pub fn fig14(results: &[SparkResult]) -> String {
 /// Fig. 15: bandwidth utilization on the Spark applications.
 pub fn fig15(results: &[SparkResult]) -> String {
     let mut out = String::from("Fig. 15 — DRAM bandwidth utilization on Spark applications\n\n");
-    let mut t = Table::new(&["app", "Java ser", "Kryo ser", "Cereal ser", "Java de", "Kryo de", "Cereal de"]);
+    let mut t = Table::new(&[
+        "app",
+        "Java ser",
+        "Kryo ser",
+        "Cereal ser",
+        "Java de",
+        "Kryo de",
+        "Cereal de",
+    ]);
     for r in results {
         t.row(vec![
             r.app.name().to_string(),
@@ -336,13 +333,7 @@ pub fn fig16(results: &[SparkResult]) -> String {
 /// Fig. 17: normalized S/D energy.
 pub fn fig17(results: &[SparkResult]) -> String {
     let mut out = String::from("Fig. 17 — S/D energy (normalized to Java S/D)\n\n");
-    let mut t = Table::new(&[
-        "app",
-        "Kryo ser",
-        "Cereal ser",
-        "Kryo de",
-        "Cereal de",
-    ]);
+    let mut t = Table::new(&["app", "Kryo ser", "Cereal ser", "Kryo de", "Cereal de"]);
     for r in results {
         t.row(vec![
             r.app.name().to_string(),
@@ -353,9 +344,7 @@ pub fn fig17(results: &[SparkResult]) -> String {
         ]);
     }
     out.push_str(&t.render());
-    let g = |f: &dyn Fn(&SparkResult) -> f64| {
-        geomean(&results.iter().map(f).collect::<Vec<_>>())
-    };
+    let g = |f: &dyn Fn(&SparkResult) -> f64| geomean(&results.iter().map(f).collect::<Vec<_>>());
     out.push_str(&format!(
         "geomean savings vs Java: Cereal {} (ser) / {} (de); combined S/D {}\n",
         x(g(&|r| r.java.ser_energy_uj / r.cereal.ser_energy_uj)),
@@ -366,9 +355,7 @@ pub fn fig17(results: &[SparkResult]) -> String {
         "geomean savings vs Kryo: combined S/D {}\n",
         x(g(&|r| r.kryo.sd_energy_uj() / r.cereal.sd_energy_uj())),
     ));
-    out.push_str(
-        "paper: 313.6x/165.4x vs Java (ser/de), 227.75x combined; 136.28x vs Kryo.\n",
-    );
+    out.push_str("paper: 313.6x/165.4x vs Java (ser/de), 227.75x combined; 136.28x vs Kryo.\n");
     out
 }
 
@@ -380,7 +367,10 @@ pub fn table1() -> String {
     let mut t = Table::new(&["parameter", "value"]);
     let host = format!("i7-7820X-class, {FREQ_GHZ} GHz, {ISSUE_WIDTH}-wide, MLP {MLP}");
     t.row(vec!["Host core".into(), host]);
-    t.row(vec!["L1/L2/L3".into(), "32KB / 1MB / 11MB (64B lines, LRU)".into()]);
+    t.row(vec![
+        "L1/L2/L3".into(),
+        "32KB / 1MB / 11MB (64B lines, LRU)".into(),
+    ]);
     t.row(vec![
         "DRAM".into(),
         format!(
@@ -392,26 +382,43 @@ pub fn table1() -> String {
     ]);
     t.row(vec![
         "Cereal units".into(),
-        format!("{} SU, {} DU ({} reconstructors/DU)", cfg.num_su, cfg.num_du, cfg.reconstructors_per_du),
+        format!(
+            "{} SU, {} DU ({} reconstructors/DU)",
+            cfg.num_su, cfg.num_du, cfg.reconstructors_per_du
+        ),
     ]);
     t.row(vec![
         "MAI".into(),
-        format!("{} entries, {} B blocks", cfg.mai.entries, cfg.mai.block_bytes),
+        format!(
+            "{} entries, {} B blocks",
+            cfg.mai.entries, cfg.mai.block_bytes
+        ),
     ]);
     t.row(vec![
         "TLB".into(),
         format!("{} entries, 1 GB pages", cfg.tlb.entries),
     ]);
     t.row(vec!["Max classes".into(), format!("{MAX_CLASSES}")]);
-    t.row(vec!["Accelerator clock".into(), format!("{CLOCK_GHZ} GHz (assumed; see DESIGN.md)")]);
+    t.row(vec![
+        "Accelerator clock".into(),
+        format!("{CLOCK_GHZ} GHz (assumed; see DESIGN.md)"),
+    ]);
     out.push_str(&t.render());
     out
 }
 
 /// Table V: area and power breakdown.
 pub fn table5() -> String {
-    let mut out = String::from("Table V — Area/power breakdown (TSMC 40 nm, from the paper's synthesis)\n\n");
-    let mut t = Table::new(&["module", "area (mm²)", "power (mW)", "count", "total area", "total power"]);
+    let mut out =
+        String::from("Table V — Area/power breakdown (TSMC 40 nm, from the paper's synthesis)\n\n");
+    let mut t = Table::new(&[
+        "module",
+        "area (mm²)",
+        "power (mW)",
+        "count",
+        "total area",
+        "total power",
+    ]);
     for m in energy::table_v() {
         t.row(vec![
             m.name.to_string(),

@@ -72,9 +72,12 @@ pub fn run_software(
     let cap = heap.capacity_bytes();
     let mut bytes = 0;
     for &root in roots {
-        let stream = ser.serialize(heap, reg, root, &mut ser_cpu).expect("serialize");
+        let stream = ser
+            .serialize(heap, reg, root, &mut ser_cpu)
+            .expect("serialize");
         let mut dst = Heap::with_base(Addr(DST_BASE), cap);
-        ser.deserialize(&stream, reg, &mut dst, &mut de_cpu).expect("deserialize");
+        ser.deserialize(&stream, reg, &mut dst, &mut de_cpu)
+            .expect("deserialize");
         bytes += stream.len() as u64;
     }
     let (ser_report, de_report) = (ser_cpu.report(), de_cpu.report());
@@ -125,7 +128,11 @@ pub fn run_cereal(
     }
     let de_rep = accel.report();
 
-    let name = if cfg.vanilla { "Cereal Vanilla" } else { "Cereal" };
+    let name = if cfg.vanilla {
+        "Cereal Vanilla"
+    } else {
+        "Cereal"
+    };
     SdMeasure {
         name: name.to_string(),
         ser_ns: ser_rep.ser_makespan_ns,
@@ -194,7 +201,8 @@ pub fn run_software_parallel(
         let mut cpu = Cpu::with_dram(dram);
         for bytes in streams {
             let mut dst = Heap::with_base(Addr(DST_BASE), cap);
-            ser.deserialize(bytes, reg, &mut dst, &mut cpu).expect("deserialize");
+            ser.deserialize(bytes, reg, &mut dst, &mut cpu)
+                .expect("deserialize");
         }
         let r = cpu.report();
         de_ns = de_ns.max(r.ns);

@@ -81,16 +81,10 @@ fn format_sizes(ds: &mut workloads::SparkDataset, roots: &[sdheap::Addr]) -> (u6
         .expect("encode");
         packed += out.stream.wire_bytes() as u64;
         baseline += out.stream.baseline_wire_bytes() as u64;
-        let strip = cereal::functional::encode(
-            &mut ds.heap,
-            &ds.reg,
-            &tables,
-            (2 * i + 2) as u16,
-            0,
-            true,
-        )
-        .run(root)
-        .expect("encode strip");
+        let strip =
+            cereal::functional::encode(&mut ds.heap, &ds.reg, &tables, (2 * i + 2) as u16, 0, true)
+                .run(root)
+                .expect("encode strip");
         stripped += strip.stream.wire_bytes() as u64;
     }
     (packed, baseline, stripped)
@@ -103,8 +97,10 @@ mod tests {
 
     #[test]
     fn tiny_suite_preserves_paper_shapes() {
-        let results: Vec<SparkResult> =
-            SparkApp::all().into_iter().map(|app| run_one(app, Scale::Tiny)).collect();
+        let results: Vec<SparkResult> = SparkApp::all()
+            .into_iter()
+            .map(|app| run_one(app, Scale::Tiny))
+            .collect();
         assert_eq!(results.len(), 6);
 
         // Fig. 13 shape: Cereal > Kryo > Java on S/D time, every app.
@@ -112,8 +108,12 @@ mod tests {
             assert!(r.kryo.sd_ns() < r.java.sd_ns(), "{}", r.app.name());
             assert!(r.cereal.sd_ns() < r.kryo.sd_ns(), "{}", r.app.name());
         }
-        let cereal_vs_java =
-            geomean(&results.iter().map(|r| r.java.sd_ns() / r.cereal.sd_ns()).collect::<Vec<_>>());
+        let cereal_vs_java = geomean(
+            &results
+                .iter()
+                .map(|r| r.java.sd_ns() / r.cereal.sd_ns())
+                .collect::<Vec<_>>(),
+        );
         assert!(cereal_vs_java > 3.0, "paper: 7.97x, got {cereal_vs_java}");
 
         // Fig. 14 shape: end-to-end speedup > 1 everywhere, biggest for
@@ -128,7 +128,11 @@ mod tests {
                 best_app = Some(r.app);
             }
         }
-        assert_eq!(best_app, Some(SparkApp::Svm), "SVM gains most (paper: 4.66x)");
+        assert_eq!(
+            best_app,
+            Some(SparkApp::Svm),
+            "SVM gains most (paper: 4.66x)"
+        );
 
         // Fig. 17 shape: Cereal saves orders of magnitude of energy.
         for r in &results {
@@ -150,7 +154,11 @@ mod tests {
         for &(app, rate) in &rates {
             assert!(rate > 0.0, "{}: {rate}", app.name());
         }
-        let nweight = rates.iter().find(|(a, _)| *a == SparkApp::NWeight).unwrap().1;
+        let nweight = rates
+            .iter()
+            .find(|(a, _)| *a == SparkApp::NWeight)
+            .unwrap()
+            .1;
         let svm = rates.iter().find(|(a, _)| *a == SparkApp::Svm).unwrap().1;
         assert!(
             nweight > svm,

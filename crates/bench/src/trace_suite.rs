@@ -103,7 +103,12 @@ pub fn run(jobs: usize) -> TraceRun {
         .deserialize_traced(&stream, &mut dst, &mut rec, ACCEL_PID)
         .expect("accelerator deserialize");
 
-    TraceRun { recorder: rec, shuffle, shuffle_cfg: scfg, rdd }
+    TraceRun {
+        recorder: rec,
+        shuffle,
+        shuffle_cfg: scfg,
+        rdd,
+    }
 }
 
 /// Cross-checks every exported counter that has a report-side twin.
@@ -122,52 +127,152 @@ pub fn reconcile(run: &TraceRun) -> Recon {
     let mut r = Recon::new(1e-6);
     // Shuffle: booked at flush/decode/compose event sites, compared
     // against the report's independently summed totals.
-    r.exact("shuffle.messages", m.counter("shuffle.messages"), rep.messages);
-    r.exact("shuffle.wire_bytes", m.counter("shuffle.wire_bytes"), rep.wire_bytes);
+    r.exact(
+        "shuffle.messages",
+        m.counter("shuffle.messages"),
+        rep.messages,
+    );
+    r.exact(
+        "shuffle.wire_bytes",
+        m.counter("shuffle.wire_bytes"),
+        rep.wire_bytes,
+    );
     r.exact("shuffle.records", m.counter("shuffle.records"), rep.records);
     r.exact(
         "shuffle.backpressure_blocks",
         m.counter("shuffle.backpressure_blocks"),
         rep.net.backpressure_blocks,
     );
-    r.exact("shuffle.gc_collections", m.counter("shuffle.gc_collections"), gc.collections);
+    r.exact(
+        "shuffle.gc_collections",
+        m.counter("shuffle.gc_collections"),
+        gc.collections,
+    );
     r.exact("shuffle.spills", m.counter("shuffle.spills"), spill.spills);
-    r.exact("shuffle.spilled_bytes", m.counter("shuffle.spilled_bytes"), spill.spilled_bytes);
-    r.exact("shuffle.spill_fetches", m.counter("shuffle.spill_fetches"), spill.fetches);
+    r.exact(
+        "shuffle.spilled_bytes",
+        m.counter("shuffle.spilled_bytes"),
+        spill.spilled_bytes,
+    );
+    r.exact(
+        "shuffle.spill_fetches",
+        m.counter("shuffle.spill_fetches"),
+        spill.fetches,
+    );
     r.exact("shuffle.retries", m.counter("shuffle.retries"), f.retries);
-    r.exact("shuffle.lost_messages", m.counter("shuffle.lost_messages"), f.lost_messages);
-    r.exact("shuffle.wire_corruptions", m.counter("shuffle.wire_corruptions"), f.wire_corruptions);
-    r.exact("shuffle.checksum_errors", m.counter("shuffle.checksum_errors"), f.checksum_errors);
-    r.exact("shuffle.mapper_deaths", m.counter("shuffle.mapper_deaths"), f.mapper_deaths);
-    r.exact("shuffle.accel_faults", m.counter("shuffle.accel_faults"), f.accel_faults);
-    r.exact("shuffle.spill_retries", m.counter("shuffle.spill_retries"), f.spill_retries);
-    r.exact("shuffle.fabric_bytes", m.counter("shuffle.fabric_bytes"), f.fabric_bytes);
-    r.close("shuffle.ser_busy_ns", hsum("shuffle.ser_busy_ns"), rep.ser_busy_ns);
-    r.close("shuffle.de_busy_ns", hsum("shuffle.de_busy_ns"), rep.de_busy_ns);
-    r.close("shuffle.gc_pause_ns", hsum("shuffle.gc_pause_ns"), gc.pause_ns);
+    r.exact(
+        "shuffle.lost_messages",
+        m.counter("shuffle.lost_messages"),
+        f.lost_messages,
+    );
+    r.exact(
+        "shuffle.wire_corruptions",
+        m.counter("shuffle.wire_corruptions"),
+        f.wire_corruptions,
+    );
+    r.exact(
+        "shuffle.checksum_errors",
+        m.counter("shuffle.checksum_errors"),
+        f.checksum_errors,
+    );
+    r.exact(
+        "shuffle.mapper_deaths",
+        m.counter("shuffle.mapper_deaths"),
+        f.mapper_deaths,
+    );
+    r.exact(
+        "shuffle.accel_faults",
+        m.counter("shuffle.accel_faults"),
+        f.accel_faults,
+    );
+    r.exact(
+        "shuffle.spill_retries",
+        m.counter("shuffle.spill_retries"),
+        f.spill_retries,
+    );
+    r.exact(
+        "shuffle.fabric_bytes",
+        m.counter("shuffle.fabric_bytes"),
+        f.fabric_bytes,
+    );
+    r.close(
+        "shuffle.ser_busy_ns",
+        hsum("shuffle.ser_busy_ns"),
+        rep.ser_busy_ns,
+    );
+    r.close(
+        "shuffle.de_busy_ns",
+        hsum("shuffle.de_busy_ns"),
+        rep.de_busy_ns,
+    );
+    r.close(
+        "shuffle.gc_pause_ns",
+        hsum("shuffle.gc_pause_ns"),
+        gc.pause_ns,
+    );
     // Store: hit/miss counters booked per access, evictions and
     // spills as per-operation deltas.
     r.exact("store.hits", m.counter("store.hits"), s.hits);
-    r.exact("store.disk_fetches", m.counter("store.disk_fetches"), s.disk_fetches);
-    r.exact("store.recomputes", m.counter("store.recomputes"), s.recomputes);
+    r.exact(
+        "store.disk_fetches",
+        m.counter("store.disk_fetches"),
+        s.disk_fetches,
+    );
+    r.exact(
+        "store.recomputes",
+        m.counter("store.recomputes"),
+        s.recomputes,
+    );
     r.exact("store.evictions", m.counter("store.evictions"), s.evictions);
-    r.exact("store.evicted_bytes", m.counter("store.evicted_bytes"), s.evicted_bytes);
+    r.exact(
+        "store.evicted_bytes",
+        m.counter("store.evicted_bytes"),
+        s.evicted_bytes,
+    );
     r.exact("store.spills", m.counter("store.spills"), s.spills);
-    r.exact("store.spilled_bytes", m.counter("store.spilled_bytes"), s.spilled_bytes);
-    r.exact("store.read_retries", m.counter("store.read_retries"), s.read_retries);
-    r.exact("store.checksum_errors", m.counter("store.checksum_errors"), s.checksum_errors);
-    r.exact("store.disk_read_bytes", m.counter("store.disk_read_bytes"), run.rdd.disk_read_bytes);
+    r.exact(
+        "store.spilled_bytes",
+        m.counter("store.spilled_bytes"),
+        s.spilled_bytes,
+    );
+    r.exact(
+        "store.read_retries",
+        m.counter("store.read_retries"),
+        s.read_retries,
+    );
+    r.exact(
+        "store.checksum_errors",
+        m.counter("store.checksum_errors"),
+        s.checksum_errors,
+    );
+    r.exact(
+        "store.disk_read_bytes",
+        m.counter("store.disk_read_bytes"),
+        run.rdd.disk_read_bytes,
+    );
     r.exact(
         "store.disk_write_bytes",
         m.counter("store.disk_write_bytes"),
         run.rdd.disk_write_bytes,
     );
-    r.exact("store.disk_seeks", m.counter("store.disk_seeks"), run.rdd.disk_seeks);
+    r.exact(
+        "store.disk_seeks",
+        m.counter("store.disk_seeks"),
+        run.rdd.disk_seeks,
+    );
     // Accelerator requests: one per non-faulted shuffle batch on each
     // side (faulted batches degrade to the software fallback), plus the
     // demonstration round trip.
     let accel_batches = rep.messages - f.accel_faults;
-    r.exact("accel.ser_requests", m.counter("accel.ser_requests"), accel_batches + 1);
-    r.exact("accel.de_requests", m.counter("accel.de_requests"), accel_batches + 1);
+    r.exact(
+        "accel.ser_requests",
+        m.counter("accel.ser_requests"),
+        accel_batches + 1,
+    );
+    r.exact(
+        "accel.de_requests",
+        m.counter("accel.de_requests"),
+        accel_batches + 1,
+    );
     r
 }

@@ -71,12 +71,7 @@ fn micro_accelerator_timings_match_frozen_rows() {
         .into_iter()
         .map(|mb| {
             let (mut heap, reg, root) = mb.build(Scale::Tiny);
-            let m = run_cereal(
-                CerealConfig::paper(),
-                &mut heap,
-                &reg,
-                &[root; 8],
-            );
+            let m = run_cereal(CerealConfig::paper(), &mut heap, &reg, &[root; 8]);
             Row {
                 name: mb.name(),
                 ser_ns_bits: m.ser_ns.to_bits(),

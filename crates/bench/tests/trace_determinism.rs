@@ -40,7 +40,11 @@ fn every_counter_reconciles_with_the_reports() {
         .filter(|c| !c.ok)
         .map(|c| format!("{}: traced {} != reported {}", c.name, c.traced, c.reported))
         .collect();
-    assert!(failed.is_empty(), "counters out of agreement:\n{}", failed.join("\n"));
+    assert!(
+        failed.is_empty(),
+        "counters out of agreement:\n{}",
+        failed.join("\n")
+    );
 }
 
 #[test]

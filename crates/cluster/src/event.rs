@@ -57,7 +57,10 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
     }
 
     /// Schedules `event` at `t_ns` on the simulated clock.
@@ -66,7 +69,11 @@ impl<E> EventQueue<E> {
     /// Panics if `t_ns` is not finite.
     pub fn push(&mut self, t_ns: f64, event: E) {
         assert!(t_ns.is_finite(), "event time must be finite");
-        self.heap.push(Entry { t_ns, seq: self.seq, event });
+        self.heap.push(Entry {
+            t_ns,
+            seq: self.seq,
+            event,
+        });
         self.seq += 1;
     }
 

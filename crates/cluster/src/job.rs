@@ -62,8 +62,16 @@ const TENANT_BACKENDS: [Backend; 8] = [
 /// tenants run cached scans; backends cycle through
 /// `TENANT_BACKENDS`; every other tenant's keys are Zipf-skewed.
 pub fn template(cfg: &ClusterConfig, t: usize) -> TenantTemplate {
-    let kind = if t.is_multiple_of(2) { JobKind::Shuffle } else { JobKind::Scan { passes: 2 } };
-    let skew = if t.is_multiple_of(2) { KeySkew::Zipf(0.9) } else { KeySkew::Uniform };
+    let kind = if t.is_multiple_of(2) {
+        JobKind::Shuffle
+    } else {
+        JobKind::Scan { passes: 2 }
+    };
+    let skew = if t.is_multiple_of(2) {
+        KeySkew::Zipf(0.9)
+    } else {
+        KeySkew::Uniform
+    };
     TenantTemplate {
         tenant: t,
         kind,
@@ -109,7 +117,10 @@ pub fn arrivals(cfg: &ClusterConfig, mean_interarrival_ns: f64) -> Vec<Arrival> 
             // Inverse-CDF exponential: u ∈ [0,1) ⇒ -ln(1-u) ∈ [0,∞).
             let u = rng.gen_f64();
             t += -(1.0 - u).ln() * mean_interarrival_ns;
-            Arrival { t_ns: t, tenant: skew.draw() as usize }
+            Arrival {
+                t_ns: t,
+                tenant: skew.draw() as usize,
+            }
         })
         .collect()
 }
@@ -126,7 +137,10 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), cfg.job_arrivals);
         for w in a.windows(2) {
-            assert!(w[0].t_ns <= w[1].t_ns, "arrival times must be non-decreasing");
+            assert!(
+                w[0].t_ns <= w[1].t_ns,
+                "arrival times must be non-decreasing"
+            );
         }
         for arr in &a {
             assert!(arr.tenant < cfg.tenants);

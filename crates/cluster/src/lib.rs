@@ -295,11 +295,20 @@ impl ClusterConfig {
         for (zero, why) in [
             (self.executors == 0, "executors must be > 0"),
             (self.tenants == 0, "tenants must be > 0"),
-            (self.executors_per_node == 0, "executors_per_node must be > 0"),
-            (self.du_contexts_per_node == 0, "du_contexts_per_node must be > 0"),
+            (
+                self.executors_per_node == 0,
+                "executors_per_node must be > 0",
+            ),
+            (
+                self.du_contexts_per_node == 0,
+                "du_contexts_per_node must be > 0",
+            ),
             (self.template_mappers == 0, "template_mappers must be > 0"),
             (self.template_keys == 0, "template_keys must be > 0"),
-            (f.heartbeat_misses == 0, "fault.heartbeat_misses must be > 0"),
+            (
+                f.heartbeat_misses == 0,
+                "fault.heartbeat_misses must be > 0",
+            ),
         ] {
             if zero {
                 return invalid(why);
@@ -307,9 +316,18 @@ impl ClusterConfig {
         }
         for (x, why) in [
             (self.target_load, "target_load must be finite and > 0"),
-            (self.spec_multiplier, "spec_multiplier must be finite and > 0"),
-            (self.link.bytes_per_ns, "link.bytes_per_ns must be finite and > 0"),
-            (f.heartbeat_period_ns, "fault.heartbeat_period_ns must be finite and > 0"),
+            (
+                self.spec_multiplier,
+                "spec_multiplier must be finite and > 0",
+            ),
+            (
+                self.link.bytes_per_ns,
+                "link.bytes_per_ns must be finite and > 0",
+            ),
+            (
+                f.heartbeat_period_ns,
+                "fault.heartbeat_period_ns must be finite and > 0",
+            ),
         ] {
             if !(x.is_finite() && x > 0.0) {
                 return invalid(why);
@@ -317,10 +335,19 @@ impl ClusterConfig {
         }
         for (x, why) in [
             (self.tenant_theta, "tenant_theta must be finite and >= 0"),
-            (self.link.latency_ns, "link.latency_ns must be finite and >= 0"),
+            (
+                self.link.latency_ns,
+                "link.latency_ns must be finite and >= 0",
+            ),
             (f.restart_ns, "fault.restart_ns must be finite and >= 0"),
-            (f.blacklist_cooldown_ns, "fault.blacklist_cooldown_ns must be finite and >= 0"),
-            (f.retry_backoff_ns, "fault.retry_backoff_ns must be finite and >= 0"),
+            (
+                f.blacklist_cooldown_ns,
+                "fault.blacklist_cooldown_ns must be finite and >= 0",
+            ),
+            (
+                f.retry_backoff_ns,
+                "fault.retry_backoff_ns must be finite and >= 0",
+            ),
         ] {
             if !(x.is_finite() && x >= 0.0) {
                 return invalid(why);

@@ -88,7 +88,12 @@ pub struct TaskProfile {
 impl TaskProfile {
     /// A task whose fallback service equals its service.
     fn new(service_ns: f64, components: (f64, f64, f64), inputs: Vec<(usize, u64)>) -> Self {
-        TaskProfile { service_ns, fallback_ns: service_ns, components, inputs }
+        TaskProfile {
+            service_ns,
+            fallback_ns: service_ns,
+            components,
+            inputs,
+        }
     }
 }
 
@@ -184,8 +189,11 @@ fn shuffle_pass(sc: &ShuffleConfig, backend: Backend) -> Result<ShufflePass, Clu
         .maps
         .iter()
         .map(|out| {
-            let ser_frac =
-                if out.clock_ns > 0.0 { (out.ser_busy_ns / out.clock_ns).min(1.0) } else { 0.0 };
+            let ser_frac = if out.clock_ns > 0.0 {
+                (out.ser_busy_ns / out.clock_ns).min(1.0)
+            } else {
+                0.0
+            };
             TaskProfile::new(out.clock_ns, (ser_frac, 0.0, 0.0), Vec::new())
         })
         .collect();
@@ -195,12 +203,20 @@ fn shuffle_pass(sc: &ShuffleConfig, backend: Backend) -> Result<ShufflePass, Clu
         .enumerate()
         .map(|(r, out)| TaskProfile::new(out.de_busy_ns, (0.0, 1.0, 0.0), run.reducer_inputs(r)))
         .collect();
-    Ok(ShufflePass { maps, reduces, fold: run.fold })
+    Ok(ShufflePass {
+        maps,
+        reduces,
+        fold: run.fold,
+    })
 }
 
 fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile, ClusterError> {
     let sc = shuffle_cfg(cfg, t);
-    let ShufflePass { maps, mut reduces, fold } = shuffle_pass(&sc, t.backend)?;
+    let ShufflePass {
+        maps,
+        mut reduces,
+        fold,
+    } = shuffle_pass(&sc, t.backend)?;
     if profiles_fallback(cfg, t) {
         // A DU-failed node degrades end-to-end to the software fallback
         // format (PR 4 semantics): profile the fallback decode by
@@ -222,8 +238,14 @@ fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile
     let total: f64 = maps.iter().map(|m| m.service_ns).sum::<f64>()
         + reduces.iter().map(|r| r.service_ns).sum::<f64>();
     let stages = vec![
-        StageProfile { kind: StageKind::Map, tasks: maps },
-        StageProfile { kind: StageKind::Reduce, tasks: reduces },
+        StageProfile {
+            kind: StageKind::Map,
+            tasks: maps,
+        },
+        StageProfile {
+            kind: StageKind::Reduce,
+            tasks: reduces,
+        },
     ];
     Ok(JobProfile::new(t, stages, &fold, total))
 }
@@ -252,10 +274,7 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         let fallback_ns = match fb {
             Some(b) => {
                 let fp = build_part(&RddConfig { backend: b, ..rc }, m);
-                assert_eq!(
-                    fp.fold, p.fold,
-                    "fallback backend changed a partition fold"
-                );
+                assert_eq!(fp.fold, p.fold, "fallback backend changed a partition fold");
                 fp.de_ns
             }
             None => p.de_ns,
@@ -263,16 +282,27 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         // The lineage cost is exactly GC pressure + serialization
         // (`PartBuild::recompute_ns`), so the two fractions partition
         // the materialize window.
-        let ser_frac =
-            if p.recompute_ns > 0.0 { (p.ser_ns / p.recompute_ns).min(1.0) } else { 0.0 };
-        let gc_frac = if p.recompute_ns > 0.0 { 1.0 - ser_frac } else { 0.0 };
+        let ser_frac = if p.recompute_ns > 0.0 {
+            (p.ser_ns / p.recompute_ns).min(1.0)
+        } else {
+            0.0
+        };
+        let gc_frac = if p.recompute_ns > 0.0 {
+            1.0 - ser_frac
+        } else {
+            0.0
+        };
         let read = TaskProfile {
             service_ns: p.de_ns,
             fallback_ns,
             components: (0.0, 1.0, 0.0),
             inputs: vec![(m, p.bytes.len() as u64)],
         };
-        (TaskProfile::new(p.recompute_ns, (ser_frac, 0.0, gc_frac), Vec::new()), read, p.fold)
+        (
+            TaskProfile::new(p.recompute_ns, (ser_frac, 0.0, gc_frac), Vec::new()),
+            read,
+            p.fold,
+        )
     });
     // Partitions share keys, so the merge order (partition order) is
     // part of the digest's definition.
@@ -283,8 +313,14 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         .sum();
     let (materialize, reads): (Vec<_>, Vec<_>) =
         parts.into_iter().map(|(mat, read, _)| (mat, read)).unzip();
-    let mut stages = vec![StageProfile { kind: StageKind::Materialize, tasks: materialize }];
-    let scan = StageProfile { kind: StageKind::Scan, tasks: reads };
+    let mut stages = vec![StageProfile {
+        kind: StageKind::Materialize,
+        tasks: materialize,
+    }];
+    let scan = StageProfile {
+        kind: StageKind::Scan,
+        tasks: reads,
+    };
     stages.extend(std::iter::repeat_n(scan, passes));
     JobProfile::new(t, stages, &merged, total)
 }
@@ -315,7 +351,11 @@ mod tests {
     fn every_tenants_profile_shuffle_config_validates() {
         let cfg = ClusterConfig::smoke();
         for t in 0..cfg.tenants {
-            assert_eq!(shuffle_cfg(&cfg, &template(&cfg, t)).validate(), Ok(()), "tenant {t}");
+            assert_eq!(
+                shuffle_cfg(&cfg, &template(&cfg, t)).validate(),
+                Ok(()),
+                "tenant {t}"
+            );
         }
     }
 
@@ -327,13 +367,19 @@ mod tests {
         let [maps, reduces] = &p.stages[..] else {
             panic!("tenant 0 is a shuffle template");
         };
-        assert_eq!((maps.kind, reduces.kind), (StageKind::Map, StageKind::Reduce));
+        assert_eq!(
+            (maps.kind, reduces.kind),
+            (StageKind::Map, StageKind::Reduce)
+        );
         assert_eq!(maps.tasks.len(), cfg.template_mappers);
         assert_eq!(reduces.tasks.len(), cfg.template_mappers);
         assert!(maps.tasks.iter().all(|m| m.service_ns > 0.0));
         for r in &reduces.tasks {
             assert!(!r.inputs.is_empty(), "every reducer receives batches");
-            assert!(r.inputs.iter().all(|&(src, b)| src < maps.tasks.len() && b > 0));
+            assert!(r
+                .inputs
+                .iter()
+                .all(|&(src, b)| src < maps.tasks.len() && b > 0));
         }
     }
 }

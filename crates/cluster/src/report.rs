@@ -35,7 +35,10 @@ impl CellResult {
         disp_field(w, "task_fail_rate", self.cfg.fault.task_fail_rate);
         disp_field(w, "du_fail_rate", self.cfg.fault.du_fail_rate);
         disp_field(w, "heartbeat_period_ns", self.cfg.fault.heartbeat_period_ns);
-        w.field_u64("blacklist_threshold", u64::from(self.cfg.fault.blacklist_threshold));
+        w.field_u64(
+            "blacklist_threshold",
+            u64::from(self.cfg.fault.blacklist_threshold),
+        );
         w.field_u64("shed_queue_depth", self.cfg.fault.shed_queue_depth as u64);
         w.field_u64("arrivals", o.arrivals);
         w.field_u64("jobs_completed", o.jobs_completed);

@@ -64,8 +64,8 @@
 use crate::event::EventQueue;
 use crate::profile::{build_profiles, JobProfile, StageKind};
 use crate::{ClusterConfig, ClusterError};
-use shuffle::fold_checksum;
 use sdheap::rng::Rng;
+use shuffle::fold_checksum;
 use sim::fault::{exp_backoff_ns, interior, stream};
 use sim::net::Fabric;
 use std::collections::{BTreeSet, VecDeque};
@@ -252,7 +252,11 @@ enum Event {
     /// Executor `exec` re-registers (restart or blacklist rejoin).
     Up { exec: usize, gen: u32 },
     /// Retry task `(job, stage, task)` after its backoff.
-    Retry { job: usize, stage: usize, task: usize },
+    Retry {
+        job: usize,
+        stage: usize,
+        task: usize,
+    },
 }
 
 /// An executor's health, driving what the dispatcher may use and what
@@ -473,11 +477,17 @@ impl<'a, S: Sink> Sched<'a, S> {
     }
 
     fn exec_entity(&self, e: usize) -> EntityId {
-        EntityId { pid: CLUSTER_PID_BASE + e as u32, tid: T_MAIN }
+        EntityId {
+            pid: CLUSTER_PID_BASE + e as u32,
+            tid: T_MAIN,
+        }
     }
 
     fn fail_entity(&self, e: usize) -> EntityId {
-        EntityId { pid: CLUSTER_PID_BASE + e as u32, tid: T_FAIL }
+        EntityId {
+            pid: CLUSTER_PID_BASE + e as u32,
+            tid: T_FAIL,
+        }
     }
 
     fn node_of(&self, e: usize) -> usize {
@@ -504,14 +514,22 @@ impl<'a, S: Sink> Sched<'a, S> {
     fn fail_instant(&mut self, e: usize, name: &'static str, t_ns: f64) {
         if S::ENABLED {
             let entity = self.fail_entity(e);
-            self.sink.instant(Instant { entity, name, t_ns, attrs: vec![] });
+            self.sink.instant(Instant {
+                entity,
+                name,
+                t_ns,
+                attrs: vec![],
+            });
         }
     }
 
     fn driver_fail_instant(&mut self, name: &'static str, t_ns: f64, job: usize) {
         if S::ENABLED {
             self.sink.instant(Instant {
-                entity: EntityId { pid: DRIVER_PID, tid: T_FAIL },
+                entity: EntityId {
+                    pid: DRIVER_PID,
+                    tid: T_FAIL,
+                },
                 name,
                 t_ns,
                 attrs: vec![("job", (job as u64).into())],
@@ -525,7 +543,14 @@ impl<'a, S: Sink> Sched<'a, S> {
         if S::ENABLED {
             let id = self.flow_seq;
             self.flow_seq += 1;
-            self.sink.flow(FlowEvent { id, name, src, t0_ns: t0, dst, t1_ns: t1 });
+            self.sink.flow(FlowEvent {
+                id,
+                name,
+                src,
+                t0_ns: t0,
+                dst,
+                t1_ns: t1,
+            });
         }
     }
 
@@ -537,7 +562,10 @@ impl<'a, S: Sink> Sched<'a, S> {
         if !S::ENABLED {
             return;
         }
-        let driver = EntityId { pid: DRIVER_PID, tid: T_MAIN };
+        let driver = EntityId {
+            pid: DRIVER_PID,
+            tid: T_MAIN,
+        };
         let util = self.running as f64 / self.cfg.executors as f64;
         let blacklisted = self
             .execs
@@ -556,7 +584,12 @@ impl<'a, S: Sink> Sched<'a, S> {
             ("cluster.timeline.blacklisted", blacklisted),
             ("cluster.timeline.du_busy", du_busy),
         ] {
-            self.sink.sample(Sample { entity: driver, name, t_ns: t, value });
+            self.sink.sample(Sample {
+                entity: driver,
+                name,
+                t_ns: t,
+                value,
+            });
         }
     }
 
@@ -615,7 +648,10 @@ impl<'a, S: Sink> Sched<'a, S> {
     fn enqueue_stage(&mut self, now: f64, j: usize, s: usize) {
         if S::ENABLED {
             self.sink.instant(Instant {
-                entity: EntityId { pid: DRIVER_PID, tid: T_MAIN },
+                entity: EntityId {
+                    pid: DRIVER_PID,
+                    tid: T_MAIN,
+                },
                 name: "stage.ready",
                 t_ns: now,
                 attrs: vec![("job", (j as u64).into()), ("stage", (s as u64).into())],
@@ -627,9 +663,8 @@ impl<'a, S: Sink> Sched<'a, S> {
             let nominal = tp.service_ns;
             let mut service = nominal;
             if self.cfg.straggler_rate > 0.0 {
-                let mut rng = sdheap::rng::Rng::new(
-                    self.cfg.seed ^ STRAGGLER_SCOPE ^ task_scope(j, s, t),
-                );
+                let mut rng =
+                    sdheap::rng::Rng::new(self.cfg.seed ^ STRAGGLER_SCOPE ^ task_scope(j, s, t));
                 if rng.gen_f64() < self.cfg.straggler_rate {
                     service = nominal * self.cfg.straggler_factor;
                     self.out.stragglers += 1;
@@ -649,7 +684,11 @@ impl<'a, S: Sink> Sched<'a, S> {
                 retry_src: None,
             });
         }
-        self.jobs[j].stages.push(StageState { tasks, done: 0, completed_services: Vec::new() });
+        self.jobs[j].stages.push(StageState {
+            tasks,
+            done: 0,
+            completed_services: Vec::new(),
+        });
         for t in 0..profiled.len() {
             self.push_attempt(now, j, s, t, Origin::Fresh, None);
         }
@@ -741,7 +780,13 @@ impl<'a, S: Sink> Sched<'a, S> {
                 self.sink.count("cluster.fabric_messages", 1);
                 self.sink.count("cluster.fabric_bytes", bytes);
                 if S::ENABLED {
-                    self.flow("flow.fetch", self.exec_entity(from), now, self.exec_entity(e), arr);
+                    self.flow(
+                        "flow.fetch",
+                        self.exec_entity(from),
+                        now,
+                        self.exec_entity(e),
+                        arr,
+                    );
                 }
             }
 
@@ -792,7 +837,10 @@ impl<'a, S: Sink> Sched<'a, S> {
                         self.sink.observe("cluster.du_wait_ns", wait);
                         if S::ENABLED {
                             self.sink.span(Span {
-                                entity: EntityId { pid: CLUSTER_PID_BASE + e as u32, tid: T_DU },
+                                entity: EntityId {
+                                    pid: CLUSTER_PID_BASE + e as u32,
+                                    tid: T_DU,
+                                },
                                 name: "du.wait",
                                 t0_ns: ready,
                                 t1_ns: start,
@@ -802,9 +850,15 @@ impl<'a, S: Sink> Sched<'a, S> {
                             // the attempt back to the task lane.
                             self.flow(
                                 "flow.du",
-                                EntityId { pid: CLUSTER_PID_BASE + e as u32, tid: T_DU },
+                                EntityId {
+                                    pid: CLUSTER_PID_BASE + e as u32,
+                                    tid: T_DU,
+                                },
                                 ready,
-                                EntityId { pid: CLUSTER_PID_BASE + e as u32, tid: T_MAIN },
+                                EntityId {
+                                    pid: CLUSTER_PID_BASE + e as u32,
+                                    tid: T_MAIN,
+                                },
                                 start,
                             );
                         }
@@ -854,12 +908,14 @@ impl<'a, S: Sink> Sched<'a, S> {
                 if !fx.node_crash_pending[node] {
                     if let Some(frac) = interior(&mut fx.node[node], rates.node_fail_rate) {
                         fx.node_crash_pending[node] = true;
-                        self.q.push(start + frac * service, Event::NodeCrash { node });
+                        self.q
+                            .push(start + frac * service, Event::NodeCrash { node });
                     }
                 }
                 if let Some(frac) = interior(&mut fx.exec[e], rates.exec_crash_rate) {
                     let gen = self.execs[e].gen;
-                    self.q.push(start + frac * service, Event::Crash { exec: e, gen });
+                    self.q
+                        .push(start + frac * service, Event::Crash { exec: e, gen });
                 }
                 if let Some(frac) = interior(&mut fx.exec[e], rates.task_fail_rate) {
                     self.q.push(start + frac * service, Event::TaskFail(a));
@@ -869,8 +925,10 @@ impl<'a, S: Sink> Sched<'a, S> {
         for &a in blocked.iter().rev() {
             self.pending.push_front(a);
         }
-        self.sink.gauge("cluster.queue_depth", self.pending_live as f64);
-        self.sink.gauge("cluster.running_tasks", self.running as f64);
+        self.sink
+            .gauge("cluster.queue_depth", self.pending_live as f64);
+        self.sink
+            .gauge("cluster.running_tasks", self.running as f64);
         self.out.max_queue_depth = self.out.max_queue_depth.max(self.pending_live as u64);
     }
 
@@ -926,7 +984,10 @@ impl<'a, S: Sink> Sched<'a, S> {
     /// detector will declare it dead `misses` periods after the crash's
     /// period boundary.
     fn crash_exec(&mut self, now: f64, e: usize) {
-        if !matches!(self.execs[e].state, ExecState::Alive | ExecState::Blacklisted) {
+        if !matches!(
+            self.execs[e].state,
+            ExecState::Alive | ExecState::Blacklisted
+        ) {
             return;
         }
         self.execs[e].state = ExecState::Crashed { at_ns: now };
@@ -988,7 +1049,14 @@ impl<'a, S: Sink> Sched<'a, S> {
             self.sink.count("cluster.crash_task_kills", 1);
             self.cancel(a, now);
             let src = self.fail_entity(e);
-            self.requeue_task(now, info.job, info.stage, info.task, Origin::Crash, Some(src));
+            self.requeue_task(
+                now,
+                info.job,
+                info.stage,
+                info.task,
+                Origin::Crash,
+                Some(src),
+            );
         }
         self.execs[e].state = ExecState::Dead;
         self.execs[e].gen += 1;
@@ -1010,7 +1078,8 @@ impl<'a, S: Sink> Sched<'a, S> {
                 }
             }
         }
-        self.q.push(now + self.cfg.fault.restart_ns, Event::Up { exec: e, gen });
+        self.q
+            .push(now + self.cfg.fault.restart_ns, Event::Up { exec: e, gen });
     }
 
     /// A clean task failure: the executor survives and reports it. The
@@ -1050,10 +1119,7 @@ impl<'a, S: Sink> Sched<'a, S> {
             self.out.blacklists += 1;
             self.sink.count("cluster.blacklists", 1);
             self.fail_instant(e, "exec.blacklist", now);
-            let jitter = self
-                .faults
-                .as_mut()
-                .map_or(0.0, |fx| fx.exec[e].gen_f64());
+            let jitter = self.faults.as_mut().map_or(0.0, |fx| fx.exec[e].gen_f64());
             let cooldown = self.cfg.fault.blacklist_cooldown_ns * (1.0 + jitter);
             self.q.push(now + cooldown, Event::Up { exec: e, gen });
         }
@@ -1133,9 +1199,18 @@ impl<'a, S: Sink> Sched<'a, S> {
                 let task = &mut self.jobs[j].stages[s].tasks[t];
                 task.retry_pending = true;
                 task.retry_src = src.map(|en| (en, now));
-                let delay =
-                    exp_backoff_ns(self.cfg.fault.retry_backoff_ns, task.fails.saturating_sub(1));
-                self.q.push(now + delay, Event::Retry { job: j, stage: s, task: t });
+                let delay = exp_backoff_ns(
+                    self.cfg.fault.retry_backoff_ns,
+                    task.fails.saturating_sub(1),
+                );
+                self.q.push(
+                    now + delay,
+                    Event::Retry {
+                        job: j,
+                        stage: s,
+                        task: t,
+                    },
+                );
             }
             Origin::Crash => {
                 self.out.crash_requeues += 1;
@@ -1209,7 +1284,9 @@ impl<'a, S: Sink> Sched<'a, S> {
             })
             .collect();
         for t in candidates {
-            let Some(orig) = self.jobs[j].stages[s].tasks[t].original else { continue };
+            let Some(orig) = self.jobs[j].stages[s].tasks[t].original else {
+                continue;
+            };
             let oi = self.attempts[orig];
             if !oi.dispatched || oi.cancelled || oi.doomed || oi.finished {
                 continue;
@@ -1226,7 +1303,8 @@ impl<'a, S: Sink> Sched<'a, S> {
             } else if !self.jobs[j].stages[s].tasks[t].spec_check {
                 // Not lagging yet: re-check exactly when it would be.
                 self.jobs[j].stages[s].tasks[t].spec_check = true;
-                self.q.push(oi.work_start_ns + threshold, Event::SpecCheck(orig));
+                self.q
+                    .push(oi.work_start_ns + threshold, Event::SpecCheck(orig));
             }
         }
     }
@@ -1236,7 +1314,8 @@ impl<'a, S: Sink> Sched<'a, S> {
         // copy.
         let flow_from = self.jobs[j].stages[s].tasks[t].original.and_then(|o| {
             let oi = self.attempts[o];
-            oi.dispatched.then(|| (self.exec_entity(oi.exec), now, "flow.spec"))
+            oi.dispatched
+                .then(|| (self.exec_entity(oi.exec), now, "flow.spec"))
         });
         self.push_attempt(now, j, s, t, Origin::Spec, flow_from);
     }
@@ -1284,8 +1363,15 @@ impl<'a, S: Sink> Sched<'a, S> {
         // First completion wins; the sibling attempt (if any) dies now.
         let other = {
             let task = &self.jobs[j].stages[s].tasks[t];
-            debug_assert!(!task.completed, "second finisher should have been cancelled");
-            if info.is_spec() { task.original } else { task.spec }
+            debug_assert!(
+                !task.completed,
+                "second finisher should have been cancelled"
+            );
+            if info.is_spec() {
+                task.original
+            } else {
+                task.spec
+            }
         };
         if let Some(o) = other {
             if o != a {
@@ -1393,16 +1479,24 @@ impl<'a, S: Sink> Sched<'a, S> {
         self.out.per_tenant[tenant].latency_sum_ns += latency;
         self.sink.count("cluster.jobs_completed", 1);
         self.sink.observe("cluster.job_latency_ns", latency);
-        self.sink
-            .count(TENANT_JOB_COUNTERS[tenant.min(TENANT_JOB_COUNTERS.len() - 1)], 1);
+        self.sink.count(
+            TENANT_JOB_COUNTERS[tenant.min(TENANT_JOB_COUNTERS.len() - 1)],
+            1,
+        );
         if S::ENABLED {
             // The job's causal terminus: the final stage's barrier span
             // ends at this exact `now`.
             self.sink.instant(Instant {
-                entity: EntityId { pid: DRIVER_PID, tid: T_MAIN },
+                entity: EntityId {
+                    pid: DRIVER_PID,
+                    tid: T_MAIN,
+                },
                 name: "job.complete",
                 t_ns: now,
-                attrs: vec![("job", (j as u64).into()), ("tenant", (tenant as u64).into())],
+                attrs: vec![
+                    ("job", (j as u64).into()),
+                    ("tenant", (tenant as u64).into()),
+                ],
             });
         }
         // Spurious in-flight recomputes of this job's stage-0 outputs
@@ -1475,7 +1569,9 @@ pub fn run_cluster_sunk<S: Sink>(
             exec: (0..cfg.executors)
                 .map(|e| stream(seed, u64::from(CLUSTER_PID_BASE + e as u32)))
                 .collect(),
-            node: (0..cfg.nodes()).map(|n| stream(seed, NODE_FAULT_SCOPE ^ n as u64)).collect(),
+            node: (0..cfg.nodes())
+                .map(|n| stream(seed, NODE_FAULT_SCOPE ^ n as u64))
+                .collect(),
             node_crash_pending: vec![false; cfg.nodes()],
             du_failed: vec![false; cfg.nodes()],
         }
@@ -1494,7 +1590,12 @@ pub fn run_cluster_sunk<S: Sink>(
         q: EventQueue::new(),
         exec_used: vec![false; cfg.executors],
         execs: vec![
-            ExecHealth { state: ExecState::Alive, gen: 0, fails: 0, running: None };
+            ExecHealth {
+                state: ExecState::Alive,
+                gen: 0,
+                fails: 0,
+                running: None
+            };
             cfg.executors
         ],
         faults,
@@ -1540,7 +1641,10 @@ pub fn run_cluster_sunk<S: Sink>(
                 if S::ENABLED {
                     let tenant = sched.jobs[jid].tenant as u64;
                     sched.sink.instant(Instant {
-                        entity: EntityId { pid: DRIVER_PID, tid: T_MAIN },
+                        entity: EntityId {
+                            pid: DRIVER_PID,
+                            tid: T_MAIN,
+                        },
                         name: "job.arrival",
                         t_ns: now,
                         attrs: vec![("job", (jid as u64).into()), ("tenant", tenant.into())],
@@ -1573,7 +1677,10 @@ pub fn run_cluster_sunk<S: Sink>(
                 sched.sink.count("cluster.node_crashes", 1);
                 if S::ENABLED {
                     sched.sink.instant(Instant {
-                        entity: EntityId { pid: DRIVER_PID, tid: T_FAIL },
+                        entity: EntityId {
+                            pid: DRIVER_PID,
+                            tid: T_FAIL,
+                        },
                         name: "node.crash",
                         t_ns: now,
                         attrs: vec![("node", (node as u64).into())],
@@ -1618,7 +1725,11 @@ pub fn run_cluster_sunk<S: Sink>(
     let mut fold = workloads::Fold::new();
     for (i, job) in sched.jobs.iter().enumerate() {
         let done = job.status == JobStatus::Completed;
-        let d = if done { profiles[job.tenant].fold_checksum } else { 0 };
+        let d = if done {
+            profiles[job.tenant].fold_checksum
+        } else {
+            0
+        };
         fold.insert(i as u64, (1, f64::from_bits(d)));
     }
     sched.out.fold_checksum = fold_checksum(&fold);

@@ -22,7 +22,10 @@ fn analyze_scenario(label: &str, cfg: &ClusterConfig) -> (Analysis, ClusterOutco
     let untraced = run_cluster(cfg).expect("untraced run");
     let mut rec = Recorder::new();
     let traced = run_cluster_sunk(cfg, &mut rec).expect("traced run");
-    assert_eq!(traced, untraced, "{label}: tracing perturbed the simulation");
+    assert_eq!(
+        traced, untraced,
+        "{label}: tracing perturbed the simulation"
+    );
     let a = critpath::analyze(&rec, traced.makespan_ns)
         .unwrap_or_else(|e| panic!("{label}: blame analysis failed: {e}"));
     assert_eq!(
@@ -37,15 +40,24 @@ fn analyze_scenario(label: &str, cfg: &ClusterConfig) -> (Analysis, ClusterOutco
         a.makespan_ns
     );
     let per_tenant: u64 = a.tenants.iter().map(|t| t.jobs).sum();
-    assert_eq!(per_tenant, traced.jobs_completed, "{label}: tenant rows partition the jobs");
+    assert_eq!(
+        per_tenant, traced.jobs_completed,
+        "{label}: tenant rows partition the jobs"
+    );
     for t in &a.tenants {
-        assert!(t.p50_ns <= t.p95_ns && t.p95_ns <= t.p99_ns, "{label}: percentiles ordered");
+        assert!(
+            t.p50_ns <= t.p95_ns && t.p95_ns <= t.p99_ns,
+            "{label}: percentiles ordered"
+        );
     }
     (a, traced)
 }
 
 fn total(a: &Analysis, cat: &str) -> f64 {
-    let i = CATEGORIES.iter().position(|c| *c == cat).expect("known category");
+    let i = CATEGORIES
+        .iter()
+        .position(|c| *c == cat)
+        .expect("known category");
     a.total_blame()[i]
 }
 
@@ -54,8 +66,16 @@ fn healthy_run_conserves_and_has_no_waste_blame() {
     let cfg = ClusterConfig::smoke();
     let (a, _) = analyze_scenario("healthy", &cfg);
     assert_eq!(total(&a, "recovery"), 0.0, "no faults, no recovery blame");
-    assert_eq!(total(&a, "speculation"), 0.0, "no stragglers, no speculation blame");
-    assert_eq!(total(&a, "blacklist"), 0.0, "no blacklisting, no drain blame");
+    assert_eq!(
+        total(&a, "speculation"),
+        0.0,
+        "no stragglers, no speculation blame"
+    );
+    assert_eq!(
+        total(&a, "blacklist"),
+        0.0,
+        "no blacklisting, no drain blame"
+    );
     assert!(total(&a, "serde") > 0.0, "serialization always shows up");
 }
 
@@ -68,7 +88,10 @@ fn straggler_speculation_run_conserves() {
     assert!(out.spec_wins > 0, "the scenario actually speculates");
     // A winning copy's pend starts at its (late) launch: the wait shows
     // up as speculation blame whenever a copy won on the barrier.
-    assert!(total(&a, "speculation") > 0.0, "speculative wins leave speculation blame");
+    assert!(
+        total(&a, "speculation") > 0.0,
+        "speculative wins leave speculation blame"
+    );
 }
 
 #[test]
@@ -83,7 +106,10 @@ fn fault_storm_conserves_and_blames_recovery() {
     cfg.fault.heartbeat_period_ns = 50_000.0;
     let (a, out) = analyze_scenario("fault-storm", &cfg);
     assert!(out.task_retries + out.crash_requeues + out.recomputes > 0);
-    assert!(total(&a, "recovery") > 0.0, "re-run attempts leave recovery blame");
+    assert!(
+        total(&a, "recovery") > 0.0,
+        "re-run attempts leave recovery blame"
+    );
 }
 
 #[test]
@@ -117,9 +143,18 @@ fn trace_carries_causal_flow_edges_and_timeline_samples() {
     cfg.speculation = true;
     let mut rec = Recorder::new();
     run_cluster_sunk(&cfg, &mut rec).expect("traced run");
-    assert!(rec.flows.iter().any(|f| f.name == "flow.fetch"), "shuffle fetch edges");
-    assert!(rec.flows.iter().any(|f| f.name == "flow.du"), "DU handoff edges");
-    assert!(rec.flows.iter().any(|f| f.name == "flow.spec"), "speculation edges");
+    assert!(
+        rec.flows.iter().any(|f| f.name == "flow.fetch"),
+        "shuffle fetch edges"
+    );
+    assert!(
+        rec.flows.iter().any(|f| f.name == "flow.du"),
+        "DU handoff edges"
+    );
+    assert!(
+        rec.flows.iter().any(|f| f.name == "flow.spec"),
+        "speculation edges"
+    );
     for f in &rec.flows {
         assert!(f.t1_ns >= f.t0_ns, "causal edges run forward in time");
     }

@@ -57,5 +57,8 @@ fn trace_carries_per_executor_lanes_and_task_spans() {
     assert!(rec.spans.iter().any(|s| s.name == "task.scan"));
     assert!(rec.instants.iter().any(|i| i.name == "job.arrival"));
     let trace = telemetry::chrome_trace(&rec);
-    assert!(trace.contains("\"exec 0\""), "executor lanes reach the trace");
+    assert!(
+        trace.contains("\"exec 0\""),
+        "executor lanes reach the trace"
+    );
 }

@@ -63,7 +63,10 @@ fn zero_rate_fault_config_is_byte_identical_noop() {
     };
     assert!(!zeroed.fault.enabled());
     let zero_rate = run_cluster(&zeroed).expect("zero-rate run");
-    assert_eq!(fault_free, zero_rate, "zero-rate fault config must be a no-op");
+    assert_eq!(
+        fault_free, zero_rate,
+        "zero-rate fault config must be a no-op"
+    );
     assert_eq!(fault_free.exec_crashes, 0);
     assert_eq!(fault_free.jobs_failed, 0);
     assert_eq!(fault_free.jobs_completed, fault_free.arrivals);
@@ -74,13 +77,19 @@ fn executor_crashes_recover_with_exact_folds() {
     let cfg = faulted_smoke();
     let out = run_cluster(&cfg).expect("crashes must be recovered, not errors");
     assert_terminal_accounting(&out);
-    assert!(out.exec_crashes > 0, "crash rate 0.05 must fire in the smoke run");
+    assert!(
+        out.exec_crashes > 0,
+        "crash rate 0.05 must fire in the smoke run"
+    );
     assert!(out.jobs_completed > 0, "most jobs must still complete");
     assert!(
         out.crash_requeues + out.recomputes > 0,
         "kills and lost outputs must be re-enqueued"
     );
-    assert!(out.wasted_ns > 0.0, "killed attempts represent thrown-away work");
+    assert!(
+        out.wasted_ns > 0.0,
+        "killed attempts represent thrown-away work"
+    );
     assert!(out.goodput() > 0.0 && out.goodput() <= 1.0);
 }
 
@@ -106,12 +115,18 @@ fn task_failures_retry_blacklist_and_rejoin() {
     assert_terminal_accounting(&out);
     assert!(out.task_failures > 0);
     assert!(out.task_retries > 0, "failed tasks must retry with backoff");
-    assert!(out.blacklists > 0, "threshold 2 at rate 0.25 must blacklist someone");
+    assert!(
+        out.blacklists > 0,
+        "threshold 2 at rate 0.25 must blacklist someone"
+    );
     assert_eq!(
         out.blacklist_rejoins, out.blacklists,
         "with no crashes, every blacklisted executor rejoins"
     );
-    assert!(out.recompute_share() > 0.0, "retried work books as recompute");
+    assert!(
+        out.recompute_share() > 0.0,
+        "retried work books as recompute"
+    );
 }
 
 #[test]
@@ -122,7 +137,10 @@ fn du_device_failure_degrades_to_software_fallback() {
     let out = run_cluster(&cfg).expect("degraded decodes must reproduce exact folds");
     assert_terminal_accounting(&out);
     assert!(out.du_device_failures > 0, "DU-failure rate must fire");
-    assert!(out.degraded_tasks > 0, "failed nodes must run degraded decodes");
+    assert!(
+        out.degraded_tasks > 0,
+        "failed nodes must run degraded decodes"
+    );
     assert_eq!(
         out.jobs_completed, out.arrivals,
         "degradation alone never loses a job"
@@ -160,7 +178,10 @@ fn retry_exhaustion_fails_jobs_not_answers() {
     cfg.fault.job_retry_budget = 1;
     let out = run_cluster(&cfg).expect("exhaustion must abort, not corrupt");
     assert_terminal_accounting(&out);
-    assert!(out.jobs_failed > 0, "a 1-retry budget at rate 0.5 must exhaust");
+    assert!(
+        out.jobs_failed > 0,
+        "a 1-retry budget at rate 0.5 must exhaust"
+    );
     assert!(out.jobs_completed < out.arrivals);
 }
 
@@ -171,7 +192,10 @@ fn admission_control_sheds_past_the_watermark() {
     cfg.fault.shed_queue_depth = 4;
     let out = run_cluster(&cfg).expect("shedding must not corrupt survivors");
     assert_terminal_accounting(&out);
-    assert!(out.jobs_shed > 0, "4× overload past a depth-4 watermark must shed");
+    assert!(
+        out.jobs_shed > 0,
+        "4× overload past a depth-4 watermark must shed"
+    );
     assert!(out.jobs_completed > 0, "admitted jobs still complete");
     assert!(out.shed_rate() > 0.0 && out.shed_rate() < 1.0);
 }
@@ -201,19 +225,29 @@ fn traced_faulted_run_matches_untraced_and_books_fail_lanes() {
     let mut rec = Recorder::new();
     let traced = run_cluster_sunk(&cfg, &mut rec).expect("traced faulted run");
     assert_eq!(untraced, traced, "tracing must never change an outcome");
-    assert_eq!(rec.metrics.counter("cluster.exec_crashes"), traced.exec_crashes);
-    assert_eq!(rec.metrics.counter("cluster.task_failures"), traced.task_failures);
+    assert_eq!(
+        rec.metrics.counter("cluster.exec_crashes"),
+        traced.exec_crashes
+    );
+    assert_eq!(
+        rec.metrics.counter("cluster.task_failures"),
+        traced.task_failures
+    );
     assert_eq!(
         rec.metrics.counter("cluster.heartbeat_deaths")
             + rec.metrics.counter("cluster.fetch_fail_deaths"),
         traced.exec_crashes
     );
     assert!(
-        rec.instants.iter().any(|e| e.name == "exec.crash" && e.entity.tid == T_FAIL),
+        rec.instants
+            .iter()
+            .any(|e| e.name == "exec.crash" && e.entity.tid == T_FAIL),
         "crashes must land on the T_FAIL lanes"
     );
     assert!(
-        rec.spans.iter().any(|s| s.name == "fail.undetected" && s.entity.tid == T_FAIL),
+        rec.spans
+            .iter()
+            .any(|s| s.name == "fail.undetected" && s.entity.tid == T_FAIL),
         "the undetected window must be spanned on T_FAIL"
     );
 }

@@ -67,7 +67,10 @@ fn overload_queues_attempts_and_never_oversubscribes_executors() {
 #[test]
 fn reduce_inputs_and_remote_scans_cross_the_fabric() {
     let out = run_cluster(&ClusterConfig::smoke()).expect("cluster runs");
-    assert!(out.fabric_messages > 0, "shuffle fetches must use the fabric");
+    assert!(
+        out.fabric_messages > 0,
+        "shuffle fetches must use the fabric"
+    );
     assert!(out.fabric_bytes > 0);
     assert!(out.busy_ns > 0.0);
     let util = out.utilization(ClusterConfig::smoke().executors);

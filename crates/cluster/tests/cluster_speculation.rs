@@ -15,9 +15,18 @@ fn speculation_fires_and_wins_on_stragglers() {
     let mut cfg = straggling_cfg();
     cfg.speculation = true;
     let out = run_cluster(&cfg).expect("cluster runs");
-    assert!(out.stragglers > 0, "the straggler model must fire at this rate");
-    assert!(out.spec_launches > 0, "laggards must get speculative copies");
-    assert!(out.spec_wins > 0, "8x stragglers must lose to nominal re-runs");
+    assert!(
+        out.stragglers > 0,
+        "the straggler model must fire at this rate"
+    );
+    assert!(
+        out.spec_launches > 0,
+        "laggards must get speculative copies"
+    );
+    assert!(
+        out.spec_wins > 0,
+        "8x stragglers must lose to nominal re-runs"
+    );
     assert!(out.spec_wins <= out.spec_launches);
     assert_eq!(out.jobs_completed, out.arrivals);
 }
@@ -33,7 +42,10 @@ fn speculative_winners_reproduce_the_fault_free_fold_exactly() {
     let mut cfg = straggling_cfg();
     cfg.speculation = true;
     let spec = run_cluster(&cfg).expect("cluster runs");
-    assert!(spec.spec_wins > 0, "some answers come from speculative attempts");
+    assert!(
+        spec.spec_wins > 0,
+        "some answers come from speculative attempts"
+    );
     assert_eq!(
         spec.fold_checksum, clean.fold_checksum,
         "first-completion-wins must preserve every job's fold bit for bit"

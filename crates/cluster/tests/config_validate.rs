@@ -38,15 +38,27 @@ fn zero_counts_are_rejected() {
 fn non_positive_or_non_finite_scales_are_rejected() {
     type Set = fn(&mut ClusterConfig, f64);
     let fields: [(&str, Set, &[f64]); 5] = [
-        ("target_load", |c, x| c.target_load = x, &[0.0, -0.5, f64::NAN, f64::INFINITY]),
+        (
+            "target_load",
+            |c, x| c.target_load = x,
+            &[0.0, -0.5, f64::NAN, f64::INFINITY],
+        ),
         // A non-finite threshold schedules the laggard re-check off the
         // event clock.
-        ("spec_multiplier", |c, x| c.spec_multiplier = x, &[f64::NAN, f64::INFINITY]),
+        (
+            "spec_multiplier",
+            |c, x| c.spec_multiplier = x,
+            &[f64::NAN, f64::INFINITY],
+        ),
         // A zero-bandwidth fetch never ends: the fabric ledger tries to
         // book an unbounded busy window.
         ("link.bytes_per_ns", |c, x| c.link.bytes_per_ns = x, &[0.0]),
         // Zero skew (uniform tenants) is valid.
-        ("tenant_theta", |c, x| c.tenant_theta = x, &[-0.5, f64::NAN, f64::INFINITY]),
+        (
+            "tenant_theta",
+            |c, x| c.tenant_theta = x,
+            &[-0.5, f64::NAN, f64::INFINITY],
+        ),
         (
             "heartbeat_period_ns",
             |c, x| c.fault.heartbeat_period_ns = x,
@@ -68,7 +80,9 @@ fn negative_or_non_finite_delays_are_rejected() {
     let fields: [(&str, Set); 4] = [
         ("latency_ns", |c, x| c.link.latency_ns = x),
         ("restart_ns", |c, x| c.fault.restart_ns = x),
-        ("blacklist_cooldown_ns", |c, x| c.fault.blacklist_cooldown_ns = x),
+        ("blacklist_cooldown_ns", |c, x| {
+            c.fault.blacklist_cooldown_ns = x
+        }),
         ("retry_backoff_ns", |c, x| c.fault.retry_backoff_ns = x),
     ];
     for (field, set) in fields {
@@ -81,7 +95,8 @@ fn negative_or_non_finite_delays_are_rejected() {
         }
         let mut cfg = ClusterConfig::smoke();
         set(&mut cfg, 0.0);
-        cfg.validate().unwrap_or_else(|e| panic!("{field} = 0: {e}"));
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("{field} = 0: {e}"));
     }
 }
 

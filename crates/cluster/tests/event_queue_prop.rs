@@ -33,7 +33,9 @@ fn seeded_interleavings_preserve_fifo_among_equal_timestamps() {
     for seed in 0..8u64 {
         let mut rng = Rng::new(0xE0E0_7E57 ^ seed);
         let mut q: EventQueue<usize> = EventQueue::new();
-        let mut model = Model { entries: Vec::new() };
+        let mut model = Model {
+            entries: Vec::new(),
+        };
         // Timestamps drawn from a tiny palette, so ties are the common
         // case, interleaved with pops.
         let palette = [0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 7.25];
@@ -53,7 +55,10 @@ fn seeded_interleavings_preserve_fifo_among_equal_timestamps() {
             let (et, eid) = model.expected_pop().expect("model agrees non-empty");
             assert_eq!((t, id), (et, eid));
         }
-        assert!(model.expected_pop().is_none(), "queue and model drain together");
+        assert!(
+            model.expected_pop().is_none(),
+            "queue and model drain together"
+        );
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }

@@ -179,8 +179,7 @@ fn cluster_outcomes_match_frozen_rows() {
         .zip(&outs)
         .map(|((name, cfg), out)| {
             let mut rec = Recorder::new();
-            let traced =
-                run_cluster_sunk(cfg, &mut rec).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let traced = run_cluster_sunk(cfg, &mut rec).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(&traced, out, "{name}: traced outcome != untraced");
             row(name, out, &rec)
         })

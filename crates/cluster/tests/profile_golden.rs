@@ -161,8 +161,10 @@ fn rows(config: &'static str, cfg: &ClusterConfig) -> Vec<Row> {
 
 #[test]
 fn profiles_match_frozen_rows_at_every_thread_count() {
-    let configs: [(&'static str, ClusterConfig); 2] =
-        [("smoke", ClusterConfig::smoke()), ("du_failures", du_failures())];
+    let configs: [(&'static str, ClusterConfig); 2] = [
+        ("smoke", ClusterConfig::smoke()),
+        ("du_failures", du_failures()),
+    ];
     for jobs in [1, 4] {
         let actual: Vec<Row> = configs
             .iter()

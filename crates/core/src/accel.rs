@@ -111,8 +111,12 @@ impl Accelerator {
         Accelerator {
             tables: ClassTables::new(MAX_CLASSES),
             dram: Dram::new(cfg.dram),
-            su: (0..cfg.num_su).map(|_| SerializationUnit::new(&cfg)).collect(),
-            du: (0..cfg.num_du).map(|_| DeserializationUnit::new(&cfg)).collect(),
+            su: (0..cfg.num_su)
+                .map(|_| SerializationUnit::new(&cfg))
+                .collect(),
+            du: (0..cfg.num_du)
+                .map(|_| DeserializationUnit::new(&cfg))
+                .collect(),
             su_free: vec![0.0; cfg.num_su],
             du_free: vec![0.0; cfg.num_du],
             serial_counter: 0,
@@ -220,7 +224,11 @@ impl Accelerator {
         let counter = self.next_counter(heap, reg);
         // Pick the earliest-free SU.
         let unit = (0..self.cfg.num_su)
-            .min_by(|&a, &b| self.su_free[a].partial_cmp(&self.su_free[b]).expect("no NaN"))
+            .min_by(|&a, &b| {
+                self.su_free[a]
+                    .partial_cmp(&self.su_free[b])
+                    .expect("no NaN")
+            })
             .expect("num_su > 0");
         let outcome = encode(
             heap,
@@ -292,15 +300,15 @@ impl Accelerator {
     /// # Errors
     /// [`SerError`] on malformed streams, unregistered class IDs, or heap
     /// exhaustion.
-    pub fn deserialize(
-        &mut self,
-        bytes: &[u8],
-        dst: &mut Heap,
-    ) -> Result<DeResult, SerError> {
+    pub fn deserialize(&mut self, bytes: &[u8], dst: &mut Heap) -> Result<DeResult, SerError> {
         let stream = sdformat::CerealStream::from_bytes(bytes)
             .map_err(|_| SerError::Malformed("undecodable Cereal stream"))?;
         let unit = (0..self.cfg.num_du)
-            .min_by(|&a, &b| self.du_free[a].partial_cmp(&self.du_free[b]).expect("no NaN"))
+            .min_by(|&a, &b| {
+                self.du_free[a]
+                    .partial_cmp(&self.du_free[b])
+                    .expect("no NaN")
+            })
             .expect("num_du > 0");
         let dst_base = dst.top_addr().get();
         let (root, workload) = decode(&stream, &self.tables, dst, self.cfg.strip_mark_words)?;
@@ -372,8 +380,12 @@ impl Accelerator {
     /// busy counters) while keeping registered classes.
     pub fn reset_meters(&mut self) {
         self.dram = Dram::new(self.cfg.dram);
-        self.su = (0..self.cfg.num_su).map(|_| SerializationUnit::new(&self.cfg)).collect();
-        self.du = (0..self.cfg.num_du).map(|_| DeserializationUnit::new(&self.cfg)).collect();
+        self.su = (0..self.cfg.num_su)
+            .map(|_| SerializationUnit::new(&self.cfg))
+            .collect();
+        self.du = (0..self.cfg.num_du)
+            .map(|_| DeserializationUnit::new(&self.cfg))
+            .collect();
         self.su_free = vec![0.0; self.cfg.num_su];
         self.du_free = vec![0.0; self.cfg.num_du];
         self.su_busy = 0.0;
@@ -501,8 +513,9 @@ mod tests {
         // Two passes (not interleaved calls: both accelerators would use
         // the same counter values, and a's visit marks would read as b's
         // revisits). Counter mismatch across passes forces fresh visits.
-        let owned: Vec<_> =
-            (0..3).map(|_| a.serialize(&mut heap, &reg, root).unwrap()).collect();
+        let owned: Vec<_> = (0..3)
+            .map(|_| a.serialize(&mut heap, &reg, root).unwrap())
+            .collect();
         // Stale contents in the arena must not leak into the stream.
         let mut arena = vec![0xAAu8; 64];
         for owned in &owned {
@@ -532,7 +545,9 @@ mod tests {
         let mut rec = Recorder::new();
         let mut buf_a = Vec::new();
         let mut buf_b = Vec::new();
-        let a = plain.serialize_into(&mut heap, &reg, root, &mut buf_a).unwrap();
+        let a = plain
+            .serialize_into(&mut heap, &reg, root, &mut buf_a)
+            .unwrap();
         let b = traced
             .serialize_into_traced(&mut heap_t, &reg_t, root_t, &mut buf_b, &mut rec, 900)
             .unwrap();

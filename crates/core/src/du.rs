@@ -196,8 +196,8 @@ impl DeserializationUnit {
             // Value loader: `values` words of 8 B. Under header stripping
             // mark words are regenerated in the reconstructor rather than
             // fetched, so consumption is clamped to the stream's content.
-            let v_take = (u64::from(counts.values) * 8)
-                .min(workload.value_bytes - self.values.consumed());
+            let v_take =
+                (u64::from(counts.values) * 8).min(workload.value_bytes - self.values.consumed());
             let v_ready = self.values.consume(&mut self.mai, dram, v_take, now);
             // Reference loader: whole packed items.
             ref_items_consumed += u64::from(counts.refs);

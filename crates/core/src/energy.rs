@@ -43,17 +43,83 @@ pub const HOST_DIE_MM2: f64 = 2362.5;
 pub fn table_v() -> Vec<ModuleSpec> {
     use ModuleGroup::*;
     vec![
-        ModuleSpec { name: "Header manager", area_mm2: 0.003, power_mw: 1.3, count: 8, group: Serializer },
-        ModuleSpec { name: "Reference array writer", area_mm2: 0.013, power_mw: 5.8, count: 8, group: Serializer },
-        ModuleSpec { name: "Object metadata manager", area_mm2: 0.014, power_mw: 7.6, count: 8, group: Serializer },
-        ModuleSpec { name: "Object handler", area_mm2: 0.028, power_mw: 18.4, count: 8, group: Serializer },
-        ModuleSpec { name: "Layout manager", area_mm2: 0.020, power_mw: 10.9, count: 8, group: Deserializer },
-        ModuleSpec { name: "Block manager", area_mm2: 0.217, power_mw: 81.1, count: 8, group: Deserializer },
-        ModuleSpec { name: "Block reconstructor", area_mm2: 0.011, power_mw: 6.9, count: 32, group: Deserializer },
-        ModuleSpec { name: "TLB", area_mm2: 0.282, power_mw: 2.7, count: 1, group: System },
-        ModuleSpec { name: "MAI", area_mm2: 0.161, power_mw: 0.8, count: 1, group: System },
-        ModuleSpec { name: "Class ID Table (2KB)", area_mm2: 0.230, power_mw: 1.2, count: 1, group: System },
-        ModuleSpec { name: "Klass Pointer Table (4KB)", area_mm2: 0.472, power_mw: 5.3, count: 1, group: System },
+        ModuleSpec {
+            name: "Header manager",
+            area_mm2: 0.003,
+            power_mw: 1.3,
+            count: 8,
+            group: Serializer,
+        },
+        ModuleSpec {
+            name: "Reference array writer",
+            area_mm2: 0.013,
+            power_mw: 5.8,
+            count: 8,
+            group: Serializer,
+        },
+        ModuleSpec {
+            name: "Object metadata manager",
+            area_mm2: 0.014,
+            power_mw: 7.6,
+            count: 8,
+            group: Serializer,
+        },
+        ModuleSpec {
+            name: "Object handler",
+            area_mm2: 0.028,
+            power_mw: 18.4,
+            count: 8,
+            group: Serializer,
+        },
+        ModuleSpec {
+            name: "Layout manager",
+            area_mm2: 0.020,
+            power_mw: 10.9,
+            count: 8,
+            group: Deserializer,
+        },
+        ModuleSpec {
+            name: "Block manager",
+            area_mm2: 0.217,
+            power_mw: 81.1,
+            count: 8,
+            group: Deserializer,
+        },
+        ModuleSpec {
+            name: "Block reconstructor",
+            area_mm2: 0.011,
+            power_mw: 6.9,
+            count: 32,
+            group: Deserializer,
+        },
+        ModuleSpec {
+            name: "TLB",
+            area_mm2: 0.282,
+            power_mw: 2.7,
+            count: 1,
+            group: System,
+        },
+        ModuleSpec {
+            name: "MAI",
+            area_mm2: 0.161,
+            power_mw: 0.8,
+            count: 1,
+            group: System,
+        },
+        ModuleSpec {
+            name: "Class ID Table (2KB)",
+            area_mm2: 0.230,
+            power_mw: 1.2,
+            count: 1,
+            group: System,
+        },
+        ModuleSpec {
+            name: "Klass Pointer Table (4KB)",
+            area_mm2: 0.472,
+            power_mw: 5.3,
+            count: 1,
+            group: System,
+        },
     ]
 }
 
@@ -113,8 +179,16 @@ mod tests {
 
     #[test]
     fn totals_match_table_v() {
-        assert!((total_area_mm2() - 3.857).abs() < 0.01, "{}", total_area_mm2());
-        assert!((total_power_mw() - 1231.6).abs() < 0.5, "{}", total_power_mw());
+        assert!(
+            (total_area_mm2() - 3.857).abs() < 0.01,
+            "{}",
+            total_area_mm2()
+        );
+        assert!(
+            (total_power_mw() - 1231.6).abs() < 0.5,
+            "{}",
+            total_power_mw()
+        );
         assert!((group_area_mm2(ModuleGroup::Serializer) - 0.464).abs() < 1e-9);
         assert!((group_power_mw(ModuleGroup::Serializer) - 264.8).abs() < 1e-9);
         assert!((group_area_mm2(ModuleGroup::Deserializer) - 2.248).abs() < 1e-9);

@@ -396,8 +396,9 @@ pub fn decode(
                         // the identity hash is not preserved (the overhead
                         // the paper notes for hashcode-dependent code).
                         MarkWord::new()
-                            .with_identity_hash((offset_words as u32).wrapping_mul(2654435761)
-                                & 0x7fff_ffff)
+                            .with_identity_hash(
+                                (offset_words as u32).wrapping_mul(2654435761) & 0x7fff_ffff,
+                            )
                             .raw()
                     }
                     KLASS_OFFSET => {
@@ -417,10 +418,12 @@ pub fn decode(
             dst.store(addr, word);
         }
         let id = class_id.ok_or(SerError::Malformed("record without a class id"))?;
-        let array_len = (bits.len() > HEADER_WORDS)
-            .then(|| dst.load(record.add_words(HEADER_WORDS as u64)));
+        let array_len =
+            (bits.len() > HEADER_WORDS).then(|| dst.load(record.add_words(HEADER_WORDS as u64)));
         if !tables.fits(id, bits, array_len) {
-            return Err(SerError::Malformed("record does not match its class layout"));
+            return Err(SerError::Malformed(
+                "record does not match its class layout",
+            ));
         }
         image_bits.extend_from_slice(bits);
         offset_words += bits.len() as u64;
@@ -458,11 +461,21 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 18);
         let k = b.klass(
             "N",
-            vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+            vec![
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Ref,
+                FieldKind::Ref,
+            ],
         );
-        let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
-        let x = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Null]).unwrap();
-        let a = b.object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)]).unwrap();
+        let c = b
+            .object(k, &[Init::Val(3), Init::Null, Init::Null])
+            .unwrap();
+        let x = b
+            .object(k, &[Init::Val(2), Init::Ref(c), Init::Null])
+            .unwrap();
+        let a = b
+            .object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)])
+            .unwrap();
         let (heap, reg) = b.finish();
         (heap, reg, a)
     }
@@ -471,7 +484,9 @@ mod tests {
     fn roundtrips_with_identity_hashes() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
         let (new_root, _) = decode(&out.stream, &tables, &mut dst, false).unwrap();
         assert!(isomorphic(&heap, &reg, root, &dst, new_root));
@@ -482,7 +497,9 @@ mod tests {
     fn traversal_is_breadth_first() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
         // BFS order: a, x, c → events New(a), New(x), New(c) with the
         // revisit of c (from x) after both.
         let kinds: Vec<bool> = out
@@ -499,7 +516,9 @@ mod tests {
     fn relative_addresses_are_size_prefix_sums() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
         // Each object is 48 B; BFS order a, x, c.
         let x = heap.ref_field(root, 1).unwrap();
         let c = heap.ref_field(root, 2).unwrap();
@@ -512,10 +531,14 @@ mod tests {
     fn visited_counter_makes_second_pass_cheap_to_verify() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
         // A second serialization with a new counter re-traverses from
         // scratch (old marks are stale), producing an identical stream.
-        let out2 = encode(&mut heap, &reg, &tables, 2, 0, false).run(root).unwrap();
+        let out2 = encode(&mut heap, &reg, &tables, 2, 0, false)
+            .run(root)
+            .unwrap();
         assert_eq!(out2.stream.object_count, 3);
     }
 
@@ -527,9 +550,14 @@ mod tests {
         // Unit 3 currently holds c's header for counter 7.
         heap.set_ext_word(
             c,
-            ExtWord::new().with_counter(7).with_relative_addr(0).with_reserving_unit(3),
+            ExtWord::new()
+                .with_counter(7)
+                .with_relative_addr(0)
+                .with_reserving_unit(3),
         );
-        let err = encode(&mut heap, &reg, &tables, 7, 0, false).run(root).unwrap_err();
+        let err = encode(&mut heap, &reg, &tables, 7, 0, false)
+            .run(root)
+            .unwrap_err();
         assert!(matches!(err, SerError::Unsupported(_)));
     }
 
@@ -537,7 +565,9 @@ mod tests {
     fn nulls_survive() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
         let (new_root, _) = decode(&out.stream, &tables, &mut dst, false).unwrap();
         let c = dst.ref_field(new_root, 2).unwrap();
@@ -557,7 +587,9 @@ mod tests {
         b.link(x, 0, arr);
         let (mut heap, reg) = b.finish();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(arr).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(arr)
+            .unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
         let (new_root, wl) = decode(&out.stream, &tables, &mut dst, false).unwrap();
         assert!(isomorphic(&heap, &reg, arr, &dst, new_root));
@@ -569,8 +601,12 @@ mod tests {
     fn header_strip_saves_8b_per_object() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        let full = encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
-        let stripped = encode(&mut heap, &reg, &tables, 2, 0, true).run(root).unwrap();
+        let full = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
+        let stripped = encode(&mut heap, &reg, &tables, 2, 0, true)
+            .run(root)
+            .unwrap();
         assert_eq!(
             full.stream.value_array.len() - stripped.stream.value_array.len(),
             3 * 8
@@ -594,7 +630,9 @@ mod tests {
     fn null_root_is_empty_stream() {
         let (mut heap, reg, _) = diamond();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(Addr::NULL).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(Addr::NULL)
+            .unwrap();
         assert_eq!(out.stream.object_count, 0);
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 12);
         let (root, wl) = decode(&out.stream, &tables, &mut dst, false).unwrap();
@@ -606,7 +644,9 @@ mod tests {
     fn corrupt_streams_rejected() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
 
         // Truncated value array.
         let mut s = out.stream.clone();
@@ -637,19 +677,34 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 18);
         let k = b.klass(
             "N",
-            vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+            vec![
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Ref,
+                FieldKind::Ref,
+            ],
         );
         let arr = b.array_klass("double[]", FieldKind::Value(ValueType::Double));
         let data = b.value_array(arr, &[1, 2, 3, 4, 5, 6, 7]).unwrap();
-        let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
-        let x = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Ref(data)]).unwrap();
-        let a = b.object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)]).unwrap();
+        let c = b
+            .object(k, &[Init::Val(3), Init::Null, Init::Null])
+            .unwrap();
+        let x = b
+            .object(k, &[Init::Val(2), Init::Ref(c), Init::Ref(data)])
+            .unwrap();
+        let a = b
+            .object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)])
+            .unwrap();
         let (mut heap, reg) = b.finish();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(a).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(a)
+            .unwrap();
         let rejects = |s: &CerealStream| {
             let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
-            matches!(decode(s, &tables, &mut dst, false), Err(SerError::Malformed(_)))
+            matches!(
+                decode(s, &tables, &mut dst, false),
+                Err(SerError::Malformed(_))
+            )
         };
 
         // The first reference points into the root's header, not at a
@@ -693,7 +748,9 @@ mod tests {
     fn workload_descriptors_account_sizes() {
         let (mut heap, reg, root) = diamond();
         let tables = tables_for(&reg);
-        let out = encode(&mut heap, &reg, &tables, 1, 0, false).run(root).unwrap();
+        let out = encode(&mut heap, &reg, &tables, 1, 0, false)
+            .run(root)
+            .unwrap();
         let w = &out.workload;
         assert_eq!(w.image_bytes, 3 * 48);
         assert_eq!(w.value_bytes, out.stream.value_array.len() as u64);

@@ -51,7 +51,8 @@ impl ObjectOutputStream {
     }
 
     fn push_frame(&mut self, frame: &[u8]) {
-        self.buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.buf
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(frame);
     }
 }
@@ -73,9 +74,8 @@ impl<'a> ObjectInputStream<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err(SerError::Malformed("no more frames"));
         }
-        let len = u32::from_le_bytes(
-            self.bytes[self.pos..self.pos + 4].try_into().expect("4"),
-        ) as usize;
+        let len =
+            u32::from_le_bytes(self.bytes[self.pos..self.pos + 4].try_into().expect("4")) as usize;
         self.pos += 4;
         if self.pos + len > self.bytes.len() {
             return Err(SerError::Malformed("truncated frame"));
@@ -234,7 +234,9 @@ mod tests {
         let ser = CerealSerializer::new();
         let bytes = ser.serialize(&mut heap, &reg, y, &mut NullSink).unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
-        let root = ser.deserialize(&bytes, &reg, &mut dst, &mut NullSink).unwrap();
+        let root = ser
+            .deserialize(&bytes, &reg, &mut dst, &mut NullSink)
+            .unwrap();
         assert!(isomorphic(&heap, &reg, y, &dst, root));
         assert!(ser.preserves_identity_hash());
         assert_eq!(ser.name(), "Cereal");

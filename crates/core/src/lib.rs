@@ -59,8 +59,7 @@ pub use accel::{AccelReport, Accelerator, DeResult, SerMeta, SerResult};
 pub use config::CerealConfig;
 pub use du::DeserializationUnit;
 pub use iface::{
-    initialize, read_object, write_object, CerealSerializer, ObjectInputStream,
-    ObjectOutputStream,
+    initialize, read_object, write_object, CerealSerializer, ObjectInputStream, ObjectOutputStream,
 };
 pub use su::{SerializationUnit, UnitRun};
 pub use tables::ClassTables;

@@ -172,12 +172,9 @@ impl SerializationUnit {
                         } else {
                             body_done
                         };
-                        out_tail = self.mai.write(
-                            dram,
-                            OUT_STREAM_BASE + value_written,
-                            64,
-                            at,
-                        );
+                        out_tail = self
+                            .mai
+                            .write(dram, OUT_STREAM_BASE + value_written, 64, at);
                         writes += 1;
                         value_pending -= 64;
                         value_written += 64;
@@ -273,8 +270,12 @@ mod tests {
         let w = synthetic_workload(500, 48);
         let mut d1 = Dram::new(cfg.dram);
         let mut d2 = Dram::new(cfg.dram);
-        let t_pipe = SerializationUnit::new(&cfg).run(&cfg, &w, 0.0, &mut d1).busy_ns();
-        let t_van = SerializationUnit::new(&vcfg).run(&vcfg, &w, 0.0, &mut d2).busy_ns();
+        let t_pipe = SerializationUnit::new(&cfg)
+            .run(&cfg, &w, 0.0, &mut d1)
+            .busy_ns();
+        let t_van = SerializationUnit::new(&vcfg)
+            .run(&vcfg, &w, 0.0, &mut d2)
+            .busy_ns();
         assert!(
             t_van > t_pipe * 1.5,
             "vanilla {t_van} ns must be well above pipelined {t_pipe} ns"
@@ -294,8 +295,12 @@ mod tests {
         w_new.image_bytes = w_rev.image_bytes;
         let mut d1 = Dram::new(cfg.dram);
         let mut d2 = Dram::new(cfg.dram);
-        let t_new = SerializationUnit::new(&cfg).run(&cfg, &w_new, 0.0, &mut d1).busy_ns();
-        let t_rev = SerializationUnit::new(&cfg).run(&cfg, &w_rev, 0.0, &mut d2).busy_ns();
+        let t_new = SerializationUnit::new(&cfg)
+            .run(&cfg, &w_new, 0.0, &mut d1)
+            .busy_ns();
+        let t_rev = SerializationUnit::new(&cfg)
+            .run(&cfg, &w_rev, 0.0, &mut d2)
+            .busy_ns();
         assert!(t_rev < t_new, "revisit-heavy {t_rev} vs new-heavy {t_new}");
     }
 

@@ -18,7 +18,11 @@ fn tree(depth: u32) -> (Heap, KlassRegistry, Addr) {
     let mut b = GraphBuilder::new(1 << 26);
     let node = b.klass(
         "TreeNode",
-        vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+        vec![
+            FieldKind::Value(ValueType::Long),
+            FieldKind::Ref,
+            FieldKind::Ref,
+        ],
     );
     fn build(b: &mut GraphBuilder, node: sdheap::KlassId, depth: u32, seed: u64) -> Addr {
         if depth == 0 {
@@ -30,8 +34,16 @@ fn tree(depth: u32) -> (Heap, KlassRegistry, Addr) {
             node,
             &[
                 Init::Val(seed),
-                if l.is_null() { Init::Null } else { Init::Ref(l) },
-                if r.is_null() { Init::Null } else { Init::Ref(r) },
+                if l.is_null() {
+                    Init::Null
+                } else {
+                    Init::Ref(l)
+                },
+                if r.is_null() {
+                    Init::Null
+                } else {
+                    Init::Ref(r)
+                },
             ],
         )
         .unwrap()
@@ -58,7 +70,12 @@ fn cpu_times(ser: &dyn Serializer, heap: &mut Heap, reg: &KlassRegistry, root: A
 }
 
 /// Accelerator: makespan for `REQUESTS` concurrent S/D ops.
-fn accel_times(mut accel: Accelerator, heap: &mut Heap, reg: &KlassRegistry, root: Addr) -> (f64, f64) {
+fn accel_times(
+    mut accel: Accelerator,
+    heap: &mut Heap,
+    reg: &KlassRegistry,
+    root: Addr,
+) -> (f64, f64) {
     accel.register_all(reg).unwrap();
     heap.gc_clear_serialization_metadata(reg); // reset stale visited marks
     let mut bytes = Vec::new();

@@ -78,7 +78,8 @@ impl BitWriter {
         let pad = (8 - self.nbits % 8) % 8;
         self.nbits += pad; // padding bits are already zero in `acc`
         let full = (self.nbits / 8) as usize;
-        self.bytes.extend_from_slice(&self.acc.to_be_bytes()[..full]);
+        self.bytes
+            .extend_from_slice(&self.acc.to_be_bytes()[..full]);
         self.acc = 0;
         self.nbits = 0;
         pad
@@ -173,7 +174,9 @@ mod tests {
     #[test]
     fn single_bits_roundtrip() {
         let mut w = BitWriter::new();
-        let pattern = [true, false, true, true, false, false, false, true, true, false];
+        let pattern = [
+            true, false, true, true, false, false, false, true, true, false,
+        ];
         w.push_slice(&pattern);
         assert_eq!(w.bit_len(), 10);
         let bytes = w.into_bytes();

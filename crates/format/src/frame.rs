@@ -68,7 +68,11 @@ const CRC_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -166,7 +170,10 @@ mod tests {
             for mask in [0x01u8, 0x80, 0xFF] {
                 let mut bad = framed.clone();
                 bad[pos] ^= mask;
-                assert!(verify(&bad).is_err(), "flip at {pos} mask {mask:#x} undetected");
+                assert!(
+                    verify(&bad).is_err(),
+                    "flip at {pos} mask {mask:#x} undetected"
+                );
             }
         }
     }

@@ -12,7 +12,7 @@
 //! manager uses to pull exactly the right amount from the value and
 //! reference loaders.
 
-use sdheap::{Heap, KlassRegistry, Addr};
+use sdheap::{Addr, Heap, KlassRegistry};
 
 /// The layout bitmap of the object at `addr` (one bool per word, `true` =
 /// reference slot).
@@ -51,17 +51,23 @@ impl LayoutCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdheap::{FieldKind, GraphBuilder, ValueType};
     use sdheap::builder::Init;
+    use sdheap::{FieldKind, GraphBuilder, ValueType};
 
     #[test]
     fn bitmap_matches_object_view() {
         let mut b = GraphBuilder::new(1 << 16);
         let k = b.klass(
             "K",
-            vec![FieldKind::Ref, FieldKind::Value(ValueType::Long), FieldKind::Ref],
+            vec![
+                FieldKind::Ref,
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Ref,
+            ],
         );
-        let o = b.object(k, &[Init::Null, Init::Val(9), Init::Null]).unwrap();
+        let o = b
+            .object(k, &[Init::Null, Init::Val(9), Init::Null])
+            .unwrap();
         let (heap, reg) = b.finish();
         let bits = object_layout_bits(&heap, &reg, o);
         assert_eq!(bits, vec![false, false, false, true, false, true]);

@@ -114,9 +114,8 @@ impl EndMap {
         }
         byte += 1;
         while byte + 8 <= end_byte {
-            let word = u64::from_be_bytes(
-                self.bits[byte..byte + 8].try_into().expect("8-byte slice"),
-            );
+            let word =
+                u64::from_be_bytes(self.bits[byte..byte + 8].try_into().expect("8-byte slice"));
             if word != 0 {
                 let idx = byte * 8 + word.leading_zeros() as usize;
                 return (idx < limit).then_some(idx);
@@ -232,8 +231,8 @@ impl Packer {
     pub fn push_value(&mut self, value: u64) {
         let sig = 64 - value.leading_zeros();
         let sig = sig.max(1); // value 0 still contributes one bit
-        // Items always start byte-aligned (padding below), so byte_len()
-        // is exact here.
+                              // Items always start byte-aligned (padding below), so byte_len()
+                              // is exact here.
         let start_byte = self.payload.byte_len();
         self.payload.push_bits(value, sig);
         self.payload.push(true); // end bit

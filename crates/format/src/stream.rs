@@ -190,9 +190,8 @@ impl CerealStream {
                 have: bytes.len(),
             });
         }
-        let word = |i: usize| {
-            u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"))
-        };
+        let word =
+            |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"));
         if word(0) != MAGIC {
             return Err(FormatError::BadMagic(word(0)));
         }

@@ -84,8 +84,7 @@ impl ExtWord {
     pub fn with_reserving_unit(self, unit: u8) -> Self {
         assert!(unit < u8::MAX, "unit id {unit} out of range");
         ExtWord {
-            raw: (self.raw & !(UNIT_BITS << UNIT_SHIFT))
-                | (u64::from(unit + 1) << UNIT_SHIFT),
+            raw: (self.raw & !(UNIT_BITS << UNIT_SHIFT)) | (u64::from(unit + 1) << UNIT_SHIFT),
         }
     }
 
@@ -118,7 +117,10 @@ mod tests {
     #[test]
     fn unreserved_by_default() {
         assert_eq!(ExtWord::new().reserving_unit(), None);
-        assert_eq!(ExtWord::new().with_reserving_unit(0).reserving_unit(), Some(0));
+        assert_eq!(
+            ExtWord::new().with_reserving_unit(0).reserving_unit(),
+            Some(0)
+        );
     }
 
     #[test]
@@ -132,7 +134,9 @@ mod tests {
 
     #[test]
     fn raw_roundtrip() {
-        let e = ExtWord::new().with_counter(65535).with_relative_addr(u32::MAX);
+        let e = ExtWord::new()
+            .with_counter(65535)
+            .with_relative_addr(u32::MAX);
         assert_eq!(ExtWord::from_raw(e.raw()), e);
     }
 

@@ -69,9 +69,9 @@ pub fn collect(
 
     // Cheney queue: evacuate roots, then scan to-space linearly.
     let evacuate = |obj: Addr,
-                        to_space: &mut Heap,
-                        forward: &mut HashMap<Addr, Addr>,
-                        stats: &mut GcStats|
+                    to_space: &mut Heap,
+                    forward: &mut HashMap<Addr, Addr>,
+                    stats: &mut GcStats|
      -> Result<Addr, HeapError> {
         if let Some(&new) = forward.get(&obj) {
             return Ok(new);
@@ -79,10 +79,7 @@ pub fn collect(
         let words = heap.object_words(reg, obj);
         let new = to_space.alloc_raw(words)?;
         for w in 0..words {
-            to_space.store(
-                new.add_words(w as u64),
-                heap.load(obj.add_words(w as u64)),
-            );
+            to_space.store(new.add_words(w as u64), heap.load(obj.add_words(w as u64)));
         }
         // §V-E: serialization metadata does not survive collection.
         to_space.set_ext_word(new, ExtWord::new());
@@ -137,16 +134,30 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 16);
         let k = b.klass(
             "N",
-            vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+            vec![
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Ref,
+                FieldKind::Ref,
+            ],
         );
         // Live graph: a -> (b, c), b -> (c, -) with a cycle c -> a.
-        let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
-        let bb = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Null]).unwrap();
-        let a = b.object(k, &[Init::Val(1), Init::Ref(bb), Init::Ref(c)]).unwrap();
+        let c = b
+            .object(k, &[Init::Val(3), Init::Null, Init::Null])
+            .unwrap();
+        let bb = b
+            .object(k, &[Init::Val(2), Init::Ref(c), Init::Null])
+            .unwrap();
+        let a = b
+            .object(k, &[Init::Val(1), Init::Ref(bb), Init::Ref(c)])
+            .unwrap();
         b.link(c, 1, a);
         // Garbage: a detached chain.
-        let g1 = b.object(k, &[Init::Val(100), Init::Null, Init::Null]).unwrap();
-        let _g2 = b.object(k, &[Init::Val(101), Init::Ref(g1), Init::Null]).unwrap();
+        let g1 = b
+            .object(k, &[Init::Val(100), Init::Null, Init::Null])
+            .unwrap();
+        let _g2 = b
+            .object(k, &[Init::Val(101), Init::Ref(g1), Init::Null])
+            .unwrap();
         let (heap, reg) = b.finish();
         (heap, reg, a, c)
     }

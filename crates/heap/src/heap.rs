@@ -83,7 +83,11 @@ impl Heap {
     /// of 8.
     pub fn with_base(base: Addr, capacity_bytes: u64) -> Self {
         assert!(base.is_word_aligned(), "heap base must be word aligned");
-        assert_eq!(capacity_bytes % WORD_BYTES, 0, "capacity must be whole words");
+        assert_eq!(
+            capacity_bytes % WORD_BYTES,
+            0,
+            "capacity must be whole words"
+        );
         Heap {
             base,
             words: vec![0; (capacity_bytes / WORD_BYTES) as usize],
@@ -122,7 +126,10 @@ impl Heap {
     fn index_of(&self, addr: Addr) -> usize {
         debug_assert!(addr.is_word_aligned(), "unaligned access at {addr}");
         let idx = addr.words_since(self.base) as usize;
-        debug_assert!(idx < self.top.max(self.words.len()), "access beyond heap at {addr}");
+        debug_assert!(
+            idx < self.top.max(self.words.len()),
+            "access beyond heap at {addr}"
+        );
         idx
     }
 
@@ -368,10 +375,7 @@ impl Heap {
     /// Iterates over the addresses of all allocated objects in allocation
     /// order. Only valid when every allocation went through
     /// [`Heap::alloc`]/[`Heap::alloc_array`] (not raw block copies).
-    pub fn iter_objects<'h>(
-        &'h self,
-        reg: &'h KlassRegistry,
-    ) -> impl Iterator<Item = Addr> + 'h {
+    pub fn iter_objects<'h>(&'h self, reg: &'h KlassRegistry) -> impl Iterator<Item = Addr> + 'h {
         let mut cursor = self.base;
         let end = self.top_addr();
         std::iter::from_fn(move || {

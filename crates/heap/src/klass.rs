@@ -269,7 +269,8 @@ impl KlassRegistry {
     pub fn register(&mut self, klass: Klass) -> KlassId {
         if let Some(&id) = self.by_name.get(klass.name()) {
             debug_assert_eq!(
-                &self.klasses[id.0 as usize], &klass,
+                &self.klasses[id.0 as usize],
+                &klass,
                 "re-registration of {} with a different layout",
                 klass.name()
             );
@@ -370,9 +371,14 @@ mod tests {
             assert_eq!(reg.id_of_meta_addr(addr), Some(id));
         }
         // Unknown or unaligned addresses decode to None.
-        assert_eq!(reg.id_of_meta_addr(Addr(KlassRegistry::META_BASE + 7)), None);
         assert_eq!(
-            reg.id_of_meta_addr(Addr(KlassRegistry::META_BASE + 100 * KlassRegistry::META_SLOT_BYTES)),
+            reg.id_of_meta_addr(Addr(KlassRegistry::META_BASE + 7)),
+            None
+        );
+        assert_eq!(
+            reg.id_of_meta_addr(Addr(
+                KlassRegistry::META_BASE + 100 * KlassRegistry::META_SLOT_BYTES
+            )),
             None
         );
         assert_eq!(reg.id_of_meta_addr(Addr(0x10)), None);
@@ -436,7 +442,10 @@ mod tests {
     fn named_fields_and_signatures() {
         let k = Klass::with_named_fields(
             "Point",
-            vec![("x", FieldKind::Value(ValueType::Double)), ("y", FieldKind::Value(ValueType::Double))],
+            vec![
+                ("x", FieldKind::Value(ValueType::Double)),
+                ("y", FieldKind::Value(ValueType::Double)),
+            ],
         );
         assert_eq!(k.fields()[0].name, "x");
         assert_eq!(ValueType::Double.signature(), 'D');

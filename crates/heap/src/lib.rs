@@ -55,5 +55,5 @@ pub use graph::{isomorphic, isomorphic_with, reachable, GraphStats, IsoOptions, 
 pub use heap::{Heap, HeapError};
 pub use klass::{FieldKind, Klass, KlassId, KlassRegistry, ValueType};
 pub use mark::MarkWord;
-pub use object::{ObjectView, HEADER_WORDS, MARK_OFFSET, KLASS_OFFSET, EXT_OFFSET};
+pub use object::{ObjectView, EXT_OFFSET, HEADER_WORDS, KLASS_OFFSET, MARK_OFFSET};
 pub use word::{Addr, WORD_BYTES};

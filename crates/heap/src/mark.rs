@@ -50,8 +50,8 @@ impl MarkWord {
     /// Sets the identity hash (truncated to 31 bits), returning the updated
     /// word.
     pub fn with_identity_hash(self, hash: u32) -> Self {
-        let raw = (self.raw & !(HASH_BITS << HASH_SHIFT))
-            | ((u64::from(hash) & HASH_BITS) << HASH_SHIFT);
+        let raw =
+            (self.raw & !(HASH_BITS << HASH_SHIFT)) | ((u64::from(hash) & HASH_BITS) << HASH_SHIFT);
         MarkWord { raw }
     }
 
@@ -62,8 +62,8 @@ impl MarkWord {
 
     /// Sets the 3-bit synchronization state.
     pub fn with_sync_state(self, s: u8) -> Self {
-        let raw = (self.raw & !(SYNC_BITS << SYNC_SHIFT))
-            | ((u64::from(s) & SYNC_BITS) << SYNC_SHIFT);
+        let raw =
+            (self.raw & !(SYNC_BITS << SYNC_SHIFT)) | ((u64::from(s) & SYNC_BITS) << SYNC_SHIFT);
         MarkWord { raw }
     }
 
@@ -74,8 +74,7 @@ impl MarkWord {
 
     /// Sets the 6 GC state bits.
     pub fn with_gc_bits(self, g: u8) -> Self {
-        let raw =
-            (self.raw & !(GC_BITS << GC_SHIFT)) | ((u64::from(g) & GC_BITS) << GC_SHIFT);
+        let raw = (self.raw & !(GC_BITS << GC_SHIFT)) | ((u64::from(g) & GC_BITS) << GC_SHIFT);
         MarkWord { raw }
     }
 

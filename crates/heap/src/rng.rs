@@ -54,10 +54,7 @@ impl Rng {
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let out = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -105,19 +102,25 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a: Vec<u64> = (0..16).map({
-            let mut r = Rng::new(42);
-            move |_| r.next_u64()
-        }).collect();
-        let b: Vec<u64> = (0..16).map({
-            let mut r = Rng::new(42);
-            move |_| r.next_u64()
-        }).collect();
+        let a: Vec<u64> = (0..16)
+            .map({
+                let mut r = Rng::new(42);
+                move |_| r.next_u64()
+            })
+            .collect();
+        let b: Vec<u64> = (0..16)
+            .map({
+                let mut r = Rng::new(42);
+                move |_| r.next_u64()
+            })
+            .collect();
         assert_eq!(a, b);
-        let c: Vec<u64> = (0..16).map({
-            let mut r = Rng::new(43);
-            move |_| r.next_u64()
-        }).collect();
+        let c: Vec<u64> = (0..16)
+            .map({
+                let mut r = Rng::new(43);
+                move |_| r.next_u64()
+            })
+            .collect();
         assert_ne!(a, c);
     }
 

@@ -123,10 +123,16 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        assert!(SerError::UnknownClass("Foo".into()).to_string().contains("Foo"));
+        assert!(SerError::UnknownClass("Foo".into())
+            .to_string()
+            .contains("Foo"));
         assert!(SerError::UnknownClassId(7).to_string().contains('7'));
-        assert!(SerError::Malformed("bad tag").to_string().contains("bad tag"));
-        assert!(SerError::Unsupported("x").to_string().contains("unsupported"));
+        assert!(SerError::Malformed("bad tag")
+            .to_string()
+            .contains("bad tag"));
+        assert!(SerError::Unsupported("x")
+            .to_string()
+            .contains("unsupported"));
         let heap_err: SerError = HeapError::OutOfMemory {
             requested_words: 1,
             available_words: 0,

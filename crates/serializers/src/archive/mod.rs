@@ -37,7 +37,9 @@ use crate::api::{SerError, Serializer};
 use crate::image::{self, decode_rel, ref_words, RecordStarts};
 use crate::plan::plans_for;
 use crate::trace::{Op, OpBuf, TraceSink, IN_STREAM_BASE, OUT_STREAM_BASE};
-use sdheap::{reachable, Addr, Heap, KlassId, KlassRegistry, Reachable, HEADER_WORDS, KLASS_OFFSET};
+use sdheap::{
+    reachable, Addr, Heap, KlassId, KlassRegistry, Reachable, HEADER_WORDS, KLASS_OFFSET,
+};
 use std::fmt;
 use std::rc::Rc;
 
@@ -114,7 +116,10 @@ impl fmt::Display for ArchiveError {
             ArchiveError::BadMagic => write!(f, "bad archive magic"),
             ArchiveError::BadVersion(v) => write!(f, "unknown archive version {v}"),
             ArchiveError::ImageSizeMismatch { declared, actual } => {
-                write!(f, "image size mismatch: declared {declared}, actual {actual}")
+                write!(
+                    f,
+                    "image size mismatch: declared {declared}, actual {actual}"
+                )
             }
             ArchiveError::Unaligned => write!(f, "image size not word-aligned"),
             ArchiveError::UnknownClassId { offset, id } => {
@@ -127,7 +132,10 @@ impl fmt::Display for ArchiveError {
                 write!(f, "record at offset {offset} overruns image")
             }
             ArchiveError::CountMismatch { declared, walked } => {
-                write!(f, "record count mismatch: declared {declared}, walked {walked}")
+                write!(
+                    f,
+                    "record count mismatch: declared {declared}, walked {walked}"
+                )
             }
             ArchiveError::DanglingRef { offset, target } => {
                 write!(f, "dangling reference at offset {offset} to {target}")
@@ -334,7 +342,11 @@ impl<'a> ArchiveView<'a> {
         for (&off, &id) in starts.iter().zip(&ids) {
             let plan = plans.plan(id);
             let base = u64::from(off);
-            let len = if plan.is_array() { word(base + 8 * LEN_WORD as u64) } else { 0 };
+            let len = if plan.is_array() {
+                word(base + 8 * LEN_WORD as u64)
+            } else {
+                0
+            };
             for w in ref_words(plan, len) {
                 let at = base + w * 8;
                 buf.load(stream(at), 8);
@@ -342,13 +354,21 @@ impl<'a> ArchiveView<'a> {
                 buf.push(Op::Branch);
                 if let Some(rel) = decode_rel(word(at)) {
                     if !start_set.contains(rel) {
-                        return Err(ArchiveError::DanglingRef { offset: off, target: rel });
+                        return Err(ArchiveError::DanglingRef {
+                            offset: off,
+                            target: rel,
+                        });
                     }
                 }
             }
         }
 
-        Ok(ArchiveView { image, starts, ids, plans })
+        Ok(ArchiveView {
+            image,
+            starts,
+            ids,
+            plans,
+        })
     }
 
     /// Number of validated records.
@@ -370,7 +390,11 @@ impl<'a> ArchiveView<'a> {
     /// Raw image word at byte offset `off`.
     #[inline]
     fn word(&self, off: u64) -> u64 {
-        u64::from_le_bytes(self.image[off as usize..off as usize + 8].try_into().expect("8"))
+        u64::from_le_bytes(
+            self.image[off as usize..off as usize + 8]
+                .try_into()
+                .expect("8"),
+        )
     }
 
     #[inline]
@@ -606,20 +630,26 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 12);
         b.klass("N", vec![FieldKind::Value(ValueType::Long)]);
         let (mut heap, reg) = b.finish();
-        let bytes = Archive::new().serialize(&mut heap, &reg, Addr::NULL, &mut NullSink).unwrap();
+        let bytes = Archive::new()
+            .serialize(&mut heap, &reg, Addr::NULL, &mut NullSink)
+            .unwrap();
         assert_eq!(bytes.len(), HEADER_BYTES);
         let view = ArchiveView::validate(&bytes, &reg, &mut NullSink).unwrap();
         assert_eq!(view.object_count(), 0);
         assert!(view.root().is_none());
         let mut dst = Heap::new(1 << 12);
-        let root = Archive::new().deserialize(&bytes, &reg, &mut dst, &mut NullSink).unwrap();
+        let root = Archive::new()
+            .deserialize(&bytes, &reg, &mut dst, &mut NullSink)
+            .unwrap();
         assert!(root.is_null());
     }
 
     #[test]
     fn view_reads_match_the_source_heap() {
         let (mut heap, reg, root) = graph_with_arrays();
-        let bytes = Archive::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+        let bytes = Archive::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
         let view = ArchiveView::validate(&bytes, &reg, &mut NullSink).unwrap();
         let r = view.root().expect("non-empty");
         assert_eq!(view.array_len(r), 4);
@@ -641,7 +671,9 @@ mod tests {
     #[test]
     fn validation_grants_access_with_zero_stores_and_allocs() {
         let (mut heap, reg, root) = graph_with_arrays();
-        let bytes = Archive::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+        let bytes = Archive::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
         let mut counts = CountingSink::new();
         let view = ArchiveView::validate(&bytes, &reg, &mut counts).unwrap();
         assert_eq!(counts.stores, 0, "validate must not write");
@@ -650,7 +682,9 @@ mod tests {
         // copies every word of the image.
         let mut de_counts = CountingSink::new();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
-        Archive::new().deserialize(&bytes, &reg, &mut dst, &mut de_counts).unwrap();
+        Archive::new()
+            .deserialize(&bytes, &reg, &mut dst, &mut de_counts)
+            .unwrap();
         assert!(
             counts.loads < de_counts.loads && counts.load_bytes < de_counts.load_bytes,
             "validate ({} loads) must touch less than reconstruct ({} loads)",
@@ -663,7 +697,9 @@ mod tests {
     #[test]
     fn fold_words_matches_the_heap_walk() {
         for (mut heap, reg, root) in [diamond(), graph_with_arrays()] {
-            let bytes = Archive::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+            let bytes = Archive::new()
+                .serialize(&mut heap, &reg, root, &mut NullSink)
+                .unwrap();
             let view = ArchiveView::validate(&bytes, &reg, &mut NullSink).unwrap();
             assert_eq!(
                 view.fold_words(&mut NullSink),
@@ -684,9 +720,18 @@ mod tests {
     #[test]
     fn stream_is_larger_than_kryo_but_header_fixed() {
         let (mut heap, reg, a) = diamond();
-        let arc = Archive::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
-        let kryo = Kryo::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
-        assert!(arc.len() > kryo.len(), "headers travel: {} vs {}", arc.len(), kryo.len());
+        let arc = Archive::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
+        let kryo = Kryo::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
+        assert!(
+            arc.len() > kryo.len(),
+            "headers travel: {} vs {}",
+            arc.len(),
+            kryo.len()
+        );
         assert_eq!(&arc[0..4], &MAGIC);
         assert_eq!(arc.len(), HEADER_BYTES + 3 * (3 + 3) * 8);
     }
@@ -694,7 +739,9 @@ mod tests {
     #[test]
     fn corrupt_archives_fail_typed() {
         let (mut heap, reg, a) = diamond();
-        let bytes = Archive::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
+        let bytes = Archive::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
         // Baseline sanity.
         assert!(ArchiveView::validate(&bytes, &reg, &mut NullSink).is_ok());
         // Truncated header.
@@ -742,7 +789,10 @@ mod tests {
         evil[12..16].copy_from_slice(&7u32.to_le_bytes());
         assert!(matches!(
             ArchiveView::validate(&evil, &reg, &mut NullSink).unwrap_err(),
-            ArchiveError::CountMismatch { declared: 7, walked: 3 }
+            ArchiveError::CountMismatch {
+                declared: 7,
+                walked: 3
+            }
         ));
         // And the Serializer-facing path surfaces the same defects as
         // SerError (the engines' typed error channel).
@@ -756,7 +806,9 @@ mod tests {
     #[test]
     fn array_length_overrun_is_rejected() {
         let (mut heap, reg, root) = graph_with_arrays();
-        let bytes = Archive::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+        let bytes = Archive::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
         // The root record is the Object[4]; inflate its length word.
         let len_at = HEADER_BYTES + 8 * LEN_WORD;
         let mut evil = bytes.clone();

@@ -319,7 +319,9 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 16);
         let d = b.array_klass("double[]", FieldKind::Value(ValueType::Double));
         let o = b.array_klass("Object[]", FieldKind::Ref);
-        let data = b.value_array(d, &[f64::to_bits(1.5), f64::to_bits(-2.5)]).unwrap();
+        let data = b
+            .value_array(d, &[f64::to_bits(1.5), f64::to_bits(-2.5)])
+            .unwrap();
         let arr = b.ref_array(o, &[data, Addr::NULL, data]).unwrap();
         let (mut heap, reg) = b.finish();
         let (dst, root) = roundtrip(&mut heap, &reg, arr);
@@ -367,7 +369,11 @@ mod tests {
             .serialize(&mut heap, &reg, c, &mut NullSink)
             .unwrap();
         let hay = String::from_utf8_lossy(&bytes);
-        assert_eq!(hay.matches("Node").count(), 1, "second object uses TC_CLASSREF");
+        assert_eq!(
+            hay.matches("Node").count(),
+            1,
+            "second object uses TC_CLASSREF"
+        );
     }
 
     #[test]
@@ -375,12 +381,17 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 16);
         let k = b.klass(
             "K",
-            vec![FieldKind::Value(ValueType::Long), FieldKind::Value(ValueType::Long)],
+            vec![
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Value(ValueType::Long),
+            ],
         );
         let o = b.object(k, &[Init::Val(1), Init::Val(2)]).unwrap();
         let (mut heap, reg) = b.finish();
         let mut counts = CountingSink::new();
-        JavaSd::new().serialize(&mut heap, &reg, o, &mut counts).unwrap();
+        JavaSd::new()
+            .serialize(&mut heap, &reg, o, &mut counts)
+            .unwrap();
         assert_eq!(counts.reflect_calls, 2, "one reflective call per field");
         assert!(counts.str_compare_bytes > 0);
         assert!(counts.dependent_loads >= 3, "header + klass + field chase");

@@ -37,8 +37,16 @@ struct CSer<'a> {
 
 enum Frame {
     Open(Addr),
-    Fields { addr: Addr, step: usize, id: KlassId },
-    Elems { addr: Addr, idx: usize, elem: FieldKind },
+    Fields {
+        addr: Addr,
+        step: usize,
+        id: KlassId,
+    },
+    Elems {
+        addr: Addr,
+        idx: usize,
+        elem: FieldKind,
+    },
     Text(&'static str),
 }
 
@@ -129,7 +137,11 @@ impl<'a> CSer<'a> {
                         }
                         None => {
                             stack.push(Frame::Text("}"));
-                            stack.push(Frame::Fields { addr, step: 0, id: kid });
+                            stack.push(Frame::Fields {
+                                addr,
+                                step: 0,
+                                id: kid,
+                            });
                         }
                     }
                 }
@@ -146,13 +158,10 @@ impl<'a> CSer<'a> {
                                 let prims = &plan.prims
                                     [prim_start as usize..(prim_start + prim_len) as usize];
                                 let first = prims[0].idx as usize;
-                                let base =
-                                    addr.add_words((HEADER_WORDS + first) as u64).get();
+                                let base = addr.add_words((HEADER_WORDS + first) as u64).get();
                                 let h: &Heap = self.heap;
                                 let words = h.field_words(addr, first, prims.len());
-                                for (j, (f, &word)) in
-                                    prims.iter().zip(words).enumerate()
-                                {
+                                for (j, (f, &word)) in prims.iter().zip(words).enumerate() {
                                     self.ops.push(Op::Call);
                                     self.ops.load_word_dep(base + 8 * j as u64);
                                     let prefix = &plan.json_prefixes[f.idx as usize];
@@ -170,8 +179,7 @@ impl<'a> CSer<'a> {
                             Step::Ref { idx, .. } => {
                                 self.ops.push(Op::Call);
                                 self.ops.load_word_dep(
-                                    addr.add_words((HEADER_WORDS + idx as usize) as u64)
-                                        .get(),
+                                    addr.add_words((HEADER_WORDS + idx as usize) as u64).get(),
                                 );
                                 let word = self.heap.field(addr, idx as usize);
                                 let prefix = &plan.json_prefixes[idx as usize];
@@ -212,10 +220,8 @@ impl<'a> CSer<'a> {
                             if idx > 0 {
                                 self.emit(b",");
                             }
-                            self.ops.load(
-                                addr.add_words((HEADER_WORDS + 1 + idx) as u64).get(),
-                                8,
-                            );
+                            self.ops
+                                .load(addr.add_words((HEADER_WORDS + 1 + idx) as u64).get(), 8);
                             let word = self.heap.array_elem(addr, idx);
                             stack.push(Frame::Elems {
                                 addr,

@@ -104,10 +104,26 @@ mod tests {
             .value_array(d, &[f64::to_bits(1.5), f64::to_bits(-2.25)])
             .unwrap();
         let x = b
-            .object(k, &[Init::Val(7), Init::Val(f64::to_bits(0.5)), Init::Ref(shared), Init::Null])
+            .object(
+                k,
+                &[
+                    Init::Val(7),
+                    Init::Val(f64::to_bits(0.5)),
+                    Init::Ref(shared),
+                    Init::Null,
+                ],
+            )
             .unwrap();
         let root = b
-            .object(k, &[Init::Val(1), Init::Val(f64::to_bits(3.0)), Init::Ref(x), Init::Ref(shared)])
+            .object(
+                k,
+                &[
+                    Init::Val(1),
+                    Init::Val(f64::to_bits(3.0)),
+                    Init::Ref(x),
+                    Init::Ref(shared),
+                ],
+            )
             .unwrap();
         let (heap, reg) = b.finish();
         (heap, reg, root)
@@ -119,7 +135,9 @@ mod tests {
         let ser = JsonLike::new();
         let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
-        let new_root = ser.deserialize(&bytes, &reg, &mut dst, &mut NullSink).unwrap();
+        let new_root = ser
+            .deserialize(&bytes, &reg, &mut dst, &mut NullSink)
+            .unwrap();
         assert!(isomorphic_with(
             &heap,
             &reg,
@@ -135,29 +153,47 @@ mod tests {
     #[test]
     fn output_is_readable_text() {
         let (mut heap, reg, root) = dag();
-        let bytes = JsonLike::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+        let bytes = JsonLike::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
         let text = String::from_utf8(bytes).expect("valid UTF-8");
         assert!(text.starts_with("{\"@c\":\"N\""));
         assert!(text.contains("\"f1\":3.0") || text.contains("\"f1\":3"));
-        assert!(text.contains("\"@r\":"), "shared array uses a back reference");
+        assert!(
+            text.contains("\"@r\":"),
+            "shared array uses a back reference"
+        );
         assert!(text.contains("1.5"));
     }
 
     #[test]
     fn text_is_larger_than_java_sd() {
         let (mut heap, reg, root) = dag();
-        let json = JsonLike::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
-        let kryo = crate::Kryo::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
-        assert!(json.len() > kryo.len() * 2, "json {} vs kryo {}", json.len(), kryo.len());
+        let json = JsonLike::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
+        let kryo = crate::Kryo::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
+        assert!(
+            json.len() > kryo.len() * 2,
+            "json {} vs kryo {}",
+            json.len(),
+            kryo.len()
+        );
     }
 
     #[test]
     fn parsing_is_alu_heavy() {
         let (mut heap, reg, root) = dag();
-        let bytes = JsonLike::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
+        let bytes = JsonLike::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
         let mut counts = CountingSink::new();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
-        JsonLike::new().deserialize(&bytes, &reg, &mut dst, &mut counts).unwrap();
+        JsonLike::new()
+            .deserialize(&bytes, &reg, &mut dst, &mut counts)
+            .unwrap();
         assert!(
             counts.alu > bytes.len() as u64 / 2,
             "char-level parsing: {} alu for {} bytes",
@@ -193,7 +229,9 @@ mod tests {
             head = b.object(k, &[Init::Val(i), Init::Ref(head)]).unwrap();
         }
         let (mut heap, reg) = b.finish();
-        let bytes = JsonLike::new().serialize(&mut heap, &reg, head, &mut NullSink).unwrap();
+        let bytes = JsonLike::new()
+            .serialize(&mut heap, &reg, head, &mut NullSink)
+            .unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 24);
         let err = JsonLike::new()
             .deserialize(&bytes, &reg, &mut dst, &mut NullSink)
@@ -211,7 +249,9 @@ mod tests {
         }
         let (mut heap, reg) = b.finish();
         // Serialization must not recurse (explicit stack).
-        let bytes = JsonLike::new().serialize(&mut heap, &reg, head, &mut NullSink).unwrap();
+        let bytes = JsonLike::new()
+            .serialize(&mut heap, &reg, head, &mut NullSink)
+            .unwrap();
         assert!(bytes.len() > 20_000 * 10);
     }
 }

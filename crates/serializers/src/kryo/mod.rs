@@ -170,7 +170,9 @@ mod tests {
         let ser = Kryo::new();
         let bytes = ser.serialize(heap, reg, root, &mut NullSink).unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), heap.capacity_bytes());
-        let new_root = ser.deserialize(&bytes, reg, &mut dst, &mut NullSink).unwrap();
+        let new_root = ser
+            .deserialize(&bytes, reg, &mut dst, &mut NullSink)
+            .unwrap();
         (dst, new_root)
     }
 
@@ -191,11 +193,21 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 16);
         let k = b.klass(
             "N",
-            vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+            vec![
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Ref,
+                FieldKind::Ref,
+            ],
         );
-        let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
-        let x = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Null]).unwrap();
-        let a = b.object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)]).unwrap();
+        let c = b
+            .object(k, &[Init::Val(3), Init::Null, Init::Null])
+            .unwrap();
+        let x = b
+            .object(k, &[Init::Val(2), Init::Ref(c), Init::Null])
+            .unwrap();
+        let a = b
+            .object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)])
+            .unwrap();
         let (heap, reg) = b.finish();
         (heap, reg, a)
     }
@@ -257,7 +269,9 @@ mod tests {
         let k = b.klass("L", vec![FieldKind::Value(ValueType::Int), FieldKind::Ref]);
         let mut head = b.object(k, &[Init::Val(0), Init::Null]).unwrap();
         for i in 1..50_000u64 {
-            head = b.object(k, &[Init::Val(i & 0xffff_ffff), Init::Ref(head)]).unwrap();
+            head = b
+                .object(k, &[Init::Val(i & 0xffff_ffff), Init::Ref(head)])
+                .unwrap();
         }
         let (mut heap, reg) = b.finish();
         let (dst, root) = roundtrip(&mut heap, &reg, head);
@@ -267,8 +281,12 @@ mod tests {
     #[test]
     fn stream_is_much_smaller_than_javasd() {
         let (mut heap, reg, a) = diamond();
-        let kryo_bytes = Kryo::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
-        let java_bytes = JavaSd::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
+        let kryo_bytes = Kryo::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
+        let java_bytes = JavaSd::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
         assert!(
             kryo_bytes.len() * 2 < java_bytes.len(),
             "kryo {} vs java {}",
@@ -283,12 +301,16 @@ mod tests {
     fn no_reflection_in_trace() {
         let (mut heap, reg, a) = diamond();
         let mut ser_counts = CountingSink::new();
-        let bytes = Kryo::new().serialize(&mut heap, &reg, a, &mut ser_counts).unwrap();
+        let bytes = Kryo::new()
+            .serialize(&mut heap, &reg, a, &mut ser_counts)
+            .unwrap();
         assert_eq!(ser_counts.reflect_calls, 0);
         assert_eq!(ser_counts.str_compare_bytes, 0);
         let mut de_counts = CountingSink::new();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 16);
-        Kryo::new().deserialize(&bytes, &reg, &mut dst, &mut de_counts).unwrap();
+        Kryo::new()
+            .deserialize(&bytes, &reg, &mut dst, &mut de_counts)
+            .unwrap();
         assert_eq!(de_counts.reflect_calls, 0);
         assert_eq!(de_counts.str_compare_bytes, 0);
     }
@@ -296,17 +318,23 @@ mod tests {
     #[test]
     fn unknown_class_id_rejected() {
         let (mut heap, reg, a) = diamond();
-        let bytes = Kryo::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
+        let bytes = Kryo::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
         let empty = KlassRegistry::new();
         let mut dst = Heap::new(1 << 12);
-        let err = Kryo::new().deserialize(&bytes, &empty, &mut dst, &mut NullSink).unwrap_err();
+        let err = Kryo::new()
+            .deserialize(&bytes, &empty, &mut dst, &mut NullSink)
+            .unwrap_err();
         assert!(matches!(err, SerError::UnknownClassId(_)));
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let (mut heap, reg, a) = diamond();
-        let bytes = Kryo::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
+        let bytes = Kryo::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
         // Class id 2^32 + 0 must not alias klass 0 (`N`: a long, two refs).
         let wide_id = [
             &[TAG_NEW, 0x80, 0x80, 0x80, 0x80, 0x10][..],

@@ -60,12 +60,12 @@ pub mod skyway;
 pub mod trace;
 
 pub use api::{SerError, Serializer};
-pub use image::RecordStarts;
 pub use archive::{fold_words_heap, Archive, ArchiveError, ArchiveView};
-pub use plan::{Plan, PlanCache};
+pub use image::RecordStarts;
 pub use javasd::JavaSd;
 pub use jsonlike::JsonLike;
 pub use kryo::Kryo;
+pub use plan::{Plan, PlanCache};
 pub use protolike::ProtoLike;
 pub use skyway::Skyway;
 pub use trace::{CountingSink, NullSink, Op, OpBuf, TraceSink, IN_STREAM_BASE, OUT_STREAM_BASE};

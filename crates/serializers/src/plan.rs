@@ -324,7 +324,13 @@ mod tests {
                 prim_len: 3
             }
         );
-        assert_eq!(p.steps[1], Step::Ref { idx: 3, name_len: 2 });
+        assert_eq!(
+            p.steps[1],
+            Step::Ref {
+                idx: 3,
+                name_len: 2
+            }
+        );
         assert_eq!(
             p.steps[2],
             Step::Run {
@@ -358,7 +364,11 @@ mod tests {
                 Step::Run { .. } => None,
             })
             .collect();
-        assert_eq!(step_refs, vec![0, 2, 3], "program order = declaration order");
+        assert_eq!(
+            step_refs,
+            vec![0, 2, 3],
+            "program order = declaration order"
+        );
     }
 
     #[test]
@@ -368,7 +378,10 @@ mod tests {
             "Node",
             vec![FieldKind::Value(ValueType::Long), FieldKind::Ref],
         ));
-        let arr = reg.register(Klass::array("double[]", FieldKind::Value(ValueType::Double)));
+        let arr = reg.register(Klass::array(
+            "double[]",
+            FieldKind::Value(ValueType::Double),
+        ));
         let cache = PlanCache::compile(&reg);
         let p = cache.plan(id);
         assert_eq!(p.num_fields, 2);

@@ -178,11 +178,21 @@ mod tests {
         let mut b = GraphBuilder::new(1 << 18);
         let k = b.klass(
             "N",
-            vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+            vec![
+                FieldKind::Value(ValueType::Long),
+                FieldKind::Ref,
+                FieldKind::Ref,
+            ],
         );
-        let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
-        let x = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Null]).unwrap();
-        let a = b.object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)]).unwrap();
+        let c = b
+            .object(k, &[Init::Val(3), Init::Null, Init::Null])
+            .unwrap();
+        let x = b
+            .object(k, &[Init::Val(2), Init::Ref(c), Init::Null])
+            .unwrap();
+        let a = b
+            .object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)])
+            .unwrap();
         b.link(c, 1, a); // cycle
         let (heap, reg) = b.finish();
         (heap, reg, a)
@@ -194,7 +204,9 @@ mod tests {
         let ser = ProtoLike::new();
         let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 18);
-        let new_root = ser.deserialize(&bytes, &reg, &mut dst, &mut NullSink).unwrap();
+        let new_root = ser
+            .deserialize(&bytes, &reg, &mut dst, &mut NullSink)
+            .unwrap();
         assert!(isomorphic_with(
             &heap,
             &reg,
@@ -211,18 +223,31 @@ mod tests {
     fn smaller_than_kryo_for_small_magnitudes() {
         // Zigzag varints shrink small longs that Kryo stores as 8 B.
         let (mut heap, reg, root) = graph();
-        let proto = ProtoLike::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
-        let kryo = crate::Kryo::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
-        assert!(proto.len() < kryo.len(), "proto {} vs kryo {}", proto.len(), kryo.len());
+        let proto = ProtoLike::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
+        let kryo = crate::Kryo::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
+        assert!(
+            proto.len() < kryo.len(),
+            "proto {} vs kryo {}",
+            proto.len(),
+            kryo.len()
+        );
     }
 
     #[test]
     fn cheaper_trace_than_kryo() {
         let (mut heap, reg, root) = graph();
         let mut proto_c = CountingSink::new();
-        ProtoLike::new().serialize(&mut heap, &reg, root, &mut proto_c).unwrap();
+        ProtoLike::new()
+            .serialize(&mut heap, &reg, root, &mut proto_c)
+            .unwrap();
         let mut kryo_c = CountingSink::new();
-        crate::Kryo::new().serialize(&mut heap, &reg, root, &mut kryo_c).unwrap();
+        crate::Kryo::new()
+            .serialize(&mut heap, &reg, root, &mut kryo_c)
+            .unwrap();
         assert!(
             proto_c.calls < kryo_c.calls,
             "generated code makes fewer calls: {} vs {}",

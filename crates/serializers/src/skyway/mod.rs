@@ -116,7 +116,13 @@ impl image::Dialect for Skyway {
         // The structural checks are not narrated: Skyway trusts its
         // input, and its modeled cost is the adjustment walk alone.
         let mut silent = OpBuf::for_sink(&NullSink);
-        Ok(ArchiveView::check(image, word32(4), HEAD_BYTES, reg, &mut silent)?)
+        Ok(ArchiveView::check(
+            image,
+            word32(4),
+            HEAD_BYTES,
+            reg,
+            &mut silent,
+        )?)
     }
 
     fn rewrite_header_word(ops: &mut OpBuf, addr: u64) {
@@ -171,8 +177,12 @@ mod tests {
     #[test]
     fn stream_is_larger_than_kryo() {
         let (mut heap, reg, a) = diamond();
-        let sky = Skyway::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
-        let kryo = Kryo::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
+        let sky = Skyway::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
+        let kryo = Kryo::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
         assert!(
             sky.len() > kryo.len(),
             "skyway {} must exceed kryo {} (headers travel)",
@@ -193,11 +203,15 @@ mod tests {
     fn no_reflection_and_bulk_copy_shape() {
         let (mut heap, reg, a) = diamond();
         let mut ser_counts = CountingSink::new();
-        let bytes = Skyway::new().serialize(&mut heap, &reg, a, &mut ser_counts).unwrap();
+        let bytes = Skyway::new()
+            .serialize(&mut heap, &reg, a, &mut ser_counts)
+            .unwrap();
         assert_eq!(ser_counts.reflect_calls, 0);
         let mut de_counts = CountingSink::new();
         let mut dst = Heap::with_base(Addr(0x2_0000_0000), 1 << 16);
-        Skyway::new().deserialize(&bytes, &reg, &mut dst, &mut de_counts).unwrap();
+        Skyway::new()
+            .deserialize(&bytes, &reg, &mut dst, &mut de_counts)
+            .unwrap();
         // Deserialization re-touches every ref word: copy + adjustment.
         assert!(de_counts.stores >= de_counts.loads / 2);
         assert_eq!(de_counts.allocs, 0, "no per-object allocation: bulk copy");
@@ -206,7 +220,9 @@ mod tests {
     #[test]
     fn rejects_corrupt_streams() {
         let (mut heap, reg, a) = diamond();
-        let bytes = Skyway::new().serialize(&mut heap, &reg, a, &mut NullSink).unwrap();
+        let bytes = Skyway::new()
+            .serialize(&mut heap, &reg, a, &mut NullSink)
+            .unwrap();
         let mut dst = Heap::new(1 << 16);
         // Truncated body.
         let err = Skyway::new()
@@ -223,8 +239,7 @@ mod tests {
         // Out-of-image relative address.
         let mut evil = bytes.clone();
         let ref_word_off = 8 + (HEADER_WORDS + 1) * 8; // first object's first ref
-        evil[ref_word_off..ref_word_off + 8]
-            .copy_from_slice(&(u32::MAX as u64).to_le_bytes());
+        evil[ref_word_off..ref_word_off + 8].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
         let mut dst3 = Heap::new(1 << 16);
         let err = Skyway::new()
             .deserialize(&evil, &reg, &mut dst3, &mut NullSink)

@@ -307,7 +307,11 @@ fn golden_deep_list() {
     // The tail (value 0) is the last record; its next is null.
     assert_eq!(words[748], 0);
     assert_eq!(words[749], 0);
-    assert_eq!(fnv1a(&bytes), 0x6d97_bfeb_2834_2771, "whole-stream fingerprint");
+    assert_eq!(
+        fnv1a(&bytes),
+        0x6d97_bfeb_2834_2771,
+        "whole-stream fingerprint"
+    );
 }
 
 /// The pinned streams really are valid, fresh-looking archives: they

@@ -52,7 +52,11 @@ fn build(recipe: &GraphRecipe) -> (Heap, KlassRegistry, Addr) {
     let k0 = b.klass("A", vec![FieldKind::Value(ValueType::Long), FieldKind::Ref]);
     let k1 = b.klass(
         "B",
-        vec![FieldKind::Ref, FieldKind::Ref, FieldKind::Value(ValueType::Int)],
+        vec![
+            FieldKind::Ref,
+            FieldKind::Ref,
+            FieldKind::Value(ValueType::Int),
+        ],
     );
     let k2 = b.klass("C", vec![FieldKind::Value(ValueType::Long)]);
     let k3 = b.array_klass("Object[]", FieldKind::Ref);
@@ -62,7 +66,10 @@ fn build(recipe: &GraphRecipe) -> (Heap, KlassRegistry, Addr) {
         let addr = match pick % 4 {
             0 => b.object(k0, &[Init::Val(value), Init::Null]).unwrap(),
             1 => b
-                .object(k1, &[Init::Null, Init::Null, Init::Val(value & 0xffff_ffff)])
+                .object(
+                    k1,
+                    &[Init::Null, Init::Null, Init::Val(value & 0xffff_ffff)],
+                )
                 .unwrap(),
             2 => b.object(k2, &[Init::Val(value)]).unwrap(),
             _ => {

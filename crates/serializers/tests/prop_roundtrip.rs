@@ -45,7 +45,11 @@ fn build(recipe: &GraphRecipe) -> (Heap, KlassRegistry, Addr) {
     let k0 = b.klass("A", vec![FieldKind::Value(ValueType::Long), FieldKind::Ref]);
     let k1 = b.klass(
         "B",
-        vec![FieldKind::Ref, FieldKind::Ref, FieldKind::Value(ValueType::Int)],
+        vec![
+            FieldKind::Ref,
+            FieldKind::Ref,
+            FieldKind::Value(ValueType::Int),
+        ],
     );
     let k2 = b.klass("C", vec![FieldKind::Value(ValueType::Long)]);
     let k3 = b.array_klass("Object[]", FieldKind::Ref);
@@ -56,7 +60,10 @@ fn build(recipe: &GraphRecipe) -> (Heap, KlassRegistry, Addr) {
         let addr = match pick % 4 {
             0 => b.object(k0, &[Init::Val(value), Init::Null]).unwrap(),
             1 => b
-                .object(k1, &[Init::Null, Init::Null, Init::Val(value & 0xffff_ffff)])
+                .object(
+                    k1,
+                    &[Init::Null, Init::Null, Init::Val(value & 0xffff_ffff)],
+                )
                 .unwrap(),
             2 => b.object(k2, &[Init::Val(value)]).unwrap(),
             _ => {
@@ -125,7 +132,10 @@ fn javasd_roundtrips_random_graphs() {
     let mut rng = Rng::new(0x5E_0001);
     for i in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
-        assert!(roundtrip_ok(&JavaSd::new(), &mut heap, &reg, root), "case {i}");
+        assert!(
+            roundtrip_ok(&JavaSd::new(), &mut heap, &reg, root),
+            "case {i}"
+        );
     }
 }
 
@@ -134,7 +144,10 @@ fn kryo_roundtrips_random_graphs() {
     let mut rng = Rng::new(0x5E_0002);
     for i in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
-        assert!(roundtrip_ok(&Kryo::new(), &mut heap, &reg, root), "case {i}");
+        assert!(
+            roundtrip_ok(&Kryo::new(), &mut heap, &reg, root),
+            "case {i}"
+        );
     }
 }
 
@@ -143,7 +156,10 @@ fn skyway_roundtrips_random_graphs() {
     let mut rng = Rng::new(0x5E_0003);
     for i in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
-        assert!(roundtrip_ok(&Skyway::new(), &mut heap, &reg, root), "case {i}");
+        assert!(
+            roundtrip_ok(&Skyway::new(), &mut heap, &reg, root),
+            "case {i}"
+        );
     }
 }
 
@@ -154,8 +170,17 @@ fn kryo_never_larger_than_javasd() {
     let mut rng = Rng::new(0x5E_0004);
     for _ in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
-        let kryo = Kryo::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
-        let java = JavaSd::new().serialize(&mut heap, &reg, root, &mut NullSink).unwrap();
-        assert!(kryo.len() <= java.len(), "kryo {} > java {}", kryo.len(), java.len());
+        let kryo = Kryo::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
+        let java = JavaSd::new()
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .unwrap();
+        assert!(
+            kryo.len() <= java.len(),
+            "kryo {} > java {}",
+            kryo.len(),
+            java.len()
+        );
     }
 }

@@ -201,7 +201,8 @@ pub fn run_mapper_sunk<S: Sink>(
     // Accelerator faults are drawn per flush from this mapper's private
     // stream (only the Cereal engine can fault in hardware).
     let mut accel = if backend == Backend::Cereal {
-        cfg.faults.map(|f| (f.accel_fault, stream(f.seed, accel_scope(m))))
+        cfg.faults
+            .map(|f| (f.accel_fault, stream(f.seed, accel_scope(m))))
     } else {
         None
     };
@@ -243,7 +244,9 @@ pub fn run_mapper_sunk<S: Sink>(
             return;
         }
         let batch = agg::coalesce(heap, &reg, batch_klass, pending);
-        let accel_faulted = accel.as_mut().is_some_and(|(rate, rng)| rng.gen_bool(*rate));
+        let accel_faulted = accel
+            .as_mut()
+            .is_some_and(|(rate, rng)| rng.gen_bool(*rate));
         let (bytes, t, used_backend) = if accel_faulted {
             // Hardware request faulted: this partition degrades to the
             // software fallback, paying its busy time on the host core.
@@ -326,7 +329,16 @@ pub fn run_mapper_sunk<S: Sink>(
             pending[dst].push(r);
             if pending[dst].len() as u64 * RECORD_HEAP_BYTES >= cfg.flush_bytes {
                 let mut q = std::mem::take(&mut pending[dst]);
-                flush(dst, &mut q, &mut heap, &mut engine, &mut blocks, &mut clock, pause_total, &mut *sink);
+                flush(
+                    dst,
+                    &mut q,
+                    &mut heap,
+                    &mut engine,
+                    &mut blocks,
+                    &mut clock,
+                    pause_total,
+                    &mut *sink,
+                );
                 pending[dst] = q;
             }
             i += 1;
@@ -372,7 +384,16 @@ pub fn run_mapper_sunk<S: Sink>(
         }
     }
     for (dst, q) in pending.iter_mut().enumerate() {
-        flush(dst, q, &mut heap, &mut engine, &mut blocks, &mut clock, pause_total, &mut *sink);
+        flush(
+            dst,
+            q,
+            &mut heap,
+            &mut engine,
+            &mut blocks,
+            &mut clock,
+            pause_total,
+            &mut *sink,
+        );
     }
 
     // Serve the shuffle files: read every batch back out of the store in
@@ -396,7 +417,10 @@ pub fn run_mapper_sunk<S: Sink>(
                         attrs: vec![("batch", (i as u64).into())],
                     });
                 }
-                msg.bytes = store.bytes(i).expect("fetch policy retains every block").to_vec();
+                msg.bytes = store
+                    .bytes(i)
+                    .expect("fetch policy retains every block")
+                    .to_vec();
                 msg.ser_done_ns = clock;
             }
             let s = store.stats();

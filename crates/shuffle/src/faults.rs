@@ -71,7 +71,10 @@ impl fmt::Display for ShuffleError {
                 "corrupted batch {src}->{dst}#{seq} decoded without a checksum error"
             ),
             ShuffleError::BadBatch { src, dst, seq } => {
-                write!(f, "batch {src}->{dst}#{seq} decoded to the wrong record count")
+                write!(
+                    f,
+                    "batch {src}->{dst}#{seq} decoded to the wrong record count"
+                )
             }
             ShuffleError::DuplicateKey(k) => write!(f, "key {k} folded by two reducers"),
             ShuffleError::FoldMismatch { a, b } => {

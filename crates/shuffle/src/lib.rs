@@ -175,14 +175,22 @@ impl ShuffleConfig {
         let (bw, lat) = (self.link.bytes_per_ns, self.link.latency_ns);
         for (bad, why) in [
             (self.reducers == 0, "reducers must be > 0"),
-            (!(bw.is_finite() && bw > 0.0), "link.bytes_per_ns must be finite and > 0"),
-            (!(lat.is_finite() && lat >= 0.0), "link.latency_ns must be finite and >= 0"),
+            (
+                !(bw.is_finite() && bw > 0.0),
+                "link.bytes_per_ns must be finite and > 0",
+            ),
+            (
+                !(lat.is_finite() && lat >= 0.0),
+                "link.latency_ns must be finite and >= 0",
+            ),
         ] {
             if bad {
                 return Err(ShuffleError::InvalidConfig(why));
             }
         }
-        self.faults.map_or(Ok(()), |f| f.validate()).map_err(ShuffleError::InvalidConfig)
+        self.faults
+            .map_or(Ok(()), |f| f.validate())
+            .map_err(ShuffleError::InvalidConfig)
     }
 
     /// The dataset this configuration shuffles.

@@ -115,7 +115,11 @@ pub fn run_reducer_sunk<S: Sink>(
                 }
             }
         }
-        let bad_batch = ShuffleError::BadBatch { src: msg.src, dst: msg.dst, seq: msg.seq };
+        let bad_batch = ShuffleError::BadBatch {
+            src: msg.src,
+            dst: msg.dst,
+            seq: msg.seq,
+        };
         let (n, ns) =
             match engine.fold_batch(&msg.bytes, reg, capacity, checksum, &mut out.fold, sink) {
                 Err(EngineError::NotABatch) => return Err(bad_batch),

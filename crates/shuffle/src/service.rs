@@ -78,38 +78,40 @@ pub fn run_backend_sunk<S: Sink>(
     // rerun reproduces the identical messages (the executor is
     // deterministic), shifted by the work lost at death plus the
     // scheduler's detection timeout.
-    let maps: Vec<Result<(MapOutcome, S), ShuffleError>> =
-        par_map(cfg.jobs, cfg.mappers, |m| {
-            let mut child = S::default();
-            let mut outcome = run_mapper_sunk(cfg, backend, m, &mut child)?;
-            if let Some(fc) = cfg.faults {
-                let mut rng = stream(fc.seed, death_scope(m));
-                if let Some(frac) = interior(&mut rng, fc.mapper_death) {
-                    let died_at = frac * outcome.clock_ns;
-                    let death_ns = died_at + fc.timeout_ns;
-                    for msg in &mut outcome.messages {
-                        msg.ser_done_ns += death_ns;
-                    }
-                    outcome.clock_ns += death_ns;
-                    outcome.faults.mapper_deaths += 1;
-                    outcome.faults.reexec_ns += death_ns;
-                    outcome.faults.recovery_ns += death_ns;
-                    if S::ENABLED {
-                        // The child's events now describe the rerun;
-                        // mark when the first execution was lost.
-                        child.shift(death_ns);
-                        child.count("shuffle.mapper_deaths", 1);
-                        child.instant(Instant {
-                            entity: EntityId { pid: MAPPER_PID_BASE + m as u32, tid: T_MAIN },
-                            name: "mapper.death",
-                            t_ns: died_at,
-                            attrs: vec![("timeout_ns", fc.timeout_ns.into())],
-                        });
-                    }
+    let maps: Vec<Result<(MapOutcome, S), ShuffleError>> = par_map(cfg.jobs, cfg.mappers, |m| {
+        let mut child = S::default();
+        let mut outcome = run_mapper_sunk(cfg, backend, m, &mut child)?;
+        if let Some(fc) = cfg.faults {
+            let mut rng = stream(fc.seed, death_scope(m));
+            if let Some(frac) = interior(&mut rng, fc.mapper_death) {
+                let died_at = frac * outcome.clock_ns;
+                let death_ns = died_at + fc.timeout_ns;
+                for msg in &mut outcome.messages {
+                    msg.ser_done_ns += death_ns;
+                }
+                outcome.clock_ns += death_ns;
+                outcome.faults.mapper_deaths += 1;
+                outcome.faults.reexec_ns += death_ns;
+                outcome.faults.recovery_ns += death_ns;
+                if S::ENABLED {
+                    // The child's events now describe the rerun;
+                    // mark when the first execution was lost.
+                    child.shift(death_ns);
+                    child.count("shuffle.mapper_deaths", 1);
+                    child.instant(Instant {
+                        entity: EntityId {
+                            pid: MAPPER_PID_BASE + m as u32,
+                            tid: T_MAIN,
+                        },
+                        name: "mapper.death",
+                        t_ns: died_at,
+                        attrs: vec![("timeout_ns", fc.timeout_ns.into())],
+                    });
                 }
             }
-            Ok((outcome, child))
-        });
+        }
+        Ok((outcome, child))
+    });
     let mut absorbed = Vec::with_capacity(cfg.mappers);
     for r in maps {
         let (outcome, child) = r?;
@@ -151,8 +153,16 @@ pub fn run_backend_sunk<S: Sink>(
                 per_reducer[r].iter().map(|&i| &plans[i]).collect()
             };
             let mut child = S::default();
-            let outcome =
-                run_reducer_sunk(backend, &reg, capacity, &msgs, &rplans, cfg.checksum, r, &mut child)?;
+            let outcome = run_reducer_sunk(
+                backend,
+                &reg,
+                capacity,
+                &msgs,
+                &rplans,
+                cfg.checksum,
+                r,
+                &mut child,
+            )?;
             Ok((outcome, child))
         });
     let mut absorbed = Vec::with_capacity(cfg.reducers);
@@ -209,7 +219,12 @@ pub fn run_backend_sunk<S: Sink>(
         faults: cfg.faults.map(|_| fault_totals),
         fold_checksum: fold_checksum(&fold),
     };
-    Ok(BackendRun { report, fold, maps, reduces })
+    Ok(BackendRun {
+        report,
+        fold,
+        maps,
+        reduces,
+    })
 }
 
 /// Runs a list of backends and checks they all computed the same
@@ -228,7 +243,10 @@ pub fn run_suite(cfg: &ShuffleConfig, backends: &[Backend]) -> Result<ShuffleRep
             None => first_fold = Some((b.name(), run.fold)),
             Some((name, fold)) => {
                 if *fold != run.fold {
-                    return Err(ShuffleError::FoldMismatch { a: name, b: b.name() });
+                    return Err(ShuffleError::FoldMismatch {
+                        a: name,
+                        b: b.name(),
+                    });
                 }
             }
         }

@@ -107,7 +107,10 @@ pub fn compose_sunk<S: Sink>(
     for i in order {
         let msg = msgs[i];
         let (src, dst) = (msg.src, msg.dst);
-        let send_lane = EntityId { pid: MAPPER_PID_BASE + src as u32, tid: T_SEND };
+        let send_lane = EntityId {
+            pid: MAPPER_PID_BASE + src as u32,
+            tid: T_SEND,
+        };
         let wire = (msg.bytes.len() as u64).max(1);
         let mut start = msg.ser_done_ns.max(mapper_free[src]);
 
@@ -185,7 +188,10 @@ pub fn compose_sunk<S: Sink>(
                             }
                             // Receiver pays the CRC scan to detect, the
                             // NACK crosses one link latency back.
-                            arrival + Engine::verify_ns(wire as usize) + cfg.link.latency_ns + backoff
+                            arrival
+                                + Engine::verify_ns(wire as usize)
+                                + cfg.link.latency_ns
+                                + backoff
                         }
                     };
                     faults.retries += 1;
@@ -229,7 +235,10 @@ pub fn compose_sunk<S: Sink>(
                 attrs: vec![("dst", (dst as u64).into()), ("bytes", wire.into())],
             });
             sink.span(Span {
-                entity: EntityId { pid: REDUCER_PID_BASE + dst as u32, tid: T_MAIN },
+                entity: EntityId {
+                    pid: REDUCER_PID_BASE + dst as u32,
+                    tid: T_MAIN,
+                },
                 name: "deserialize",
                 t0_ns: de_start,
                 t1_ns: de_done,
@@ -246,7 +255,10 @@ pub fn compose_sunk<S: Sink>(
                 name: "flow.fetch",
                 src: send_lane,
                 t0_ns: attempt_start,
-                dst: EntityId { pid: REDUCER_PID_BASE + dst as u32, tid: T_MAIN },
+                dst: EntityId {
+                    pid: REDUCER_PID_BASE + dst as u32,
+                    tid: T_MAIN,
+                },
                 t1_ns: de_start,
             });
             flow_seq += 1;
@@ -260,7 +272,10 @@ pub fn compose_sunk<S: Sink>(
         for w in fabric.take_tape() {
             if w.egress_done_ns > w.start_ns {
                 sink.span(Span {
-                    entity: EntityId { pid: MAPPER_PID_BASE + w.src as u32, tid: T_NIC },
+                    entity: EntityId {
+                        pid: MAPPER_PID_BASE + w.src as u32,
+                        tid: T_NIC,
+                    },
                     name: "nic.egress",
                     t0_ns: w.start_ns,
                     t1_ns: w.egress_done_ns,
@@ -269,7 +284,10 @@ pub fn compose_sunk<S: Sink>(
             }
             if w.arrival_ns > w.wire_done_ns {
                 sink.span(Span {
-                    entity: EntityId { pid: REDUCER_PID_BASE + w.dst as u32, tid: T_NIC },
+                    entity: EntityId {
+                        pid: REDUCER_PID_BASE + w.dst as u32,
+                        tid: T_NIC,
+                    },
                     name: "nic.ingress",
                     t0_ns: w.wire_done_ns,
                     t1_ns: w.arrival_ns,
@@ -293,8 +311,14 @@ mod tests {
     fn a_lost_attempt_recovers_at_timeout_or_arrival_plus_backoff() {
         // A 1 ms timeout outlasts the lost transfer; a 1 ns one does not.
         for timeout_ns in [1_000_000.0, 1.0] {
-            let fc = FaultConfig { timeout_ns, ..FaultConfig::none() };
-            let cfg = ShuffleConfig { faults: Some(fc), ..ShuffleConfig::smoke() };
+            let fc = FaultConfig {
+                timeout_ns,
+                ..FaultConfig::none()
+            };
+            let cfg = ShuffleConfig {
+                faults: Some(fc),
+                ..ShuffleConfig::smoke()
+            };
             let start = 1_000.0;
             let msg = Message {
                 src: 1,
@@ -306,12 +330,14 @@ mod tests {
                 ser_ns: 0.0,
                 ser_done_ns: start,
             };
-            let plan = MsgPlan { attempts: vec![Attempt::Lost, Attempt::Clean] };
+            let plan = MsgPlan {
+                attempts: vec![Attempt::Lost, Attempt::Clean],
+            };
             let mut faults = FaultTotals::default();
             compose_sunk(&cfg, &[&msg], &[0.0], &[plan], &mut faults, &mut NoopSink);
 
-            let lost_arrival = Fabric::full_mesh(cfg.mappers, cfg.reducers, cfg.link)
-                .send(1, 2, 4096, start);
+            let lost_arrival =
+                Fabric::full_mesh(cfg.mappers, cfg.reducers, cfg.link).send(1, 2, 4096, start);
             assert_eq!(lost_arrival > start + timeout_ns, timeout_ns == 1.0);
             let expect = (start + timeout_ns).max(lost_arrival) + fc.backoff_ns - start;
             assert_eq!(faults.recovery_ns.to_bits(), expect.to_bits());

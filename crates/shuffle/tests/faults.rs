@@ -22,7 +22,10 @@ fn tiny() -> ShuffleConfig {
 /// A spec with every rate zeroed; tests switch on just the class under
 /// test so recovery effects are attributable.
 fn quiet_spec(seed: u64) -> FaultConfig {
-    FaultConfig { seed, ..FaultConfig::none() }
+    FaultConfig {
+        seed,
+        ..FaultConfig::none()
+    }
 }
 
 fn assert_fold_exact(fold: &BTreeMap<u64, (u64, f64)>, cfg: &ShuffleConfig) {
@@ -49,7 +52,10 @@ fn wire_loss_and_corruption_are_retried_and_the_fold_survives() {
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
     assert!(f.lost_messages > 0, "loss rate 0.4 must lose transfers");
-    assert!(f.wire_corruptions > 0, "corruption rate 0.4 must corrupt transfers");
+    assert!(
+        f.wire_corruptions > 0,
+        "corruption rate 0.4 must corrupt transfers"
+    );
     assert_eq!(
         f.retries,
         f.lost_messages + f.wire_corruptions,
@@ -59,13 +65,19 @@ fn wire_loss_and_corruption_are_retried_and_the_fold_survives() {
         f.checksum_errors, f.wire_corruptions,
         "every planned corruption is caught by the CRC frame"
     );
-    assert!(f.recovery_ns > 0.0, "timeouts and backoff cost simulated time");
+    assert!(
+        f.recovery_ns > 0.0,
+        "timeouts and backoff cost simulated time"
+    );
     assert!(
         f.fabric_bytes > run.report.wire_bytes,
         "retransmissions put extra bytes on the fabric"
     );
     let goodput = f.goodput(run.report.wire_bytes);
-    assert!(goodput > 0.0 && goodput < 1.0, "goodput {goodput} must degrade");
+    assert!(
+        goodput > 0.0 && goodput < 1.0,
+        "goodput {goodput} must degrade"
+    );
     assert!(
         run.report.net.makespan_ns > clean.report.net.makespan_ns,
         "recovery must inflate the makespan"
@@ -99,13 +111,19 @@ fn mapper_death_reexecutes_and_preserves_the_fold() {
 
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
-    assert_eq!(f.mapper_deaths, 3, "rate 1.0 kills each mapper's first attempt");
+    assert_eq!(
+        f.mapper_deaths, 3,
+        "rate 1.0 kills each mapper's first attempt"
+    );
     assert!(f.reexec_ns > 0.0);
     assert!(
         run.report.map_makespan_ns > clean.report.map_makespan_ns,
         "re-execution inflates the map stage"
     );
-    assert_eq!(run.fold, clean.fold, "re-executed mappers reproduce their batches");
+    assert_eq!(
+        run.fold, clean.fold,
+        "re-executed mappers reproduce their batches"
+    );
     assert_eq!(run.report.wire_bytes, clean.report.wire_bytes);
 }
 
@@ -125,7 +143,10 @@ fn accelerator_faults_degrade_to_the_software_fallback() {
         "rate 1.0 faults every accelerator flush"
     );
     assert!(f.fallback_ns > 0.0, "fallback serialization is charged");
-    assert_eq!(run.fold, clean.fold, "degraded partitions still fold exactly");
+    assert_eq!(
+        run.fold, clean.fold,
+        "degraded partitions still fold exactly"
+    );
 
     // Software backends never touch the accelerator: same spec, no
     // accelerator faults drawn.
@@ -147,7 +168,10 @@ fn spill_read_errors_are_retried_on_the_mapper_clock() {
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
     let f = run.report.faults.expect("fault counters rendered");
     assert!(f.spill_retries > 0, "read-error rate 0.4 must trip retries");
-    assert!(f.recovery_ns > 0.0, "retries and backoff cost simulated time");
+    assert!(
+        f.recovery_ns > 0.0,
+        "retries and backoff cost simulated time"
+    );
     assert!(
         run.report.map_makespan_ns > clean.report.map_makespan_ns,
         "failed reads inflate the map stage"
@@ -161,7 +185,10 @@ fn spill_read_errors_are_retried_on_the_mapper_clock() {
     assert_eq!(s.spilled_bytes, cs.spilled_bytes);
     assert_eq!(s.spill_ns, cs.spill_ns);
     assert_eq!(s.fetches, cs.fetches);
-    assert!(s.fetch_ns >= cs.fetch_ns, "failed reads only delay clean fetches");
+    assert!(
+        s.fetch_ns >= cs.fetch_ns,
+        "failed reads only delay clean fetches"
+    );
 }
 
 #[test]

@@ -127,7 +127,10 @@ fn gc_pressure_reports_collections_and_charges_pauses() {
     let mut cfg = tiny();
     cfg.gc_pressure = true;
     let run = run_backend_sunk(&cfg, Backend::Kryo, &mut NoopSink).unwrap();
-    let gc = run.report.gc.expect("gc totals present in gc-pressure mode");
+    let gc = run
+        .report
+        .gc
+        .expect("gc totals present in gc-pressure mode");
     assert_eq!(gc.collections, (GC_WAVES as u64 - 1) * cfg.mappers as u64);
     assert!(gc.pause_ns > 0.0);
     assert!(
@@ -155,9 +158,18 @@ fn spill_threshold_routes_batches_through_the_store() {
     let mut spilling = tiny();
     spilling.spill_bytes = 1;
     let spilled = run_backend_sunk(&spilling, Backend::Kryo, &mut NoopSink).unwrap();
-    let totals = spilled.report.spill.expect("spill totals present when spilling is on");
-    assert_eq!(totals.spills, spilled.report.messages, "every batch spilled");
-    assert_eq!(totals.fetches, spilled.report.messages, "every batch read back");
+    let totals = spilled
+        .report
+        .spill
+        .expect("spill totals present when spilling is on");
+    assert_eq!(
+        totals.spills, spilled.report.messages,
+        "every batch spilled"
+    );
+    assert_eq!(
+        totals.fetches, spilled.report.messages,
+        "every batch read back"
+    );
     assert!(totals.spilled_bytes >= spilled.report.wire_bytes);
     assert!(totals.spill_ns > 0.0 && totals.fetch_ns > 0.0);
 
@@ -245,8 +257,17 @@ fn cereal_backend_outruns_software() {
 fn reduce_one(cfg: &ShuffleConfig, msg: &Message) -> Result<u64, ShuffleError> {
     let reg = cfg.agg().registry();
     let cap = cfg.agg().heap_capacity();
-    run_reducer_sunk(msg.backend, &reg, cap, &[msg], &[], cfg.checksum, msg.dst, &mut NoopSink)
-        .map(|out| out.records)
+    run_reducer_sunk(
+        msg.backend,
+        &reg,
+        cap,
+        &[msg],
+        &[],
+        cfg.checksum,
+        msg.dst,
+        &mut NoopSink,
+    )
+    .map(|out| out.records)
 }
 
 /// A batch whose `records` field disagrees with what it decodes to is a
@@ -256,8 +277,15 @@ fn reduce_one(cfg: &ShuffleConfig, msg: &Message) -> Result<u64, ShuffleError> {
 fn a_record_count_mismatch_is_a_bad_batch() {
     let cfg = tiny();
     for backend in [Backend::Kryo, Backend::Archive] {
-        let mut msg = run_mapper(&cfg, backend, 1).unwrap().messages.swap_remove(0);
-        assert_eq!(reduce_one(&cfg, &msg), Ok(msg.records), "{backend:?}: the intact batch reads");
+        let mut msg = run_mapper(&cfg, backend, 1)
+            .unwrap()
+            .messages
+            .swap_remove(0);
+        assert_eq!(
+            reduce_one(&cfg, &msg),
+            Ok(msg.records),
+            "{backend:?}: the intact batch reads"
+        );
         msg.records += 1;
         let err = reduce_one(&cfg, &msg).unwrap_err();
         assert!(
@@ -294,7 +322,14 @@ fn a_batch_with_a_null_element_is_a_bad_batch() {
             ser_done_ns: t.busy_ns,
         };
         let err = reduce_one(&cfg, &msg).unwrap_err();
-        let bad = matches!(err, ShuffleError::BadBatch { src: 0, dst: 0, seq: 0 });
+        let bad = matches!(
+            err,
+            ShuffleError::BadBatch {
+                src: 0,
+                dst: 0,
+                seq: 0
+            }
+        );
         assert!(bad, "{backend:?}: {err:?}");
     }
 }
@@ -310,31 +345,61 @@ fn invalid_configs_are_typed_errors_not_panics() {
         assert_eq!(mapper, want, "run_mapper_sunk");
     };
     // A remainder by zero in the mapper's partitioning before validation.
-    invalid(ShuffleConfig { reducers: 0, ..ShuffleConfig::smoke() }, "reducers must be > 0");
-    invalid(ShuffleConfig { mappers: 0, ..ShuffleConfig::smoke() }, "mappers must be > 0");
+    invalid(
+        ShuffleConfig {
+            reducers: 0,
+            ..ShuffleConfig::smoke()
+        },
+        "reducers must be > 0",
+    );
+    invalid(
+        ShuffleConfig {
+            mappers: 0,
+            ..ShuffleConfig::smoke()
+        },
+        "mappers must be > 0",
+    );
     // An empty key range or a bad Zipf exponent in partition generation.
     invalid(
-        ShuffleConfig { distinct_keys: 0, ..ShuffleConfig::smoke() },
+        ShuffleConfig {
+            distinct_keys: 0,
+            ..ShuffleConfig::smoke()
+        },
         "distinct_keys must be > 0",
     );
     for theta in [f64::NAN, f64::INFINITY, -1.0] {
         invalid(
-            ShuffleConfig { skew: KeySkew::Zipf(theta), ..ShuffleConfig::smoke() },
+            ShuffleConfig {
+                skew: KeySkew::Zipf(theta),
+                ..ShuffleConfig::smoke()
+            },
             "zipf theta must be finite and >= 0",
         );
     }
-    let faulty = |f: sim::FaultConfig| ShuffleConfig { faults: Some(f), ..ShuffleConfig::smoke() };
+    let faulty = |f: sim::FaultConfig| ShuffleConfig {
+        faults: Some(f),
+        ..ShuffleConfig::smoke()
+    };
     let none = sim::FaultConfig::none();
     invalid(
-        faulty(sim::FaultConfig { link_loss: f64::NAN, ..none }),
+        faulty(sim::FaultConfig {
+            link_loss: f64::NAN,
+            ..none
+        }),
         "faults.link_loss must be in [0, 1]",
     );
     invalid(
-        faulty(sim::FaultConfig { mapper_death: 1.5, ..none }),
+        faulty(sim::FaultConfig {
+            mapper_death: 1.5,
+            ..none
+        }),
         "faults.mapper_death must be in [0, 1]",
     );
     invalid(
-        faulty(sim::FaultConfig { backoff_ns: -1.0, ..none }),
+        faulty(sim::FaultConfig {
+            backoff_ns: -1.0,
+            ..none
+        }),
         "faults.backoff_ns must be finite and >= 0",
     );
     let mut link = ShuffleConfig::smoke();

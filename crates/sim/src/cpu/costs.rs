@@ -91,7 +91,10 @@ mod tests {
     #[test]
     fn cost_table_is_sane() {
         let c = OP_COSTS;
-        assert!(c.reflect_uops > 10 * c.call_uops, "reflection must dwarf a call");
+        assert!(
+            c.reflect_uops > 10 * c.call_uops,
+            "reflection must dwarf a call"
+        );
         assert!(c.branch_misp_rate > 0.0 && c.branch_misp_rate < 0.5);
         assert!(c.str_cmp_bytes_per_uop > 0);
         // Const asserts: region sizes must exceed the 1 MB L2.

@@ -49,8 +49,12 @@ pub const OP_CLASS_NAMES: [&str; 10] = [
 
 fn op_class(op: &Op) -> usize {
     match op {
-        Op::Load { dependent: true, .. } => 0,
-        Op::Load { dependent: false, .. } => 1,
+        Op::Load {
+            dependent: true, ..
+        } => 0,
+        Op::Load {
+            dependent: false, ..
+        } => 1,
         Op::Store { .. } => 2,
         Op::Alu(_) => 3,
         Op::Branch => 4,
@@ -378,9 +382,7 @@ impl Cpu {
                 }
             }
             Op::StrCompare(n) => {
-                self.issue_uops(
-                    costs.str_cmp_base_uops + n.div_ceil(costs.str_cmp_bytes_per_uop),
-                );
+                self.issue_uops(costs.str_cmp_base_uops + n.div_ceil(costs.str_cmp_bytes_per_uop));
             }
             Op::HashLookup => {
                 self.issue_uops(costs.hash_uops);
@@ -435,7 +437,11 @@ mod tests {
         let r = cpu.report();
         // ≥ 40 ns per load: nothing overlaps.
         assert!(r.ns >= 1000.0 * 40.0, "got {} ns", r.ns);
-        assert!(r.ipc < 0.1, "pointer chasing must crater IPC, got {}", r.ipc);
+        assert!(
+            r.ipc < 0.1,
+            "pointer chasing must crater IPC, got {}",
+            r.ipc
+        );
         assert!(r.bandwidth_util < 0.05);
     }
 
@@ -493,7 +499,11 @@ mod tests {
         let mut cpu = Cpu::host();
         cpu.op(Op::Alu(1_000_000));
         let r = cpu.report();
-        assert!((r.ipc - 4.0).abs() < 0.1, "pure ALU should hit width, got {}", r.ipc);
+        assert!(
+            (r.ipc - 4.0).abs() < 0.1,
+            "pure ALU should hit width, got {}",
+            r.ipc
+        );
     }
 
     #[test]
@@ -541,7 +551,11 @@ mod tests {
         }
         let r = cpu.report();
         assert!(r.dram_bytes > 0, "write-allocate fills must hit DRAM");
-        assert!(r.ipc > 2.0, "stores retire via the store buffer, got {}", r.ipc);
+        assert!(
+            r.ipc > 2.0,
+            "stores retire via the store buffer, got {}",
+            r.ipc
+        );
     }
 
     #[test]

@@ -231,7 +231,11 @@ mod tests {
         let a = d.write(0, 4096, 0.0); // offset 0 == initial head: sequential
         let b = d.write(4096, 4096, a);
         assert_eq!(d.seeks(), 0, "back-to-back appends never seek");
-        assert!(b - a < 10_000.0, "continuation is transfer-only, got {}", b - a);
+        assert!(
+            b - a < 10_000.0,
+            "continuation is transfer-only, got {}",
+            b - a
+        );
     }
 
     #[test]
@@ -247,7 +251,10 @@ mod tests {
             h = hdd.read(off, 4096, h);
             n = nvme.read(off, 4096, n);
         }
-        assert!(h > n * 100.0, "hdd {h} should be orders slower than nvme {n}");
+        assert!(
+            h > n * 100.0,
+            "hdd {h} should be orders slower than nvme {n}"
+        );
         assert_eq!(hdd.seeks(), 10);
     }
 

@@ -277,7 +277,10 @@ mod tests {
             now += 1.0;
         }
         let util = d.utilization(last);
-        assert!(util <= 0.25 + 1e-6, "one channel is a quarter of peak, got {util}");
+        assert!(
+            util <= 0.25 + 1e-6,
+            "one channel is a quarter of peak, got {util}"
+        );
     }
 
     #[test]
@@ -317,7 +320,10 @@ mod tests {
     #[test]
     fn default_config_has_row_buffer_off() {
         let c = DramConfig::default();
-        assert_eq!(c.row_hit_ns, c.zero_load_ns, "defaults preserve calibration");
+        assert_eq!(
+            c.row_hit_ns, c.zero_load_ns,
+            "defaults preserve calibration"
+        );
     }
 
     #[test]

@@ -112,12 +112,21 @@ impl FaultConfig {
     /// reports when it lies outside `[0, 1]`.
     fn rates(&self) -> [(f64, &'static str); 6] {
         [
-            (self.wire_corruption, "faults.wire_corruption must be in [0, 1]"),
+            (
+                self.wire_corruption,
+                "faults.wire_corruption must be in [0, 1]",
+            ),
             (self.link_loss, "faults.link_loss must be in [0, 1]"),
-            (self.disk_read_error, "faults.disk_read_error must be in [0, 1]"),
+            (
+                self.disk_read_error,
+                "faults.disk_read_error must be in [0, 1]",
+            ),
             (self.mapper_death, "faults.mapper_death must be in [0, 1]"),
             (self.accel_fault, "faults.accel_fault must be in [0, 1]"),
-            (self.spill_corruption, "faults.spill_corruption must be in [0, 1]"),
+            (
+                self.spill_corruption,
+                "faults.spill_corruption must be in [0, 1]",
+            ),
         ]
     }
 
@@ -206,7 +215,11 @@ mod tests {
             (0..64).map(|_| rng.gen_bool(0.5)).collect()
         };
         assert_eq!(draws(3), draws(3), "same scope replays the same schedule");
-        assert_ne!(draws(3), draws(4), "different scopes draw different schedules");
+        assert_ne!(
+            draws(3),
+            draws(4),
+            "different scopes draw different schedules"
+        );
     }
 
     #[test]
@@ -239,14 +252,35 @@ mod tests {
     fn validate_rejects_out_of_range_rates_and_times() {
         assert_eq!(FaultConfig::none().validate(), Ok(()));
         assert_eq!(FaultConfig::uniform(1.0, 3).validate(), Ok(()));
-        let nan = FaultConfig { link_loss: f64::NAN, ..FaultConfig::none() };
+        let nan = FaultConfig {
+            link_loss: f64::NAN,
+            ..FaultConfig::none()
+        };
         assert_eq!(nan.validate(), Err("faults.link_loss must be in [0, 1]"));
-        let high = FaultConfig { spill_corruption: 1.5, ..FaultConfig::none() };
-        assert_eq!(high.validate(), Err("faults.spill_corruption must be in [0, 1]"));
-        let back = FaultConfig { backoff_ns: -1.0, ..FaultConfig::none() };
-        assert_eq!(back.validate(), Err("faults.backoff_ns must be finite and >= 0"));
-        let time = FaultConfig { timeout_ns: f64::INFINITY, ..FaultConfig::none() };
-        assert_eq!(time.validate(), Err("faults.timeout_ns must be finite and >= 0"));
+        let high = FaultConfig {
+            spill_corruption: 1.5,
+            ..FaultConfig::none()
+        };
+        assert_eq!(
+            high.validate(),
+            Err("faults.spill_corruption must be in [0, 1]")
+        );
+        let back = FaultConfig {
+            backoff_ns: -1.0,
+            ..FaultConfig::none()
+        };
+        assert_eq!(
+            back.validate(),
+            Err("faults.backoff_ns must be finite and >= 0")
+        );
+        let time = FaultConfig {
+            timeout_ns: f64::INFINITY,
+            ..FaultConfig::none()
+        };
+        assert_eq!(
+            time.validate(),
+            Err("faults.timeout_ns must be finite and >= 0")
+        );
     }
 
     #[test]
@@ -255,6 +289,10 @@ mod tests {
         assert_eq!(cfg.retry_backoff_ns(0), cfg.backoff_ns);
         assert_eq!(cfg.retry_backoff_ns(1), 2.0 * cfg.retry_backoff_ns(0));
         assert_eq!(cfg.retry_backoff_ns(3), 8.0 * cfg.retry_backoff_ns(0));
-        assert_eq!(cfg.retry_backoff_ns(40), cfg.retry_backoff_ns(16), "capped at 2^16");
+        assert_eq!(
+            cfg.retry_backoff_ns(40),
+            cfg.retry_backoff_ns(16),
+            "capped at 2^16"
+        );
     }
 }

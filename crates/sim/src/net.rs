@@ -105,10 +105,7 @@ impl Link {
 
     /// Fraction of link bandwidth used over `elapsed_ns`.
     pub fn utilization(&self, elapsed_ns: f64) -> f64 {
-        telemetry::ratio(
-            self.total_bytes as f64,
-            elapsed_ns * self.cfg.bytes_per_ns,
-        )
+        telemetry::ratio(self.total_bytes as f64, elapsed_ns * self.cfg.bytes_per_ns)
     }
 }
 
@@ -219,7 +216,10 @@ impl Fabric {
     /// # Panics
     /// Panics if `src`/`dst` are out of range (debug builds index-check).
     pub fn send(&mut self, src: usize, dst: usize, bytes: u64, now_ns: f64) -> f64 {
-        assert!(src < self.senders && dst < self.receivers, "endpoint out of range");
+        assert!(
+            src < self.senders && dst < self.receivers,
+            "endpoint out of range"
+        );
         let out = self.egress[src].send(bytes, now_ns);
         let cfg = self.cfg;
         let wire = self
@@ -246,7 +246,10 @@ impl Fabric {
     /// never carried a message reads as an idle link (zero bytes, zero
     /// messages) without materializing any state.
     pub fn pair(&self, src: usize, dst: usize) -> &Link {
-        assert!(src < self.senders && dst < self.receivers, "endpoint out of range");
+        assert!(
+            src < self.senders && dst < self.receivers,
+            "endpoint out of range"
+        );
         self.pairs
             .get(&(src * self.receivers + dst))
             .unwrap_or(&self.idle_pair)

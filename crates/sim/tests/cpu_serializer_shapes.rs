@@ -30,8 +30,16 @@ fn tree(depth: u32) -> (Heap, KlassRegistry, Addr) {
             node,
             &[
                 Init::Val(seed),
-                if l.is_null() { Init::Null } else { Init::Ref(l) },
-                if r.is_null() { Init::Null } else { Init::Ref(r) },
+                if l.is_null() {
+                    Init::Null
+                } else {
+                    Init::Ref(l)
+                },
+                if r.is_null() {
+                    Init::Null
+                } else {
+                    Init::Ref(r)
+                },
             ],
         )
         .unwrap()
@@ -41,7 +49,12 @@ fn tree(depth: u32) -> (Heap, KlassRegistry, Addr) {
     (heap, reg, root)
 }
 
-fn measure(ser: &dyn Serializer, heap: &mut Heap, reg: &KlassRegistry, root: Addr) -> (CpuReport, CpuReport) {
+fn measure(
+    ser: &dyn Serializer,
+    heap: &mut Heap,
+    reg: &KlassRegistry,
+    root: Addr,
+) -> (CpuReport, CpuReport) {
     let mut ser_cpu = Cpu::host();
     let bytes = ser.serialize(heap, reg, root, &mut ser_cpu).unwrap();
     let mut de_cpu = Cpu::host();

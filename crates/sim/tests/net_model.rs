@@ -86,7 +86,10 @@ fn latency_applies_after_service_of_the_last_byte() {
     let bytes = 10u64 << 20;
     let arrival = l.send(bytes, 0.0);
     let service = bytes as f64 / cfg.bytes_per_ns;
-    assert!((arrival - (service + cfg.latency_ns)).abs() < 1.0, "got {arrival}");
+    assert!(
+        (arrival - (service + cfg.latency_ns)).abs() < 1.0,
+        "got {arrival}"
+    );
 }
 
 #[test]
@@ -160,7 +163,11 @@ fn fabric_pair_links_materialize_lazily() {
     // million ledgers up front. Only touched pairs materialize, and
     // untouched pairs still read as idle links.
     let mut f = Fabric::full_mesh(1000, 1000, LinkConfig::ten_gbe());
-    assert_eq!(f.materialized_pairs(), 0, "construction allocates no pair links");
+    assert_eq!(
+        f.materialized_pairs(),
+        0,
+        "construction allocates no pair links"
+    );
     let t1 = f.send(3, 997, 1250, 0.0);
     let t2 = f.send(3, 997, 1250, t1);
     f.send(500, 0, 1250, 0.0);

@@ -23,7 +23,10 @@ fn dram_is_physical() {
             let now = rng.gen_range_f64(0.0, 100_000.0);
             let done = dram.read(addr, bytes, now);
             let service = bytes as f64 / 19.2;
-            assert!(done >= now + service + 39.999, "done {done} < now {now} + service");
+            assert!(
+                done >= now + service + 39.999,
+                "done {done} < now {now} + service"
+            );
             total += bytes;
             horizon = horizon.max(done);
         }
@@ -55,8 +58,9 @@ fn dram_is_monotone_in_time() {
 fn mai_coalescing_reduces_traffic() {
     let mut rng = Rng::new(0x51_0003);
     for _ in 0..200 {
-        let offsets: Vec<u64> =
-            (0..rng.gen_range_usize(2, 50)).map(|_| rng.gen_range_u64(0, 256)).collect();
+        let offsets: Vec<u64> = (0..rng.gen_range_usize(2, 50))
+            .map(|_| rng.gen_range_u64(0, 256))
+            .collect();
         let mut mai = Mai::new(MaiConfig::default());
         let mut dram = Dram::new(DramConfig::default());
         for &off in &offsets {
@@ -155,10 +159,17 @@ fn cpu_batched_trace_is_bit_identical_to_per_op() {
 
         let a = per_op.report();
         for (label, r) in [("slice", sliced.report()), ("buffered", buffered.report())] {
-            assert_eq!(a.cycles.to_bits(), r.cycles.to_bits(), "round {round} {label} cycles");
+            assert_eq!(
+                a.cycles.to_bits(),
+                r.cycles.to_bits(),
+                "round {round} {label} cycles"
+            );
             assert_eq!(a.ns.to_bits(), r.ns.to_bits(), "round {round} {label} ns");
             assert_eq!(a.uops, r.uops, "round {round} {label} uops");
-            assert_eq!(a.dram_bytes, r.dram_bytes, "round {round} {label} dram bytes");
+            assert_eq!(
+                a.dram_bytes, r.dram_bytes,
+                "round {round} {label} dram bytes"
+            );
             assert_eq!(
                 a.llc_miss_rate.to_bits(),
                 r.llc_miss_rate.to_bits(),
@@ -179,8 +190,9 @@ fn cpu_batched_trace_is_bit_identical_to_per_op() {
 fn tlb_accounting() {
     let mut rng = Rng::new(0x51_0006);
     for _ in 0..100 {
-        let pages: Vec<u64> =
-            (0..rng.gen_range_usize(1, 200)).map(|_| rng.gen_range_u64(0, 64)).collect();
+        let pages: Vec<u64> = (0..rng.gen_range_usize(1, 200))
+            .map(|_| rng.gen_range_u64(0, 64))
+            .collect();
         let mut tlb = Tlb::default();
         for &p in &pages {
             tlb.translate(p << 30);

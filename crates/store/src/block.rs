@@ -114,7 +114,10 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::UnknownBlock(id) => write!(f, "unknown block {id}"),
             StoreError::NoLineage(id) => {
-                write!(f, "block {id} is unrecoverable: no lineage to rebuild it from")
+                write!(
+                    f,
+                    "block {id} is unrecoverable: no lineage to rebuild it from"
+                )
             }
             StoreError::ChecksumRequired => {
                 write!(f, "spill-corruption injection requires checksummed blocks")
@@ -305,7 +308,10 @@ impl BlockStore {
         if self.blocks[id].bytes.is_some() {
             self.touch(id);
             self.stats.hits += 1;
-            return Ok(Access { outcome: AccessOutcome::Hit, done_ns: now_ns });
+            return Ok(Access {
+                outcome: AccessOutcome::Hit,
+                done_ns: now_ns,
+            });
         }
         let (outcome, mut now) = if let Some(off) = self.blocks[id].disk_offset {
             let (bytes, outcome, done) = self.reload(id, off, now_ns, source)?;
@@ -319,7 +325,10 @@ impl BlockStore {
         self.used += self.blocks[id].len;
         self.touch(id);
         now = self.enforce_budget(now);
-        Ok(Access { outcome, done_ns: now })
+        Ok(Access {
+            outcome,
+            done_ns: now,
+        })
     }
 
     /// Rebuilds block `id` via the lineage source, checking the length
@@ -374,7 +383,10 @@ impl BlockStore {
                 // Really corrupt the reloaded copy, demonstrate the
                 // frame check catches it, then rebuild from lineage.
                 let mut image = self.spill[off as usize..(off + len) as usize].to_vec();
-                let rng = self.fault_rng.as_mut().expect("corrupt implies a fault stream");
+                let rng = self
+                    .fault_rng
+                    .as_mut()
+                    .expect("corrupt implies a fault stream");
                 let (pos, mask) = corrupt_byte(rng, image.len());
                 image[pos] ^= mask;
                 debug_assert!(
@@ -483,20 +495,25 @@ impl BlockStore {
     fn enforce_budget(&mut self, now_ns: f64) -> f64 {
         let mut now = now_ns;
         while self.used > self.cfg.memory_budget {
-            let (&tick, &victim) = self.lru.iter().next().expect("used > 0 implies a resident block");
+            let (&tick, &victim) = self
+                .lru
+                .iter()
+                .next()
+                .expect("used > 0 implies a resident block");
             self.lru.remove(&tick);
             let b = &mut self.blocks[victim];
             b.tick = None;
-            let bytes = b.bytes.take().expect("LRU index only holds resident blocks");
+            let bytes = b
+                .bytes
+                .take()
+                .expect("LRU index only holds resident blocks");
             self.used -= b.len;
             self.stats.evictions += 1;
             self.stats.evicted_bytes += b.len;
             let spill = match self.cfg.policy {
                 MissPolicy::Fetch => true,
                 MissPolicy::Recompute => false,
-                MissPolicy::Auto => {
-                    self.cfg.disk.access_estimate_ns(b.len) <= b.recompute_ns
-                }
+                MissPolicy::Auto => self.cfg.disk.access_estimate_ns(b.len) <= b.recompute_ns,
             };
             if spill && b.disk_offset.is_none() {
                 let off = self.spill.len() as u64;
@@ -555,7 +572,11 @@ mod tests {
         assert!(s.on_disk(1), "spill image survives promotion");
         // The promotion evicted the new LRU victim (block 2).
         assert!(!s.in_memory(2));
-        assert_eq!(s.bytes(1).unwrap(), &block(1, 100)[..], "byte-identical after reload");
+        assert_eq!(
+            s.bytes(1).unwrap(),
+            &block(1, 100)[..],
+            "byte-identical after reload"
+        );
     }
 
     #[test]
@@ -588,7 +609,11 @@ mod tests {
         assert!(!s.on_disk(0), "recompute is cheaper than an HDD seek");
 
         // Expensive recompute vs NVMe: spill.
-        let mut s = BlockStore::new(StoreConfig::plain(100, DiskConfig::nvme(), MissPolicy::Auto));
+        let mut s = BlockStore::new(StoreConfig::plain(
+            100,
+            DiskConfig::nvme(),
+            MissPolicy::Auto,
+        ));
         s.put(block(1, 80), 1e9, 0.0);
         s.put(block(2, 80), 1e9, 0.0);
         assert!(s.on_disk(0), "NVMe fetch is cheaper than recomputing");
@@ -608,7 +633,10 @@ mod tests {
     fn oversized_block_thrashes_but_stays_reachable() {
         let mut s = store(50, MissPolicy::Fetch);
         let (id, now) = s.put(block(3, 200), 1e6, 0.0);
-        assert!(!s.in_memory(id), "block larger than the budget cannot stay resident");
+        assert!(
+            !s.in_memory(id),
+            "block larger than the budget cannot stay resident"
+        );
         assert!(s.on_disk(id));
         let a = s.get(id, now, &mut NoLineage).unwrap();
         assert_eq!(a.outcome, AccessOutcome::DiskFetch);
@@ -648,12 +676,27 @@ mod tests {
         let (_, n2) = s.put(block(2, 80), 1e6, n1);
         assert!(s.on_disk(0));
         let a = s.get(0, n2, &mut NoLineage).unwrap();
-        assert_eq!(a.outcome, AccessOutcome::DiskFetch, "budget forces eventual success");
+        assert_eq!(
+            a.outcome,
+            AccessOutcome::DiskFetch,
+            "budget forces eventual success"
+        );
         assert_eq!(s.stats().read_retries, u64::from(fault.max_retries));
-        assert!(s.stats().retry_ns > 0.0, "failed reads and backoff cost time");
+        assert!(
+            s.stats().retry_ns > 0.0,
+            "failed reads and backoff cost time"
+        );
         // Backoff alone is 50k * (1+2+4+8); the access must absorb it.
-        assert!(a.done_ns - n2 > 15.0 * fault.backoff_ns, "{}", a.done_ns - n2);
-        assert_eq!(s.bytes(0).unwrap(), &block(1, 80)[..], "reload is still byte-exact");
+        assert!(
+            a.done_ns - n2 > 15.0 * fault.backoff_ns,
+            "{}",
+            a.done_ns - n2
+        );
+        assert_eq!(
+            s.bytes(0).unwrap(),
+            &block(1, 80)[..],
+            "reload is still byte-exact"
+        );
     }
 
     #[test]
@@ -681,10 +724,18 @@ mod tests {
             }
         }
         let a = s.get(0, n2, &mut Src(framed.clone())).unwrap();
-        assert_eq!(a.outcome, AccessOutcome::Recomputed, "corruption is unrecoverable by re-read");
+        assert_eq!(
+            a.outcome,
+            AccessOutcome::Recomputed,
+            "corruption is unrecoverable by re-read"
+        );
         assert_eq!(s.stats().checksum_errors, 1);
         assert_eq!(s.stats().recomputes, 1);
-        assert_eq!(s.bytes(0).unwrap(), &framed[..len], "lineage restores the exact frame");
+        assert_eq!(
+            s.bytes(0).unwrap(),
+            &framed[..len],
+            "lineage restores the exact frame"
+        );
     }
 
     #[test]

@@ -209,7 +209,9 @@ impl Engine {
             Some(ser) => Engine::Software(backend, ser, Box::new(Cpu::host())),
             None => {
                 let mut accel = Accelerator::paper();
-                accel.register_all(reg).expect("class table sized for workload");
+                accel
+                    .register_all(reg)
+                    .expect("class table sized for workload");
                 Engine::Cereal(Box::new(accel))
             }
         }
@@ -247,11 +249,22 @@ impl Engine {
                 let (bytes, busy_ns) =
                     on_host_core(cpu, sink, |cpu| ser.serialize(heap, reg, root, cpu))
                         .expect("workload registers every class");
-                (bytes, SerTiming { busy_ns, done_ns: None })
+                (
+                    bytes,
+                    SerTiming {
+                        busy_ns,
+                        done_ns: None,
+                    },
+                )
             }
             Engine::Cereal(accel) => {
-                let r = accel.serialize(heap, reg, root).expect("workload registers every class");
-                let t = SerTiming { busy_ns: r.run.busy_ns(), done_ns: Some(r.run.end_ns) };
+                let r = accel
+                    .serialize(heap, reg, root)
+                    .expect("workload registers every class");
+                let t = SerTiming {
+                    busy_ns: r.run.busy_ns(),
+                    done_ns: Some(r.run.end_ns),
+                };
                 if S::ENABLED {
                     sink.count("accel.ser_requests", 1);
                     sink.count("accel.ser_bytes", r.bytes.len() as u64);
@@ -293,8 +306,9 @@ impl Engine {
         let mut dst = Heap::with_base(Addr(DST_BASE), capacity);
         match self {
             Engine::Software(_, ser, cpu) => {
-                let (root, ns) =
-                    on_host_core(cpu, sink, |cpu| ser.deserialize(payload, reg, &mut dst, cpu))?;
+                let (root, ns) = on_host_core(cpu, sink, |cpu| {
+                    ser.deserialize(payload, reg, &mut dst, cpu)
+                })?;
                 Ok((dst, root, ns + verify_ns))
             }
             Engine::Cereal(accel) => {
@@ -339,8 +353,9 @@ impl Engine {
     ) -> Result<(usize, f64), EngineError> {
         if let Engine::Software(Backend::Archive, _, cpu) = self {
             let (payload, verify_ns) = unframe(bytes, checksum)?;
-            let (view, ns) = on_host_core(cpu, sink, |cpu| ArchiveView::validate(payload, reg, cpu))
-                .map_err(SerError::from)?;
+            let (view, ns) =
+                on_host_core(cpu, sink, |cpu| ArchiveView::validate(payload, reg, cpu))
+                    .map_err(SerError::from)?;
             let n = agg::fold_archive_batch(&view, fold).ok_or(EngineError::NotABatch)?;
             return Ok((n, ns + verify_ns));
         }

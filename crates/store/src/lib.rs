@@ -38,8 +38,8 @@ pub mod rdd;
 pub mod report;
 
 pub use block::{
-    Access, AccessOutcome, BlockSource, BlockStore, MissPolicy, NoLineage, StoreConfig,
-    StoreError, StoreStats,
+    Access, AccessOutcome, BlockSource, BlockStore, MissPolicy, NoLineage, StoreConfig, StoreError,
+    StoreStats,
 };
 pub use engine::{Backend, Engine, EngineError, SerTiming, DST_BASE};
 pub use par::par_map;

@@ -35,7 +35,11 @@ where
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("slot lock").expect("worker filled slot"))
+        .map(|m| {
+            m.into_inner()
+                .expect("slot lock")
+                .expect("worker filled slot")
+        })
         .collect()
 }
 

@@ -147,8 +147,7 @@ fn rebuild(cfg: &RddConfig, m: usize) -> (Vec<u8>, f64, f64, Heap, KlassRegistry
         cfg.checksum,
         &mut NoopSink,
     );
-    let (_, _, stats) =
-        gc::collect(&heap, &reg, &[batch]).expect("live batch fits the semispace");
+    let (_, _, stats) = gc::collect(&heap, &reg, &[batch]).expect("live batch fits the semispace");
     let recompute_ns = stats.simulated_cost_ns() + t.busy_ns;
     (bytes, t.busy_ns, recompute_ns, heap, reg, batch)
 }
@@ -166,10 +165,26 @@ pub fn build_part(cfg: &RddConfig, m: usize) -> PartBuild {
     // still busy from it.
     let mut fold = Fold::new();
     let (_, de_ns) = Engine::new(cfg.backend, &reg)
-        .fold_batch(&bytes, &reg, cfg.agg.heap_capacity(), cfg.checksum, &mut fold, &mut NoopSink)
+        .fold_batch(
+            &bytes,
+            &reg,
+            cfg.agg.heap_capacity(),
+            cfg.checksum,
+            &mut fold,
+            &mut NoopSink,
+        )
         .expect("freshly serialized block reads back");
-    assert_eq!(fold, src_fold, "partition {m}: reading the block changed the fold");
-    PartBuild { bytes, ser_ns, de_ns, recompute_ns, fold }
+    assert_eq!(
+        fold, src_fold,
+        "partition {m}: reading the block changed the fold"
+    );
+    PartBuild {
+        bytes,
+        ser_ns,
+        de_ns,
+        recompute_ns,
+        fold,
+    }
 }
 
 /// Lineage for the job's blocks: really rebuilds the partition and
@@ -201,7 +216,10 @@ fn book_store_deltas<S: Sink>(sink: &mut S, before: &StoreStats, after: &StoreSt
         sink.count("store.evictions", blocks);
         sink.count("store.evicted_bytes", bytes);
         sink.instant(Instant {
-            entity: EntityId { pid: DRIVER_PID, tid: T_MAIN },
+            entity: EntityId {
+                pid: DRIVER_PID,
+                tid: T_MAIN,
+            },
             name: "evict",
             t_ns: now_ns,
             attrs: vec![("blocks", blocks.into()), ("bytes", bytes.into())],
@@ -209,13 +227,22 @@ fn book_store_deltas<S: Sink>(sink: &mut S, before: &StoreStats, after: &StoreSt
     }
     if after.spills > before.spills {
         sink.count("store.spills", after.spills - before.spills);
-        sink.count("store.spilled_bytes", after.spilled_bytes - before.spilled_bytes);
+        sink.count(
+            "store.spilled_bytes",
+            after.spilled_bytes - before.spilled_bytes,
+        );
     }
     if after.read_retries > before.read_retries {
-        sink.count("store.read_retries", after.read_retries - before.read_retries);
+        sink.count(
+            "store.read_retries",
+            after.read_retries - before.read_retries,
+        );
     }
     if after.checksum_errors > before.checksum_errors {
-        sink.count("store.checksum_errors", after.checksum_errors - before.checksum_errors);
+        sink.count(
+            "store.checksum_errors",
+            after.checksum_errors - before.checksum_errors,
+        );
     }
 }
 
@@ -227,8 +254,11 @@ fn pass_order(cfg: &RddConfig, pass: usize) -> Vec<usize> {
         AccessPattern::Zipf(theta) => {
             // SkewSampler reproduces the historical Zipf::new + Rng::new
             // stream draw for draw, so report bytes are unchanged.
-            let mut skew =
-                workloads::SkewSampler::new(n as u64, theta, cfg.agg.seed ^ (0xD15C_0000 + pass as u64));
+            let mut skew = workloads::SkewSampler::new(
+                n as u64,
+                theta,
+                cfg.agg.seed ^ (0xD15C_0000 + pass as u64),
+            );
             (0..n).map(|_| skew.draw() as usize).collect()
         }
     }
@@ -260,9 +290,12 @@ pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome
     let fold = merge_folds(parts.iter().map(|p| &p.fold));
     let expected = cfg.agg.expected_fold();
     let fold_ok = fold.len() == expected.len()
-        && fold.iter().zip(expected.iter()).all(|((k1, (c1, s1)), (k2, (c2, s2)))| {
-            k1 == k2 && c1 == c2 && (s1 - s2).abs() <= 1e-6 * s2.abs().max(1.0)
-        });
+        && fold
+            .iter()
+            .zip(expected.iter())
+            .all(|((k1, (c1, s1)), (k2, (c2, s2)))| {
+                k1 == k2 && c1 == c2 && (s1 - s2).abs() <= 1e-6 * s2.abs().max(1.0)
+            });
 
     let dataset_bytes: u64 = parts.iter().map(|p| p.bytes.len() as u64).sum();
     let budget_bytes = (dataset_bytes as f64 * cfg.memory_fraction).ceil() as u64;
@@ -273,7 +306,10 @@ pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome
         fault: cfg.fault,
         checksum: cfg.checksum,
     });
-    let driver = EntityId { pid: DRIVER_PID, tid: T_MAIN };
+    let driver = EntityId {
+        pid: DRIVER_PID,
+        tid: T_MAIN,
+    };
     if S::ENABLED {
         sink.name_process(DRIVER_PID, "driver");
         sink.name_thread(DRIVER_PID, T_MAIN, "driver");
@@ -344,7 +380,10 @@ pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome
                         sink.flow(FlowEvent {
                             id: flow_seq,
                             name: "flow.spill",
-                            src: EntityId { pid: DRIVER_PID, tid: T_DISK },
+                            src: EntityId {
+                                pid: DRIVER_PID,
+                                tid: T_DISK,
+                            },
                             t0_ns: at,
                             dst: driver,
                             t1_ns: now,
@@ -395,7 +434,13 @@ pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome
     }
 
     if S::ENABLED {
-        store.emit_disk_tape(sink, EntityId { pid: DRIVER_PID, tid: T_DISK });
+        store.emit_disk_tape(
+            sink,
+            EntityId {
+                pid: DRIVER_PID,
+                tid: T_DISK,
+            },
+        );
         sink.count("store.disk_read_bytes", store.disk().read_bytes());
         sink.count("store.disk_write_bytes", store.disk().write_bytes());
         sink.count("store.disk_seeks", store.disk().seeks());

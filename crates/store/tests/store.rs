@@ -70,8 +70,11 @@ fn spill_and_reload_is_byte_identical_per_backend() {
         // Room for one block at a time: every put evicts the previous
         // block to disk.
         let budget = parts.iter().map(|p| p.bytes.len() as u64).max().unwrap();
-        let mut store =
-            BlockStore::new(StoreConfig::plain(budget, DiskConfig::ssd(), MissPolicy::Fetch));
+        let mut store = BlockStore::new(StoreConfig::plain(
+            budget,
+            DiskConfig::ssd(),
+            MissPolicy::Fetch,
+        ));
         let mut now = 0.0;
         for p in &parts {
             let (_, done) = store.put(p.bytes.clone(), p.recompute_ns, now);
@@ -103,7 +106,11 @@ fn auto_policy_crosses_over_with_the_disk() {
     let base = tiny(Backend::Kryo);
 
     let hdd = run_rdd_sunk(
-        &RddConfig { policy: MissPolicy::Auto, disk: DiskConfig::hdd(), ..base },
+        &RddConfig {
+            policy: MissPolicy::Auto,
+            disk: DiskConfig::hdd(),
+            ..base
+        },
         &mut NoopSink,
     )
     .unwrap();
@@ -112,21 +119,40 @@ fn auto_policy_crosses_over_with_the_disk() {
     assert!(hdd.fold_ok);
 
     let nvme = run_rdd_sunk(
-        &RddConfig { policy: MissPolicy::Auto, disk: DiskConfig::nvme(), ..base },
+        &RddConfig {
+            policy: MissPolicy::Auto,
+            disk: DiskConfig::nvme(),
+            ..base
+        },
         &mut NoopSink,
     )
     .unwrap();
-    assert!(nvme.store.disk_fetches > 0, "NVMe fetches beat recomputation");
+    assert!(
+        nvme.store.disk_fetches > 0,
+        "NVMe fetches beat recomputation"
+    );
     assert_eq!(nvme.store.recomputes, 0);
     assert!(nvme.fold_ok);
 
     for (auto, disk) in [(&hdd, DiskConfig::hdd()), (&nvme, DiskConfig::nvme())] {
-        let fetch =
-            run_rdd_sunk(&RddConfig { policy: MissPolicy::Fetch, disk, ..base }, &mut NoopSink)
-                .unwrap();
-        let recompute =
-            run_rdd_sunk(&RddConfig { policy: MissPolicy::Recompute, disk, ..base }, &mut NoopSink)
-                .unwrap();
+        let fetch = run_rdd_sunk(
+            &RddConfig {
+                policy: MissPolicy::Fetch,
+                disk,
+                ..base
+            },
+            &mut NoopSink,
+        )
+        .unwrap();
+        let recompute = run_rdd_sunk(
+            &RddConfig {
+                policy: MissPolicy::Recompute,
+                disk,
+                ..base
+            },
+            &mut NoopSink,
+        )
+        .unwrap();
         let best = fetch.total_ns.min(recompute.total_ns);
         assert!(
             auto.total_ns <= best + 1e-6,
@@ -145,8 +171,14 @@ fn auto_policy_crosses_over_with_the_disk() {
 fn skewed_access_hits_where_scans_thrash() {
     let base = tiny(Backend::Kryo);
     let scan = run_rdd_sunk(&base, &mut NoopSink).unwrap();
-    let zipf = run_rdd_sunk(&RddConfig { access: AccessPattern::Zipf(1.2), ..base }, &mut NoopSink)
-        .unwrap();
+    let zipf = run_rdd_sunk(
+        &RddConfig {
+            access: AccessPattern::Zipf(1.2),
+            ..base
+        },
+        &mut NoopSink,
+    )
+    .unwrap();
     let scan_hits: u64 = scan.passes.iter().map(|p| p.hits).sum();
     let zipf_hits: u64 = zipf.passes.iter().map(|p| p.hits).sum();
     assert_eq!(scan_hits, 0);
@@ -159,7 +191,11 @@ fn suite_report_is_job_count_invariant() {
     let backends = [Backend::Kryo, Backend::Cereal];
     let fractions = [0.4, 1.0];
     let report = |jobs| {
-        let base = RddConfig { jobs, passes: 2, ..tiny(Backend::Kryo) };
+        let base = RddConfig {
+            jobs,
+            passes: 2,
+            ..tiny(Backend::Kryo)
+        };
         run_suite(&base, &backends, &fractions).unwrap().to_json()
     };
     let one = report(1);
@@ -185,7 +221,14 @@ fn archive_in_place_fold_equals_kryo_rebuilt_fold() {
         let (bytes, _) = engine.serialize(&mut part.heap, &part.reg, batch, true, &mut NoopSink);
         let mut fold = Fold::new();
         let (n, ns) = Engine::new(backend, &reg)
-            .fold_batch(&bytes, &reg, agg.heap_capacity(), true, &mut fold, &mut NoopSink)
+            .fold_batch(
+                &bytes,
+                &reg,
+                agg.heap_capacity(),
+                true,
+                &mut fold,
+                &mut NoopSink,
+            )
             .unwrap();
         assert_eq!(n, part.records.len(), "{backend:?} reads every record");
         assert!(ns > 0.0, "{backend:?} charges its read");

@@ -32,8 +32,15 @@ use std::collections::BTreeMap;
 /// The closed blame category set, in rendering order. Every nanosecond
 /// of every completed job's latency lands in exactly one bucket.
 pub const CATEGORIES: [&str; 9] = [
-    "queue", "compute", "serde", "fetch", "du_wait", "gc", "recovery",
-    "speculation", "blacklist",
+    "queue",
+    "compute",
+    "serde",
+    "fetch",
+    "du_wait",
+    "gc",
+    "recovery",
+    "speculation",
+    "blacklist",
 ];
 
 /// Index of `"queue"` — ready-to-dispatch wait with free capacity.
@@ -114,18 +121,28 @@ impl std::fmt::Display for CritPathError {
                 write!(f, "job {job} stage {stage}: no stage.ready instant")
             }
             CritPathError::MissingBarrierSpan { job, stage } => {
-                write!(f, "job {job} stage {stage}: no task span ends at the barrier")
+                write!(
+                    f,
+                    "job {job} stage {stage}: no task span ends at the barrier"
+                )
             }
             CritPathError::BadMilestones { job, stage } => {
                 write!(f, "job {job} stage {stage}: milestones out of causal order")
             }
-            CritPathError::ConservationViolated { job, sum_ns, latency_ns } => {
+            CritPathError::ConservationViolated {
+                job,
+                sum_ns,
+                latency_ns,
+            } => {
                 write!(
                     f,
                     "job {job}: blame sums to {sum_ns} ns but latency is {latency_ns} ns"
                 )
             }
-            CritPathError::ExceedsMakespan { critical_path_ns, makespan_ns } => {
+            CritPathError::ExceedsMakespan {
+                critical_path_ns,
+                makespan_ns,
+            } => {
                 write!(
                     f,
                     "critical path {critical_path_ns} ns exceeds makespan {makespan_ns} ns"
@@ -295,8 +312,7 @@ pub fn analyze(rec: &Recorder, makespan_ns: f64) -> Result<Analysis, CritPathErr
                 }
             }
             "stage.ready" => {
-                if let (Some(j), Some(s)) =
-                    (attr_u64(&e.attrs, "job"), attr_u64(&e.attrs, "stage"))
+                if let (Some(j), Some(s)) = (attr_u64(&e.attrs, "job"), attr_u64(&e.attrs, "stage"))
                 {
                     ready.insert((j, s), e.t_ns);
                 }
@@ -341,7 +357,11 @@ pub fn analyze(rec: &Recorder, makespan_ns: f64) -> Result<Analysis, CritPathErr
             // job completed) the instant the last task span ended —
             // the same simulated `now` flows to both, so the match is
             // exact, not approximate.
-            let barrier = if s + 1 < stages { ready[&(job, s + 1)] } else { done };
+            let barrier = if s + 1 < stages {
+                ready[&(job, s + 1)]
+            } else {
+                done
+            };
             let spans = tasks
                 .get(&(job, s))
                 .ok_or(CritPathError::MissingBarrierSpan { job, stage: s })?;
@@ -430,7 +450,10 @@ pub fn analyze(rec: &Recorder, makespan_ns: f64) -> Result<Analysis, CritPathErr
 
     let critical_path_ns = jobs.iter().map(|j| j.latency_ns).fold(0.0, f64::max);
     if critical_path_ns > makespan_ns + 1e-9 * makespan_ns.abs().max(1.0) {
-        return Err(CritPathError::ExceedsMakespan { critical_path_ns, makespan_ns });
+        return Err(CritPathError::ExceedsMakespan {
+            critical_path_ns,
+            makespan_ns,
+        });
     }
 
     let mut by_tenant: BTreeMap<u64, Vec<&JobBlame>> = BTreeMap::new();
@@ -460,7 +483,12 @@ pub fn analyze(rec: &Recorder, makespan_ns: f64) -> Result<Analysis, CritPathErr
         })
         .collect();
 
-    Ok(Analysis { jobs, tenants, critical_path_ns, makespan_ns })
+    Ok(Analysis {
+        jobs,
+        tenants,
+        critical_path_ns,
+        makespan_ns,
+    })
 }
 
 impl Analysis {
@@ -587,10 +615,18 @@ mod tests {
     use crate::span::{EntityId, Instant, Sample, Sink};
 
     const DRIVER: EntityId = EntityId { pid: 1, tid: 0 };
-    const EXEC: EntityId = EntityId { pid: 10_000, tid: 0 };
+    const EXEC: EntityId = EntityId {
+        pid: 10_000,
+        tid: 0,
+    };
 
     fn instant(name: &'static str, t: f64, attrs: Vec<Attr>) -> Instant {
-        Instant { entity: DRIVER, name, t_ns: t, attrs }
+        Instant {
+            entity: DRIVER,
+            name,
+            t_ns: t,
+            attrs,
+        }
     }
 
     /// One job, one stage, one task: arrival 0, dispatched at 10,
@@ -655,13 +691,19 @@ mod tests {
         // Executor blacklisted over [2, 6] — 4 ns of the 10 ns dispatch
         // wait.
         r.instant(Instant {
-            entity: EntityId { pid: 10_001, tid: 5 },
+            entity: EntityId {
+                pid: 10_001,
+                tid: 5,
+            },
             name: "exec.blacklist",
             t_ns: 2.0,
             attrs: Vec::new(),
         });
         r.instant(Instant {
-            entity: EntityId { pid: 10_001, tid: 5 },
+            entity: EntityId {
+                pid: 10_001,
+                tid: 5,
+            },
             name: "exec.rejoin",
             t_ns: 6.0,
             attrs: Vec::new(),
@@ -728,9 +770,19 @@ mod tests {
     fn timeline_groups_series_by_name() {
         let mut r = Recorder::new();
         for (t, v) in [(50.0, 1.0), (100.0, 3.0)] {
-            r.sample(Sample { entity: DRIVER, name: "b.depth", t_ns: t, value: v });
+            r.sample(Sample {
+                entity: DRIVER,
+                name: "b.depth",
+                t_ns: t,
+                value: v,
+            });
         }
-        r.sample(Sample { entity: DRIVER, name: "a.util", t_ns: 50.0, value: 0.5 });
+        r.sample(Sample {
+            entity: DRIVER,
+            name: "a.util",
+            t_ns: 50.0,
+            value: 0.5,
+        });
         let tl = Timeline::from_recorder(&r);
         assert_eq!(tl.series.len(), 2);
         assert_eq!(tl.series[0].0, "a.util");

@@ -41,7 +41,10 @@ impl Default for JsonWriter {
 impl JsonWriter {
     /// An empty writer.
     pub fn new() -> JsonWriter {
-        JsonWriter { out: String::new(), stack: Vec::new() }
+        JsonWriter {
+            out: String::new(),
+            stack: Vec::new(),
+        }
     }
 
     fn push_indent(&mut self) {
@@ -114,7 +117,10 @@ impl JsonWriter {
     pub fn begin_arr(&mut self) {
         self.value_sep(true);
         self.out.push('[');
-        self.stack.push(Ctx::Arr { first: true, multiline: false });
+        self.stack.push(Ctx::Arr {
+            first: true,
+            multiline: false,
+        });
     }
 
     /// Closes the current array.

@@ -52,6 +52,4 @@ pub use json::JsonWriter;
 pub use metrics::{Gauge, Histogram, Metrics};
 pub use rate::{per_sec, ratio};
 pub use recon::{Check, Recon};
-pub use span::{
-    AttrValue, EntityId, FlowEvent, Instant, NoopSink, Recorder, Sample, Sink, Span,
-};
+pub use span::{AttrValue, EntityId, FlowEvent, Instant, NoopSink, Recorder, Sample, Sink, Span};

@@ -43,7 +43,13 @@ impl Gauge {
     }
 
     fn new(v: f64) -> Gauge {
-        Gauge { last: v, min: v, max: v, sum: v, samples: 1 }
+        Gauge {
+            last: v,
+            min: v,
+            max: v,
+            sum: v,
+            samples: 1,
+        }
     }
 }
 
@@ -152,8 +158,16 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let lo = if i == 0 { f64::NEG_INFINITY } else { self.bounds[i - 1] };
-                let hi = if i < self.bounds.len() { self.bounds[i] } else { f64::INFINITY };
+                let lo = if i == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    self.bounds[i - 1]
+                };
+                let hi = if i < self.bounds.len() {
+                    self.bounds[i]
+                } else {
+                    f64::INFINITY
+                };
                 return Some((lo.max(self.min), hi.min(self.max)));
             }
         }
@@ -190,7 +204,11 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| {
-                let hi = if i < self.bounds.len() { self.bounds[i] } else { f64::INFINITY };
+                let hi = if i < self.bounds.len() {
+                    self.bounds[i]
+                } else {
+                    f64::INFINITY
+                };
                 (hi, c)
             })
             .collect()

@@ -37,7 +37,10 @@ impl Recon {
     /// A checklist whose [`Recon::close`] comparisons allow the given
     /// relative tolerance (floors at `1.0` absolute for tiny values).
     pub fn new(rel_tol: f64) -> Recon {
-        Recon { checks: Vec::new(), rel_tol }
+        Recon {
+            checks: Vec::new(),
+            rel_tol,
+        }
     }
 
     /// Records a condition-only check (no numeric twin).

@@ -263,7 +263,9 @@ impl Sink for Recorder {
     }
 
     fn name_process(&mut self, pid: u32, name: &str) {
-        self.process_names.entry(pid).or_insert_with(|| name.to_string());
+        self.process_names
+            .entry(pid)
+            .or_insert_with(|| name.to_string());
     }
 
     fn name_thread(&mut self, pid: u32, tid: u32, name: &str) {

@@ -27,27 +27,27 @@ pub fn media_content() -> (Heap, KlassRegistry, Addr) {
     let media = b.klass(
         "Media",
         vec![
-            FieldKind::Ref,                        // uri
-            FieldKind::Ref,                        // title
-            FieldKind::Value(ValueType::Int),      // width
-            FieldKind::Value(ValueType::Int),      // height
-            FieldKind::Ref,                        // format
-            FieldKind::Value(ValueType::Long),     // duration
-            FieldKind::Value(ValueType::Long),     // size
-            FieldKind::Value(ValueType::Int),      // bitrate
-            FieldKind::Ref,                        // persons
-            FieldKind::Value(ValueType::Int),      // player
-            FieldKind::Ref,                        // copyright (nullable)
+            FieldKind::Ref,                    // uri
+            FieldKind::Ref,                    // title
+            FieldKind::Value(ValueType::Int),  // width
+            FieldKind::Value(ValueType::Int),  // height
+            FieldKind::Ref,                    // format
+            FieldKind::Value(ValueType::Long), // duration
+            FieldKind::Value(ValueType::Long), // size
+            FieldKind::Value(ValueType::Int),  // bitrate
+            FieldKind::Ref,                    // persons
+            FieldKind::Value(ValueType::Int),  // player
+            FieldKind::Ref,                    // copyright (nullable)
         ],
     );
     let image = b.klass(
         "Image",
         vec![
-            FieldKind::Ref,                    // uri
-            FieldKind::Ref,                    // title
-            FieldKind::Value(ValueType::Int),  // width
-            FieldKind::Value(ValueType::Int),  // height
-            FieldKind::Value(ValueType::Int),  // size
+            FieldKind::Ref,                   // uri
+            FieldKind::Ref,                   // title
+            FieldKind::Value(ValueType::Int), // width
+            FieldKind::Value(ValueType::Int), // height
+            FieldKind::Value(ValueType::Int), // size
         ],
     );
     let content = b.klass(
@@ -90,12 +90,32 @@ pub fn media_content() -> (Heap, KlassRegistry, Addr) {
         let title = string_inner(b, chars, t);
         b.object(
             image,
-            &[Init::Ref(uri), Init::Ref(title), Init::Val(w), Init::Val(h), Init::Val(s)],
+            &[
+                Init::Ref(uri),
+                Init::Ref(title),
+                Init::Val(w),
+                Init::Val(h),
+                Init::Val(s),
+            ],
         )
         .expect("sized")
     };
-    let i1 = img(&mut b, "http://javaone.com/keynote_large.jpg", "Javaone Keynote", 1024, 768, 0);
-    let i2 = img(&mut b, "http://javaone.com/keynote_small.jpg", "Javaone Keynote", 320, 240, 1);
+    let i1 = img(
+        &mut b,
+        "http://javaone.com/keynote_large.jpg",
+        "Javaone Keynote",
+        1024,
+        768,
+        0,
+    );
+    let i2 = img(
+        &mut b,
+        "http://javaone.com/keynote_small.jpg",
+        "Javaone Keynote",
+        320,
+        240,
+        1,
+    );
     let imgs = b.ref_array(images, &[i1, i2]).expect("sized");
     let root = b
         .object(content, &[Init::Ref(m), Init::Ref(imgs)])
@@ -134,7 +154,11 @@ mod tests {
         // content + media + persons[] + 2 persons + uri/title/format +
         // images[] + 2 images + 4 image strings = 15 objects.
         assert_eq!(s.objects, 15);
-        assert!(s.total_bytes > 500, "strings give it some body: {}", s.total_bytes);
+        assert!(
+            s.total_bytes > 500,
+            "strings give it some body: {}",
+            s.total_bytes
+        );
         // The copyright field is null.
         let media = heap.ref_field(root, 0).unwrap();
         assert_eq!(heap.ref_field(media, 10), None);

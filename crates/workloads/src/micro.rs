@@ -178,13 +178,13 @@ fn build_graph(nodes: usize, edges: usize) -> (Heap, KlassRegistry, Addr) {
 
     let mut addrs = Vec::with_capacity(nodes);
     for i in 0..nodes {
-        let a = b.object(node, &[Init::Val(i as u64), Init::Null]).expect("sized");
+        let a = b
+            .object(node, &[Init::Val(i as u64), Init::Null])
+            .expect("sized");
         addrs.push(a);
     }
     for &a in &addrs {
-        let arr = b
-            .ref_array(adj, &vec![Addr::NULL; edges])
-            .expect("sized");
+        let arr = b.ref_array(adj, &vec![Addr::NULL; edges]).expect("sized");
         for slot in 0..edges {
             let t = addrs[rng.gen_range_usize(0, nodes)];
             b.set_array_ref(arr, slot, t);
@@ -195,7 +195,9 @@ fn build_graph(nodes: usize, edges: usize) -> (Heap, KlassRegistry, Addr) {
     // if random edges leave islands: node 0's adjacency covers others via
     // randomness at dense settings; for sparse settings we root a spine.
     let spine = b.ref_array(adj, &addrs).expect("sized");
-    let root = b.object(node, &[Init::Val(u64::MAX), Init::Ref(spine)]).expect("sized");
+    let root = b
+        .object(node, &[Init::Val(u64::MAX), Init::Ref(spine)])
+        .expect("sized");
     let (heap, reg) = b.finish();
     (heap, reg, root)
 }
@@ -236,7 +238,12 @@ mod tests {
             let (heap, reg, root) = bench.build(Scale::Tiny);
             let s = GraphStats::measure(&heap, &reg, root);
             // 64 nodes + 64 adjacency arrays + spine + root.
-            assert!(s.objects >= 64 * 2, "{}: {} objects", bench.name(), s.objects);
+            assert!(
+                s.objects >= 64 * 2,
+                "{}: {} objects",
+                bench.name(),
+                s.objects
+            );
         }
         let (heap, reg, root) = MicroBench::GraphDense.build(Scale::Tiny);
         let dense = GraphStats::measure(&heap, &reg, root);

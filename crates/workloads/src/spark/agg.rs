@@ -111,7 +111,11 @@ pub fn fold_heap_batch(heap: &Heap, root: Addr, fold: &mut Fold) -> Option<usize
         if rec.is_null() {
             return None;
         }
-        fold_record(fold, record_key(heap, rec), f64::from_bits(heap.field(rec, VALUE_FIELD)));
+        fold_record(
+            fold,
+            record_key(heap, rec),
+            f64::from_bits(heap.field(rec, VALUE_FIELD)),
+        );
     }
     Some(n)
 }
@@ -125,7 +129,11 @@ pub fn fold_archive_batch(view: &ArchiveView<'_>, fold: &mut Fold) -> Option<usi
     let n = view.array_len(root);
     for j in 0..n {
         let rec = view.array_elem_ref(root, j)?;
-        fold_record(fold, view.field(rec, KEY_FIELD), f64::from_bits(view.field(rec, VALUE_FIELD)));
+        fold_record(
+            fold,
+            view.field(rec, KEY_FIELD),
+            f64::from_bits(view.field(rec, VALUE_FIELD)),
+        );
     }
     Some(n)
 }
@@ -271,7 +279,9 @@ impl AggConfig {
             let key = sampler.draw(&mut rng);
             let value = rng.gen_range_f64(0.0, 100.0);
             let payload: Vec<u64> = (0..PAYLOAD_WORDS).map(|_| rng.next_u64()).collect();
-            let arr = b.value_array(payload_k, &payload).expect("capacity sized for records");
+            let arr = b
+                .value_array(payload_k, &payload)
+                .expect("capacity sized for records");
             let rec = b
                 .object(
                     event_k,
@@ -389,7 +399,10 @@ mod tests {
         for m in 0..cfg.mappers {
             let mut p = cfg.build_partition(m);
             let batch = coalesce(&mut p.heap, &p.reg, p.batch_klass, &p.records);
-            assert_eq!(fold_heap_batch(&p.heap, batch, &mut fold), Some(cfg.records_per_mapper));
+            assert_eq!(
+                fold_heap_batch(&p.heap, batch, &mut fold),
+                Some(cfg.records_per_mapper)
+            );
         }
         fold
     }

@@ -177,7 +177,10 @@ impl SparkApp {
                 }
                 let arr = b.ref_array(edges_arr, &edges).expect("sized");
                 let v = b
-                    .object(vertex, &[Init::Val(rng.gen_range_u64(0, 1_000_000)), Init::Ref(arr)])
+                    .object(
+                        vertex,
+                        &[Init::Val(rng.gen_range_u64(0, 1_000_000)), Init::Ref(arr)],
+                    )
                     .expect("sized");
                 (v, (n_edges as u64) * 48 + (n_edges as u64 + 4) * 8 + 40)
             }
@@ -216,8 +219,9 @@ impl SparkApp {
                 );
                 let k = rng.gen_range_usize(8, 24);
                 let idx: Vec<u64> = (0..k).map(|_| rng.gen_range_u64(0, 10_000)).collect();
-                let vals: Vec<u64> =
-                    (0..k).map(|_| f64::to_bits(rng.gen_range_f64(0.0, 5.0))).collect();
+                let vals: Vec<u64> = (0..k)
+                    .map(|_| f64::to_bits(rng.gen_range_f64(0.0, 5.0)))
+                    .collect();
                 let ia = b.value_array(ints, &idx).expect("sized");
                 let va = b.value_array(doubles, &vals).expect("sized");
                 let s = b
@@ -261,7 +265,10 @@ impl SparkApp {
                     .collect();
                 let arr = b.value_array(doubles, &factors).expect("sized");
                 let r = b
-                    .object(fv, &[Init::Val(rng.gen_range_u64(0, 100_000)), Init::Ref(arr)])
+                    .object(
+                        fv,
+                        &[Init::Val(rng.gen_range_u64(0, 100_000)), Init::Ref(arr)],
+                    )
                     .expect("sized");
                 (r, rank as u64 * 8 + 32 + 40)
             }

@@ -46,12 +46,42 @@ impl PhaseFractions {
 /// The calibration table above.
 pub fn java_fractions(app: SparkApp) -> PhaseFractions {
     match app {
-        SparkApp::NWeight => PhaseFractions { compute: 0.32, gc: 0.10, io: 0.18, sd: 0.40 },
-        SparkApp::Svm => PhaseFractions { compute: 0.050, gc: 0.020, io: 0.021, sd: 0.909 },
-        SparkApp::Bayes => PhaseFractions { compute: 0.45, gc: 0.10, io: 0.15, sd: 0.30 },
-        SparkApp::Lr => PhaseFractions { compute: 0.42, gc: 0.08, io: 0.15, sd: 0.35 },
-        SparkApp::Terasort => PhaseFractions { compute: 0.42, gc: 0.10, io: 0.20, sd: 0.28 },
-        SparkApp::Als => PhaseFractions { compute: 0.55, gc: 0.12, io: 0.15, sd: 0.18 },
+        SparkApp::NWeight => PhaseFractions {
+            compute: 0.32,
+            gc: 0.10,
+            io: 0.18,
+            sd: 0.40,
+        },
+        SparkApp::Svm => PhaseFractions {
+            compute: 0.050,
+            gc: 0.020,
+            io: 0.021,
+            sd: 0.909,
+        },
+        SparkApp::Bayes => PhaseFractions {
+            compute: 0.45,
+            gc: 0.10,
+            io: 0.15,
+            sd: 0.30,
+        },
+        SparkApp::Lr => PhaseFractions {
+            compute: 0.42,
+            gc: 0.08,
+            io: 0.15,
+            sd: 0.35,
+        },
+        SparkApp::Terasort => PhaseFractions {
+            compute: 0.42,
+            gc: 0.10,
+            io: 0.20,
+            sd: 0.28,
+        },
+        SparkApp::Als => PhaseFractions {
+            compute: 0.55,
+            gc: 0.12,
+            io: 0.15,
+            sd: 0.18,
+        },
     }
 }
 

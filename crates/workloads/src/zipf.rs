@@ -25,7 +25,10 @@ impl Zipf {
     /// Panics if `n == 0` or `theta` is negative or non-finite.
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "zipf needs a non-empty rank space");
-        assert!(theta >= 0.0 && theta.is_finite(), "theta must be finite and >= 0");
+        assert!(
+            theta >= 0.0 && theta.is_finite(),
+            "theta must be finite and >= 0"
+        );
         let mut cdf = Vec::with_capacity(n as usize);
         let mut total = 0.0f64;
         for i in 0..n {

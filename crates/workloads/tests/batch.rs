@@ -25,7 +25,11 @@ fn a_fresh_partition_and_its_batch_have_zero_ext_words() {
     coalesce(&mut part.heap, &part.reg, part.batch_klass, &part.records);
     let mut objects = 0;
     for obj in part.heap.iter_objects(&part.reg) {
-        assert_eq!(part.heap.ext_word(obj).raw(), 0, "object {obj:?} has a non-zero ext word");
+        assert_eq!(
+            part.heap.ext_word(obj).raw(),
+            0,
+            "object {obj:?} has a non-zero ext word"
+        );
         objects += 1;
     }
     // Each record is an Event plus its payload array; one batch array.
@@ -35,7 +39,10 @@ fn a_fresh_partition_and_its_batch_have_zero_ext_words() {
 #[test]
 fn heap_fold_rejects_null_roots_and_elements() {
     let mut part = tiny().build_partition(0);
-    assert_eq!(fold_heap_batch(&part.heap, Addr::NULL, &mut Fold::new()), None);
+    assert_eq!(
+        fold_heap_batch(&part.heap, Addr::NULL, &mut Fold::new()),
+        None
+    );
     let holed = [part.records[0], Addr::NULL];
     let holed = coalesce(&mut part.heap, &part.reg, part.batch_klass, &holed);
     assert_eq!(fold_heap_batch(&part.heap, holed, &mut Fold::new()), None);

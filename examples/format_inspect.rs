@@ -6,7 +6,7 @@
 //! cargo run --release --example format_inspect
 //! ```
 
-use cereal_repro::accel::{ClassTables, Accelerator};
+use cereal_repro::accel::{Accelerator, ClassTables};
 use cereal_repro::format::pack::Unpacker;
 use cereal_repro::format::stream::decode_ref;
 use cereal_repro::heap::builder::Init;
@@ -17,7 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut b = GraphBuilder::new(1 << 16);
     let k = b.klass(
         "Obj",
-        vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+        vec![
+            FieldKind::Value(ValueType::Long),
+            FieldKind::Ref,
+            FieldKind::Ref,
+        ],
     );
     let obj_d = b.object(k, &[Init::Val(0xD), Init::Null, Init::Null])?;
     let obj_c = b.object(k, &[Init::Val(0xC), Init::Null, Init::Null])?;
@@ -36,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stream.total_object_bytes, stream.object_count
     );
 
-    println!("\nvalue array ({} bytes, 8 B words):", stream.value_array.len());
+    println!(
+        "\nvalue array ({} bytes, 8 B words):",
+        stream.value_array.len()
+    );
     for (i, w) in stream.value_words().iter().enumerate() {
         // Each object contributes 3 value words here (mark word, class
         // ID, one payload word) — references live in the reference
@@ -81,10 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (obj, bits) in stream.bitmaps.to_items().iter().enumerate() {
         let s: String = bits.iter().map(|&b| if b { '1' } else { '0' }).collect();
-        println!(
-            "  obj {obj}: {s}  (object size {} bytes)",
-            bits.len() * 8
-        );
+        println!("  obj {obj}: {s}  (object size {} bytes)", bits.len() * 8);
     }
 
     // And show the reconstruction (Fig. 4c).
@@ -93,7 +97,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     tables.register_all(&reg)?;
     let (root, _) = cereal::functional::decode(&stream, &tables, &mut dst, false)?;
     println!("\nreconstructed at base {} (paper uses 8000):", dst.base());
-    for addr in [root, dst.ref_field(root, 1).unwrap(), dst.ref_field(root, 2).unwrap()] {
+    for addr in [
+        root,
+        dst.ref_field(root, 1).unwrap(),
+        dst.ref_field(root, 2).unwrap(),
+    ] {
         println!(
             "  {}: payload {:#x}, refs {:?}",
             addr,

@@ -24,8 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.total_bytes >> 10
     );
 
-    println!("{:<10} {:>10} {:>14}", "serializer", "bytes", "bytes/reference");
-    for ser in [&JavaSd::new() as &dyn Serializer, &Kryo::new(), &Skyway::new()] {
+    println!(
+        "{:<10} {:>10} {:>14}",
+        "serializer", "bytes", "bytes/reference"
+    );
+    for ser in [
+        &JavaSd::new() as &dyn Serializer,
+        &Kryo::new(),
+        &Skyway::new(),
+    ] {
         let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink)?;
         println!(
             "{:<10} {:>10} {:>14.2}",

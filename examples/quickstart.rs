@@ -19,16 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let record_k = b.klass(
         "SensorRecord",
         vec![
-            FieldKind::Value(ValueType::Long), // timestamp
+            FieldKind::Value(ValueType::Long),   // timestamp
             FieldKind::Value(ValueType::Double), // reading
-            FieldKind::Ref, // calibration (shared)
-            FieldKind::Ref, // next record (ring)
+            FieldKind::Ref,                      // calibration (shared)
+            FieldKind::Ref,                      // next record (ring)
         ],
     );
-    let calibration = b.value_array(
-        table_k,
-        &[1.0f64, 0.5, -0.25].map(f64::to_bits),
-    )?;
+    let calibration = b.value_array(table_k, &[1.0f64, 0.5, -0.25].map(f64::to_bits))?;
     let mut records = Vec::new();
     for i in 0..5u64 {
         let r = b.object(
@@ -68,11 +65,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(isomorphic(&heap, &reg, root, &dst, de.root));
     println!(
         "reconstructed at {} in {:.0} ns on DU{}; graphs are isomorphic",
-        de.root, de.run.busy_ns(), de.unit
+        de.root,
+        de.run.busy_ns(),
+        de.unit
     );
 
     // 4. Compare stream sizes with the software baselines.
-    for ser in [&JavaSd::new() as &dyn Serializer, &Kryo::new(), &Skyway::new()] {
+    for ser in [
+        &JavaSd::new() as &dyn Serializer,
+        &Kryo::new(),
+        &Skyway::new(),
+    ] {
         let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink)?;
         println!("{:>8}: {} bytes", ser.name(), bytes.len());
     }

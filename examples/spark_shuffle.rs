@@ -53,7 +53,9 @@ fn main() {
     let mut total_bytes = 0u64;
     let mut streams = Vec::new();
     for &root in &batches {
-        let s = accel.serialize(&mut ds.heap, &ds.reg, root).expect("serialize");
+        let s = accel
+            .serialize(&mut ds.heap, &ds.reg, root)
+            .expect("serialize");
         total_bytes += s.bytes.len() as u64;
         streams.push(s.bytes);
     }

@@ -66,7 +66,10 @@ fn more_reconstructors_never_hurt_deserialization() {
     let bytes = {
         let mut accel = Accelerator::paper();
         accel.register_all(&reg).expect("register");
-        accel.serialize(&mut heap, &reg, root).expect("serialize").bytes
+        accel
+            .serialize(&mut heap, &reg, root)
+            .expect("serialize")
+            .bytes
     };
     let mut prev = f64::INFINITY;
     for recon in [1usize, 2, 4, 8] {
@@ -103,7 +106,9 @@ fn vanilla_ablation_is_slower_but_correct() {
     assert!(b.run.busy_ns() > a.run.busy_ns());
 
     let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
-    let de = vanilla.deserialize(&b.bytes, &mut dst).expect("deserialize");
+    let de = vanilla
+        .deserialize(&b.bytes, &mut dst)
+        .expect("deserialize");
     assert!(isomorphic(&heap, &reg, root, &dst, de.root));
 }
 
@@ -130,7 +135,9 @@ fn header_strip_config_roundtrips_modulo_hash() {
     );
 
     let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
-    let de = accel.deserialize(&ser.bytes, &mut dst).expect("deserialize");
+    let de = accel
+        .deserialize(&ser.bytes, &mut dst)
+        .expect("deserialize");
     assert!(cereal_repro::heap::isomorphic_with(
         &heap,
         &reg,

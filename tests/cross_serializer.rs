@@ -26,7 +26,13 @@ fn acyclic_extra_serializers() -> Vec<Box<dyn Serializer>> {
     vec![Box::new(JsonLike::new())]
 }
 
-fn assert_roundtrip(ser: &dyn Serializer, heap: &mut Heap, reg: &KlassRegistry, root: Addr, what: &str) {
+fn assert_roundtrip(
+    ser: &dyn Serializer,
+    heap: &mut Heap,
+    reg: &KlassRegistry,
+    root: Addr,
+    what: &str,
+) {
     // Reset any stale Cereal visited marks from earlier serializers.
     heap.gc_clear_serialization_metadata(reg);
     let bytes = ser
@@ -65,7 +71,10 @@ fn every_serializer_roundtrips_every_microbenchmark() {
 #[test]
 fn every_serializer_roundtrips_the_jsbs_object() {
     let (mut heap, reg, root) = media_content();
-    for ser in all_serializers().into_iter().chain(acyclic_extra_serializers()) {
+    for ser in all_serializers()
+        .into_iter()
+        .chain(acyclic_extra_serializers())
+    {
         assert_roundtrip(ser.as_ref(), &mut heap, &reg, root, "media-content");
     }
 }
@@ -75,7 +84,10 @@ fn every_serializer_roundtrips_every_spark_batch() {
     for app in SparkApp::all() {
         let mut ds = app.build(Scale::Tiny);
         let root = ds.batches[0];
-        for ser in all_serializers().into_iter().chain(acyclic_extra_serializers()) {
+        for ser in all_serializers()
+            .into_iter()
+            .chain(acyclic_extra_serializers())
+        {
             assert_roundtrip(ser.as_ref(), &mut ds.heap, &ds.reg, root, app.name());
         }
     }
@@ -91,7 +103,9 @@ fn stream_sizes_keep_their_characteristic_order() {
             .iter()
             .map(|s| {
                 heap.gc_clear_serialization_metadata(&reg);
-                let b = s.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
+                let b = s
+                    .serialize(&mut heap, &reg, root, &mut NullSink)
+                    .expect("ok");
                 (s.name().to_string(), b.len())
             })
             .collect();
@@ -109,9 +123,20 @@ fn serializers_are_independent_of_each_other() {
     // including Cereal, which writes header extensions.
     let (mut heap, reg, root) = MicroBench::GraphSparse.build(Scale::Tiny);
     let cereal = CerealSerializer::new();
-    let before = cereal.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
-    let _ = JavaSd::new().serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
-    let _ = Skyway::new().serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
-    let after = cereal.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
-    assert_eq!(before, after, "stream must be reproducible after other serializers ran");
+    let before = cereal
+        .serialize(&mut heap, &reg, root, &mut NullSink)
+        .expect("ok");
+    let _ = JavaSd::new()
+        .serialize(&mut heap, &reg, root, &mut NullSink)
+        .expect("ok");
+    let _ = Skyway::new()
+        .serialize(&mut heap, &reg, root, &mut NullSink)
+        .expect("ok");
+    let after = cereal
+        .serialize(&mut heap, &reg, root, &mut NullSink)
+        .expect("ok");
+    assert_eq!(
+        before, after,
+        "stream must be reproducible after other serializers ran"
+    );
 }

@@ -376,7 +376,10 @@ fn cereal_functional_model_matches_the_frozen_table() {
         let source = outcome(&g.0, &g.1, g.2);
         for strip in [false, true] {
             let actual = measure_cereal(graph, strip, &mut g);
-            assert_eq!(actual.result, source, "Cereal/{graph}: round trip changed the graph");
+            assert_eq!(
+                actual.result, source,
+                "Cereal/{graph}: round trip changed the graph"
+            );
             if !CEREAL.contains(&actual) {
                 diffs.push_str(&actual.to_string());
             }

@@ -41,7 +41,11 @@ fn build(recipe: &GraphRecipe) -> (Heap, KlassRegistry, Addr) {
     let k0 = b.klass("A", vec![FieldKind::Value(ValueType::Long), FieldKind::Ref]);
     let k1 = b.klass(
         "B",
-        vec![FieldKind::Ref, FieldKind::Ref, FieldKind::Value(ValueType::Int)],
+        vec![
+            FieldKind::Ref,
+            FieldKind::Ref,
+            FieldKind::Value(ValueType::Int),
+        ],
     );
     let k2 = b.klass("C", vec![FieldKind::Value(ValueType::Double)]);
     let k3 = b.array_klass("Object[]", FieldKind::Ref);
@@ -51,16 +55,27 @@ fn build(recipe: &GraphRecipe) -> (Heap, KlassRegistry, Addr) {
         let addr = match pick % 4 {
             0 => b.object(k0, &[Init::Val(value), Init::Null]).unwrap(),
             1 => b
-                .object(k1, &[Init::Null, Init::Null, Init::Val(value & 0xffff_ffff)])
+                .object(
+                    k1,
+                    &[Init::Null, Init::Null, Init::Val(value & 0xffff_ffff)],
+                )
                 .unwrap(),
             2 => b.object(k2, &[Init::Val(value)]).unwrap(),
-            _ => b.ref_array(k3, &vec![Addr::NULL; (edges[0] % 4) as usize]).unwrap(),
+            _ => b
+                .ref_array(k3, &vec![Addr::NULL; (edges[0] % 4) as usize])
+                .unwrap(),
         };
         addrs.push(addr);
     }
     let n = addrs.len();
     for (i, &(pick, _, edges)) in recipe.nodes.iter().enumerate() {
-        let target = |e: u8| if e == 0 { Addr::NULL } else { addrs[(e as usize) % n] };
+        let target = |e: u8| {
+            if e == 0 {
+                Addr::NULL
+            } else {
+                addrs[(e as usize) % n]
+            }
+        };
         match pick % 4 {
             0 => b.link(addrs[i], 1, target(edges[0])),
             1 => {
@@ -90,9 +105,13 @@ fn cereal_roundtrips_random_graphs() {
     for i in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
         let ser = CerealSerializer::new();
-        let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
+        let bytes = ser
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .expect("ok");
         let mut dst = Heap::with_base(Addr(0x40_0000_0000), heap.capacity_bytes());
-        let new_root = ser.deserialize(&bytes, &reg, &mut dst, &mut NullSink).expect("ok");
+        let new_root = ser
+            .deserialize(&bytes, &reg, &mut dst, &mut NullSink)
+            .expect("ok");
         assert!(isomorphic(&heap, &reg, root, &dst, new_root), "case {i}");
     }
 }
@@ -105,8 +124,12 @@ fn cereal_is_deterministic_across_counters() {
     for i in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
         let ser = CerealSerializer::new();
-        let a = ser.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
-        let b = ser.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
+        let a = ser
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .expect("ok");
+        let b = ser
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .expect("ok");
         assert_eq!(a, b, "case {i}");
     }
 }
@@ -120,15 +143,24 @@ fn stream_accounting_matches_graph_stats() {
     for i in 0..CASES {
         let (mut heap, reg, root) = build(&random_recipe(&mut rng));
         let ser = CerealSerializer::new();
-        let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
+        let bytes = ser
+            .serialize(&mut heap, &reg, root, &mut NullSink)
+            .expect("ok");
         let stream = sdformat::CerealStream::from_bytes(&bytes).expect("decodable");
         let stats = GraphStats::measure(&heap, &reg, root);
-        assert_eq!(u64::from(stream.total_object_bytes), stats.total_bytes, "case {i}");
+        assert_eq!(
+            u64::from(stream.total_object_bytes),
+            stats.total_bytes,
+            "case {i}"
+        );
         assert_eq!(stream.object_count as usize, stats.objects);
         assert_eq!(stream.bitmaps.count, stats.objects);
         assert_eq!(stream.refs.count, stats.ref_slots);
         // Value array covers every non-reference word except the
         // runtime-private extension word (one per object, regenerated).
-        assert_eq!(stream.value_array.len(), (stats.value_words - stats.objects) * 8);
+        assert_eq!(
+            stream.value_array.len(),
+            (stats.value_words - stats.objects) * 8
+        );
     }
 }

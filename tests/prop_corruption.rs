@@ -20,13 +20,23 @@ fn sample_graph() -> (Heap, KlassRegistry, Addr) {
     let mut b = GraphBuilder::new(1 << 18);
     let k = b.klass(
         "N",
-        vec![FieldKind::Value(ValueType::Long), FieldKind::Ref, FieldKind::Ref],
+        vec![
+            FieldKind::Value(ValueType::Long),
+            FieldKind::Ref,
+            FieldKind::Ref,
+        ],
     );
     let arr = b.array_klass("double[]", FieldKind::Value(ValueType::Double));
     let data = b.value_array(arr, &[1, 2, 3, 4, 5, 6, 7]).unwrap();
-    let c = b.object(k, &[Init::Val(3), Init::Null, Init::Null]).unwrap();
-    let x = b.object(k, &[Init::Val(2), Init::Ref(c), Init::Ref(data)]).unwrap();
-    let a = b.object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)]).unwrap();
+    let c = b
+        .object(k, &[Init::Val(3), Init::Null, Init::Null])
+        .unwrap();
+    let x = b
+        .object(k, &[Init::Val(2), Init::Ref(c), Init::Ref(data)])
+        .unwrap();
+    let a = b
+        .object(k, &[Init::Val(1), Init::Ref(x), Init::Ref(c)])
+        .unwrap();
     let (heap, reg) = b.finish();
     (heap, reg, a)
 }
@@ -43,7 +53,9 @@ fn decode_and_walk(ser: &dyn Serializer, bytes: &[u8], reg: &KlassRegistry) -> O
 
 fn corrupt_and_decode(ser: &dyn Serializer, flips: &[(u16, u8)]) -> Option<String> {
     let (mut heap, reg, root) = sample_graph();
-    let mut bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
+    let mut bytes = ser
+        .serialize(&mut heap, &reg, root, &mut NullSink)
+        .expect("ok");
     for &(pos, mask) in flips {
         if bytes.is_empty() {
             break;
@@ -119,7 +131,9 @@ fn all_survive_truncation() {
             &CerealSerializer::new(),
         ] {
             let (mut heap, reg, root) = sample_graph();
-            let bytes = ser.serialize(&mut heap, &reg, root, &mut NullSink).expect("ok");
+            let bytes = ser
+                .serialize(&mut heap, &reg, root, &mut NullSink)
+                .expect("ok");
             let cut = (cut_seed as usize) % bytes.len();
             if let Some(why) = decode_and_walk(ser, &bytes[..cut], &reg) {
                 panic!("{} cut at {cut}: {why}", ser.name());
