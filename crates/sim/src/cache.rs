@@ -44,10 +44,18 @@ impl LevelConfig {
 /// valid only if `lru > epoch`: [`Cache::reset`] moves the epoch up to
 /// the current tick, which invalidates every line in O(1) without
 /// touching them, and a new cache (epoch 0, all `lru` 0) starts empty.
+///
+/// Line size and set count are powers of two, so an address splits into
+/// tag, set index and line offset by shifts and a mask.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: LevelConfig,
-    nsets: usize,
+    /// `log2(line)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
     lines: Vec<[u64; 2]>,
     tick: u64,
     /// Lines stamped at or before this tick are invalid.
@@ -60,7 +68,8 @@ impl Cache {
     /// A cache with the given geometry.
     ///
     /// # Panics
-    /// Panics if the geometry does not divide into whole sets.
+    /// Panics if the geometry does not divide into whole sets, or if the
+    /// line size or the set count is not a power of two.
     pub fn new(cfg: LevelConfig) -> Self {
         let nsets = cfg.sets();
         assert!(nsets > 0, "cache too small for its ways/line");
@@ -69,9 +78,16 @@ impl Cache {
             nsets as u64 * cfg.line * cfg.ways as u64,
             "geometry must tile capacity exactly"
         );
+        assert!(
+            cfg.line.is_power_of_two() && nsets.is_power_of_two(),
+            "line size ({}) and set count ({nsets}) must be powers of two",
+            cfg.line
+        );
         Cache {
             cfg,
-            nsets,
+            line_shift: cfg.line.trailing_zeros(),
+            set_shift: nsets.trailing_zeros(),
+            set_mask: nsets as u64 - 1,
             lines: vec![[0; 2]; nsets * cfg.ways],
             tick: 0,
             epoch: 0,
@@ -82,11 +98,11 @@ impl Cache {
 
     /// The set index, tag and lines of the set `addr` maps to.
     fn set(&mut self, addr: u64) -> (usize, u64, &mut [[u64; 2]]) {
-        let block = addr / self.cfg.line;
-        let set_idx = (block as usize) % self.nsets;
+        let block = addr >> self.line_shift;
+        let set_idx = (block & self.set_mask) as usize;
         let ways = self.cfg.ways;
         let set = &mut self.lines[set_idx * ways..][..ways];
-        (set_idx, block / self.nsets as u64, set)
+        (set_idx, block >> self.set_shift, set)
     }
 
     /// Looks up a line; on hit, refreshes LRU and applies `write` to the
@@ -110,7 +126,7 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
         self.tick += 1;
         let (tick, epoch) = (self.tick, self.epoch);
-        let (line_bytes, nsets) = (self.cfg.line, self.nsets as u64);
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
         let (set_idx, tag, set) = self.set(addr);
         // First least-recent line; invalid lines (lru <= epoch: key 0)
         // go first, and valid lines keep their LRU order.
@@ -121,7 +137,7 @@ impl Cache {
         // Only a valid dirty line writes back: a line a reset invalidated
         // keeps its dirty bit, but its data is gone.
         let evicted = (victim[1] > epoch && victim[0] & 1 == 1)
-            .then(|| ((victim[0] >> 1) * nsets + set_idx as u64) * line_bytes);
+            .then(|| ((victim[0] >> 1) << set_shift | set_idx as u64) << line_shift);
         *victim = [tag << 1 | u64::from(write), tick];
         evicted
     }
@@ -268,6 +284,16 @@ mod tests {
             ways: 2,
             line: 64,
         }) // 8 sets
+    }
+
+    #[test]
+    #[should_panic(expected = "must be powers of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        Cache::new(LevelConfig {
+            capacity: 3 * 2 * 64,
+            ways: 2,
+            line: 64,
+        }); // 3 sets
     }
 
     #[test]
