@@ -99,6 +99,9 @@ impl StoreConfig {
 /// Errors from a block-store operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreError {
+    /// The run's config was rejected before any work; the message names
+    /// the offending field and the range it must lie in.
+    InvalidConfig(&'static str),
     /// The block id was never [`BlockStore::put`].
     UnknownBlock(usize),
     /// The block's bytes are gone (dropped, or its reload was corrupt)
@@ -112,6 +115,7 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            StoreError::InvalidConfig(why) => write!(f, "invalid store config: {why}"),
             StoreError::UnknownBlock(id) => write!(f, "unknown block {id}"),
             StoreError::NoLineage(id) => {
                 write!(

@@ -278,9 +278,12 @@ fn pass_order(cfg: &RddConfig, pass: usize) -> Vec<usize> {
 /// trace pass [`NoopSink`].
 ///
 /// # Errors
-/// Propagates [`StoreError`] from faulted accesses the store cannot
+/// [`StoreError::InvalidConfig`] when `cfg.agg` fails
+/// `AggConfig::validate` (no mappers, no keys, a bad Zipf exponent);
+/// propagates [`StoreError`] from faulted accesses the store cannot
 /// recover (e.g. corruption injected without checksums).
 pub fn run_rdd_sunk<S: Sink>(cfg: &RddConfig, sink: &mut S) -> Result<RddOutcome, StoreError> {
+    cfg.agg.validate().map_err(StoreError::InvalidConfig)?;
     let n = cfg.agg.mappers;
     let parts: Vec<PartBuild> = par_map(cfg.jobs, n, |m| build_part(cfg, m));
 

@@ -1,12 +1,12 @@
 //! End-to-end block-store tests: eviction determinism, spill/reload
 //! byte-identity per backend, the recompute-vs-fetch policy crossover,
 //! job-count invariance of the suite report, and the agreement of the
-//! in-place and reconstructing batch reads.
+//! in-place and reconstructing batch reads, and config validation.
 
 use sim::DiskConfig;
 use store::{
     build_part, run_rdd_sunk, run_suite, AccessPattern, Backend, BlockStore, Engine, MissPolicy,
-    NoLineage, RddConfig, StoreConfig,
+    NoLineage, RddConfig, StoreConfig, StoreError,
 };
 use telemetry::NoopSink;
 use workloads::spark::agg::{coalesce, fold_heap_batch};
@@ -241,6 +241,40 @@ fn archive_in_place_fold_equals_kryo_rebuilt_fold() {
         for (name, fold) in [("Archive", &archive), ("Kryo", &kryo)] {
             assert_eq!(fold[k].0, count, "{name} count for key {k}");
             assert_eq!(fold[k].1.to_bits(), sum.to_bits(), "{name} sum for key {k}");
+        }
+    }
+}
+
+/// A config `AggConfig::validate` rejects is a typed error before any
+/// partition is built: zero keys used to panic a worker thread in
+/// `Rng::gen_range_u64`.
+#[test]
+fn invalid_agg_configs_are_typed_errors_not_panics() {
+    for (agg, why) in [
+        (
+            AggConfig {
+                distinct_keys: 0,
+                ..tiny_agg()
+            },
+            "distinct_keys must be > 0",
+        ),
+        (
+            AggConfig {
+                mappers: 0,
+                ..tiny_agg()
+            },
+            "mappers must be > 0",
+        ),
+    ] {
+        let cfg = RddConfig {
+            agg,
+            jobs: 2,
+            ..tiny(Backend::Kryo)
+        };
+        match run_rdd_sunk(&cfg, &mut NoopSink) {
+            Err(StoreError::InvalidConfig(got)) => assert_eq!(got, why),
+            Err(e) => panic!("{why}: expected InvalidConfig, got {e:?}"),
+            Ok(_) => panic!("{why}: expected InvalidConfig, got a run"),
         }
     }
 }
