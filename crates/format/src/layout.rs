@@ -1,7 +1,8 @@
-//! Layout bitmap construction and block-level counting.
+//! Block-level counting over layout bitmaps.
 //!
 //! The layout bitmap marks the location of each reference field: one bit
-//! per 8 B heap word, set when the word holds a reference (paper Fig. 4a).
+//! per 8 B heap word, set when the word holds a reference (paper Fig. 4a);
+//! `sdheap::ObjectView::layout_bits` builds it per object.
 //! Object size follows from the bitmap length (`bits × 8 B`), which is how
 //! the deserialization unit sizes objects without any per-object length
 //! field.
@@ -11,14 +12,6 @@
 //! values/headers and how many are references — the numbers the block
 //! manager uses to pull exactly the right amount from the value and
 //! reference loaders.
-
-use sdheap::{Addr, Heap, KlassRegistry};
-
-/// The layout bitmap of the object at `addr` (one bool per word, `true` =
-/// reference slot).
-pub fn object_layout_bits(heap: &Heap, reg: &KlassRegistry, addr: Addr) -> Vec<bool> {
-    heap.object(reg, addr).layout_bits()
-}
 
 /// Per-64 B-block value/reference counts over a concatenated layout
 /// bitmap.
@@ -69,7 +62,7 @@ mod tests {
             .object(k, &[Init::Null, Init::Val(9), Init::Null])
             .unwrap();
         let (heap, reg) = b.finish();
-        let bits = object_layout_bits(&heap, &reg, o);
+        let bits = heap.object(&reg, o).layout_bits();
         assert_eq!(bits, vec![false, false, false, true, false, true]);
         // Size recoverable from bitmap length.
         assert_eq!(bits.len() as u64 * 8, heap.object(&reg, o).size_bytes());

@@ -36,7 +36,7 @@ pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use frame::{crc32, crc_ns, seal, seal_into, verify, FrameError, FOOTER_BYTES, FRAME_MAGIC};
-pub use layout::{object_layout_bits, LayoutCounts};
+pub use layout::LayoutCounts;
 pub use pack::{EndMap, Packed, Packer, Unpacker};
 pub use stream::{CerealStream, FormatError, StreamHeader};
 pub use varint::{read_varint, write_varint};
