@@ -21,6 +21,10 @@ echo "== perfbench builds against the current crate APIs =="
 # output goes to the git-ignored perfbench/target.
 cargo build --release --manifest-path perfbench/Cargo.toml $CARGO_FLAGS
 
+echo "== format: rustfmt, no diff =="
+# Covers the workspace only; perfbench/ is its own workspace.
+cargo fmt --all --check
+
 echo "== lint: clippy, zero warnings =="
 cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
 
