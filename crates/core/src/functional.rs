@@ -266,7 +266,11 @@ fn traverse(
         visit(marks, root)?;
         queue.push_back(root);
         while let Some(obj) = queue.pop_front() {
-            for t in marks.heap.object(reg, obj).references() {
+            // The slots borrow only the klass: `visit` writes the heap's
+            // extension words between loads.
+            let view = marks.heap.object(reg, obj);
+            for w in reg.get(view.klass_id()).ref_slots(view.size_words()) {
+                let t = Addr(marks.heap.load(obj.add_words(w as u64)));
                 if t.is_null() {
                     ref_items.push(None);
                     continue;

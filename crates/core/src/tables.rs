@@ -66,7 +66,7 @@ impl ClassTables {
             Some(elem) => Shape::Array(elem.is_ref()),
             None => {
                 let mut bits = vec![false; k.instance_words()];
-                for w in k.ref_offsets() {
+                for &w in k.ref_offsets() {
                     bits[w] = true;
                 }
                 Shape::Instance(bits)

@@ -102,12 +102,11 @@ pub fn collect(
     // targets on first touch.
     let mut scan = to_space.base();
     while scan.get() < to_space.top_addr().get() {
-        let words = {
-            // The object is fully copied; its klass pointer is valid.
-            to_space.object(reg, scan).size_words()
-        };
-        let ref_offsets: Vec<usize> = to_space.object(reg, scan).ref_offsets();
-        for w in ref_offsets {
+        // The object is fully copied; its klass pointer is valid. The
+        // slots borrow only the klass, so the loop may evacuate.
+        let view = to_space.object(reg, scan);
+        let words = view.size_words();
+        for w in reg.get(view.klass_id()).ref_slots(words) {
             let old = Addr(to_space.load(scan.add_words(w as u64)));
             if old.is_null() {
                 continue;

@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use crate::heap::Heap;
 use crate::klass::{FieldKind, KlassRegistry};
 use crate::object::{EXT_OFFSET, HEADER_WORDS, KLASS_OFFSET, MARK_OFFSET};
-use crate::word::Addr;
+use crate::word::{Addr, WORD_BYTES};
 
 /// Traversal order over an object graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,20 +25,33 @@ pub enum Reachable {
 
 /// All objects reachable from `root`, deduplicated, in the given traversal
 /// order. The null root yields an empty vector.
+///
+/// # Panics
+/// Panics if a reachable address is not a live object of `heap`.
 pub fn reachable(heap: &Heap, reg: &KlassRegistry, root: Addr, order: Reachable) -> Vec<Addr> {
     if root.is_null() {
         return Vec::new();
     }
+    let mut seen = Visited::new(heap);
+    let mut out = Vec::new();
     match order {
+        // Explicit-stack preorder: children pushed in reverse field order
+        // and the visited check done at pop time reproduce the recursive
+        // preorder exactly (including on shared/cyclic structure), without
+        // call-stack depth proportional to the graph — a scaled linked
+        // list overflows a worker thread's 2 MiB stack otherwise.
         Reachable::DepthFirst => {
-            let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            dfs(heap, reg, root, &mut seen, &mut out);
-            out
+            let mut stack = vec![root];
+            while let Some(addr) = stack.pop() {
+                if !seen.insert(addr) {
+                    continue;
+                }
+                out.push(addr);
+                let refs = heap.object(reg, addr).references();
+                stack.extend(refs.rev().filter(|r| !r.is_null()));
+            }
         }
         Reachable::BreadthFirst => {
-            let mut seen = HashSet::new();
-            let mut out = Vec::new();
             let mut queue = VecDeque::new();
             seen.insert(root);
             queue.push_back(root);
@@ -50,31 +63,44 @@ pub fn reachable(heap: &Heap, reg: &KlassRegistry, root: Addr, order: Reachable)
                     }
                 }
             }
-            out
         }
     }
+    out
 }
 
-// Explicit-stack preorder: children pushed in reverse field order and
-// the visited check done at pop time reproduce the recursive preorder
-// exactly (including on shared/cyclic structure), without call-stack
-// depth proportional to the graph — a scaled linked list overflows a
-// worker thread's 2 MiB stack otherwise.
-fn dfs(
-    heap: &Heap,
-    reg: &KlassRegistry,
-    root: Addr,
-    seen: &mut HashSet<Addr>,
-    out: &mut Vec<Addr>,
-) {
-    let mut stack = vec![root];
-    while let Some(addr) = stack.pop() {
-        if !seen.insert(addr) {
-            continue;
+/// The visited set of one walk: one bit per allocated heap word, set at
+/// an object's first word. `used_words / 8` bytes, freed with the walk.
+struct Visited {
+    base: u64,
+    bits: Vec<u64>,
+}
+
+impl Visited {
+    fn new(heap: &Heap) -> Self {
+        let words = (heap.used_bytes() / WORD_BYTES) as usize;
+        Visited {
+            base: heap.base().get(),
+            bits: vec![0; words.div_ceil(64)],
         }
-        out.push(addr);
-        let refs = heap.object(reg, addr).references();
-        stack.extend(refs.iter().rev().filter(|r| !r.is_null()));
+    }
+
+    /// Marks `addr`; `true` when it was not marked yet.
+    ///
+    /// # Panics
+    /// Panics if `addr` is not a word-aligned address below the heap's
+    /// allocation top, so no object can be walked from it.
+    #[inline]
+    fn insert(&mut self, addr: Addr) -> bool {
+        let delta = addr.get().wrapping_sub(self.base);
+        let w = (delta / WORD_BYTES) as usize;
+        let slot = match self.bits.get_mut(w / 64) {
+            Some(slot) if delta.is_multiple_of(WORD_BYTES) => slot,
+            _ => panic!("no object at {addr}: outside the allocated heap"),
+        };
+        let bit = 1u64 << (w % 64);
+        let fresh = *slot & bit == 0;
+        *slot |= bit;
+        fresh
     }
 }
 
@@ -100,18 +126,12 @@ impl GraphStats {
         let mut s = GraphStats::default();
         for addr in reachable(heap, reg, root, Reachable::DepthFirst) {
             let v = heap.object(reg, addr);
+            let refs = v.references();
             s.objects += 1;
             s.total_bytes += v.size_bytes();
-            for w in 0..v.size_words() {
-                if v.word_kind(w).is_ref() {
-                    s.ref_slots += 1;
-                    if v.word(w) != 0 {
-                        s.live_refs += 1;
-                    }
-                } else {
-                    s.value_words += 1;
-                }
-            }
+            s.ref_slots += refs.len();
+            s.value_words += v.size_words() - refs.len();
+            s.live_refs += refs.filter(|r| !r.is_null()).count();
         }
         s
     }

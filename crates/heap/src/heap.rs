@@ -351,12 +351,7 @@ impl Heap {
 
     /// Total size in words of the object at `addr` (header included).
     pub fn object_words(&self, reg: &KlassRegistry, addr: Addr) -> usize {
-        let k = reg.get(self.klass_of(reg, addr));
-        if k.is_array() {
-            k.array_words(self.array_len(addr))
-        } else {
-            k.instance_words()
-        }
+        self.object(reg, addr).size_words()
     }
 
     /// Clears every allocated object's extension word — the metadata reset

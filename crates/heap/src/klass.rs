@@ -13,7 +13,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
+use crate::object::HEADER_WORDS;
 use crate::word::Addr;
 
 /// Index of a registered class. Also serves as the integer "class ID" used
@@ -101,7 +103,53 @@ pub struct Klass {
     name: String,
     fields: Vec<Field>,
     array_elem: Option<FieldKind>,
+    /// Word offsets of an instance's reference slots, derived from
+    /// `fields` once when the klass is built.
+    ref_offsets: Vec<usize>,
 }
+
+/// The reference slots of one object, as word offsets from the object
+/// start in layout order ([`Klass::ref_slots`]). Borrows only the klass,
+/// so a caller may write the heap while it iterates.
+#[derive(Clone, Debug)]
+pub enum RefSlots<'k> {
+    /// An instance's precomputed field offsets.
+    Fields(std::slice::Iter<'k, usize>),
+    /// A reference array's element words (empty for a primitive array).
+    Elements(Range<usize>),
+}
+
+impl Iterator for RefSlots<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            RefSlots::Fields(it) => it.next().copied(),
+            RefSlots::Elements(r) => r.next(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            RefSlots::Fields(it) => it.size_hint(),
+            RefSlots::Elements(r) => r.size_hint(),
+        }
+    }
+}
+
+impl DoubleEndedIterator for RefSlots<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<usize> {
+        match self {
+            RefSlots::Fields(it) => it.next_back().copied(),
+            RefSlots::Elements(r) => r.next_back(),
+        }
+    }
+}
+
+impl ExactSizeIterator for RefSlots<'_> {}
 
 impl Klass {
     /// An instance klass with auto-named fields (`f0`, `f1`, …).
@@ -114,11 +162,7 @@ impl Klass {
                 kind,
             })
             .collect();
-        Klass {
-            name: name.into(),
-            fields,
-            array_elem: None,
-        }
+        Klass::build(name.into(), fields, None)
     }
 
     /// An instance klass with explicit field names.
@@ -126,26 +170,34 @@ impl Klass {
         name: impl Into<String>,
         fields: Vec<(impl Into<String>, FieldKind)>,
     ) -> Self {
-        Klass {
-            name: name.into(),
-            fields: fields
-                .into_iter()
-                .map(|(n, kind)| Field {
-                    name: n.into(),
-                    kind,
-                })
-                .collect(),
-            array_elem: None,
-        }
+        let fields = fields
+            .into_iter()
+            .map(|(n, kind)| Field {
+                name: n.into(),
+                kind,
+            })
+            .collect();
+        Klass::build(name.into(), fields, None)
     }
 
     /// An array klass whose elements are all `elem` (e.g. `double[]`,
     /// `Object[]`). Array objects carry a length word after the header.
     pub fn array(name: impl Into<String>, elem: FieldKind) -> Self {
+        Klass::build(name.into(), Vec::new(), Some(elem))
+    }
+
+    fn build(name: String, fields: Vec<Field>, array_elem: Option<FieldKind>) -> Self {
+        let ref_offsets = fields
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.kind.is_ref())
+            .map(|(i, _)| HEADER_WORDS + i)
+            .collect();
         Klass {
-            name: name.into(),
-            fields: Vec::new(),
-            array_elem: Some(elem),
+            name,
+            fields,
+            array_elem,
+            ref_offsets,
         }
     }
 
@@ -175,15 +227,24 @@ impl Klass {
     }
 
     /// Word offsets (from object start, header included) of the reference
-    /// slots of an *instance* of this klass. For arrays this depends on the
-    /// per-object length, so use [`crate::ObjectView::layout_bits`] instead.
-    pub fn ref_offsets(&self) -> Vec<usize> {
-        self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.kind.is_ref())
-            .map(|(i, _)| crate::object::HEADER_WORDS + i)
-            .collect()
+    /// slots of an *instance* of this klass; empty for arrays, whose slots
+    /// depend on the per-object length ([`Klass::ref_slots`]).
+    pub fn ref_offsets(&self) -> &[usize] {
+        &self.ref_offsets
+    }
+
+    /// The reference slots of an object of this klass that is
+    /// `size_words` long: a reference array's elements
+    /// (`HEADER_WORDS + 1..size_words`), none for a primitive array, and
+    /// [`Klass::ref_offsets`] for an instance. Every layout query of
+    /// [`crate::ObjectView`] derives from this.
+    #[inline]
+    pub fn ref_slots(&self, size_words: usize) -> RefSlots<'_> {
+        match self.array_elem {
+            Some(FieldKind::Ref) => RefSlots::Elements(HEADER_WORDS + 1..size_words),
+            Some(FieldKind::Value(_)) => RefSlots::Elements(0..0),
+            None => RefSlots::Fields(self.ref_offsets.iter()),
+        }
     }
 
     /// Maximal runs of adjacent primitive fields, as `(first_index, len)`
@@ -222,14 +283,14 @@ impl Klass {
             "instance_words is undefined for array klass {}",
             self.name
         );
-        crate::object::HEADER_WORDS + self.fields.len()
+        HEADER_WORDS + self.fields.len()
     }
 
     /// Size in words of an array instance with `len` elements: header,
     /// length word, elements.
     pub fn array_words(&self, len: usize) -> usize {
         assert!(self.is_array(), "{} is not an array klass", self.name);
-        crate::object::HEADER_WORDS + 1 + len
+        HEADER_WORDS + 1 + len
     }
 
     /// Approximate size of the in-memory type descriptor in words — what
@@ -421,6 +482,17 @@ mod tests {
         assert_eq!(all_prims.prim_runs(), vec![(0, 4)]);
         let empty = Klass::new("E", vec![]);
         assert_eq!(empty.prim_runs(), vec![]);
+    }
+
+    #[test]
+    fn ref_slots_follow_the_layout() {
+        let k = Klass::new("K", vec![FieldKind::Ref, FieldKind::Value(ValueType::Long)]);
+        assert_eq!(k.ref_slots(5).collect::<Vec<_>>(), vec![3]);
+        let refs = Klass::array("Object[]", FieldKind::Ref);
+        assert_eq!(refs.ref_slots(7).rev().collect::<Vec<_>>(), vec![6, 5, 4]);
+        assert!(refs.ref_offsets().is_empty());
+        let longs = Klass::array("long[]", FieldKind::Value(ValueType::Long));
+        assert_eq!(longs.ref_slots(1 << 20).len(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! reference — paper §IV-A, Fig. 4).
 
 use crate::heap::Heap;
-use crate::klass::{FieldKind, Klass, KlassId, KlassRegistry};
+use crate::klass::{FieldKind, Klass, KlassId, KlassRegistry, RefSlots};
 use crate::word::Addr;
 
 /// Word offset of the mark word within an object.
@@ -18,13 +18,16 @@ pub const EXT_OFFSET: usize = 2;
 /// Header size in words: mark word + klass pointer + Cereal extension.
 pub const HEADER_WORDS: usize = 3;
 
-/// A read-only typed view over one object.
+/// A read-only typed view over one object. The klass and the object size
+/// are resolved once, when the view is made; every layout query reads
+/// them from there.
 #[derive(Clone, Copy)]
 pub struct ObjectView<'h> {
     heap: &'h Heap,
-    reg: &'h KlassRegistry,
     addr: Addr,
-    klass: KlassId,
+    id: KlassId,
+    klass: &'h Klass,
+    words: usize,
 }
 
 impl<'h> ObjectView<'h> {
@@ -33,12 +36,19 @@ impl<'h> ObjectView<'h> {
     /// # Panics
     /// Panics if `addr` does not hold a live object.
     pub fn new(heap: &'h Heap, reg: &'h KlassRegistry, addr: Addr) -> Self {
-        let klass = heap.klass_of(reg, addr);
+        let id = heap.klass_of(reg, addr);
+        let klass = reg.get(id);
+        let words = if klass.is_array() {
+            klass.array_words(heap.array_len(addr))
+        } else {
+            klass.instance_words()
+        };
         ObjectView {
             heap,
-            reg,
             addr,
+            id,
             klass,
+            words,
         }
     }
 
@@ -49,17 +59,17 @@ impl<'h> ObjectView<'h> {
 
     /// The object's klass id.
     pub fn klass_id(&self) -> KlassId {
-        self.klass
+        self.id
     }
 
     /// The object's type descriptor.
     pub fn klass(&self) -> &'h Klass {
-        self.reg.get(self.klass)
+        self.klass
     }
 
     /// Total object size in words, header included.
     pub fn size_words(&self) -> usize {
-        self.heap.object_words(self.reg, self.addr)
+        self.words
     }
 
     /// Total object size in bytes.
@@ -69,13 +79,14 @@ impl<'h> ObjectView<'h> {
 
     /// The kind of the word at offset `w` (0-based from the object start):
     /// header and length words are values; field/element words follow the
-    /// klass layout.
+    /// klass layout. This is the per-word specification the slot queries
+    /// below agree with.
     ///
     /// # Panics
     /// Panics if `w` is outside the object.
     pub fn word_kind(&self, w: usize) -> FieldKind {
         assert!(w < self.size_words(), "word {w} outside object");
-        let k = self.klass();
+        let k = self.klass;
         if w < HEADER_WORDS {
             return FieldKind::Value(crate::klass::ValueType::Long);
         }
@@ -94,28 +105,27 @@ impl<'h> ObjectView<'h> {
     /// slots. Its length in bits times 8 equals the object size in bytes,
     /// exactly as the paper derives object size from the bitmap.
     pub fn layout_bits(&self) -> Vec<bool> {
-        (0..self.size_words())
-            .map(|w| self.word_kind(w).is_ref())
-            .collect()
+        let mut bits = vec![false; self.words];
+        for w in self.ref_offsets() {
+            bits[w] = true;
+        }
+        bits
     }
 
-    /// Word offsets (from object start) of all reference slots, in order.
-    pub fn ref_offsets(&self) -> Vec<usize> {
-        self.layout_bits()
-            .iter()
-            .enumerate()
-            .filter(|(_, is_ref)| **is_ref)
-            .map(|(w, _)| w)
-            .collect()
+    /// Word offsets (from object start) of all reference slots, in order
+    /// ([`Klass::ref_slots`]).
+    #[inline]
+    pub fn ref_offsets(&self) -> RefSlots<'h> {
+        self.klass.ref_slots(self.words)
     }
 
     /// The references held by this object, in layout order (nulls
     /// included as `Addr::NULL`).
-    pub fn references(&self) -> Vec<Addr> {
+    #[inline]
+    pub fn references(&self) -> impl DoubleEndedIterator<Item = Addr> + ExactSizeIterator + 'h {
+        let (heap, addr) = (self.heap, self.addr);
         self.ref_offsets()
-            .into_iter()
-            .map(|w| Addr(self.heap.load(self.addr.add_words(w as u64))))
-            .collect()
+            .map(move |w| Addr(heap.load(addr.add_words(w as u64))))
     }
 
     /// Raw word at offset `w`.
@@ -167,7 +177,7 @@ mod tests {
             v.layout_bits(),
             vec![false, false, false, false, true, true]
         );
-        assert_eq!(v.ref_offsets(), vec![4, 5]);
+        assert_eq!(v.ref_offsets().collect::<Vec<_>>(), vec![4, 5]);
         assert_eq!(v.size_bytes(), 48);
     }
 
@@ -184,10 +194,23 @@ mod tests {
     }
 
     #[test]
+    fn primitive_array_has_no_reference_slots() {
+        let mut reg = KlassRegistry::new();
+        let longs = reg.register(Klass::array("long[]", FieldKind::Value(ValueType::Long)));
+        let mut heap = Heap::new(8192);
+        let a = heap.alloc_array(&reg, longs, 100).unwrap();
+        let v = heap.object(&reg, a);
+        assert_eq!(v.size_words(), 104);
+        assert_eq!(v.ref_offsets().len(), 0);
+        assert_eq!(v.references().count(), 0);
+        assert!(v.layout_bits().iter().all(|&b| !b));
+    }
+
+    #[test]
     fn references_in_layout_order() {
         let (heap, reg, n, a) = setup();
         let v = heap.object(&reg, n);
-        assert_eq!(v.references(), vec![a, Addr::NULL]);
+        assert_eq!(v.references().collect::<Vec<_>>(), vec![a, Addr::NULL]);
     }
 
     #[test]

@@ -498,8 +498,7 @@ pub fn fold_words_heap(heap: &Heap, reg: &KlassRegistry, root: Addr) -> u64 {
     let mut sum = 0u64;
     let plans = plans_for(reg);
     for addr in reachable(heap, reg, root, Reachable::DepthFirst) {
-        let id = heap.object(reg, addr).klass_id();
-        let plan = plans.plan(id);
+        let plan = plans.plan(heap.klass_of(reg, addr));
         match plan.array_elem {
             Some(elem) => {
                 let len = heap.array_len(addr);

@@ -88,7 +88,7 @@ pub fn graph_digest(heap: &Heap, reg: &KlassRegistry, root: Addr) -> Result<u64,
         check_object(addr)?;
         order.push(addr);
         let refs = heap.object(reg, addr).references();
-        stack.extend(refs.iter().rev().filter(|r| !r.is_null()));
+        stack.extend(refs.rev().filter(|r| !r.is_null()));
     }
 
     let index: HashMap<u64, u64> = order
